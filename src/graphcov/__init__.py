@@ -3,7 +3,7 @@ from observations on a small subset of graph nodes.
 
 Covers the nonparametric spectral-domain model, moving-average and
 autoregressive parameterizations, sparse-ruler samplers for circulant
-graphs, greedy submodular sampler design, and finite-snapshot estimation
+graphs, greedy log-det sampler design, and finite-snapshot estimation
 (LS, weighted LS, Cramer-Rao bound).
 """
 

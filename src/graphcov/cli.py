@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampler = top.add_parser("sampler", help="sampler design").add_subparsers(
         dest="subcommand", required=True
     )
-    design = sampler.add_parser("design", help="greedy submodular design")
+    design = sampler.add_parser("design", help="greedy log-det design")
     design.add_argument("--graph", required=True)
     design.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
     design.add_argument("--model", default="spectral", choices=["spectral", "ma"])

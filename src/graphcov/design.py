@@ -2,11 +2,14 @@
 
 Selecting K of N nodes to keep the compressed model identifiable is a
 combinatorial problem. The log-det of the (diagonally loaded) Gram of
-the selected model rows is a normalized, monotone, submodular set
-function, so greedy augmentation is within (1 - 1/e) of the optimum.
-For circulant shift operators the problem has a closed combinatorial
-answer: node sets whose pairwise differences cover 0..N-1 (sparse
-rulers) are valid, and minimal rulers give the best compression.
+the selected model rows is a normalized, monotone set function, which
+greedy augmentation maximizes one node at a time. It is not submodular:
+a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
+gains can grow with the set, and the (1 - 1/e) guarantee of greedy
+submodular maximization does not apply. For circulant shift operators
+the problem has a closed combinatorial answer: node sets whose pairwise
+differences cover 0..N-1 (sparse rulers) are valid, and minimal rulers
+give the best compression.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapabilityError, InvalidInputError
-from .models import Subsampler, pair_rows
+from .models import Subsampler, numerical_rank, pair_rows
 
 LOGDET = "logdet"
 FRAME_POTENTIAL = "frame_potential"
@@ -73,7 +76,7 @@ class ValidityReport:
     valid: bool
     rank: int
     min_singular: float
-    feasible: bool  # K^2 >= number of parameters
+    feasible: bool  # distinct equations >= number of parameters
 
 
 def default_epsilon(psi: np.ndarray) -> float:
@@ -110,7 +113,7 @@ def gram(psi: np.ndarray, w) -> np.ndarray:
 def set_objective(psi: np.ndarray, selected, epsilon: float) -> float:
     """Normalized log-det objective ``logdet(T + eps I) - M log eps``.
 
-    Zero on the empty set, monotone nondecreasing, and submodular.
+    Zero on the empty set and monotone nondecreasing, but not submodular.
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
@@ -221,26 +224,37 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     return _greedy_frame_potential(problem)
 
 
+def _distinct_equations(compressed: np.ndarray, k: int) -> int:
+    """K(K+1)/2 when the (p,q) and (q,p) rows coincide, as for every real
+    spectral or moving-average model of a symmetric shift; K^2 otherwise."""
+    rows = compressed.reshape(k, k, -1, order="F")
+    scale = np.abs(rows).max(axis=(0, 1))
+    asymmetry = np.abs(rows - rows.transpose(1, 0, 2)).max(axis=(0, 1))
+    if np.all(asymmetry <= np.sqrt(np.finfo(float).eps) * scale):
+        return k * (k + 1) // 2
+    return k * k
+
+
 def check_valid(psi: np.ndarray, sampler: Subsampler) -> ValidityReport:
     """Decide whether a sampler keeps the compressed model identifiable.
 
     Computes the numerical rank of the K^2 x M compressed matrix with
     threshold ``max(K^2, M) * eps * sigma_max``; the sampler is valid iff
-    the rank equals M. ``feasible`` reports the necessary count condition
-    K^2 >= M.
+    the rank equals M. ``feasible`` reports the necessary count condition:
+    at least M distinct equations, which is K(K+1)/2 when the model's
+    (p,q) and (q,p) rows coincide and K^2 otherwise.
     """
     psi = np.asarray(psi)
     m = psi.shape[1]
     compressed = _selected_rows(psi, sampler.selected)
     svals = np.linalg.svd(compressed, compute_uv=False)
-    tol = max(compressed.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    rank = int(np.sum(svals > tol))
+    rank = numerical_rank(svals, compressed.shape)
     min_singular = float(svals[m - 1]) if svals.size >= m else 0.0
     return ValidityReport(
         valid=rank == m,
         rank=rank,
         min_singular=min_singular,
-        feasible=sampler.k**2 >= m,
+        feasible=_distinct_equations(compressed, sampler.k) >= m,
     )
 
 

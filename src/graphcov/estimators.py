@@ -22,7 +22,7 @@ from .errors import (
     RankDeficiencyError,
     SingularityError,
 )
-from .models import ObservationModel, unvec
+from .models import ObservationModel, numerical_rank, unvec
 from .stationary import CovarianceMatrix
 
 LS = "ls"
@@ -97,8 +97,10 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least-squares parameter estimate ``argmin ||r_y - G theta||``.
 
     Complex models with real parameters are solved on the real-stacked
-    system. Requires a full-column-rank model; raises
-    RankDeficiencyError (carrying the numerical rank) otherwise.
+    system, whose SVD pseudo-inverse the model keeps, so every solve after
+    the first is one matrix-vector product. Requires a full-column-rank
+    model; raises RankDeficiencyError (carrying the numerical rank)
+    otherwise.
     """
     r = _require_vector(model, r_y)
     _check_finite(model.matrix, r)
@@ -106,14 +108,14 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
         raise RankDeficiencyError(
             f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
         )
-    a, b = _real_stacked(model.matrix, r)
-    theta, rank, svals = _solve_ls(a, b)
-    if rank < model.n_params:
+    factor = model.stacked
+    if factor.rank < model.n_params:
         raise RankDeficiencyError(
-            f"stacked system rank {rank} < {model.n_params} parameters", rank=rank
+            f"stacked system rank {factor.rank} < {model.n_params} parameters", rank=factor.rank
         )
+    theta = factor.pinv @ factor.stack(r)
     residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, LS, _condition(svals, rank))
+    return EstimationResult(theta, residual, LS, _condition(factor.singular_values, factor.rank))
 
 
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
@@ -128,16 +130,14 @@ def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
         raise RankDeficiencyError(
             f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
         )
-    a, b = _real_stacked(model.matrix, r)
+    factor = model.stacked
     m = model.n_params
     try:
-        theta, _ = scipy.optimize.nnls(a, b, maxiter=10 * m * m)
+        theta, _ = scipy.optimize.nnls(factor.matrix, factor.stack(r), maxiter=10 * m * m)
     except RuntimeError as exc:
         raise ConvergenceError(f"nonnegative solver did not converge: {exc}") from exc
-    svals = np.linalg.svd(a, compute_uv=False)
-    rank = int(np.sum(svals > max(a.shape) * np.finfo(float).eps * svals[0]))
     residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, NNLS, _condition(svals, rank))
+    return EstimationResult(theta, residual, NNLS, _condition(factor.singular_values, factor.rank))
 
 
 def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
@@ -157,16 +157,19 @@ def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
 
 
 def _whiten_columns(g: np.ndarray, chol: np.ndarray, k: int) -> np.ndarray:
-    """Map each column ``vec(X)`` to ``vec(L^{-1} X L^{-H})``."""
-    out = np.empty(g.shape, dtype=np.result_type(g, chol, complex))
-    for i in range(g.shape[1]):
-        x = unvec(g[:, i], k)
-        half = scipy.linalg.solve_triangular(chol, x, lower=True)
-        full = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True).conj().T
-        out[:, i] = full.ravel(order="F")
-    if not np.iscomplexobj(g) and not np.iscomplexobj(chol):
-        out = out.real
-    return out
+    """Map each column ``vec(X)`` to ``vec(L^{-1} X L^{-H})``.
+
+    All M columns are whitened together: two triangular solves on the
+    K x (K M) matrix ``[X_1 ... X_M]``, with every K x K block
+    conjugate-transposed in between.
+    """
+    m = g.shape[1]
+    blocks = g.reshape(k, k, m, order="F").transpose(0, 2, 1)  # X_i[p, q] at [p, i, q]
+    half = scipy.linalg.solve_triangular(chol, blocks.reshape(k, m * k), lower=True)
+    half_h = half.reshape(k, m, k).conj().transpose(2, 1, 0)  # (L^{-1} X_i)^H
+    full_h = scipy.linalg.solve_triangular(chol, half_h.reshape(k, m * k), lower=True)
+    full = full_h.reshape(k, m, k).conj().transpose(2, 0, 1)  # back to [p, q, i]
+    return full.reshape(k * k, m, order="F")
 
 
 def wls_estimate(
@@ -257,8 +260,7 @@ def fisher_info(
     fim = np.real(fim)
     fim = 0.5 * (fim + fim.T)
     svals = np.linalg.svd(fim, compute_uv=False)
-    tol = max(fim.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    if int(np.sum(svals > tol)) == fim.shape[0]:
+    if numerical_rank(svals, fim.shape) == fim.shape[0]:
         crb = np.linalg.inv(fim)
         is_pinv = False
     else:
@@ -269,6 +271,20 @@ def fisher_info(
 
 
 NMSE_FLOOR_DB = -300.0
+
+
+def nmse_db(sse: float, count: int, norm: float, squared_norm: bool = False) -> float:
+    """``10 log10(sse / (count ||theta||))`` floored at NMSE_FLOOR_DB.
+
+    ``sse`` sums the squared errors of ``count`` estimates of a parameter
+    vector of 2-norm ``norm``; ``squared_norm`` divides by the squared
+    norm instead. This is the one NMSE rule: Monte-Carlo scores and the
+    expected error at the CRB both go through it.
+    """
+    ratio = sse / (count * (norm**2 if squared_norm else norm))
+    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
+        return NMSE_FLOOR_DB
+    return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
 
 
 def nmse(true_theta, estimates, squared_norm: bool = False) -> float:
@@ -291,8 +307,4 @@ def nmse(true_theta, estimates, squared_norm: bool = False) -> float:
         if err.size != p.size:
             raise InvalidInputError("estimate length mismatch")
         sse += float(err @ err)
-    denom = len(estimates) * (norm**2 if squared_norm else norm)
-    ratio = sse / denom
-    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
-        return NMSE_FLOOR_DB
-    return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
+    return nmse_db(sse, len(estimates), norm, squared_norm)

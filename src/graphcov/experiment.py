@@ -2,17 +2,17 @@
 
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
-Per-trial seeds are derived from the master seed by counter, shared
-data realizations are reused across samplers and methods of the same
-cell (paired comparisons), and the reduction is order-independent, so
-output is byte-identical for a fixed config.
+Per-trial seeds are derived from the master seed by counter, and one
+data realization is shared by every sampler of a trial and one sample
+covariance by every method of a sampler (paired comparisons), so output
+is byte-identical for a fixed config. Trials run one after another; the
+only parallelism is the BLAS library's own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import ar as armod
 from .design import DesignProblem, check_valid, greedy_design, minimal_sparse_ruler
 from .errors import GraphCovError, InvalidInputError, NumericalError
-from .estimators import NMSE_FLOOR_DB, NU_REAL, fisher_info, ls_estimate, nnls_estimate, wls_estimate
+from .estimators import NU_REAL, fisher_info, ls_estimate, nmse_db, nnls_estimate, wls_estimate
 from .graphs import (
     CIRCULANT_DFT,
     Graph,
@@ -44,7 +44,6 @@ from .models import (
 )
 from .stationary import CovarianceMatrix, generate_signals, sample_covariance, true_covariance
 
-ENV_THREADS = "GRAPHCOV_THREADS"
 CSV_HEADER = "n_snapshots,method,compression,nmse_db,crb_db,failures"
 
 
@@ -118,13 +117,8 @@ class ExperimentConfig:
 
 
 def n_workers() -> int:
-    value = os.environ.get(ENV_THREADS)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise InvalidInputError(f"{ENV_THREADS} must be an integer") from None
-    return min(4, os.cpu_count() or 1)
+    """Trials run one at a time in the calling thread."""
+    return 1
 
 
 def _resolve_sampler(entry: dict, psi: np.ndarray, n: int) -> Subsampler:
@@ -172,6 +166,7 @@ class _Pipeline:
             self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
         else:
             raise InvalidInputError("signal kind must be 'ma' or 'ar'")
+        self.p_norm = float(np.linalg.norm(self.true_p))
 
         model = config.model
         self.model_kind = model.get("kind")
@@ -232,25 +227,53 @@ class _Pipeline:
             return self.vand @ theta
         return armod.ar_power_spectrum(self.basis.eigvals, theta)
 
-    def estimate_cell(self, cell, method: str, data: np.ndarray | None):
-        """Squared spectrum error of one (cell, method) estimate; data=None for exact mode."""
+    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
+        """Fill ``sqerr[:, :, trial]`` for one trial; NaN stays where an estimate failed."""
+        if self.config.exact_covariance:
+            data = None
+        else:
+            data = self.generate(ns, np.random.SeedSequence((self.config.seed, ns_idx, trial)))
+        for c_idx, cell in enumerate(self.cells):
+            try:
+                observed = self.observe(cell, data)
+            except (GraphCovError, np.linalg.LinAlgError):
+                continue  # every method of the cell fails
+            for m_idx, method in enumerate(self.config.methods):
+                try:
+                    sqerr[c_idx, m_idx, trial] = self.estimate_cell(cell, method, observed)
+                except (GraphCovError, np.linalg.LinAlgError):
+                    pass  # failure recorded as NaN
+
+    def observe(self, cell, data: np.ndarray | None):
+        """What every method of a cell estimates from in one trial; data=None for exact mode.
+
+        Node-sampled cells get ``(r_y, cov)``: the vectorized compressed
+        covariance and the sample covariance it came from (None in exact
+        mode), built once and shared by all methods. Autoregressive cells
+        get the snapshots, since their one method builds its own blocks.
+        """
+        if self.model_kind == "ar":
+            return data
+        sampler, _ = cell[2]
+        if data is None:
+            return vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)]), None
+        cov = sample_covariance(data[list(sampler.selected)])
+        return vec(cov.matrix), cov
+
+    def estimate_cell(self, cell, method: str, observed):
+        """Squared spectrum error of one (cell, method) estimate from :meth:`observe`'s output."""
         _, _, payload = cell
         if self.model_kind == "ar":
             scheme = payload
-            if data is None:
+            if observed is None:
                 blocks = armod.true_ar_covariances(scheme, self.true_cov)
             else:
-                blocks = armod.sample_ar_covariances(scheme, data)
+                blocks = armod.sample_ar_covariances(scheme, observed)
             model, r_y = armod.build_ar_model(self.shift, scheme, blocks)
             theta = armod.estimate_ar(model, r_y).theta
         else:
-            sampler, model = payload
-            if data is None:
-                r_y = vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)])
-                cov = None
-            else:
-                cov = sample_covariance(data[list(sampler.selected)])
-                r_y = vec(cov.matrix)
+            _, model = payload
+            r_y, cov = observed
             if method == "ls":
                 theta = ls_estimate(model, r_y).theta
             elif method == "nnls":
@@ -266,45 +289,39 @@ class _Pipeline:
         err = p_hat - self.true_p
         return float(err @ err)
 
-    def crb_db(self, cell, n_snapshots: int) -> float | None:
-        """CRB at the true parameters, mapped to the NMSE scale; None when unavailable."""
+    def crb_sse(self, cell) -> float | None:
+        """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
+
+        The Fisher information grows as N_s, so the CRB at N_s snapshots is
+        this value divided by N_s.
+        """
         if self.model_kind == "ar":
             return None
         sampler, model = cell[2]
         r_true = self.true_cov[np.ix_(sampler.selected, sampler.selected)]
         try:
-            info = fisher_info(
-                model, CovarianceMatrix(r_true, kind="true"), n_snapshots, nu=NU_REAL
-            )
+            info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1, nu=NU_REAL)
         except NumericalError:
             return None
         if self.model_kind == "ma":
             cov_p = self.vand @ info.crb @ self.vand.T
         else:
             cov_p = info.crb
-        expected_sse = float(np.trace(cov_p))
-        norm = float(np.linalg.norm(self.true_p))
-        denom = norm**2 if self.config.nmse_squared_norm else norm
-        ratio = expected_sse / denom
-        if ratio <= 0:
-            return NMSE_FLOOR_DB
-        return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
+        return float(np.trace(cov_p))
 
-
-def _nmse_db(sse: float, count: int, norm: float, squared: bool) -> float:
-    denom = count * (norm**2 if squared else norm)
-    ratio = sse / denom
-    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
-        return NMSE_FLOOR_DB
-    return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
+    def crb_db(self, crb_sse: float | None, n_snapshots: int) -> float | None:
+        """CRB at N_s snapshots on the NMSE scale, from :meth:`crb_sse`."""
+        if crb_sse is None:
+            return None
+        return nmse_db(crb_sse / n_snapshots, 1, self.p_norm, self.config.nmse_squared_norm)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run all cells and return one result row per (n_snapshots, sampler, method)."""
     pipe = _Pipeline(config)
-    norm = float(np.linalg.norm(pipe.true_p))
     n_cells = len(pipe.cells)
     n_methods = len(config.methods)
+    crb_sse = [pipe.crb_sse(cell) for cell in pipe.cells]
     rows = []
     for ns_idx, ns in enumerate(config.n_snapshots):
         if ns < 1:
@@ -312,35 +329,17 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         # sqerr[cell][method][trial]; NaN marks a failed estimation
         sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
 
-        def run_trial(trial: int, ns=ns, ns_idx=ns_idx, sqerr=sqerr):
-            if config.exact_covariance:
-                data = None
-            else:
-                seed = np.random.SeedSequence((config.seed, ns_idx, trial))
-                data = pipe.generate(ns, seed)
-            for c_idx, cell in enumerate(pipe.cells):
-                for m_idx, method in enumerate(config.methods):
-                    try:
-                        sqerr[c_idx, m_idx, trial] = pipe.estimate_cell(cell, method, data)
-                    except (GraphCovError, np.linalg.LinAlgError):
-                        pass  # failure recorded as NaN
-
-        workers = n_workers()
-        if workers > 1 and config.n_trials > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_trial, range(config.n_trials)))
-        else:
-            for trial in range(config.n_trials):
-                run_trial(trial)
+        for trial in range(config.n_trials):
+            pipe.run_trial(trial, ns, ns_idx, sqerr)
 
         for c_idx, cell in enumerate(pipe.cells):
-            crb = pipe.crb_db(cell, ns)
+            crb = pipe.crb_db(crb_sse[c_idx], ns)
             for m_idx, method in enumerate(config.methods):
                 values = sqerr[c_idx, m_idx]
                 good = values[~np.isnan(values)]
                 failures = int(np.isnan(values).sum())
-                nmse_db = (
-                    _nmse_db(float(good.sum()), good.size, norm, config.nmse_squared_norm)
+                nmse = (
+                    nmse_db(float(good.sum()), good.size, pipe.p_norm, config.nmse_squared_norm)
                     if good.size
                     else None
                 )
@@ -350,7 +349,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         "method": method,
                         "sampler": cell[0],
                         "compression": cell[1],
-                        "nmse_db": nmse_db,
+                        "nmse_db": nmse,
                         "crb_db": crb,
                         "failures": failures,
                     }

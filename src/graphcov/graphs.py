@@ -177,7 +177,7 @@ class ShiftOperator:
     def powers(self, count: int) -> list[np.ndarray]:
         """Return ``[S^0, S^1, ..., S^{count-1}]``, cached across calls.
 
-        The cache is guarded so concurrent trials may share the operator.
+        The cache is guarded so concurrent callers may share the operator.
         """
         if count < 1:
             raise InvalidInputError("power count must be >= 1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,12 @@ class Subsampler:
             raise InvalidInputError(f"malformed sampler JSON: {exc}") from exc
 
 
+def numerical_rank(svals: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Count of singular values above ``max(shape) * eps * sigma_max``."""
+    tol = max(shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    return int(np.sum(svals > tol))
+
+
 def pair_rows(n: int, selected) -> np.ndarray:
     """Row indices of an N^2-row model matrix picked by a node subset.
 
@@ -106,14 +113,49 @@ def pair_rows(n: int, selected) -> np.ndarray:
     return (sel[None, :] * n + sel[:, None]).ravel(order="F")
 
 
+@dataclass(frozen=True)
+class StackedFactor:
+    """SVD pseudo-inverse of a model's real-stacked matrix.
+
+    ``matrix`` is ``[Re G; Im G]`` for a complex model and G itself for a
+    real one, so the parameters stay real. ``pinv`` inverts the singular
+    values above the :func:`numerical_rank` threshold and zeroes the rest,
+    which makes ``pinv @ b`` the minimum-norm least-squares solution.
+    """
+
+    matrix: np.ndarray
+    pinv: np.ndarray
+    singular_values: np.ndarray
+    rank: int
+
+    @classmethod
+    def of(cls, g: np.ndarray) -> "StackedFactor":
+        a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else np.asarray(g, dtype=float)
+        u, svals, vt = np.linalg.svd(a, full_matrices=False)
+        rank = numerical_rank(svals, a.shape)
+        pinv = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
+        return cls(matrix=a, pinv=pinv, singular_values=svals, rank=rank)
+
+    def stack(self, r: np.ndarray) -> np.ndarray:
+        """Right-hand side matching ``matrix``: ``[Re r; Im r]`` or ``Re r``.
+
+        A real model has zero imaginary rows, so the imaginary part of r
+        cannot change its solution and is dropped.
+        """
+        if self.matrix.shape[0] == r.size:
+            return np.real(r)
+        return np.concatenate([np.real(r), np.imag(r)])
+
+
 @dataclass
 class ObservationModel:
     """Compressed linear model ``r_y = G theta``.
 
     ``row_index`` lists, per row of G, the (row-node, col-node) pair of
     the covariance entry the row equates. Rank diagnostics are computed
-    once at construction with the threshold
-    ``max(rows, cols) * eps * sigma_max``.
+    once at construction with the :func:`numerical_rank` threshold
+    ``max(rows, cols) * eps * sigma_max``; the least-squares factor
+    ``stacked`` is built on first use and reused by every later solve.
     """
 
     matrix: np.ndarray
@@ -135,9 +177,8 @@ class ObservationModel:
             raise InvalidInputError("row_index length must match matrix rows")
         self.matrix = g
         svals = np.linalg.svd(g, compute_uv=False)
-        tol = max(g.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
         self.singular_values = svals
-        self.rank = int(np.sum(svals > tol))
+        self.rank = numerical_rank(svals, g.shape)
         self.full_column_rank = self.rank == g.shape[1]
         self.min_singular = float(svals[g.shape[1] - 1]) if svals.size >= g.shape[1] else 0.0
         smallest = svals[self.rank - 1] if self.rank else 0.0
@@ -146,6 +187,10 @@ class ObservationModel:
     @property
     def n_params(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def stacked(self) -> StackedFactor:
+        return StackedFactor.of(self.matrix)
 
 
 def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
@@ -166,8 +211,7 @@ def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
     n = basis.n
     psi = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
     svals = np.linalg.svd(psi, compute_uv=False)
-    tol = max(psi.shape) * np.finfo(float).eps * svals[0]
-    if int(np.sum(svals > tol)) != n:
+    if numerical_rank(svals, psi.shape) != n:
         raise InvalidInputError("spectral model matrix is rank deficient; basis not orthonormal?")
     return psi
 

@@ -237,6 +237,14 @@ class TestSpectrum:
             atol=1e-8,
         )
 
+    def test_signals_match_system_solve(self):
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        a = np.array([0.1, -0.02])
+        noise = np.random.default_rng(12).standard_normal((20, 300))
+        reference = np.linalg.solve(ar_system_matrix(s, a), noise)
+        x = generate_ar_signals(s, a, 300, seed=12)
+        npt.assert_allclose(x, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
     def test_singular_system_rejected(self):
         s = build_shift(cycle_graph(8), "adjacency")
         with pytest.raises(SingularityError):

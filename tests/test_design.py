@@ -23,6 +23,7 @@ from graphcov import (
     greedy_design,
     is_sparse_ruler,
     minimal_sparse_ruler,
+    sensor_graph,
     set_objective,
 )
 
@@ -180,6 +181,22 @@ class TestCheckValid:
         assert not report.valid
         assert not report.feasible
         assert report.rank <= 4
+
+    def test_symmetric_model_counts_distinct_equations(self):
+        # a real symmetric model gives K(K+1)/2 = 36 distinct equations for K=8
+        s = build_shift(sensor_graph(40, seed=7), "laplacian")
+        psi = build_psi_spectral(s.basis())
+        sampler = greedy_design(DesignProblem(psi=psi, k=8)).sampler
+        report = check_valid(psi, sampler)
+        assert report.rank == 36
+        assert not report.valid
+        assert not report.feasible
+
+    def test_asymmetric_model_counts_all_pairs(self):
+        rng = np.random.default_rng(16)
+        psi = rng.standard_normal((36, 12))  # K=4: K(K+1)/2 = 10 < M = 12 <= K^2 = 16
+        report = check_valid(psi, Subsampler(6, (0, 2, 3, 5)))
+        assert report.feasible and report.valid
 
     def test_full_observation_valid(self):
         psi = random_psi(6, 15)

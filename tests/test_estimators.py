@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,11 +10,13 @@ from graphcov import (
     InvalidInputError,
     ObservationModel,
     RankDeficiencyError,
+    RepeatedEigenvaluesWarning,
     SingularityError,
     Subsampler,
     build_psi_spectral,
     build_shift,
     compress_model,
+    cycle_graph,
     fisher_info,
     frequency_response,
     generate_signals,
@@ -26,6 +30,8 @@ from graphcov import (
     wls_estimate,
     wls_stationarity_residual,
 )
+from graphcov.estimators import _whiten_columns
+from graphcov.graphs import CIRCULANT_DFT, ShiftOperator
 
 
 def plain_model(matrix, kind="spectral"):
@@ -49,7 +55,41 @@ def compressed_setup():
     return s, sampler, model, h, p_true, r_true
 
 
+@pytest.fixture(scope="module", params=["real", "complex-dft"])
+def k4_setup(request):
+    """K=4 compressed spectral model, sample covariance and observation."""
+    if request.param == "real":
+        s = build_shift(sensor_graph(9, seed=2), "laplacian")
+        sampler = Subsampler(9, (1, 4, 7, 8))
+    else:
+        s = ShiftOperator(build_shift(cycle_graph(7), "adjacency").matrix, kind=CIRCULANT_DFT)
+        sampler = Subsampler(7, (0, 1, 3, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)  # the cycle's DFT basis
+        psi = build_psi_spectral(s.basis())
+    model = compress_model(psi, sampler)
+    x = generate_signals(s, GraphFilter([1.0, 0.4]), 50, seed=8)
+    cov = sample_covariance(x[list(sampler.selected)])
+    return model, cov, vec(cov.matrix)
+
+
+def dense_weight(cov):
+    """``nu N_s (R^{-T} kron R^{-1})`` formed explicitly."""
+    r_inv = np.linalg.inv(cov.matrix)
+    return 0.5 * cov.n_snapshots * np.kron(r_inv.T, r_inv)
+
+
 class TestLs:
+    def test_matches_lstsq(self, k4_setup):
+        model, _, r = k4_setup
+        g = model.matrix
+        a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else g
+        b = np.concatenate([r.real, r.imag]) if np.iscomplexobj(g) else r
+        reference = np.linalg.lstsq(a, b, rcond=None)[0]
+        for _ in range(2):  # the second call reuses the model's factor
+            theta = ls_estimate(model, r).theta
+            npt.assert_allclose(theta, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference))
+
     def test_identity_model(self):
         p = np.array([1.5, 0.25, 3.0])
         res = ls_estimate(plain_model(np.eye(3)), p)
@@ -115,6 +155,23 @@ class TestNnls:
 
 
 class TestWls:
+    def test_whitening_matches_dense_kronecker(self, k4_setup):
+        model, cov, _ = k4_setup
+        chol = np.linalg.cholesky(cov.matrix)
+        l_inv = np.linalg.inv(chol)
+        reference = np.kron(l_inv.conj(), l_inv) @ model.matrix  # vec(L^-1 X L^-H)
+        whitened = _whiten_columns(model.matrix, chol, cov.k)
+        npt.assert_allclose(whitened, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+    def test_matches_dense_weight(self, k4_setup):
+        model, cov, r = k4_setup
+        g = model.matrix
+        weight = dense_weight(cov)
+        normal = np.real(g.conj().T @ weight @ g)
+        reference = np.linalg.solve(normal, np.real(g.conj().T @ weight @ r))
+        theta = wls_estimate(model, r, cov).theta
+        npt.assert_allclose(theta, reference, rtol=0, atol=1e-12 * np.linalg.norm(reference))
+
     def test_identity_weight_equals_ls(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 2))
@@ -172,6 +229,13 @@ class TestWls:
 
 
 class TestFisher:
+    def test_matches_dense_weight(self, k4_setup):
+        model, cov, _ = k4_setup
+        g = model.matrix
+        reference = np.real(g.conj().T @ dense_weight(cov) @ g)
+        info = fisher_info(model, cov, cov.n_snapshots)
+        npt.assert_allclose(info.matrix, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
     def test_scalar_variance_bound(self):
         # variance estimation from real Gaussian data: CRB = 2 theta^2 / N_s
         theta = 1.7

@@ -7,7 +7,7 @@ import pytest
 
 from graphcov import Graph, Subsampler
 from graphcov.cli import main
-from graphcov.experiment import ExperimentConfig, make_graph, make_shift, n_workers, run_experiment, rows_to_csv
+from graphcov.experiment import ExperimentConfig, make_graph, make_shift, run_experiment, rows_to_csv
 
 
 def run_cli(*argv):
@@ -226,6 +226,21 @@ class TestExperiment:
         threaded = rows_to_csv(run_experiment(cfg))
         assert serial == threaded
 
+    def test_crb_column_matches_per_snapshot_fisher(self):
+        from graphcov import CovarianceMatrix, fisher_info
+        from graphcov.estimators import nmse_db
+        from graphcov.experiment import _Pipeline
+
+        cfg = ExperimentConfig(**base_config(n_snapshots=[10, 100, 1000], n_trials=1))
+        rows = run_experiment(cfg)
+        pipe = _Pipeline(cfg)
+        for row in rows:
+            sampler, model = next(c[2] for c in pipe.cells if c[0] == row["sampler"])
+            r_true = pipe.true_cov[np.ix_(sampler.selected, sampler.selected)]
+            info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), row["n_snapshots"])
+            expected = nmse_db(float(np.trace(info.crb)), 1, pipe.p_norm)
+            assert row["crb_db"] == pytest.approx(expected, rel=1e-12)
+
     def test_exact_mode_hits_floor(self):
         cfg = ExperimentConfig(**base_config(n_trials=1, exact_covariance=True))
         rows = run_experiment(cfg)
@@ -259,8 +274,7 @@ class TestExperiment:
         assert rows[0]["crb_db"] is None
         assert rows[0]["failures"] == 0
 
-    def test_ar_model_threaded_determinism(self, monkeypatch):
-        # shared shift-power cache is exercised concurrently here
+    def test_ar_model_threaded_determinism(self):
         cfg_dict = base_config(
             graph={"kind": "cycle", "n": 12},
             shift="adjacency",
@@ -270,7 +284,6 @@ class TestExperiment:
             n_trials=16,
             n_snapshots=[300],
         )
-        monkeypatch.setenv("GRAPHCOV_THREADS", "8")
         first = rows_to_csv(run_experiment(ExperimentConfig(**cfg_dict)))
         second = rows_to_csv(run_experiment(ExperimentConfig(**cfg_dict)))
         assert first == second
@@ -314,9 +327,3 @@ class TestExperiment:
 
         with pytest.raises(InvalidInputError):
             make_graph({"kind": "file", "path": "/nonexistent/graph.json"})
-
-    def test_worker_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("GRAPHCOV_THREADS", "7")
-        assert n_workers() == 7
-        monkeypatch.delenv("GRAPHCOV_THREADS")
-        assert n_workers() >= 1
