@@ -177,13 +177,10 @@ def cmd_estimate(args) -> int:
             raise InvalidInputError("the autoregressive estimator is least squares only")
         core = _parse_ints(args.core) if args.core else armod.core_by_degree(graph)
         scheme = armod.build_ar_scheme(shift, core, args.p)
-        n_s = snapshots.n_snapshots
-        blocks = {}
-        for p_idx, level_p in enumerate(scheme.levels):
-            rows_p = _subsampled_snapshots(snapshots, level_p.selected)
-            for q_idx, level_q in enumerate(scheme.levels):
-                rows_q = _subsampled_snapshots(snapshots, level_q.selected)
-                blocks[(p_idx, q_idx)] = rows_p @ rows_q.T / n_s
+        nodes = list(scheme.distinct_nodes)
+        full = np.zeros((shift.n, snapshots.n_snapshots))
+        full[nodes] = _subsampled_snapshots(snapshots, nodes)
+        blocks = armod.sample_ar_covariances(scheme, full)
         model, r_y = armod.build_ar_model(shift, scheme, blocks)
         result = armod.estimate_ar(model, r_y)
         spectrum = armod.ar_power_spectrum(basis.eigvals, result.theta)

@@ -26,6 +26,10 @@ from .models import Subsampler, numerical_rank, pair_rows
 LOGDET = "logdet"
 FRAME_POTENTIAL = "frame_potential"
 
+# Pair rows per working block of the greedy scoring and of default_epsilon;
+# a block holds about M x _BLOCK_ROWS values, which bounds their memory.
+_BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class DesignProblem:
@@ -80,10 +84,22 @@ class ValidityReport:
 
 
 def default_epsilon(psi: np.ndarray) -> float:
-    """Scale-relative diagonal loading: 1e-6 * (1 + mean diag of psi^H psi)."""
+    """Scale-relative diagonal loading: 1e-6 * (1 + mean diag of psi^H psi).
+
+    The column sums of ``|psi|^2`` are accumulated over row blocks in row
+    order, the order numpy uses for an ``axis=0`` sum of a C-ordered matrix
+    with more than one column, so the value matches the one-shot sum
+    bit for bit without its N^2 x M temporary.
+    """
     psi = np.asarray(psi)
-    mean_diag = float(np.mean(np.real(np.sum(psi.conj() * psi, axis=0))))
-    return 1e-6 * (1.0 + mean_diag)
+    # row 0 carries the running sum into the next block
+    buf = np.zeros((min(_BLOCK_ROWS, psi.shape[0]) + 1, psi.shape[1]))
+    for start in range(0, psi.shape[0], _BLOCK_ROWS):
+        block = psi[start : start + _BLOCK_ROWS]
+        rows = buf[: block.shape[0] + 1]
+        rows[1:] = np.real(block.conj() * block)
+        rows[0] = np.sum(rows, axis=0)
+    return 1e-6 * (1.0 + float(np.mean(buf[0])))
 
 
 def _selected_rows(psi: np.ndarray, selected) -> np.ndarray:
@@ -134,18 +150,40 @@ def frame_potential(psi: np.ndarray, w) -> float:
     return float(np.real(np.sum(np.abs(t) ** 2)))
 
 
-def _new_pair_rows(n: int, node: int, selected: list[int]) -> list[int]:
-    """Rows gained when ``node`` joins ``selected``: pairs (node, j), (j, node), (node, node)."""
-    rows = [node * n + node]
-    for j in selected:
-        rows.append(j * n + node)
-        rows.append(node * n + j)
+def _new_pair_rows(n: int, nodes, selected) -> np.ndarray:
+    """Rows gained when a node joins ``selected``: (node, node), then
+    (j, node), (node, j) for each selected j.
+
+    A scalar ``nodes`` gives one index vector of length 2|X|+1; an array
+    gives one such vector per node, stacked as rows.
+    """
+    node = np.asarray(nodes)[..., None]
+    sel = np.asarray(selected, dtype=int)
+    rows = np.empty(node.shape[:-1] + (2 * sel.size + 1,), dtype=int)
+    rows[..., :1] = node * n + node
+    rows[..., 1::2] = sel * n + node
+    rows[..., 2::2] = node * n + sel
     return rows
 
 
-def _logdet_psd(matrix: np.ndarray) -> float:
-    chol = np.linalg.cholesky(matrix)
-    return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
+def _logdet_gains(psi: np.ndarray, chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``logdet(A + Z^H Z) - logdet(A)`` for each candidate's row block Z.
+
+    ``chol`` is the lower Cholesky factor of A and ``rows`` holds one
+    candidate's pair rows per row. Each gain is the log-det of the small
+    ``I + W^H W`` with ``W = chol^{-1} Z^H``: all candidates are whitened
+    by one triangular solve and their small matrices formed by one
+    batched product.
+    """
+    c, r = rows.shape
+    z = psi[rows.ravel(), :]
+    w = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True, overwrite_b=True)
+    # w comes back in Fortran order, so w.T splits into per-candidate W^T
+    # blocks without a copy
+    wt = w.T.reshape(c, r, -1)
+    small = np.eye(r, dtype=w.dtype) + wt.conj() @ wt.transpose(0, 2, 1)
+    diag = np.diagonal(np.linalg.cholesky(small), axis1=1, axis2=2)
+    return 2.0 * np.sum(np.log(np.real(diag)), axis=1)
 
 
 def _greedy_logdet(problem: DesignProblem) -> DesignResult:
@@ -159,23 +197,23 @@ def _greedy_logdet(problem: DesignProblem) -> DesignResult:
     selected: list[int] = []
     trace = []
     for _ in range(problem.k):
-        best_node, best_gain = -1, -np.inf
-        for s in range(n):
-            if s in selected:
-                continue
-            z = psi[_new_pair_rows(n, s, selected), :]
-            # logdet(A + Z^H Z) - logdet(A) via the small (2|X|+1)-size factor.
-            w = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True)
-            small = np.eye(z.shape[0], dtype=t.dtype) + w.conj().T @ w
-            gain = _logdet_psd(small)
-            if gain > best_gain:
-                best_node, best_gain = s, gain
+        candidates = np.setdiff1d(np.arange(n), selected)
+        rows = _new_pair_rows(n, candidates, selected)
+        per_block = max(1, _BLOCK_ROWS // rows.shape[1])
+        gains = np.concatenate(
+            [
+                _logdet_gains(psi, chol, rows[start : start + per_block])
+                for start in range(0, candidates.size, per_block)
+            ]
+        )
+        # argmax returns the first maximum: ties go to the lowest node index
+        best_node = int(candidates[np.argmax(gains)])
         z = psi[_new_pair_rows(n, best_node, selected), :]
         t = t + z.conj().T @ z
         t = 0.5 * (t + t.conj().T)
         chol = np.linalg.cholesky(t + eps * np.eye(m))
         selected.append(best_node)
-        trace.append(_logdet_psd(t + eps * np.eye(m)) + base)
+        trace.append(float(2.0 * np.sum(np.log(np.real(np.diag(chol))))) + base)
     return DesignResult(
         sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
     )
@@ -193,11 +231,7 @@ def _greedy_frame_potential(problem: DesignProblem) -> DesignResult:
         best_node, best_fp, best_t = -1, np.inf, None
         for s in selected:
             others = [j for j in selected if j != s]
-            rows = [s * n + s]
-            for j in others:
-                rows.append(j * n + s)
-                rows.append(s * n + j)
-            z = psi[rows, :]
+            z = psi[_new_pair_rows(n, s, others), :]
             t_candidate = t - z.conj().T @ z
             fp = float(np.real(np.sum(np.abs(t_candidate) ** 2)))
             if fp < best_fp:
@@ -213,11 +247,12 @@ def _greedy_frame_potential(problem: DesignProblem) -> DesignResult:
 def greedy_design(problem: DesignProblem) -> DesignResult:
     """Greedy sampler design under the configured cost.
 
-    The log-det cost is maximized by K augmentation steps with marginal
-    gains evaluated through a Cholesky rank update of the loaded Gram;
-    the frame potential is minimized by complement removal. Ties break
-    toward the lowest node index and the per-iteration objective values
-    are returned alongside the sampler.
+    The log-det cost is maximized by K augmentation steps; each step
+    scores every remaining candidate exactly, whitening the candidates'
+    new rows against the Cholesky factor of the loaded Gram in blocked
+    triangular solves. The frame potential is minimized by complement
+    removal. Ties break toward the lowest node index and the
+    per-iteration objective values are returned alongside the sampler.
     """
     if problem.cost == LOGDET:
         return _greedy_logdet(problem)

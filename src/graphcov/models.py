@@ -196,9 +196,12 @@ class ObservationModel:
 def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
     """N^2 x N spectral-domain model matrix with columns ``conj(u_i) kron u_i``.
 
-    Full column rank for any orthonormal basis; asserted here. Warns when
-    the basis has repeated eigenvalues, since individual components within
-    a repeated cluster are then not tied to unique frequencies.
+    Full column rank for any orthonormal basis; asserted here on the N x N
+    Gram ``psi^H psi = |U^H U|^2`` (element-wise), which has the rank of
+    psi: its eigenvalues are cut with the :func:`numerical_rank` threshold.
+    Warns when the basis has repeated eigenvalues, since individual
+    components within a repeated cluster are then not tied to unique
+    frequencies.
     """
     if not basis.distinct:
         warnings.warn(
@@ -210,8 +213,8 @@ def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
     u = basis.eigvecs
     n = basis.n
     psi = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
-    svals = np.linalg.svd(psi, compute_uv=False)
-    if numerical_rank(svals, psi.shape) != n:
+    gram = np.abs(u.conj().T @ u) ** 2
+    if numerical_rank(np.linalg.eigvalsh(gram)[::-1], gram.shape) != n:
         raise InvalidInputError("spectral model matrix is rank deficient; basis not orthonormal?")
     return psi
 

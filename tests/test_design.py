@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
+from graphcov import design
 from graphcov import (
     CapabilityError,
     DesignProblem,
@@ -13,6 +15,7 @@ from graphcov import (
     ShiftOperator,
     SpectralBasis,
     Subsampler,
+    build_psi_ma,
     build_psi_spectral,
     build_shift,
     check_valid,
@@ -23,6 +26,7 @@ from graphcov import (
     greedy_design,
     is_sparse_ruler,
     minimal_sparse_ruler,
+    mobius_ladder,
     sensor_graph,
     set_objective,
 )
@@ -33,6 +37,54 @@ def random_psi(n, seed):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
     return build_psi_spectral(basis)
+
+
+def mobius_psi(n):
+    s = ShiftOperator(build_shift(mobius_ladder(n), "adjacency").matrix, kind="circulant-dft")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+        return build_psi_spectral(s.basis())
+
+
+def sensor_psi(n):
+    return build_psi_spectral(build_shift(sensor_graph(n, seed=7), "laplacian").basis())
+
+
+def one_shot_epsilon(psi):
+    return 1e-6 * (1.0 + np.mean(np.real(np.sum(np.conj(psi) * psi, axis=0))))
+
+
+def reference_greedy_logdet(psi, k, eps):
+    """Per-candidate greedy: one solve and one Cholesky per candidate and step."""
+    n, m = int(round(np.sqrt(psi.shape[0]))), psi.shape[1]
+    t = np.zeros((m, m), dtype=psi.dtype)
+    chol = np.sqrt(eps) * np.eye(m, dtype=psi.dtype)
+    selected, trace = [], []
+
+    def new_rows(s):
+        rows = [s * n + s]
+        for j in selected:
+            rows += [j * n + s, s * n + j]
+        return psi[rows]
+
+    for _ in range(k):
+        best_node, best_gain = -1, -np.inf
+        for s in range(n):
+            if s in selected:
+                continue
+            z = new_rows(s)
+            w = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True)
+            small = np.eye(z.shape[0]) + w.conj().T @ w
+            gain = 2.0 * np.sum(np.log(np.real(np.diag(np.linalg.cholesky(small)))))
+            if gain > best_gain:
+                best_node, best_gain = s, gain
+        z = new_rows(best_node)
+        t = t + z.conj().T @ z
+        t = 0.5 * (t + t.conj().T)
+        chol = np.linalg.cholesky(t + eps * np.eye(m))
+        selected.append(best_node)
+        trace.append(2.0 * np.sum(np.log(np.real(np.diag(chol)))) - m * np.log(eps))
+    return selected, trace
 
 
 def brute_force_ruler(n):
@@ -149,6 +201,50 @@ class TestGreedy:
         psi = random_psi(4, 10)
         with pytest.raises(InvalidInputError):
             DesignProblem(psi=psi, k=5)
+
+
+GREEDY_CASES = {
+    "sensor30-real": (lambda: sensor_psi(30), 15),
+    "mobius12-complex-ties": (lambda: mobius_psi(12), 5),
+    "random9": (lambda: random_psi(9, 18), 5),
+    "ma20": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 5), 4),
+}
+
+
+class TestBlockedGreedy:
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+    def test_matches_per_candidate_reference(self, case, block_rows, monkeypatch):
+        # with 7 pair rows per block, every step scores its candidates over
+        # several blocks, the last ones one candidate at a time
+        if block_rows is not None:
+            monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
+        make_psi, k = GREEDY_CASES[case]
+        psi = make_psi()
+        eps = one_shot_epsilon(psi)
+        expected_order, expected_trace = reference_greedy_logdet(psi, k, eps)
+        # the j-step design holds the first j picks, which recovers the order
+        order, picked = [], set()
+        for j in range(1, k + 1):
+            result = greedy_design(DesignProblem(psi=psi, k=j, epsilon=eps))
+            order += sorted(set(result.sampler.selected) - picked)
+            picked = set(result.sampler.selected)
+        assert order == expected_order
+        assert result.objective_trace == pytest.approx(expected_trace, rel=1e-12, abs=0)
+
+
+class TestDefaultEpsilon:
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize(
+        "make_psi",
+        [lambda: sensor_psi(30), lambda: mobius_psi(12), lambda: random_psi(9, 19)],
+        ids=["real", "complex-dft", "random"],
+    )
+    def test_equals_one_shot_formula(self, make_psi, block_rows, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
+        psi = make_psi()
+        assert default_epsilon(psi) == one_shot_epsilon(psi)
 
 
 class TestFramePotential:
@@ -270,8 +366,6 @@ class TestSparseRulers:
 
 class TestMobiusLadder:
     def test_fifteen_node_designs_are_valid(self):
-        from graphcov import mobius_ladder
-
         s = ShiftOperator(build_shift(mobius_ladder(80), "adjacency").matrix, kind="circulant-dft")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)

@@ -95,6 +95,21 @@ class TestPsiSpectral:
         r = (basis.eigvecs * p) @ basis.eigvecs.conj().T
         npt.assert_allclose(psi @ p, vec(r), atol=1e-12)
 
+    # (N, seed, complex basis, repeated column): the first two leave a
+    # rounding-level eigenvalue of the Gram whose square root, about 1e-8,
+    # would pass a singular-value cut of order N^2 eps
+    @pytest.mark.parametrize("n,seed,is_complex,col", [(12, 6, False, 3), (20, 1, True, 6), (5, 0, False, 1)])
+    def test_repeated_eigenvector_column_rejected(self, n, seed, is_complex, col):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n))
+        if is_complex:
+            z = z + 1j * rng.standard_normal((n, n))
+        q, _ = np.linalg.qr(z)
+        q[:, col] = q[:, 0]
+        basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+        with pytest.raises(InvalidInputError, match="rank deficient"):
+            build_psi_spectral(basis)
+
     def test_warns_on_repeated_eigenvalues(self):
         basis = eigendecompose(ShiftOperator(np.eye(3)))
         with pytest.warns(RepeatedEigenvaluesWarning):
