@@ -15,6 +15,7 @@ import numpy as np
 
 from . import ar as armod
 from .design import (
+    LOGDET,
     DesignProblem,
     check_valid,
     greedy_design,
@@ -111,6 +112,10 @@ def cmd_sampler_design(args) -> int:
                     "objective_trace": list(result.objective_trace),
                     "valid": report.valid,
                     "min_singular": report.min_singular,
+                    "epsilon": problem.resolved_epsilon() if problem.cost == LOGDET else None,
+                    "rank": report.rank,
+                    "feasible": report.feasible,
+                    "condition_number": report.condition_number,
                 }
             ),
         )

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapabilityError, InvalidInputError
-from .models import Subsampler, numerical_rank, pair_rows
+from .models import Subsampler, compress_model, pair_rows
 
 LOGDET = "logdet"
 FRAME_POTENTIAL = "frame_potential"
@@ -81,6 +81,7 @@ class ValidityReport:
     rank: int
     min_singular: float
     feasible: bool  # distinct equations >= number of parameters
+    condition_number: float  # sigma_max over the smallest kept singular value
 
 
 def default_epsilon(psi: np.ndarray) -> float:
@@ -273,23 +274,20 @@ def _distinct_equations(compressed: np.ndarray, k: int) -> int:
 def check_valid(psi: np.ndarray, sampler: Subsampler) -> ValidityReport:
     """Decide whether a sampler keeps the compressed model identifiable.
 
-    Computes the numerical rank of the K^2 x M compressed matrix with
-    threshold ``max(K^2, M) * eps * sigma_max``; the sampler is valid iff
-    the rank equals M. ``feasible`` reports the necessary count condition:
-    at least M distinct equations, which is K(K+1)/2 when the model's
-    (p,q) and (q,p) rows coincide and K^2 otherwise.
+    Reads the rank diagnostics of :func:`compress_model`: the numerical
+    rank of the K^2 x M compressed matrix with threshold
+    ``max(K^2, M) * eps * sigma_max``, so the sampler is valid iff the
+    model has full column rank. ``feasible`` reports the necessary count
+    condition: at least M distinct equations, which is K(K+1)/2 when the
+    model's (p,q) and (q,p) rows coincide and K^2 otherwise.
     """
-    psi = np.asarray(psi)
-    m = psi.shape[1]
-    compressed = _selected_rows(psi, sampler.selected)
-    svals = np.linalg.svd(compressed, compute_uv=False)
-    rank = numerical_rank(svals, compressed.shape)
-    min_singular = float(svals[m - 1]) if svals.size >= m else 0.0
+    model = compress_model(psi, sampler)
     return ValidityReport(
-        valid=rank == m,
-        rank=rank,
-        min_singular=min_singular,
-        feasible=_distinct_equations(compressed, sampler.k) >= m,
+        valid=model.full_column_rank,
+        rank=model.rank,
+        min_singular=model.min_singular,
+        feasible=_distinct_equations(model.matrix, sampler.k) >= model.n_params,
+        condition_number=model.condition_number,
     )
 
 
@@ -308,13 +306,21 @@ def is_sparse_ruler(marks, n: int) -> bool:
 
 
 def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
-    """Smallest mark set whose differences cover 0..n-1, by branch and bound.
+    """Smallest mark set whose differences cover 0..n-1, by exact search.
 
-    Searches cardinalities upward from the counting bound; within a
-    cardinality the lexicographically smallest ruler is returned. Any
-    ruler must contain both 0 and n-1 (the only pair at distance n-1),
-    which prunes the search. Beyond ``search_limit`` the combinatorial
-    search is refused.
+    Cardinalities are tried upward from the counting bound k(k-1)/2 >= n-1.
+    For each k, every ruler with k marks is enumerated and the
+    lexicographically smallest is returned. The search branches on the
+    longest distance D not yet covered: some pair (a, a+D) must join the
+    ruler, so each of the n-D pairs is tried. Marks and covered distances
+    are bit masks, and a branch is cut when the uncovered count exceeds
+    what the remaining marks can add: the largest single-position gains
+    plus the differences among the new marks themselves. A ruler and its
+    mirror image x -> n-1-x cover the same distances, so a mark set is
+    expanded only once for both orientations, and a branch is dropped
+    once no completion of either orientation can be lexicographically
+    smaller than the best ruler found. Beyond ``search_limit`` the
+    combinatorial search is refused.
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -323,16 +329,25 @@ def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
             f"minimal ruler search capped at n={search_limit}; "
             "check a known set with is_sparse_ruler instead"
         )
-    if n == 2:
-        return (0, 1)
-    full_mask = (1 << n) - 1
+    full = (1 << n) - 1
+    top = n - 1
+    ends = 1 | (1 << top)  # every ruler holds 0 and n-1, the only pair at distance n-1
 
-    def covered_bits(marks: list[int]) -> int:
-        bits = 0
-        for i, a in enumerate(marks):
-            for b in marks[i:]:
-                bits |= 1 << (b - a)
-        return bits
+    def smaller(a: int, b: int) -> bool:
+        """Whether mark set ``a`` is lexicographically smaller than ``b`` of
+        the same size: it holds the lowest element of their symmetric difference."""
+        diff = a ^ b
+        return bool(diff & -diff & a)
+
+    def smallest_completion(marks: int, rem: int) -> int:
+        """The lexicographically smallest superset of ``marks`` with ``rem``
+        more marks: the one that fills the lowest free positions."""
+        free = full & ~marks
+        for _ in range(rem):
+            low = free & -free
+            marks |= low
+            free ^= low
+        return marks
 
     # smallest k with k(k-1)/2 >= n-1 distinct positive differences
     k = 2
@@ -340,38 +355,56 @@ def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
         k += 1
 
     while True:
-        interior_slots = k - 2
-        found: list[tuple[int, ...]] = []
-
-        def dfs(marks: list[int], bits: int, start: int, slots: int) -> bool:
-            if slots == 0:
-                if bits == full_mask:
-                    found.append(tuple(sorted(marks)))
-                    return True
-                return False
-            uncovered = n - int.bit_count(bits)
-            size = len(marks)
-            # the t-th future mark covers at most size+t-1 new differences
-            max_new = slots * size + slots * (slots - 1) // 2
-            if uncovered > max_new:
-                return False
-            for cand in range(start, n - 1):
-                if (n - 1 - cand) < slots - 1 + 1:
-                    break
-                new_bits = bits | 1  # self-difference
-                for mark in marks:
-                    new_bits |= 1 << abs(cand - mark)
-                marks.append(cand)
-                if dfs(marks, new_bits, cand + 1, slots - 1):
-                    marks.pop()
-                    return True
-                marks.pop()
-            return False
-
-        base = [0, n - 1]
-        if interior_slots == 0:
-            if covered_bits(base) == full_mask:
-                return tuple(base)
-        elif dfs(base, covered_bits(base), 1, interior_slots):
-            return found[0]
+        best = 0  # mask of the smallest ruler found so far; 0 while none
+        seen: set[int] = set()
+        # depth-first over (marks, rev, covered, rem): ``marks`` has bit x set
+        # for each mark x and ``rev`` bit n-1-x, so the distances from position
+        # x to every mark are (marks >> x) | (rev >> (n-1-x))
+        stack = [(ends, ends, ends, k - 2)]  # 0 and n-1 cover distances 0 and n-1
+        while stack:
+            marks, rev, covered, rem = stack.pop()
+            if covered == full:
+                ruler = marks if smaller(marks, rev) else rev
+                if not best or smaller(ruler, best):
+                    best = ruler
+                continue
+            if rem == 0:
+                continue
+            uncovered = full & ~covered
+            need = uncovered.bit_count()
+            among_new = rem * (rem - 1) // 2
+            if need > rem * marks.bit_count() + among_new:
+                continue
+            if best and not (
+                smaller(smallest_completion(marks, rem), best)
+                or smaller(smallest_completion(rev, rem), best)
+            ):
+                continue
+            # with one mark left the children are leaves: remembering the set
+            # and bounding its gains would cost more than they save
+            if rem > 1:
+                key = min(marks, rev)
+                if key in seen:
+                    continue
+                seen.add(key)
+                gains = sorted(
+                    (((marks >> x) | (rev >> (top - x))) & uncovered).bit_count()
+                    for x in range(n)
+                    if not marks >> x & 1
+                )
+                if need > sum(gains[-rem:]) + among_new:
+                    continue
+            d = uncovered.bit_length() - 1
+            for a in reversed(range(n - d)):  # the stack pops the lowest a first
+                m, r, c, left = marks, rev, covered, rem
+                for x in (a, a + d):
+                    if not m >> x & 1:
+                        c |= (m >> x) | (r >> (top - x)) | 1
+                        m |= 1 << x
+                        r |= 1 << (top - x)
+                        left -= 1
+                if left >= 0:
+                    stack.append((m, r, c, left))
+        if best:
+            return tuple(x for x in range(n) if best >> x & 1)
         k += 1

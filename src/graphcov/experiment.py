@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ar as armod
-from .design import DesignProblem, check_valid, greedy_design, minimal_sparse_ruler
+from .design import DesignProblem, greedy_design, is_sparse_ruler, minimal_sparse_ruler
 from .errors import GraphCovError, InvalidInputError, NumericalError
 from .estimators import NU_REAL, fisher_info, ls_estimate, nmse_db, nnls_estimate, wls_estimate
 from .graphs import (
@@ -139,6 +139,8 @@ def _resolve_sampler(entry: dict, psi: np.ndarray, n: int) -> Subsampler:
         marks = entry.get("marks")
         if marks is None:
             marks = minimal_sparse_ruler(n)
+        elif not is_sparse_ruler(marks, n):
+            raise InvalidInputError(f"marks {tuple(marks)} are not a sparse ruler for n={n}")
         return Subsampler(n, tuple(marks))
     raise InvalidInputError(f"unknown sampler kind {kind!r}")
 
@@ -201,17 +203,15 @@ class _Pipeline:
                 self.cells.append((name, compression, scheme))
             else:
                 sampler = _resolve_sampler(entry, self.psi, n)
-                report = check_valid(self.psi, sampler)
-                if not report.valid:
+                compressed = compress_model(self.psi, sampler)
+                if not compressed.full_column_rank:
                     raise InvalidInputError(
                         f"sampler {entry!r} is not a valid covariance subsampler "
-                        f"(rank {report.rank} of {self.psi.shape[1]})"
+                        f"(rank {compressed.rank} of {compressed.n_params})"
                     )
                 compression = 1.0 - sampler.k / n
                 name = entry.get("name", f"k{sampler.k}")
-                self.cells.append(
-                    (name, compression, (sampler, compress_model(self.psi, sampler)))
-                )
+                self.cells.append((name, compression, (sampler, compressed)))
 
     # -- per-trial work ---------------------------------------------------
 

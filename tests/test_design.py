@@ -19,6 +19,7 @@ from graphcov import (
     build_psi_spectral,
     build_shift,
     check_valid,
+    compress_model,
     cycle_graph,
     default_epsilon,
     frame_potential,
@@ -96,6 +97,46 @@ def brute_force_ruler(n):
             if all(d in diffs for d in range(n)):
                 return marks
     raise AssertionError
+
+
+# minimal_sparse_ruler(n) of the left-to-right branch and bound it replaced
+PREVIOUS_SEARCH_RULERS = {
+    15: (0, 1, 2, 3, 4, 9, 14),
+    16: (0, 1, 2, 3, 4, 10, 15),
+    17: (0, 1, 2, 3, 8, 12, 16),
+    18: (0, 1, 2, 3, 8, 13, 17),
+    19: (0, 1, 2, 3, 4, 5, 12, 18),
+    20: (0, 1, 2, 3, 4, 9, 14, 19),
+    21: (0, 1, 2, 3, 4, 10, 15, 20),
+    22: (0, 1, 2, 3, 4, 10, 16, 21),
+    23: (0, 1, 2, 3, 8, 13, 18, 22),
+    24: (0, 1, 2, 11, 15, 18, 21, 23),
+    25: (0, 1, 2, 3, 4, 5, 12, 18, 24),
+    26: (0, 1, 2, 3, 4, 5, 12, 19, 25),
+    27: (0, 1, 2, 3, 4, 10, 15, 21, 26),
+    28: (0, 1, 2, 3, 4, 10, 16, 22, 27),
+    29: (0, 1, 2, 13, 18, 21, 24, 27, 28),
+    30: (0, 1, 2, 14, 18, 21, 24, 27, 29),
+    31: (0, 1, 2, 3, 4, 5, 11, 18, 24, 30),
+    32: (0, 1, 2, 3, 4, 5, 12, 18, 25, 31),
+    33: (0, 1, 2, 3, 4, 5, 12, 19, 26, 32),
+    34: (0, 1, 2, 3, 4, 10, 16, 22, 28, 33),
+    35: (0, 1, 2, 3, 15, 20, 24, 28, 31, 34),
+    36: (0, 1, 2, 17, 21, 24, 27, 30, 33, 35),
+    40: (0, 1, 2, 3, 4, 5, 12, 19, 26, 33, 39),
+}
+
+# minimal_sparse_ruler(n) of an enumeration of every k-mark ruler without
+# the lexicographic cut, where the previous search was too slow to run
+ENUMERATED_RULERS = {
+    37: (0, 1, 3, 6, 13, 20, 27, 31, 35, 36),
+    38: (0, 1, 2, 3, 4, 5, 6, 14, 22, 30, 37),
+    39: (0, 1, 2, 3, 4, 5, 12, 19, 25, 32, 38),
+    41: (0, 1, 2, 3, 4, 10, 17, 24, 29, 35, 40),
+    42: (0, 1, 2, 3, 14, 19, 26, 31, 35, 39, 41),
+    43: (0, 1, 2, 3, 19, 24, 28, 32, 36, 39, 42),
+    44: (0, 1, 3, 6, 13, 20, 27, 34, 38, 42, 43),
+}
 
 
 class TestGram:
@@ -294,6 +335,17 @@ class TestCheckValid:
         report = check_valid(psi, Subsampler(6, (0, 2, 3, 5)))
         assert report.feasible and report.valid
 
+    def test_reads_the_compressed_model(self):
+        psi = sensor_psi(20)
+        sampler = Subsampler(20, (0, 3, 5, 8, 11, 13, 16, 19))
+        model = compress_model(psi, sampler)
+        report = check_valid(psi, sampler)
+        assert report.rank == model.rank
+        assert report.valid == model.full_column_rank
+        assert report.min_singular == model.min_singular
+        assert report.condition_number == model.condition_number
+        assert np.isfinite(report.condition_number) and report.condition_number >= 1.0
+
     def test_full_observation_valid(self):
         psi = random_psi(6, 15)
         report = check_valid(psi, Subsampler.full(6))
@@ -342,12 +394,24 @@ class TestSparseRulers:
     def test_minimal_n4(self):
         assert minimal_sparse_ruler(4) == (0, 1, 3)
 
-    @pytest.mark.parametrize("n", range(4, 15))
+    @pytest.mark.parametrize("n", range(4, 17))
     def test_matches_brute_force(self, n):
         oracle = brute_force_ruler(n)
         marks = minimal_sparse_ruler(n)
         assert len(marks) == len(oracle)
         assert marks == oracle
+
+    @pytest.mark.parametrize("n", sorted(PREVIOUS_SEARCH_RULERS))
+    def test_matches_previous_search(self, n):
+        marks = minimal_sparse_ruler(n)
+        assert marks == PREVIOUS_SEARCH_RULERS[n]
+        assert is_sparse_ruler(marks, n)
+
+    @pytest.mark.parametrize("n", sorted(ENUMERATED_RULERS))
+    def test_matches_full_enumeration(self, n):
+        marks = minimal_sparse_ruler(n)
+        assert marks == ENUMERATED_RULERS[n]
+        assert is_sparse_ruler(marks, n)
 
     def test_capability_limit(self):
         with pytest.raises(CapabilityError):

@@ -1,11 +1,19 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcov import Graph, Subsampler
+from graphcov import (
+    Graph,
+    InvalidInputError,
+    RepeatedEigenvaluesWarning,
+    Subsampler,
+    build_psi_spectral,
+    default_epsilon,
+)
 from graphcov.cli import main
 from graphcov.experiment import ExperimentConfig, make_graph, make_shift, run_experiment, rows_to_csv
 
@@ -76,6 +84,30 @@ class TestSamplerCommands:
         assert len(report["selected"]) == 5
         assert len(report["objective_trace"]) == 5
         assert report["min_singular"] > 0
+        cycle = make_shift(Graph.from_json(g.read_text()), "adjacency")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            psi = build_psi_spectral(cycle.basis())
+        assert report["epsilon"] == default_epsilon(psi)
+        assert report["rank"] == 10
+        assert report["feasible"] is True
+        assert 1.0 <= report["condition_number"] < 1e6
+
+    def test_design_report_frame_potential_has_no_epsilon(self, tmp_path):
+        g = tmp_path / "g.json"
+        run_cli("graph", "gen", "--kind", "cycle", "--n", "10", "--out", str(g))
+        rep = tmp_path / "rep.json"
+        code = run_cli(
+            "sampler", "design", "--graph", str(g), "--shift", "adjacency",
+            "--cost", "frame-potential", "--k", "6", "--out", str(tmp_path / "s.json"),
+            "--report", str(rep),
+        )
+        report = json.loads(rep.read_text())
+        assert report["epsilon"] is None
+        assert report["valid"] is (code == 0)
+        assert report["rank"] <= 10
+        assert isinstance(report["feasible"], bool)
+        assert report["condition_number"] >= 1.0
 
     def test_design_ma_feasible(self, sensor_graph_file, tmp_path):
         s = tmp_path / "s.json"
@@ -105,6 +137,20 @@ class TestSamplerCommands:
     def test_ruler_rejects_non_ruler_marks(self, tmp_path):
         code = run_cli("sampler", "ruler", "--n", "10", "--marks", "0,1,4,7", "--out", str(tmp_path / "r.json"))
         assert code == 2
+
+    def test_experiment_rejects_non_ruler_marks(self, tmp_path, capsys):
+        cfg = base_config(
+            graph={"kind": "cycle", "n": 10},
+            shift="adjacency",
+            samplers=[{"name": "ruler", "kind": "ruler", "marks": [0, 1, 4, 7]}],
+        )
+        with pytest.raises(InvalidInputError, match="not a sparse ruler for n=10"):
+            run_experiment(ExperimentConfig(**cfg))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "not a sparse ruler for n=10" in capsys.readouterr().err
 
 
 class TestSignalAndEstimate:
