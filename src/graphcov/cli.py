@@ -30,7 +30,7 @@ from .errors import (
 )
 from .estimators import ls_estimate, nnls_estimate, wls_estimate
 from .experiment import ExperimentConfig, make_graph, make_shift, rows_to_csv, run_experiment
-from .graphs import Graph, GraphFilter
+from .graphs import Graph, GraphFilter, ShiftOperator
 from .models import (
     Subsampler,
     build_psi_ma,
@@ -85,15 +85,19 @@ def cmd_graph_gen(args) -> int:
     return 0
 
 
+def _model_matrix(args, shift: ShiftOperator) -> np.ndarray:
+    """Uncompressed spectral or moving-average model matrix named by ``--model``/``--q``."""
+    if args.model == "spectral":
+        return build_psi_spectral(shift.basis())
+    if args.q is None:
+        raise InvalidInputError("--q is required for the moving-average model")
+    return build_psi_ma(shift, args.q)
+
+
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift, use_dft="auto" if args.dft is None else args.dft)
-    if args.model == "spectral":
-        psi = build_psi_spectral(shift.basis())
-    else:
-        if args.q is None:
-            raise InvalidInputError("--q is required for the moving-average model")
-        psi = build_psi_ma(shift, args.q)
+    psi = _model_matrix(args, shift)
     problem = DesignProblem(
         psi=psi,
         k=args.k,
@@ -197,13 +201,7 @@ def cmd_estimate(args) -> int:
         data = _subsampled_snapshots(snapshots, sampler.selected)
         cov = sample_covariance(data, demean=args.demean)
         r_y = vec(cov.matrix)
-        if args.model == "spectral":
-            psi = build_psi_spectral(basis)
-        else:
-            if args.q is None:
-                raise InvalidInputError("--q is required for the moving-average model")
-            psi = build_psi_ma(shift, args.q)
-        model = compress_model(psi, sampler)
+        model = compress_model(_model_matrix(args, shift), sampler)
         if args.method == "ls":
             result = ls_estimate(model, r_y)
         elif args.method == "nnls":

@@ -1,11 +1,18 @@
 """Parameter recovery from compressed covariances.
 
-Ordinary least squares matches the vectorized sample covariance to the
-linear model; the nonnegative variant enforces the sign constraint a
-power spectrum carries by definition; one-step weighted least squares
-solves the Gaussian likelihood stationarity equations with the weight
-built from the sample covariance itself. The Fisher information gives
-the Cramer-Rao floor the unweighted estimator does not reach.
+Every estimator is least squares on ``r_y = G theta`` with real
+parameters. Ordinary least squares is one product with the pseudo-inverse
+the model keeps from its single SVD; the nonnegative variant enforces the
+sign constraint a power spectrum carries by definition on the model's
+real-stacked matrix. One-step weighted least squares solves the Gaussian
+likelihood stationarity equations with the weight built from the sample
+covariance itself: its normal matrix is the weighted Gram
+``Re(G_w^H G_w)`` of the whitened columns, solved by Cholesky. The
+Fisher information is the same Gram, built from the true covariance and
+scaled by ``nu N_s``; it gives the Cramer-Rao floor the unweighted
+estimator does not reach. LS, WLS and the Fisher information make no
+``scipy.linalg`` call: their linear algebra runs in numpy's BLAS, which
+is a different OpenBLAS from scipy's, with its own thread pool.
 """
 
 from __future__ import annotations
@@ -57,39 +64,22 @@ class FisherInfo:
     crb_is_pinv: bool
 
 
-def _check_finite(*arrays) -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("non-finite values in estimation input")
-
-
-def _real_stacked(g: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack real and imaginary parts so a complex model yields real parameters."""
-    if np.iscomplexobj(g) or np.iscomplexobj(r):
-        a = np.vstack([np.real(g), np.imag(g)])
-        b = np.concatenate([np.real(r), np.imag(r)])
-        return a, b
-    return np.asarray(g, dtype=float), np.asarray(r, dtype=float)
-
-
-def _solve_ls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    rcond = max(a.shape) * np.finfo(float).eps
-    theta, _, rank, svals = np.linalg.lstsq(a, b, rcond=rcond)
-    return theta, int(rank), svals
-
-
-def _condition(svals: np.ndarray, rank: int) -> float:
-    if rank == 0 or svals.size == 0:
-        return np.inf
-    return float(svals[0] / svals[rank - 1])
+def _require_full_rank(model: ObservationModel) -> None:
+    if not model.full_column_rank:
+        raise RankDeficiencyError(
+            f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
+        )
 
 
 def _require_vector(model: ObservationModel, r_y) -> np.ndarray:
+    """The observation as a finite vector of the model's length; the model itself is finite."""
     r = np.asarray(r_y).ravel()
     if r.size != model.matrix.shape[0]:
         raise InvalidInputError(
             f"observation vector has length {r.size}, model expects {model.matrix.shape[0]}"
         )
+    if not np.all(np.isfinite(r)):
+        raise InvalidInputError("non-finite values in estimation input")
     return r
 
 
@@ -97,47 +87,33 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least-squares parameter estimate ``argmin ||r_y - G theta||``.
 
     Complex models with real parameters are solved on the real-stacked
-    system, whose SVD pseudo-inverse the model keeps, so every solve after
-    the first is one matrix-vector product. Requires a full-column-rank
-    model; raises RankDeficiencyError (carrying the numerical rank)
-    otherwise.
+    system, so each solve is one product with the pseudo-inverse the
+    model keeps from its SVD. Requires a full-column-rank model; raises
+    RankDeficiencyError (carrying the numerical rank) otherwise.
     """
     r = _require_vector(model, r_y)
-    _check_finite(model.matrix, r)
-    if not model.full_column_rank:
-        raise RankDeficiencyError(
-            f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
-        )
-    factor = model.stacked
-    if factor.rank < model.n_params:
-        raise RankDeficiencyError(
-            f"stacked system rank {factor.rank} < {model.n_params} parameters", rank=factor.rank
-        )
-    theta = factor.pinv @ factor.stack(r)
+    _require_full_rank(model)
+    theta = model.pinv @ model.stack(r)
     residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, LS, _condition(factor.singular_values, factor.rank))
+    return EstimationResult(theta, residual, LS, model.condition_number)
 
 
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least squares with elementwise nonnegativity on the parameters.
 
-    Backed by the Lawson-Hanson active-set solver with an iteration cap
-    of 10 * M^2; exhausting the cap raises ConvergenceError.
+    Backed by the Lawson-Hanson active-set solver on the model's
+    real-stacked matrix, with an iteration cap of 10 * M^2; exhausting the
+    cap raises ConvergenceError.
     """
     r = _require_vector(model, r_y)
-    _check_finite(model.matrix, r)
-    if not model.full_column_rank:
-        raise RankDeficiencyError(
-            f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
-        )
-    factor = model.stacked
+    _require_full_rank(model)
     m = model.n_params
     try:
-        theta, _ = scipy.optimize.nnls(factor.matrix, factor.stack(r), maxiter=10 * m * m)
+        theta, _ = scipy.optimize.nnls(model.stacked_matrix, model.stack(r), maxiter=10 * m * m)
     except RuntimeError as exc:
         raise ConvergenceError(f"nonnegative solver did not converge: {exc}") from exc
     residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, NNLS, _condition(factor.singular_values, factor.rank))
+    return EstimationResult(theta, residual, NNLS, model.condition_number)
 
 
 def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
@@ -159,55 +135,63 @@ def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
 def _whiten_columns(g: np.ndarray, chol: np.ndarray, k: int) -> np.ndarray:
     """Map each column ``vec(X)`` to ``vec(L^{-1} X L^{-H})``.
 
-    All M columns are whitened together: two triangular solves on the
-    K x (K M) matrix ``[X_1 ... X_M]``, with every K x K block
-    conjugate-transposed in between.
+    ``L^{-1}`` is formed once (K x K), and all M columns are whitened
+    together by two matrix products: ``L^{-1}`` times the K x (K M) matrix
+    ``[X_1 ... X_M]``, then the (K M) x K stack of the ``L^{-1} X_i`` times
+    ``L^{-H}``.
     """
     m = g.shape[1]
+    l_inv = np.linalg.inv(chol)
     blocks = g.reshape(k, k, m, order="F").transpose(0, 2, 1)  # X_i[p, q] at [p, i, q]
-    half = scipy.linalg.solve_triangular(chol, blocks.reshape(k, m * k), lower=True)
-    half_h = half.reshape(k, m, k).conj().transpose(2, 1, 0)  # (L^{-1} X_i)^H
-    full_h = scipy.linalg.solve_triangular(chol, half_h.reshape(k, m * k), lower=True)
-    full = full_h.reshape(k, m, k).conj().transpose(2, 0, 1)  # back to [p, q, i]
-    return full.reshape(k * k, m, order="F")
+    half = l_inv @ blocks.reshape(k, m * k)
+    full = half.reshape(k * m, k) @ l_inv.conj().T
+    return full.reshape(k, m, k).transpose(0, 2, 1).reshape(k * k, m, order="F")
 
 
-def wls_estimate(
-    model: ObservationModel,
-    r_hat,
-    cov_hat: CovarianceMatrix,
-    nu: float = NU_REAL,
-) -> EstimationResult:
+def _weighted_gram(columns: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Symmetrised ``Re(C_w^H C_w)`` of the whitened columns ``C_w``.
+
+    Entry (i, j) is ``Re tr(R^{-1} X_i R^{-1} X_j^H)`` for columns
+    ``vec(X_i)`` and ``R = L L^H``: the normal matrix of least squares
+    weighted by ``R^{-T} kron R^{-1}``, which is never formed.
+    """
+    whitened = _whiten_columns(columns, chol, chol.shape[0])
+    gram = np.real(whitened.conj().T @ whitened)
+    return 0.5 * (gram + gram.T)
+
+
+def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> EstimationResult:
     """One-step weighted least squares with the likelihood weighting.
 
-    The weight ``nu * N_s * (R^{-T} kron R^{-1})`` is applied through the
-    identity ``W vec(X) = nu N_s vec(R^{-1} X R^{-1})``, never forming the
-    K^2 x K^2 matrix; R comes from the supplied (sample) covariance,
-    regularized by diagonal loading when near-singular. Solving the
-    whitened system makes the likelihood stationarity equations hold at
-    the solution.
+    Minimizes ``||R^{-1/2} (unvec(r_hat - G theta)) R^{-1/2}||_F`` over
+    real theta, i.e. least squares weighted by ``R^{-T} kron R^{-1}``,
+    where R is the supplied (sample) covariance, diagonally loaded when
+    near-singular. The normal matrix is the weighted Gram of the model
+    columns, the Fisher information up to the factor ``nu N_s``, and the
+    right-hand side is the same product with ``r_hat``; both come from one
+    whitening of ``[G r_hat]``. It is solved by Cholesky, which makes the
+    likelihood stationarity equations hold at the solution. A normal
+    matrix that is not positive definite raises RankDeficiencyError.
+    ``condition_number`` is ``sqrt(lambda_max / lambda_min)`` of the
+    normal matrix, the condition number of the whitened system.
     """
     r = _require_vector(model, r_hat)
-    _check_finite(model.matrix, r)
     k = cov_hat.k
     if k * k != r.size:
         raise InvalidInputError(f"weight covariance is {k}x{k} but observation has {r.size} entries")
-    if not model.full_column_rank:
-        raise RankDeficiencyError(
-            f"model rank {model.rank} < {model.n_params} parameters", rank=model.rank
-        )
-    chol = _regularized_cholesky(cov_hat)
-    scale = np.sqrt(nu * (cov_hat.n_snapshots or 1))
-    g_w = scale * _whiten_columns(model.matrix, chol, k)
-    r_w = scale * _whiten_columns(r.reshape(-1, 1), chol, k)[:, 0]
-    a, b = _real_stacked(g_w, r_w)
-    theta, rank, svals = _solve_ls(a, b)
-    if rank < model.n_params:
-        raise RankDeficiencyError(
-            f"weighted system rank {rank} < {model.n_params} parameters", rank=rank
-        )
+    _require_full_rank(model)
+    m = model.n_params
+    gram = _weighted_gram(np.column_stack([model.matrix, r]), _regularized_cholesky(cov_hat))
+    normal = gram[:m, :m]
+    try:
+        factor = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("weighted normal matrix is not positive definite") from exc
+    theta = np.linalg.solve(factor.T, np.linalg.solve(factor, gram[:m, m]))
     residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, WLS, _condition(svals, rank))
+    eigs = np.linalg.eigvalsh(normal)
+    condition = float(np.sqrt(eigs[-1] / eigs[0])) if eigs[0] > 0.0 else np.inf
+    return EstimationResult(theta, residual, WLS, condition)
 
 
 def wls_stationarity_residual(
@@ -241,8 +225,9 @@ def fisher_info(
 ) -> FisherInfo:
     """Fisher information ``F_ij = nu N_s tr(R^{-1} G_i R^{-1} G_j^H)``.
 
-    ``G_i`` is column i of the model reshaped K x K. Computed through
-    whitened columns so only K x K solves are involved. The CRB is
+    ``G_i`` is column i of the model reshaped K x K: the weighted Gram
+    that :func:`wls_estimate` solves, built from the true covariance and
+    scaled by ``nu N_s``, so only K x K factors are formed. The CRB is
     ``F^{-1}``; a singular F falls back to the pseudo-inverse with
     ``crb_is_pinv`` set.
     """
@@ -254,11 +239,7 @@ def fisher_info(
     eigs = np.linalg.eigvalsh(cov.matrix)
     if eigs.min() <= 0.0:
         raise SingularityError("covariance must be positive definite for the Fisher information")
-    chol = np.linalg.cholesky(cov.matrix)
-    whitened = _whiten_columns(model.matrix, chol, k)
-    fim = nu * n_snapshots * (whitened.conj().T @ whitened)
-    fim = np.real(fim)
-    fim = 0.5 * (fim + fim.T)
+    fim = nu * n_snapshots * _weighted_gram(model.matrix, np.linalg.cholesky(cov.matrix))
     svals = np.linalg.svd(fim, compute_uv=False)
     if numerical_rank(svals, fim.shape) == fim.shape[0]:
         crb = np.linalg.inv(fim)

@@ -282,7 +282,7 @@ class _Pipeline:
                 if cov is None:
                     theta = ls_estimate(model, r_y).theta
                 else:
-                    theta = wls_estimate(model, r_y, cov, nu=NU_REAL).theta
+                    theta = wls_estimate(model, r_y, cov).theta
             else:
                 raise InvalidInputError(f"unknown method {method!r}")
         p_hat = self.reconstruct(theta)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -113,49 +112,26 @@ def pair_rows(n: int, selected) -> np.ndarray:
     return (sel[None, :] * n + sel[:, None]).ravel(order="F")
 
 
-@dataclass(frozen=True)
-class StackedFactor:
-    """SVD pseudo-inverse of a model's real-stacked matrix.
-
-    ``matrix`` is ``[Re G; Im G]`` for a complex model and G itself for a
-    real one, so the parameters stay real. ``pinv`` inverts the singular
-    values above the :func:`numerical_rank` threshold and zeroes the rest,
-    which makes ``pinv @ b`` the minimum-norm least-squares solution.
-    """
-
-    matrix: np.ndarray
-    pinv: np.ndarray
-    singular_values: np.ndarray
-    rank: int
-
-    @classmethod
-    def of(cls, g: np.ndarray) -> "StackedFactor":
-        a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else np.asarray(g, dtype=float)
-        u, svals, vt = np.linalg.svd(a, full_matrices=False)
-        rank = numerical_rank(svals, a.shape)
-        pinv = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
-        return cls(matrix=a, pinv=pinv, singular_values=svals, rank=rank)
-
-    def stack(self, r: np.ndarray) -> np.ndarray:
-        """Right-hand side matching ``matrix``: ``[Re r; Im r]`` or ``Re r``.
-
-        A real model has zero imaginary rows, so the imaginary part of r
-        cannot change its solution and is dropped.
-        """
-        if self.matrix.shape[0] == r.size:
-            return np.real(r)
-        return np.concatenate([np.real(r), np.imag(r)])
-
-
 @dataclass
 class ObservationModel:
-    """Compressed linear model ``r_y = G theta``.
+    """Compressed linear model ``r_y = G theta`` with real parameters.
 
     ``row_index`` lists, per row of G, the (row-node, col-node) pair of
-    the covariance entry the row equates. Rank diagnostics are computed
-    once at construction with the :func:`numerical_rank` threshold
-    ``max(rows, cols) * eps * sigma_max``; the least-squares factor
-    ``stacked`` is built on first use and reused by every later solve.
+    the covariance entry the row equates. A non-finite G is refused.
+
+    Construction takes one SVD, of the real-stacked matrix
+    ``stacked_matrix``: ``[Re G; Im G]`` for a complex G and G itself for
+    a real one. Every diagnostic and every least-squares solve comes from
+    it. ``rank`` counts the singular values above the
+    :func:`numerical_rank` threshold ``max(shape) * eps * sigma_max`` of
+    the stacked matrix, so it is the rank over real parameters, which is
+    what least squares solves for; ``full_column_rank``, ``min_singular``
+    and ``condition_number`` read the same singular values. ``pinv``
+    inverts the kept singular values and zeroes the rest, so
+    ``pinv @ stack(r)`` is the minimum-norm least-squares solution. For
+    every model this package builds the real rank equals the complex
+    rank of G: spectral models have a real Gram ``G^H G``, and
+    moving-average and autoregressive models are real.
     """
 
     matrix: np.ndarray
@@ -166,6 +142,8 @@ class ObservationModel:
     full_column_rank: bool = field(init=False)
     min_singular: float = field(init=False)
     condition_number: float = field(init=False)
+    stacked_matrix: np.ndarray = field(init=False, repr=False)
+    pinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.matrix)
@@ -175,22 +153,33 @@ class ObservationModel:
             raise InvalidInputError(f"unknown parameter kind {self.param_kind!r}")
         if len(self.row_index) != g.shape[0]:
             raise InvalidInputError("row_index length must match matrix rows")
+        if not np.all(np.isfinite(g)):
+            raise InvalidInputError("non-finite values in model matrix")
         self.matrix = g
-        svals = np.linalg.svd(g, compute_uv=False)
+        a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else np.asarray(g, dtype=float)
+        u, svals, vt = np.linalg.svd(a, full_matrices=False)
+        rank = numerical_rank(svals, a.shape)
+        self.stacked_matrix = a
+        self.pinv = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
         self.singular_values = svals
-        self.rank = numerical_rank(svals, g.shape)
-        self.full_column_rank = self.rank == g.shape[1]
+        self.rank = rank
+        self.full_column_rank = rank == g.shape[1]
         self.min_singular = float(svals[g.shape[1] - 1]) if svals.size >= g.shape[1] else 0.0
-        smallest = svals[self.rank - 1] if self.rank else 0.0
-        self.condition_number = float(svals[0] / smallest) if self.rank else np.inf
+        self.condition_number = float(svals[0] / svals[rank - 1]) if rank else np.inf
 
     @property
     def n_params(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
-    def stacked(self) -> StackedFactor:
-        return StackedFactor.of(self.matrix)
+    def stack(self, r: np.ndarray) -> np.ndarray:
+        """Right-hand side matching ``stacked_matrix``: ``[Re r; Im r]`` or ``Re r``.
+
+        A real model has zero imaginary rows, so the imaginary part of r
+        cannot change its solution and is dropped.
+        """
+        if self.stacked_matrix.shape[0] == r.size:
+            return np.real(r)
+        return np.concatenate([np.real(r), np.imag(r)])
 
 
 def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:

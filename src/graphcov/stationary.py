@@ -52,7 +52,7 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """K x N_s matrix of signal realizations on the nodes ``node_indices``."""
+    """K x N_s matrix of finite signal realizations on the nodes ``node_indices``."""
 
     data: np.ndarray
     node_indices: tuple[int, ...]
@@ -63,6 +63,8 @@ class SnapshotMatrix:
             raise InvalidInputError("row count must match node_indices")
         if data.shape[1] < 1:
             raise InvalidInputError("need at least one snapshot")
+        if not np.all(np.isfinite(data)):
+            raise InvalidInputError("non-finite values in snapshot data")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))

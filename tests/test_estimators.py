@@ -163,6 +163,16 @@ class TestWls:
         whitened = _whiten_columns(model.matrix, chol, cov.k)
         npt.assert_allclose(whitened, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
+    def test_whitening_with_complex_covariance(self, k4_setup):
+        model, _, _ = k4_setup
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        chol = np.linalg.cholesky(a @ a.conj().T + np.eye(4))
+        l_inv = np.linalg.inv(chol)
+        reference = np.kron(l_inv.conj(), l_inv) @ model.matrix
+        whitened = _whiten_columns(model.matrix, chol, 4)
+        npt.assert_allclose(whitened, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
     def test_matches_dense_weight(self, k4_setup):
         model, cov, r = k4_setup
         g = model.matrix
@@ -171,6 +181,13 @@ class TestWls:
         reference = np.linalg.solve(normal, np.real(g.conj().T @ weight @ r))
         theta = wls_estimate(model, r, cov).theta
         npt.assert_allclose(theta, reference, rtol=0, atol=1e-12 * np.linalg.norm(reference))
+
+    def test_condition_number_of_whitened_system(self, k4_setup):
+        model, cov, r = k4_setup
+        whitened = _whiten_columns(model.matrix, np.linalg.cholesky(cov.matrix), cov.k)
+        stacked = np.vstack([whitened.real, whitened.imag])
+        res = wls_estimate(model, r, cov)
+        assert res.condition_number == pytest.approx(np.linalg.cond(stacked), rel=1e-8)
 
     def test_identity_weight_equals_ls(self):
         rng = np.random.default_rng(2)

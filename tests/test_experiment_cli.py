@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import graphcov
 from graphcov import (
     Graph,
     InvalidInputError,
@@ -237,6 +241,28 @@ class TestSignalAndEstimate:
         assert len(report["power_spectrum"]) == 10
         assert all(np.isfinite(v) for v in report["power_spectrum"])
 
+    @pytest.mark.parametrize("model", ["spectral", "ar"])
+    def test_estimate_nan_snapshot_exit_code(self, sensor_graph_file, tmp_path, capsys, model):
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--signal", "ma",
+            "--coeffs", "1,0.5", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        lines = snaps.read_text().splitlines()
+        row = lines[5].split(",")
+        row[2] = "nan"
+        lines[5] = ",".join(row)
+        snaps.write_text("\n".join(lines) + "\n")
+        sampler_path = tmp_path / "full.json"
+        sampler_path.write_text(Subsampler.full(16).to_json())
+        model_args = ["--sampler", str(sampler_path)] if model == "spectral" else ["--p", "1"]
+        code = run_cli(
+            "estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+            "--model", model, *model_args, "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_ar_rejects_other_methods(self, tmp_path):
         g = tmp_path / "g.json"
         run_cli("graph", "gen", "--kind", "cycle", "--n", "8", "--out", str(g))
@@ -263,14 +289,73 @@ class TestExperiment:
         header = a.read_text().split("\n")[0]
         assert header == "n_snapshots,method,compression,nmse_db,crb_db,failures"
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(**base_config())
-        serial_env = dict(os.environ)
-        monkeypatch.setenv("GRAPHCOV_THREADS", "1")
-        serial = rows_to_csv(run_experiment(cfg))
-        monkeypatch.setenv("GRAPHCOV_THREADS", "3")
-        threaded = rows_to_csv(run_experiment(cfg))
-        assert serial == threaded
+    def test_thread_env_does_not_change_results(self, tmp_path):
+        # One study on a real sensor basis and one on a complex DFT basis,
+        # each run in a fresh process at one and at two BLAS threads.
+        configs = [
+            base_config(
+                methods=["ls", "nnls", "wls"],
+                samplers=[{"name": "full", "kind": "full"},
+                          {"name": "part", "kind": "explicit", "selected": [0, 2, 3, 5, 7, 8, 11, 12, 14]}],
+            ),
+            base_config(
+                graph={"kind": "cycle", "n": 10},
+                shift="adjacency",
+                methods=["ls", "nnls", "wls"],
+                samplers=[{"name": "ruler", "kind": "ruler"}],
+            ),
+        ]
+        paths = []
+        for idx, cfg in enumerate(configs):
+            path = tmp_path / f"cfg{idx}.json"
+            path.write_text(json.dumps(cfg))
+            paths.append(str(path))
+        script = (
+            "import sys, warnings\n"
+            "warnings.simplefilter('ignore')\n"
+            "from graphcov.experiment import ExperimentConfig, rows_to_csv, run_experiment\n"
+            "for path in sys.argv[1:]:\n"
+            "    cfg = ExperimentConfig.from_json(open(path).read())\n"
+            "    sys.stdout.write(rows_to_csv(run_experiment(cfg)))\n"
+        )
+        src = str(Path(graphcov.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, *paths], env=env, capture_output=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(done.stdout)
+        assert outputs[0].count(b"\n") == (1 + 2 * 3) + (1 + 1 * 3)  # headers and rows
+        assert b",," not in outputs[0]  # every cell has an NMSE and a CRB
+        assert outputs[0] == outputs[1]
+
+    def test_trials_make_no_scipy_linalg_call(self, monkeypatch):
+        import scipy.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg called inside a trial")
+
+        for name in ("solve_triangular", "cho_factor", "cho_solve"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
+        for graph, shift, selected in (
+            ({"kind": "sensor", "n": 16, "seed": 3}, "laplacian", [0, 2, 3, 5, 7, 8, 11, 12, 14]),
+            ({"kind": "cycle", "n": 10}, "adjacency", [0, 1, 4, 7, 9]),
+        ):
+            cfg = base_config(
+                graph=graph,
+                shift=shift,
+                methods=["ls", "nnls", "wls"],
+                samplers=[{"name": "full", "kind": "full"},
+                          {"name": "part", "kind": "explicit", "selected": selected}],
+                n_trials=3,
+            )
+            rows = run_experiment(ExperimentConfig(**cfg))
+            assert len(rows) == 6
+            assert all(row["failures"] == 0 and row["nmse_db"] is not None for row in rows)
 
     def test_crb_column_matches_per_snapshot_fisher(self):
         from graphcov import CovarianceMatrix, fisher_info

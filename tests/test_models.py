@@ -8,6 +8,7 @@ from graphcov import (
     CovarianceMatrix,
     GraphFilter,
     InvalidInputError,
+    ObservationModel,
     RepeatedEigenvaluesWarning,
     ShiftOperator,
     SpectralBasis,
@@ -20,6 +21,7 @@ from graphcov import (
     default_ma_order,
     eigendecompose,
     ma_b_from_h,
+    ls_estimate,
     path_graph,
     sensor_graph,
     true_covariance,
@@ -27,6 +29,7 @@ from graphcov import (
     vec,
     vectorize_compressed_cov,
 )
+from graphcov.graphs import CIRCULANT_DFT
 from graphcov.models import pair_rows
 
 
@@ -251,3 +254,38 @@ class TestVectorize:
         cov = CovarianceMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), kind="true")
         v = vectorize_compressed_cov(cov)
         npt.assert_array_equal(v.reshape(2, 2, order="F"), cov.matrix)
+
+
+class TestObservationModel:
+    def test_rank_is_over_real_parameters(self):
+        # G = [g, i g] has complex rank 1, but its real parameters are
+        # identifiable: G theta = g theta_0 + i g theta_1.
+        g = np.array([1.0, -2.0, 0.5, 3.0])
+        model = ObservationModel(
+            matrix=np.column_stack([g, 1j * g]),
+            param_kind="spectral",
+            row_index=[(i, 0) for i in range(4)],
+        )
+        assert model.rank == 2 and model.full_column_rank
+        assert model.min_singular == pytest.approx(np.linalg.norm(g))
+        assert model.condition_number == pytest.approx(1.0)
+        theta = np.array([0.7, -1.3])
+        npt.assert_allclose(ls_estimate(model, model.matrix @ theta).theta, theta, atol=1e-12)
+
+    def test_diagnostics_match_real_stacked_svd(self):
+        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind=CIRCULANT_DFT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            model = compress_model(build_psi_spectral(s.basis()), Subsampler(10, (0, 1, 4, 7, 9)))
+        stacked = np.vstack([model.matrix.real, model.matrix.imag])
+        svals = np.linalg.svd(stacked, compute_uv=False)
+        npt.assert_allclose(model.singular_values, svals, rtol=1e-12)
+        assert model.rank == 10
+        npt.assert_allclose(model.pinv, np.linalg.pinv(stacked), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        matrix = np.eye(3)
+        matrix[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ObservationModel(matrix=matrix, param_kind="spectral", row_index=[(i, 0) for i in range(3)])

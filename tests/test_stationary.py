@@ -200,3 +200,12 @@ class TestSnapshotCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidInputError):
             load_snapshots_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"node_0,node_1\n1,2\n3,{value}\n")
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            load_snapshots_csv(path)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            SnapshotMatrix(np.array([[1.0, 3.0], [2.0, float(value)]]), (0, 1))
