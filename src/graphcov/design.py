@@ -6,10 +6,14 @@ the selected model rows is a normalized, monotone set function, which
 greedy augmentation maximizes one node at a time. It is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
-submodular maximization does not apply. For circulant shift operators
-the problem has a closed combinatorial answer: node sets whose pairwise
-differences cover 0..N-1 (sparse rulers) are valid, and minimal rulers
-give the best compression.
+submodular maximization does not apply. Each greedy step still scores
+every candidate exactly: a candidate keeps its new rows whitened against
+the loaded Gram, and a pick updates them by its own low-rank factor, as
+fast greedy MAP inference for determinantal point processes does with
+single vectors (Chen, Zhang & Zhou, NeurIPS 2018). For circulant shift
+operators the problem has a closed combinatorial answer: node sets whose
+pairwise differences cover 0..N-1 (sparse rulers) are valid, and minimal
+rulers give the best compression.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapabilityError, InvalidInputError
 from .models import Subsampler, compress_model, pair_rows
@@ -26,9 +29,12 @@ from .models import Subsampler, compress_model, pair_rows
 LOGDET = "logdet"
 FRAME_POTENTIAL = "frame_potential"
 
-# Pair rows per working block of the greedy scoring and of default_epsilon;
-# a block holds about M x _BLOCK_ROWS values, which bounds their memory.
+# Rows per working block of the greedy passes and of default_epsilon; a
+# block holds about M x _BLOCK_ROWS values, which bounds their memory.
 _BLOCK_ROWS = 2048
+# Greedy scores within this fraction of the best are tied, and the lowest
+# node index wins; rounding differences between equal scores stay far below.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,9 @@ class DesignProblem:
 
     ``psi`` is the uncompressed N^2 x M model matrix; ``k`` the node
     budget; ``epsilon`` the diagonal loading (a scale-relative default
-    is chosen when None).
+    is chosen when None). The log-det cost needs a Hermitian model, whose
+    pair rows (a,b) and (b,a) are conjugate, as every model this package
+    builds is.
     """
 
     psi: np.ndarray
@@ -151,70 +159,122 @@ def frame_potential(psi: np.ndarray, w) -> float:
     return float(np.real(np.sum(np.abs(t) ** 2)))
 
 
-def _new_pair_rows(n: int, nodes, selected) -> np.ndarray:
-    """Rows gained when a node joins ``selected``: (node, node), then
-    (j, node), (node, j) for each selected j.
-
-    A scalar ``nodes`` gives one index vector of length 2|X|+1; an array
-    gives one such vector per node, stacked as rows.
-    """
-    node = np.asarray(nodes)[..., None]
+def _new_pair_rows(n: int, node: int, selected) -> np.ndarray:
+    """Rows gained when ``node`` joins ``selected``: (node, node), then
+    (j, node), (node, j) for each selected j."""
     sel = np.asarray(selected, dtype=int)
-    rows = np.empty(node.shape[:-1] + (2 * sel.size + 1,), dtype=int)
-    rows[..., :1] = node * n + node
-    rows[..., 1::2] = sel * n + node
-    rows[..., 2::2] = node * n + sel
+    rows = np.empty(2 * sel.size + 1, dtype=int)
+    rows[0] = node * n + node
+    rows[1::2] = sel * n + node
+    rows[2::2] = node * n + sel
     return rows
 
 
-def _logdet_gains(psi: np.ndarray, chol: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``logdet(A + Z^H Z) - logdet(A)`` for each candidate's row block Z.
+def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
+    """Position of the lowest node among those whose score lies within
+    ``_TIE_RTOL * |max|`` of the largest score."""
+    best = scores.max()
+    tied = np.flatnonzero(scores >= best - _TIE_RTOL * abs(best))
+    return int(tied[np.argmin(nodes[tied])])
 
-    ``chol`` is the lower Cholesky factor of A and ``rows`` holds one
-    candidate's pair rows per row. Each gain is the log-det of the small
-    ``I + W^H W`` with ``W = chol^{-1} Z^H``: all candidates are whitened
-    by one triangular solve and their small matrices formed by one
-    batched product.
+
+def _column_abs_max(x: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each column."""
+    if np.iscomplexobj(x):
+        return np.abs(x).max(axis=0)
+    return np.maximum(x.max(axis=0), -x.min(axis=0))
+
+
+def _check_hermitian(psi: np.ndarray, n: int) -> None:
+    """Refuse a model whose pair rows (a,b) and (b,a) are not conjugate.
+
+    Compared per column, to ``sqrt(eps)`` of the column's largest entry
+    (b,a) with b >= a. Node a's block holds its pairs (a,b) and (b,a) with b >= a: two views
+    of ``psi``, the second with stride N, so no copy of the model is made.
     """
-    c, r = rows.shape
-    z = psi[rows.ravel(), :]
-    w = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True, overwrite_b=True)
-    # w comes back in Fortran order, so w.T splits into per-candidate W^T
-    # blocks without a copy
-    wt = w.T.reshape(c, r, -1)
-    small = np.eye(r, dtype=w.dtype) + wt.conj() @ wt.transpose(0, 2, 1)
-    diag = np.diagonal(np.linalg.cholesky(small), axis1=1, axis2=2)
-    return 2.0 * np.sum(np.log(np.real(diag)), axis=1)
+    m = psi.shape[1]
+    scale, asymmetry = np.zeros(m), np.zeros(m)
+    for a in range(n):
+        lower = psi[a * (n + 1) : (a + 1) * n]  # entries (b, a)
+        upper = psi[a * (n + 1) :: n]  # entries (a, b)
+        np.maximum(scale, _column_abs_max(lower), out=scale)
+        np.maximum(asymmetry, _column_abs_max(upper.conj() - lower), out=asymmetry)
+    if np.any(asymmetry > np.sqrt(np.finfo(float).eps) * scale):
+        raise InvalidInputError(
+            "log-det design needs a Hermitian covariance model: "
+            "pair rows (a,b) and (b,a) must be complex conjugates"
+        )
 
 
 def _greedy_logdet(problem: DesignProblem) -> DesignResult:
+    """Greedy log-det design on folded real rows, updated in place.
+
+    Pair rows (j,s) and (s,j) of a Hermitian model are conjugate, so
+    together they add ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``.
+    A candidate s therefore brings the real rows ``Re z_ss`` and, per
+    selected j, ``sqrt(2) Re z_js`` and (complex models only)
+    ``sqrt(2) Im z_js``. ``y[s]`` holds them whitened, ``Z_s F^{-T}``, where
+    ``F F^T = eps I + T`` and T is the Gram of the selected rows, and the
+    gain of s is ``logdet(I + Y_s Y_s^T)``. A pick with whitened rows W
+    turns F into ``F (I + W^T W)^{1/2}``: with ``W W^T = V diag(lam) V^T``,
+    every whitened row y becomes ``y - (y W^T) V diag(phi) V^T W`` with
+    ``phi = (1 - (1 + lam)^{-1/2}) / lam``. The candidates' rows and
+    ``F^{-T}`` are updated so, and the rows the pick adds to each
+    candidate are appended whitened by the new ``F^{-T}``. Picks are
+    swap-removed from ``y``, and every pass runs over candidate blocks of
+    at most ``_BLOCK_ROWS`` rows.
+    """
     psi = np.asarray(problem.psi)
-    n, m = problem.n_nodes, psi.shape[1]
+    n, m, k = problem.n_nodes, psi.shape[1], problem.k
     eps = problem.resolved_epsilon()
-    is_complex = np.iscomplexobj(psi)
-    t = np.zeros((m, m), dtype=complex if is_complex else float)
-    chol = np.sqrt(eps) * np.eye(m, dtype=t.dtype)
-    base = -m * np.log(eps)
+    _check_hermitian(psi, n)
+    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
+    candidates = np.arange(n)
+    y = np.empty((n, 1 + len(parts) * (k - 1), m))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        y[start:stop, 0] = np.real(psi[candidates[start:stop] * (n + 1)]) / np.sqrt(eps)
+    white = np.eye(m) / np.sqrt(eps)  # F^{-T}
     selected: list[int] = []
     trace = []
-    for _ in range(problem.k):
-        candidates = np.setdiff1d(np.arange(n), selected)
-        rows = _new_pair_rows(n, candidates, selected)
-        per_block = max(1, _BLOCK_ROWS // rows.shape[1])
-        gains = np.concatenate(
-            [
-                _logdet_gains(psi, chol, rows[start : start + per_block])
-                for start in range(0, candidates.size, per_block)
-            ]
-        )
-        # argmax returns the first maximum: ties go to the lowest node index
-        best_node = int(candidates[np.argmax(gains)])
-        z = psi[_new_pair_rows(n, best_node, selected), :]
-        t = t + z.conj().T @ z
-        t = 0.5 * (t + t.conj().T)
-        chol = np.linalg.cholesky(t + eps * np.eye(m))
-        selected.append(best_node)
-        trace.append(float(2.0 * np.sum(np.log(np.real(np.diag(chol))))) + base)
+    total = 0.0
+    for step in range(k):
+        live = n - step
+        r = 1 + len(parts) * step
+        per_block = max(1, _BLOCK_ROWS // r)
+        gains = np.empty(live)
+        for start in range(0, live, per_block):
+            block = y[start : min(start + per_block, live), :r]
+            small = block @ block.transpose(0, 2, 1)
+            small += np.eye(r)
+            diag = np.diagonal(np.linalg.cholesky(small), axis1=1, axis2=2)
+            gains[start : start + block.shape[0]] = 2.0 * np.sum(np.log(diag), axis=1)
+        best = _lowest_tied(gains, candidates[:live])
+        pick = int(candidates[best])
+        selected.append(pick)
+        total += float(gains[best])
+        trace.append(total)
+        if step == k - 1:
+            break
+        w = y[best, :r].copy()
+        live -= 1
+        y[best, :r] = y[live, :r]
+        candidates[best] = candidates[live]
+        lam, v = np.linalg.eigh(w @ w.T)
+        root = np.sqrt(1.0 + np.maximum(lam, 0.0))
+        # phi = 1 / (root (1 + root)) is (1 - 1/root) / lam without the
+        # cancellation at small lam
+        pw = (v / (root * (1.0 + root))) @ (v.T @ w)  # V diag(phi) V^T W
+        for start in range(0, live, per_block):
+            block = y[start : min(start + per_block, live), :r]
+            block -= (block @ w.T) @ pw
+        white -= (white @ w.T) @ pw
+        folded = np.sqrt(2.0) * white
+        for start in range(0, live, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, live)
+            z = psi[pick * n + candidates[start:stop]]  # entries (s, pick)
+            for offset, part in enumerate(parts):
+                np.matmul(np.ascontiguousarray(part(z)), folded, out=y[start:stop, r + offset])
     return DesignResult(
         sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
     )
@@ -228,18 +288,20 @@ def _greedy_frame_potential(problem: DesignProblem) -> DesignResult:
     selected = list(range(n))
     t = gram(psi, Subsampler.full(n))
     trace = [float(np.real(np.sum(np.abs(t) ** 2)))]
+
+    def removed(s: int) -> np.ndarray:
+        z = psi[_new_pair_rows(n, s, [j for j in selected if j != s]), :]
+        return t - z.conj().T @ z
+
     while len(selected) > problem.k:
-        best_node, best_fp, best_t = -1, np.inf, None
-        for s in selected:
-            others = [j for j in selected if j != s]
-            z = psi[_new_pair_rows(n, s, others), :]
-            t_candidate = t - z.conj().T @ z
-            fp = float(np.real(np.sum(np.abs(t_candidate) ** 2)))
-            if fp < best_fp:
-                best_node, best_fp, best_t = s, fp, t_candidate
-        selected.remove(best_node)
-        t = 0.5 * (best_t + best_t.conj().T)
-        trace.append(best_fp)
+        potentials = np.array(
+            [float(np.real(np.sum(np.abs(removed(s)) ** 2))) for s in selected]
+        )
+        best = _lowest_tied(-potentials, np.asarray(selected))
+        t_best = removed(selected[best])
+        t = 0.5 * (t_best + t_best.conj().T)
+        del selected[best]
+        trace.append(float(potentials[best]))
     return DesignResult(
         sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
     )
@@ -249,11 +311,16 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     """Greedy sampler design under the configured cost.
 
     The log-det cost is maximized by K augmentation steps; each step
-    scores every remaining candidate exactly, whitening the candidates'
-    new rows against the Cholesky factor of the loaded Gram in blocked
-    triangular solves. The frame potential is minimized by complement
-    removal. Ties break toward the lowest node index and the
-    per-iteration objective values are returned alongside the sampler.
+    scores every remaining candidate exactly. The model must be Hermitian
+    (pair rows (a,b) and (b,a) conjugate, as for every model this package
+    builds), else ``InvalidInputError``. Each candidate keeps its new
+    rows whitened against the loaded Gram, and a pick updates them by
+    its own low-rank factor instead of re-solving them. The frame
+    potential is minimized by complement removal. Scores within
+    ``1e-9 * |best|`` of the best are tied, and ties go to the lowest
+    node index. The per-iteration objective values are returned
+    alongside the sampler; the log-det ones are running sums of the
+    picked gains.
     """
     if problem.cost == LOGDET:
         return _greedy_logdet(problem)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,7 +57,11 @@ def one_shot_epsilon(psi):
 
 
 def reference_greedy_logdet(psi, k, eps):
-    """Per-candidate greedy: one solve and one Cholesky per candidate and step."""
+    """Per-candidate greedy: one solve and one Cholesky per candidate and step.
+
+    Gains within 1e-9 * |max| of the largest gain are tied, and the lowest
+    node index among them is picked.
+    """
     n, m = int(round(np.sqrt(psi.shape[0]))), psi.shape[1]
     t = np.zeros((m, m), dtype=psi.dtype)
     chol = np.sqrt(eps) * np.eye(m, dtype=psi.dtype)
@@ -69,16 +74,16 @@ def reference_greedy_logdet(psi, k, eps):
         return psi[rows]
 
     for _ in range(k):
-        best_node, best_gain = -1, -np.inf
+        gains = {}
         for s in range(n):
             if s in selected:
                 continue
             z = new_rows(s)
             w = scipy.linalg.solve_triangular(chol, z.conj().T, lower=True)
             small = np.eye(z.shape[0]) + w.conj().T @ w
-            gain = 2.0 * np.sum(np.log(np.real(np.diag(np.linalg.cholesky(small)))))
-            if gain > best_gain:
-                best_node, best_gain = s, gain
+            gains[s] = 2.0 * np.sum(np.log(np.real(np.diag(np.linalg.cholesky(small)))))
+        best_gain = max(gains.values())
+        best_node = min(s for s, g in gains.items() if g >= best_gain - 1e-9 * abs(best_gain))
         z = new_rows(best_node)
         t = t + z.conj().T @ z
         t = 0.5 * (t + t.conj().T)
@@ -249,6 +254,8 @@ GREEDY_CASES = {
     "mobius12-complex-ties": (lambda: mobius_psi(12), 5),
     "random9": (lambda: random_psi(9, 18), 5),
     "ma20": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 5), 4),
+    "mobius36-complex-ties": (lambda: mobius_psi(36), 12),
+    "sensor60-real": (lambda: sensor_psi(60), 12),
 }
 
 
@@ -256,8 +263,9 @@ class TestBlockedGreedy:
     @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
     def test_matches_per_candidate_reference(self, case, block_rows, monkeypatch):
-        # with 7 pair rows per block, every step scores its candidates over
-        # several blocks, the last ones one candidate at a time
+        # with 7 rows per block, every step scores, updates and extends the
+        # candidates' whitened rows over several blocks, the last ones one
+        # candidate at a time
         if block_rows is not None:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         make_psi, k = GREEDY_CASES[case]
@@ -272,6 +280,33 @@ class TestBlockedGreedy:
             picked = set(result.sampler.selected)
         assert order == expected_order
         assert result.objective_trace == pytest.approx(expected_trace, rel=1e-12, abs=0)
+
+    def test_ties_go_to_the_lowest_node(self):
+        # the Moebius ladder is vertex-transitive: all first-step gains are
+        # equal up to rounding, so the first pick is node 0
+        assert greedy_design(DesignProblem(psi=mobius_psi(36), k=1)).sampler.selected == (0,)
+
+    def test_non_hermitian_model_rejected(self):
+        rng = np.random.default_rng(16)
+        psi = rng.standard_normal((36, 12))  # rows (a,b) and (b,a) unrelated
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            greedy_design(DesignProblem(psi=psi, k=4))
+
+    @pytest.mark.parametrize("block_rows", [None, 64])
+    def test_peak_memory_is_the_whitened_rows_and_two_blocks(self, block_rows, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
+        n, k = 100, 15
+        psi = sensor_psi(n)
+        m = psi.shape[1]
+        whitened_rows = n * k * m * 8  # one real row per selected node and the diagonal
+        tracemalloc.start()
+        try:
+            greedy_design(DesignProblem(psi=psi, k=k))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= whitened_rows + 2 * design._BLOCK_ROWS * m * 8 + 2**20
 
 
 class TestDefaultEpsilon:
