@@ -78,6 +78,7 @@ from .graphs import (
     sensor_graph,
 )
 from .models import (
+    CovarianceModel,
     ObservationModel,
     Subsampler,
     build_psi_ma,

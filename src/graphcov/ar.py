@@ -178,8 +178,6 @@ def build_ar_model(
     core = list(scheme.core)
     g_blocks = []
     r_blocks = []
-    row_index: list[tuple[int, int]] = []
-    k0 = len(core)
     for q in range(p_order + 1):
         if (0, q) not in covariances:
             raise InvalidInputError(f"missing covariance block (0, {q})")
@@ -191,13 +189,7 @@ def build_ar_model(
             cols.append(vec(sk @ np.asarray(covariances[(k, q)])))
         g_blocks.append(np.column_stack(cols))
         r_blocks.append(vec(np.asarray(covariances[(0, q)])))
-        level_q = scheme.levels[q].selected
-        for j in level_q:
-            for i in scheme.core:
-                row_index.append((i, j))
-    model = ObservationModel(
-        matrix=np.vstack(g_blocks), param_kind=AUTOREGRESSIVE, row_index=row_index
-    )
+    model = ObservationModel(matrix=np.vstack(g_blocks), param_kind=AUTOREGRESSIVE)
     return model, np.concatenate(r_blocks)
 
 
@@ -221,9 +213,7 @@ def estimate_ar_uncompressed(shift: ShiftOperator, cov, order: int) -> Estimatio
         raise InvalidInputError("covariance size must match the graph")
     powers = shift.powers(order + 1)
     columns = np.column_stack([vec(powers[k] @ matrix) for k in range(1, order + 1)])
-    n = shift.n
-    row_index = [(m % n, m // n) for m in range(n * n)]
-    model = ObservationModel(matrix=columns, param_kind=AUTOREGRESSIVE, row_index=row_index)
+    model = ObservationModel(matrix=columns, param_kind=AUTOREGRESSIVE)
     return ls_estimate(model, vec(matrix))
 
 

@@ -32,6 +32,7 @@ from .estimators import ls_estimate, nnls_estimate, wls_estimate
 from .experiment import ExperimentConfig, make_graph, make_shift, rows_to_csv, run_experiment
 from .graphs import Graph, GraphFilter, ShiftOperator
 from .models import (
+    CovarianceModel,
     Subsampler,
     build_psi_ma,
     build_psi_spectral,
@@ -85,8 +86,8 @@ def cmd_graph_gen(args) -> int:
     return 0
 
 
-def _model_matrix(args, shift: ShiftOperator) -> np.ndarray:
-    """Uncompressed spectral or moving-average model matrix named by ``--model``/``--q``."""
+def _model(args, shift: ShiftOperator) -> CovarianceModel:
+    """Uncompressed spectral or moving-average model named by ``--model``/``--q``."""
     if args.model == "spectral":
         return build_psi_spectral(shift.basis())
     if args.q is None:
@@ -97,7 +98,7 @@ def _model_matrix(args, shift: ShiftOperator) -> np.ndarray:
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift, use_dft="auto" if args.dft is None else args.dft)
-    psi = _model_matrix(args, shift)
+    psi = _model(args, shift)
     problem = DesignProblem(
         psi=psi,
         k=args.k,
@@ -125,7 +126,7 @@ def cmd_sampler_design(args) -> int:
         )
     if not report.valid:
         raise NumericalError(
-            f"designed sampler is not valid (rank {report.rank} of {psi.shape[1]})"
+            f"designed sampler is not valid (rank {report.rank} of {psi.n_params})"
         )
     return 0
 
@@ -201,7 +202,7 @@ def cmd_estimate(args) -> int:
         data = _subsampled_snapshots(snapshots, sampler.selected)
         cov = sample_covariance(data, demean=args.demean)
         r_y = vec(cov.matrix)
-        model = compress_model(_model_matrix(args, shift), sampler)
+        model = compress_model(_model(args, shift), sampler)
         if args.method == "ls":
             result = ls_estimate(model, r_y)
         elif args.method == "nnls":

@@ -3,7 +3,9 @@
 Selecting K of N nodes to keep the compressed model identifiable is a
 combinatorial problem. The log-det of the (diagonally loaded) Gram of
 the selected model rows is a normalized, monotone set function, which
-greedy augmentation maximizes one node at a time. It is not submodular:
+greedy augmentation maximizes one node at a time. The model rows come
+from the factors of a :class:`~graphcov.models.CovarianceModel`, so the
+N^2 x M model matrix is never formed. The objective is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
 submodular maximization does not apply. Each greedy step still scores
@@ -18,19 +20,18 @@ rulers give the best compression.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
-from .models import Subsampler, compress_model, pair_rows
+from .models import CovarianceModel, Subsampler, compress_model
 
 LOGDET = "logdet"
 FRAME_POTENTIAL = "frame_potential"
 
-# Rows per working block of the greedy passes and of default_epsilon; a
-# block holds about M x _BLOCK_ROWS values, which bounds their memory.
+# Rows per working block of the greedy passes and of gram; a block holds
+# about M x _BLOCK_ROWS values, which bounds their memory.
 _BLOCK_ROWS = 2048
 # Greedy scores within this fraction of the best are tied, and the lowest
 # node index wins; rounding differences between equal scores stay far below.
@@ -41,23 +42,21 @@ _TIE_RTOL = 1e-9
 class DesignProblem:
     """Inputs of a sampler design run.
 
-    ``psi`` is the uncompressed N^2 x M model matrix; ``k`` the node
-    budget; ``epsilon`` the diagonal loading (a scale-relative default
-    is chosen when None). The log-det cost needs a Hermitian model, whose
-    pair rows (a,b) and (b,a) are conjugate, as every model this package
-    builds is.
+    ``psi`` is the uncompressed model, held by its factors; ``k`` the node
+    budget; ``epsilon`` the diagonal loading (a scale-relative default is
+    chosen when None). Every column of the model is Hermitian, so its pair
+    rows (a,b) and (b,a) are conjugate, which the log-det cost relies on.
     """
 
-    psi: np.ndarray
+    psi: CovarianceModel
     k: int
     epsilon: float | None = None
     cost: str = LOGDET
 
     def __post_init__(self):
-        psi = np.asarray(self.psi)
-        n = int(round(math.isqrt(psi.shape[0])))
-        if psi.ndim != 2 or n * n != psi.shape[0]:
-            raise InvalidInputError("model matrix must have N^2 rows")
+        if not isinstance(self.psi, CovarianceModel):
+            raise InvalidInputError("psi must be a CovarianceModel from build_psi_spectral or build_psi_ma")
+        n = self.psi.n_nodes
         if not (1 <= self.k <= n):
             raise InvalidInputError(f"need 1 <= K <= {n}, got {self.k}")
         if self.cost not in (LOGDET, FRAME_POTENTIAL):
@@ -67,7 +66,7 @@ class DesignProblem:
 
     @property
     def n_nodes(self) -> int:
-        return int(round(math.isqrt(self.psi.shape[0])))
+        return self.psi.n_nodes
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
@@ -92,50 +91,39 @@ class ValidityReport:
     condition_number: float  # sigma_max over the smallest kept singular value
 
 
-def default_epsilon(psi: np.ndarray) -> float:
-    """Scale-relative diagonal loading: 1e-6 * (1 + mean diag of psi^H psi).
+def default_epsilon(psi: CovarianceModel) -> float:
+    """Scale-relative diagonal loading: 1e-6 * (1 + mean diag of Psi^H Psi).
 
-    The column sums of ``|psi|^2`` are accumulated over row blocks in row
-    order, the order numpy uses for an ``axis=0`` sum of a C-ordered matrix
-    with more than one column, so the value matches the one-shot sum
-    bit for bit without its N^2 x M temporary.
+    Diagonal entry i of ``Psi^H Psi`` is ``||X_i||_F^2`` for the model's
+    column matrix X_i, which the model gives in closed form.
     """
-    psi = np.asarray(psi)
-    # row 0 carries the running sum into the next block
-    buf = np.zeros((min(_BLOCK_ROWS, psi.shape[0]) + 1, psi.shape[1]))
-    for start in range(0, psi.shape[0], _BLOCK_ROWS):
-        block = psi[start : start + _BLOCK_ROWS]
-        rows = buf[: block.shape[0] + 1]
-        rows[1:] = np.real(block.conj() * block)
-        rows[0] = np.sum(rows, axis=0)
-    return 1e-6 * (1.0 + float(np.mean(buf[0])))
+    return 1e-6 * (1.0 + float(np.mean(psi.column_sq_norms())))
 
 
-def _selected_rows(psi: np.ndarray, selected) -> np.ndarray:
-    n = int(round(math.isqrt(psi.shape[0])))
-    return psi[pair_rows(n, selected), :]
-
-
-def gram(psi: np.ndarray, w) -> np.ndarray:
+def gram(psi: CovarianceModel, w) -> np.ndarray:
     """Gram matrix of the model rows a selection keeps.
 
     Sums the outer products of all selected-pair rows; equivalent to
-    ``psi^H (diag[w] kron diag[w]) psi`` without forming the N^2 x N^2
-    diagonal. Hermitian PSD; empty selections give the zero matrix.
+    ``Psi^H (diag[w] kron diag[w]) Psi`` without forming either factor.
+    The rows are computed and summed in blocks of at most ``_BLOCK_ROWS``
+    (or one node's K rows). Hermitian PSD; empty selections give the
+    zero matrix.
     """
     if isinstance(w, Subsampler):
         selected = w.selected
     else:
-        selected = tuple(np.flatnonzero(np.asarray(w, dtype=bool)))
-    m = psi.shape[1]
-    if not selected:
-        return np.zeros((m, m), dtype=psi.dtype)
-    z = _selected_rows(psi, selected)
-    t = z.conj().T @ z
+        selected = np.flatnonzero(np.asarray(w, dtype=bool))
+    sel = np.asarray(selected, dtype=int)
+    m = psi.n_params
+    t = np.zeros((m, m), dtype=psi.factors.dtype)
+    per_block = max(1, _BLOCK_ROWS // max(1, sel.size))
+    for start in range(0, sel.size, per_block):
+        z = psi.rows(sel[start : start + per_block, None], sel[None, :]).reshape(-1, m)
+        t += z.conj().T @ z
     return 0.5 * (t + t.conj().T)
 
 
-def set_objective(psi: np.ndarray, selected, epsilon: float) -> float:
+def set_objective(psi: CovarianceModel, selected, epsilon: float) -> float:
     """Normalized log-det objective ``logdet(T + eps I) - M log eps``.
 
     Zero on the empty set and monotone nondecreasing, but not submodular.
@@ -145,29 +133,18 @@ def set_objective(psi: np.ndarray, selected, epsilon: float) -> float:
     selected = tuple(selected)
     if not selected:
         return 0.0
-    m = psi.shape[1]
-    t = gram(psi, Subsampler(int(round(math.isqrt(psi.shape[0]))), selected))
+    m = psi.n_params
+    t = gram(psi, Subsampler(psi.n_nodes, selected))
     sign, logdet = np.linalg.slogdet(t + epsilon * np.eye(m))
     if sign <= 0:
         raise InvalidInputError("loaded Gram not positive definite")
     return float(logdet - m * np.log(epsilon))
 
 
-def frame_potential(psi: np.ndarray, w) -> float:
+def frame_potential(psi: CovarianceModel, w) -> float:
     """Squared Frobenius norm of the selection Gram matrix."""
     t = gram(psi, w)
     return float(np.real(np.sum(np.abs(t) ** 2)))
-
-
-def _new_pair_rows(n: int, node: int, selected) -> np.ndarray:
-    """Rows gained when ``node`` joins ``selected``: (node, node), then
-    (j, node), (node, j) for each selected j."""
-    sel = np.asarray(selected, dtype=int)
-    rows = np.empty(2 * sel.size + 1, dtype=int)
-    rows[0] = node * n + node
-    rows[1::2] = sel * n + node
-    rows[2::2] = node * n + sel
-    return rows
 
 
 def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
@@ -178,38 +155,10 @@ def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
     return int(tied[np.argmin(nodes[tied])])
 
 
-def _column_abs_max(x: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each column."""
-    if np.iscomplexobj(x):
-        return np.abs(x).max(axis=0)
-    return np.maximum(x.max(axis=0), -x.min(axis=0))
-
-
-def _check_hermitian(psi: np.ndarray, n: int) -> None:
-    """Refuse a model whose pair rows (a,b) and (b,a) are not conjugate.
-
-    Compared per column, to ``sqrt(eps)`` of the column's largest entry
-    (b,a) with b >= a. Node a's block holds its pairs (a,b) and (b,a) with b >= a: two views
-    of ``psi``, the second with stride N, so no copy of the model is made.
-    """
-    m = psi.shape[1]
-    scale, asymmetry = np.zeros(m), np.zeros(m)
-    for a in range(n):
-        lower = psi[a * (n + 1) : (a + 1) * n]  # entries (b, a)
-        upper = psi[a * (n + 1) :: n]  # entries (a, b)
-        np.maximum(scale, _column_abs_max(lower), out=scale)
-        np.maximum(asymmetry, _column_abs_max(upper.conj() - lower), out=asymmetry)
-    if np.any(asymmetry > np.sqrt(np.finfo(float).eps) * scale):
-        raise InvalidInputError(
-            "log-det design needs a Hermitian covariance model: "
-            "pair rows (a,b) and (b,a) must be complex conjugates"
-        )
-
-
 def _greedy_logdet(problem: DesignProblem) -> DesignResult:
     """Greedy log-det design on folded real rows, updated in place.
 
-    Pair rows (j,s) and (s,j) of a Hermitian model are conjugate, so
+    Pair rows (j,s) and (s,j) of the model are conjugate, so
     together they add ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``.
     A candidate s therefore brings the real rows ``Re z_ss`` and, per
     selected j, ``sqrt(2) Re z_js`` and (complex models only)
@@ -221,19 +170,16 @@ def _greedy_logdet(problem: DesignProblem) -> DesignResult:
     ``phi = (1 - (1 + lam)^{-1/2}) / lam``. The candidates' rows and
     ``F^{-T}`` are updated so, and the rows the pick adds to each
     candidate are appended whitened by the new ``F^{-T}``. Picks are
-    swap-removed from ``y``, and every pass runs over candidate blocks of
-    at most ``_BLOCK_ROWS`` rows.
+    swap-removed from ``y``, and the scoring and update passes run over
+    candidate blocks of at most ``_BLOCK_ROWS`` rows.
     """
-    psi = np.asarray(problem.psi)
-    n, m, k = problem.n_nodes, psi.shape[1], problem.k
+    psi = problem.psi
+    n, m, k = problem.n_nodes, psi.n_params, problem.k
     eps = problem.resolved_epsilon()
-    _check_hermitian(psi, n)
-    parts = (np.real, np.imag) if np.iscomplexobj(psi) else (np.real,)
+    parts = (np.real, np.imag) if np.iscomplexobj(psi.factors) else (np.real,)
     candidates = np.arange(n)
     y = np.empty((n, 1 + len(parts) * (k - 1), m))
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        y[start:stop, 0] = np.real(psi[candidates[start:stop] * (n + 1)]) / np.sqrt(eps)
+    y[:, 0] = np.real(psi.rows(candidates, candidates)) / np.sqrt(eps)
     white = np.eye(m) / np.sqrt(eps)  # F^{-T}
     selected: list[int] = []
     trace = []
@@ -272,7 +218,7 @@ def _greedy_logdet(problem: DesignProblem) -> DesignResult:
         folded = np.sqrt(2.0) * white
         for start in range(0, live, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, live)
-            z = psi[pick * n + candidates[start:stop]]  # entries (s, pick)
+            z = psi.rows(pick, candidates[start:stop])  # entries (s, pick)
             for offset, part in enumerate(parts):
                 np.matmul(np.ascontiguousarray(part(z)), folded, out=y[start:stop, r + offset])
     return DesignResult(
@@ -283,14 +229,20 @@ def _greedy_logdet(problem: DesignProblem) -> DesignResult:
 def _greedy_frame_potential(problem: DesignProblem) -> DesignResult:
     """Worst-out greedy: start from all nodes, drop the one whose removal
     leaves the smallest frame potential, until K remain."""
-    psi = np.asarray(problem.psi)
+    psi = problem.psi
     n = problem.n_nodes
     selected = list(range(n))
     t = gram(psi, Subsampler.full(n))
     trace = [float(np.real(np.sum(np.abs(t) ** 2)))]
 
     def removed(s: int) -> np.ndarray:
-        z = psi[_new_pair_rows(n, s, [j for j in selected if j != s]), :]
+        # the rows s takes away: (s,s), then (j,s) and (s,j) for each other j
+        others = [j for j in selected if j != s]
+        a = np.full(2 * len(others) + 1, s)
+        b = a.copy()
+        a[1::2] = others
+        b[2::2] = others
+        z = psi.rows(a, b)
         return t - z.conj().T @ z
 
     while len(selected) > problem.k:
@@ -311,9 +263,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     """Greedy sampler design under the configured cost.
 
     The log-det cost is maximized by K augmentation steps; each step
-    scores every remaining candidate exactly. The model must be Hermitian
-    (pair rows (a,b) and (b,a) conjugate, as for every model this package
-    builds), else ``InvalidInputError``. Each candidate keeps its new
+    scores every remaining candidate exactly. Each candidate keeps its new
     rows whitened against the loaded Gram, and a pick updates them by
     its own low-rank factor instead of re-solving them. The frame
     potential is minimized by complement removal. Scores within
@@ -338,7 +288,7 @@ def _distinct_equations(compressed: np.ndarray, k: int) -> int:
     return k * k
 
 
-def check_valid(psi: np.ndarray, sampler: Subsampler) -> ValidityReport:
+def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:
     """Decide whether a sampler keeps the compressed model identifiable.
 
     Reads the rank diagnostics of :func:`compress_model`: the numerical

@@ -35,6 +35,7 @@ from .graphs import (
     sensor_graph,
 )
 from .models import (
+    CovarianceModel,
     Subsampler,
     build_psi_ma,
     build_psi_spectral,
@@ -121,7 +122,7 @@ def n_workers() -> int:
     return 1
 
 
-def _resolve_sampler(entry: dict, psi: np.ndarray, n: int) -> Subsampler:
+def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     kind = entry.get("kind")
     if kind == "full":
         return Subsampler.full(n)

@@ -6,6 +6,11 @@ itself (spectral-domain model) or the coefficients of a polynomial
 expansion of the covariance in powers of the shift (moving-average
 model). All vectorizations are column-major so the Khatri-Rao identity
 ``vec(A diag(b) C) = (C^T kr A) b`` holds.
+
+The uncompressed N^2 x M model is never stored: a
+:class:`CovarianceModel` holds its factors, the basis U or the shift
+powers, and computes any of its rows on demand. A sampler's compressed
+model is the K^2 rows of its selected node pairs.
 """
 
 from __future__ import annotations
@@ -68,11 +73,6 @@ class Subsampler:
         return mask
 
     @classmethod
-    def from_mask(cls, w) -> "Subsampler":
-        w = np.asarray(w, dtype=bool)
-        return cls(n_nodes=w.size, selected=tuple(np.flatnonzero(w)))
-
-    @classmethod
     def full(cls, n_nodes: int) -> "Subsampler":
         return cls(n_nodes=n_nodes, selected=tuple(range(n_nodes)))
 
@@ -100,24 +100,11 @@ def numerical_rank(svals: np.ndarray, shape: tuple[int, ...]) -> int:
     return int(np.sum(svals > tol))
 
 
-def pair_rows(n: int, selected) -> np.ndarray:
-    """Row indices of an N^2-row model matrix picked by a node subset.
-
-    Entry ``m = q*K + p`` of the compressed vector corresponds to the
-    covariance entry (selected[p], selected[q]), i.e. row
-    ``selected[q]*n + selected[p]`` of the uncompressed matrix; this
-    matches column-major vectorization of the compressed covariance.
-    """
-    sel = np.asarray(list(selected), dtype=int)
-    return (sel[None, :] * n + sel[:, None]).ravel(order="F")
-
-
 @dataclass
 class ObservationModel:
     """Compressed linear model ``r_y = G theta`` with real parameters.
 
-    ``row_index`` lists, per row of G, the (row-node, col-node) pair of
-    the covariance entry the row equates. A non-finite G is refused.
+    A non-finite G is refused.
 
     Construction takes one SVD, of the real-stacked matrix
     ``stacked_matrix``: ``[Re G; Im G]`` for a complex G and G itself for
@@ -136,7 +123,6 @@ class ObservationModel:
 
     matrix: np.ndarray
     param_kind: str
-    row_index: list[tuple[int, int]]
     singular_values: np.ndarray = field(init=False)
     rank: int = field(init=False)
     full_column_rank: bool = field(init=False)
@@ -151,8 +137,6 @@ class ObservationModel:
             raise InvalidInputError("model matrix must be 2-D")
         if self.param_kind not in (SPECTRAL, MOVING_AVERAGE, AUTOREGRESSIVE):
             raise InvalidInputError(f"unknown parameter kind {self.param_kind!r}")
-        if len(self.row_index) != g.shape[0]:
-            raise InvalidInputError("row_index length must match matrix rows")
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("non-finite values in model matrix")
         self.matrix = g
@@ -182,12 +166,78 @@ class ObservationModel:
         return np.concatenate([np.real(r), np.imag(r)])
 
 
-def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
-    """N^2 x N spectral-domain model matrix with columns ``conj(u_i) kron u_i``.
+@dataclass(frozen=True, eq=False)
+class CovarianceModel:
+    """Uncompressed model ``vec(R) = Psi theta``, held by its factors.
+
+    Column i of the N^2 x M matrix Psi is ``vec(X_i)`` for a Hermitian
+    N x N matrix X_i. The spectral model has ``X_i = u_i u_i^H`` and keeps
+    the basis U (N x N) as ``factors``; the moving-average model has
+    ``X_k = S^k`` and keeps the Q shift powers (Q x N x N). Psi itself is
+    never formed: :meth:`rows` computes any of its rows, and it is the
+    only code that knows the row layout. Since every X_i is Hermitian,
+    rows (a, b) and (b, a) are complex conjugates. Moving-average factors
+    that are not real and symmetric (to ``sqrt(eps)`` of each power's
+    largest entry) are refused.
+    """
+
+    kind: str
+    factors: np.ndarray
+
+    def __post_init__(self):
+        f = np.asarray(self.factors)
+        if self.kind == SPECTRAL:
+            if f.ndim != 2 or f.shape[0] != f.shape[1]:
+                raise InvalidInputError("spectral factors must be a square basis matrix")
+        elif self.kind == MOVING_AVERAGE:
+            if f.ndim != 3 or f.shape[1] != f.shape[2]:
+                raise InvalidInputError("moving-average factors must be Q x N x N shift powers")
+            if np.iscomplexobj(f):
+                raise InvalidInputError("moving-average factors must be real")
+            f = np.asarray(f, dtype=float)
+            scale = np.abs(f).max(axis=(1, 2))
+            asymmetry = np.abs(f - f.transpose(0, 2, 1)).max(axis=(1, 2))
+            if np.any(asymmetry > np.sqrt(np.finfo(float).eps) * scale):
+                raise InvalidInputError("moving-average factors must be symmetric")
+        else:
+            raise InvalidInputError(f"unknown covariance model kind {self.kind!r}")
+        object.__setattr__(self, "factors", f)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.factors.shape[-1]
+
+    @property
+    def n_params(self) -> int:
+        return self.factors.shape[1] if self.kind == SPECTRAL else self.factors.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.factors.nbytes
+
+    def rows(self, a, b) -> np.ndarray:
+        """Rows ``a*N + b`` of Psi: the M model values of covariance entry (b, a).
+
+        ``a`` and ``b`` are node indices that broadcast against each other;
+        the rows come back in their broadcast shape, plus an axis of length M.
+        """
+        if self.kind == SPECTRAL:
+            return self.factors[a].conj() * self.factors[b]
+        return np.ascontiguousarray(np.moveaxis(self.factors[:, b, a], 0, -1))
+
+    def column_sq_norms(self) -> np.ndarray:
+        """``||X_i||_F^2`` per column: ``(sum_a |U_ai|^2)^2`` or ``sum(S^k * S^k)``."""
+        if self.kind == SPECTRAL:
+            return np.sum(np.abs(self.factors) ** 2, axis=0) ** 2
+        return np.sum(self.factors**2, axis=(1, 2))
+
+
+def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
+    """Spectral-domain model with columns ``conj(u_i) kron u_i``, held by the basis.
 
     Full column rank for any orthonormal basis; asserted here on the N x N
-    Gram ``psi^H psi = |U^H U|^2`` (element-wise), which has the rank of
-    psi: its eigenvalues are cut with the :func:`numerical_rank` threshold.
+    Gram ``Psi^H Psi = |U^H U|^2`` (element-wise), which has the rank of
+    Psi: its eigenvalues are cut with the :func:`numerical_rank` threshold.
     Warns when the basis has repeated eigenvalues, since individual
     components within a repeated cluster are then not tied to unique
     frequencies.
@@ -201,19 +251,17 @@ def build_psi_spectral(basis: SpectralBasis) -> np.ndarray:
         )
     u = basis.eigvecs
     n = basis.n
-    psi = (u.conj()[:, None, :] * u[None, :, :]).reshape(n * n, n)
     gram = np.abs(u.conj().T @ u) ** 2
     if numerical_rank(np.linalg.eigvalsh(gram)[::-1], gram.shape) != n:
         raise InvalidInputError("spectral model matrix is rank deficient; basis not orthonormal?")
-    return psi
+    return CovarianceModel(SPECTRAL, u)
 
 
-def build_psi_ma(shift: ShiftOperator, q: int) -> np.ndarray:
-    """N^2 x Q moving-average model matrix with columns ``vec(S^k)``, k < Q."""
+def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
+    """Moving-average model with columns ``vec(S^k)``, k < Q, held by the Q powers."""
     if not (1 <= q <= shift.n):
         raise InvalidInputError(f"need 1 <= Q <= N; powers beyond N-1 are linearly dependent (Q={q}, N={shift.n})")
-    powers = shift.powers(q)
-    return np.column_stack([vec(p) for p in powers])
+    return CovarianceModel(MOVING_AVERAGE, np.stack(shift.powers(q)))
 
 
 def vandermonde(eigvals: np.ndarray, q: int) -> np.ndarray:
@@ -257,24 +305,19 @@ def ma_b_from_h(filt: GraphFilter) -> np.ndarray:
     return ma_structure_matrix(h.size) @ vec(np.outer(h, h))
 
 
-def compress_model(psi: np.ndarray, sampler: Subsampler, param_kind: str | None = None) -> ObservationModel:
-    """Restrict a full model matrix to the covariance entries a sampler observes.
+def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationModel:
+    """Restrict a model to the covariance entries a sampler observes.
 
-    Selects the K^2 rows of ``psi`` indexed by selected-node pairs, in the
-    order matching :func:`vectorize_compressed_cov`; the Kronecker
-    selection matrix is never materialized.
+    Computes the K^2 rows of the selected node pairs, in the order of
+    :func:`vectorize_compressed_cov`: entry ``q*K + p`` is the covariance
+    entry (selected[p], selected[q]). Neither the Kronecker selection
+    matrix nor the uncompressed model is formed.
     """
-    psi = np.asarray(psi)
-    n = sampler.n_nodes
-    if psi.shape[0] != n * n:
-        raise InvalidInputError(f"model matrix has {psi.shape[0]} rows, expected {n * n}")
-    if param_kind is None:
-        param_kind = SPECTRAL if psi.shape[1] == n else MOVING_AVERAGE
-    rows = pair_rows(n, sampler.selected)
-    sel = sampler.selected
-    k = sampler.k
-    row_index = [(sel[m % k], sel[m // k]) for m in range(k * k)]
-    return ObservationModel(matrix=psi[rows, :], param_kind=param_kind, row_index=row_index)
+    if sampler.n_nodes != psi.n_nodes:
+        raise InvalidInputError(f"sampler has {sampler.n_nodes} nodes, the model {psi.n_nodes}")
+    sel = np.asarray(sampler.selected)
+    rows = psi.rows(sel[:, None], sel[None, :]).reshape(sampler.k**2, psi.n_params)
+    return ObservationModel(matrix=rows, param_kind=psi.kind)
 
 
 def vectorize_compressed_cov(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import scipy.linalg
 from graphcov import design
 from graphcov import (
     CapabilityError,
+    CovarianceModel,
     DesignProblem,
     InvalidInputError,
     RepeatedEigenvaluesWarning,
@@ -52,12 +53,19 @@ def sensor_psi(n):
     return build_psi_spectral(build_shift(sensor_graph(n, seed=7), "laplacian").basis())
 
 
+def dense(psi):
+    """The N^2 x M model matrix, every row of it."""
+    return compress_model(psi, Subsampler.full(psi.n_nodes)).matrix
+
+
 def one_shot_epsilon(psi):
+    """The default loading, from the dense model matrix ``psi``."""
     return 1e-6 * (1.0 + np.mean(np.real(np.sum(np.conj(psi) * psi, axis=0))))
 
 
 def reference_greedy_logdet(psi, k, eps):
-    """Per-candidate greedy: one solve and one Cholesky per candidate and step.
+    """Per-candidate greedy on the dense model matrix ``psi``: one solve and
+    one Cholesky per candidate and step.
 
     Gains within 1e-9 * |max| of the largest gain are tied, and the lowest
     node index among them is picked.
@@ -147,7 +155,7 @@ ENUMERATED_RULERS = {
 class TestGram:
     def test_all_ones_is_full_gram(self):
         psi = random_psi(4, 0)
-        npt.assert_allclose(gram(psi, np.ones(4, dtype=bool)), psi.T @ psi, atol=1e-12)
+        npt.assert_allclose(gram(psi, np.ones(4, dtype=bool)), dense(psi).T @ dense(psi), atol=1e-12)
 
     def test_empty_is_zero(self):
         psi = random_psi(4, 1)
@@ -166,7 +174,7 @@ class TestGram:
         psi = random_psi(4, 3)
         w = np.array([1, 0, 1, 1], dtype=float)
         dense_weight = np.diag(np.kron(w, w))
-        expected = psi.T @ dense_weight @ psi
+        expected = dense(psi).T @ dense_weight @ dense(psi)
         npt.assert_allclose(gram(psi, w.astype(bool)), expected, atol=1e-12)
 
 
@@ -270,8 +278,8 @@ class TestBlockedGreedy:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         make_psi, k = GREEDY_CASES[case]
         psi = make_psi()
-        eps = one_shot_epsilon(psi)
-        expected_order, expected_trace = reference_greedy_logdet(psi, k, eps)
+        eps = one_shot_epsilon(dense(psi))
+        expected_order, expected_trace = reference_greedy_logdet(dense(psi), k, eps)
         # the j-step design holds the first j picks, which recovers the order
         order, picked = [], set()
         for j in range(1, k + 1):
@@ -286,11 +294,17 @@ class TestBlockedGreedy:
         # equal up to rounding, so the first pick is node 0
         assert greedy_design(DesignProblem(psi=mobius_psi(36), k=1)).sampler.selected == (0,)
 
-    def test_non_hermitian_model_rejected(self):
+    def test_non_symmetric_ma_factors_rejected(self):
+        # the greedy folds the conjugate rows (a,b) and (b,a) together, so a
+        # model whose columns are not Hermitian cannot be built
         rng = np.random.default_rng(16)
-        psi = rng.standard_normal((36, 12))  # rows (a,b) and (b,a) unrelated
-        with pytest.raises(InvalidInputError, match="Hermitian"):
-            greedy_design(DesignProblem(psi=psi, k=4))
+        powers = np.stack([np.eye(6), rng.standard_normal((6, 6))])
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            CovarianceModel("moving_average", powers)
+
+    def test_raw_matrix_rejected(self):
+        with pytest.raises(InvalidInputError, match="CovarianceModel"):
+            DesignProblem(psi=np.ones((36, 12)), k=4)
 
     @pytest.mark.parametrize("block_rows", [None, 64])
     def test_peak_memory_is_the_whitened_rows_and_two_blocks(self, block_rows, monkeypatch):
@@ -298,7 +312,7 @@ class TestBlockedGreedy:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         n, k = 100, 15
         psi = sensor_psi(n)
-        m = psi.shape[1]
+        m = psi.n_params
         whitened_rows = n * k * m * 8  # one real row per selected node and the diagonal
         tracemalloc.start()
         try:
@@ -308,19 +322,40 @@ class TestBlockedGreedy:
             tracemalloc.stop()
         assert peak <= whitened_rows + 2 * design._BLOCK_ROWS * m * 8 + 2**20
 
+    def test_model_and_design_stay_far_below_the_dense_model(self):
+        n = 200
+        basis = build_shift(sensor_graph(n, seed=7), "laplacian").basis()
+        tracemalloc.start()
+        try:
+            greedy_design(DesignProblem(psi=build_psi_spectral(basis), k=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n**3 * 8 / 8  # the dense N^2 x N model alone is N^3 * 8 bytes
+
 
 class TestDefaultEpsilon:
     @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize(
         "make_psi",
-        [lambda: sensor_psi(30), lambda: mobius_psi(12), lambda: random_psi(9, 19)],
-        ids=["real", "complex-dft", "random"],
+        [
+            lambda: sensor_psi(30),
+            lambda: mobius_psi(12),
+            lambda: random_psi(9, 19),
+            lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 5),
+        ],
+        ids=["real", "complex-dft", "random", "ma"],
     )
     def test_equals_one_shot_formula(self, make_psi, block_rows, monkeypatch):
+        # the closed form matches the column norms of the dense matrix and
+        # the diagonal of the full-selection Gram, summed in blocks of
+        # block_rows rows
         if block_rows is not None:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         psi = make_psi()
-        assert default_epsilon(psi) == one_shot_epsilon(psi)
+        assert default_epsilon(psi) == pytest.approx(one_shot_epsilon(dense(psi)), rel=1e-13, abs=0)
+        loaded = 1e-6 * (1.0 + np.mean(np.real(np.diag(gram(psi, Subsampler.full(psi.n_nodes))))))
+        assert default_epsilon(psi) == pytest.approx(loaded, rel=1e-13, abs=0)
 
 
 class TestFramePotential:
@@ -365,10 +400,14 @@ class TestCheckValid:
         assert not report.feasible
 
     def test_asymmetric_model_counts_all_pairs(self):
-        rng = np.random.default_rng(16)
-        psi = rng.standard_normal((36, 12))  # K=4: K(K+1)/2 = 10 < M = 12 <= K^2 = 16
-        report = check_valid(psi, Subsampler(6, (0, 2, 3, 5)))
-        assert report.feasible and report.valid
+        # the DFT model's rows (p,q) and (q,p) are conjugate, not equal:
+        # K=4 gives K(K+1)/2 = 10 < M = 12 <= K^2 = 16
+        s = ShiftOperator(build_shift(cycle_graph(12), "adjacency").matrix, kind="circulant-dft")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            psi = build_psi_spectral(s.basis())
+        report = check_valid(psi, Subsampler(12, (0, 1, 3, 7)))
+        assert report.feasible and report.valid and report.rank == 12
 
     def test_reads_the_compressed_model(self):
         psi = sensor_psi(20)

@@ -36,9 +36,7 @@ from graphcov.graphs import CIRCULANT_DFT, ShiftOperator
 
 def plain_model(matrix, kind="spectral"):
     matrix = np.asarray(matrix, dtype=float)
-    return ObservationModel(
-        matrix=matrix, param_kind=kind, row_index=[(i, 0) for i in range(matrix.shape[0])]
-    )
+    return ObservationModel(matrix=matrix, param_kind=kind)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import pytest
 
 from graphcov import (
     CovarianceMatrix,
+    CovarianceModel,
     GraphFilter,
     InvalidInputError,
     ObservationModel,
@@ -30,7 +31,11 @@ from graphcov import (
     vectorize_compressed_cov,
 )
 from graphcov.graphs import CIRCULANT_DFT
-from graphcov.models import pair_rows
+
+
+def dense(psi):
+    """The N^2 x M model matrix, every row of it."""
+    return compress_model(psi, Subsampler.full(psi.n_nodes)).matrix
 
 
 def random_orthogonal_basis(n, seed):
@@ -75,12 +80,12 @@ class TestPsiSpectral:
         expected = np.zeros((4, 2))
         expected[0, 0] = 1.0  # e1 kron e1
         expected[3, 1] = 1.0  # e2 kron e2
-        npt.assert_array_equal(psi, expected)
+        npt.assert_array_equal(dense(psi), expected)
 
     def test_full_column_rank_any_unitary(self):
         for seed in range(5):
             psi = build_psi_spectral(random_orthogonal_basis(3, seed))
-            assert np.linalg.matrix_rank(psi) == 3
+            assert np.linalg.matrix_rank(dense(psi)) == 3
 
     def test_full_column_rank_complex_unitary(self):
         rng = np.random.default_rng(21)
@@ -88,7 +93,7 @@ class TestPsiSpectral:
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             q, _ = np.linalg.qr(z)
             basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
-            assert np.linalg.matrix_rank(build_psi_spectral(basis)) == n
+            assert np.linalg.matrix_rank(dense(build_psi_spectral(basis))) == n
 
     def test_khatri_rao_identity(self):
         rng = np.random.default_rng(3)
@@ -96,7 +101,7 @@ class TestPsiSpectral:
         p = rng.random(6)
         psi = build_psi_spectral(basis)
         r = (basis.eigvecs * p) @ basis.eigvecs.conj().T
-        npt.assert_allclose(psi @ p, vec(r), atol=1e-12)
+        npt.assert_allclose(dense(psi) @ p, vec(r), atol=1e-12)
 
     # (N, seed, complex basis, repeated column): the first two leave a
     # rounding-level eigenvalue of the Gram whose square root, about 1e-8,
@@ -122,12 +127,12 @@ class TestPsiSpectral:
 class TestPsiMa:
     def test_q1_is_vec_identity(self):
         s = build_shift(path_graph(2), "laplacian")
-        npt.assert_array_equal(build_psi_ma(s, 1)[:, 0], vec(np.eye(2)))
+        npt.assert_array_equal(dense(build_psi_ma(s, 1))[:, 0], vec(np.eye(2)))
 
     def test_q2_path(self):
         s = build_shift(path_graph(2), "laplacian")
         psi = build_psi_ma(s, 2)
-        npt.assert_array_equal(psi[:, 1], vec(np.array([[1, -1], [-1, 1]])))
+        npt.assert_array_equal(dense(psi)[:, 1], vec(np.array([[1, -1], [-1, 1]])))
 
     def test_q_bounds(self):
         s = build_shift(path_graph(2), "laplacian")
@@ -143,7 +148,27 @@ class TestPsiMa:
         q = 4
         psi_ma = build_psi_ma(s, q)
         psi_s = build_psi_spectral(basis)
-        npt.assert_allclose(psi_ma, psi_s @ vandermonde(basis.eigvals, q), atol=1e-8)
+        npt.assert_allclose(dense(psi_ma), dense(psi_s) @ vandermonde(basis.eigvals, q), atol=1e-8)
+
+
+class TestCovarianceModel:
+    def test_sizes_are_the_factors(self):
+        s = build_shift(sensor_graph(10, seed=6), "laplacian")
+        spectral, ma = build_psi_spectral(s.basis()), build_psi_ma(s, 3)
+        assert (spectral.n_nodes, spectral.n_params, spectral.nbytes) == (10, 10, 800)
+        assert (ma.n_nodes, ma.n_params, ma.nbytes) == (10, 3, 2400)
+
+    def test_complex_ma_factors_rejected(self):
+        with pytest.raises(InvalidInputError, match="real"):
+            CovarianceModel("moving_average", np.eye(3)[None] * (1 + 1j))
+
+    @pytest.mark.parametrize(
+        "kind,factors",
+        [("spectral", np.ones((3, 4))), ("moving_average", np.eye(3)), ("autoregressive", np.eye(3))],
+    )
+    def test_bad_kind_or_shape_rejected(self, kind, factors):
+        with pytest.raises(InvalidInputError):
+            CovarianceModel(kind, factors)
 
 
 class TestVandermonde:
@@ -188,7 +213,8 @@ class TestCompressModel:
         basis = random_orthogonal_basis(4, 0)
         psi = build_psi_spectral(basis)
         model = compress_model(psi, Subsampler.full(4))
-        npt.assert_array_equal(model.matrix, psi)
+        u = basis.eigvecs
+        npt.assert_array_equal(model.matrix, (u.conj()[:, None, :] * u[None, :, :]).reshape(16, 4))
         assert model.param_kind == "spectral"
 
     def test_single_node_row(self):
@@ -196,7 +222,6 @@ class TestCompressModel:
         psi = build_psi_spectral(basis)
         model = compress_model(psi, Subsampler(5, (2,)))
         npt.assert_allclose(model.matrix[0], np.abs(basis.eigvecs[2, :]) ** 2, atol=1e-12)
-        assert model.row_index == [(2, 2)]
 
     def test_cycle_ruler_full_rank(self):
         s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind="circulant-dft")
@@ -230,16 +255,48 @@ class TestCompressModel:
         r_y = r[np.ix_(sampler.selected, sampler.selected)]
         npt.assert_allclose(model.matrix @ b, vec(r_y), atol=1e-8)
 
-    def test_selected_rows_distinct(self):
-        # full row rank of the Kronecker selection: all picked rows differ
-        rows = pair_rows(10, (0, 1, 4, 7, 9))
-        assert len(set(rows.tolist())) == rows.size
-
     def test_row_index_matches_vectorization(self):
+        # row m of the model equates the m-th entry of vec(R_SS): the
+        # covariance entries (1,1), (3,1), (1,3), (3,3), where
+        # R[a, b] = sum_i p_i u_i[a] conj(u_i[b])
         sampler = Subsampler(4, (1, 3))
         basis = random_orthogonal_basis(4, 2)
+        u = basis.eigvecs
         model = compress_model(build_psi_spectral(basis), sampler)
-        assert model.row_index == [(1, 1), (3, 1), (1, 3), (3, 3)]
+        expected = [u[a] * u[b].conj() for a, b in [(1, 1), (3, 1), (1, 3), (3, 3)]]
+        npt.assert_array_equal(model.matrix, np.array(expected))
+
+    def test_sampler_of_another_graph_rejected(self):
+        psi = build_psi_spectral(random_orthogonal_basis(4, 0))
+        with pytest.raises(InvalidInputError, match="nodes"):
+            compress_model(psi, Subsampler(5, (0, 1)))
+
+    def test_ma_model_with_q_equal_n_is_moving_average(self):
+        s = build_shift(path_graph(4), "laplacian")
+        model = compress_model(build_psi_ma(s, 4), Subsampler.full(4))
+        assert model.param_kind == "moving_average"
+
+    @pytest.mark.parametrize("kind", ["real", "complex-dft", "ma"])
+    @pytest.mark.parametrize("selected", [tuple(range(12)), (0, 1, 3, 7), (5,), (2, 9, 4)])
+    def test_rows_equal_dense_construction(self, kind, selected):
+        # bit for bit the rows of the explicit N^2 x M matrices
+        # conj(u_i) kron u_i and vec(S^k)
+        if kind == "real":
+            s = build_shift(sensor_graph(12, seed=4), "laplacian")
+        else:
+            s = ShiftOperator(build_shift(cycle_graph(12), "adjacency").matrix, kind=CIRCULANT_DFT)
+        if kind == "ma":
+            psi = build_psi_ma(s, 5)
+            full = np.column_stack([vec(p) for p in s.powers(5)])
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+                u = s.basis().eigvecs
+                psi = build_psi_spectral(s.basis())
+            full = (u.conj()[:, None, :] * u[None, :, :]).reshape(144, 12)
+        sel = np.asarray(sorted(selected))
+        rows = (sel[None, :] * 12 + sel[:, None]).ravel(order="F")
+        npt.assert_array_equal(compress_model(psi, Subsampler(12, selected)).matrix, full[rows])
 
 
 class TestVectorize:
@@ -264,7 +321,6 @@ class TestObservationModel:
         model = ObservationModel(
             matrix=np.column_stack([g, 1j * g]),
             param_kind="spectral",
-            row_index=[(i, 0) for i in range(4)],
         )
         assert model.rank == 2 and model.full_column_rank
         assert model.min_singular == pytest.approx(np.linalg.norm(g))
@@ -288,4 +344,4 @@ class TestObservationModel:
         matrix = np.eye(3)
         matrix[1, 2] = bad
         with pytest.raises(InvalidInputError, match="non-finite"):
-            ObservationModel(matrix=matrix, param_kind="spectral", row_index=[(i, 0) for i in range(3)])
+            ObservationModel(matrix=matrix, param_kind="spectral")
