@@ -3,13 +3,17 @@
 An AR graph signal satisfies ``x = sum_k a_k S^k x + n``. Observing a
 small core node set together with the p-hop neighborhoods of the core
 (one selection per lag) lets the covariance equations be written
-linearly in the AR coefficients, so plain least squares applies. The
-white-noise cross term is dropped, which biases the estimate even from
-exact covariances, and not by a small amount: on a 60-node sensor graph
-(adjacency shift, largest eigenvalue 4.69) with a = 0.1, the estimate is
-0.211 from a one-node core and 0.232 from a four-node core, so
-``a * lambda_max`` crosses 1 and the estimated spectrum has a pole
-inside the graph spectrum.
+linearly in the AR coefficients, so plain least squares applies. What
+is observed is one covariance, of the scheme's distinct nodes in
+ascending order (``true_ar_covariances``, ``sample_ar_covariances``);
+``build_ar_model`` cuts each level-pair block ``R_{k,q}`` from it by
+position, so the cross-level fit of rows ``R[core, level_q]`` reads the
+same matrix. The white-noise cross term is dropped, which biases the
+estimate even from exact covariances, and not by a small amount: on a
+60-node sensor graph (adjacency shift, largest eigenvalue 4.69) with
+a = 0.1, the estimate is 0.211 from a one-node core and 0.232 from a
+four-node core, so ``a * lambda_max`` crosses 1 and the estimated
+spectrum has a pole inside the graph spectrum.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
 from .graphs import Graph, ShiftOperator
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
-from .stationary import CovarianceMatrix
+from .stationary import CovarianceMatrix, sample_covariance
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,8 @@ class ARSamplingScheme:
     ``levels[p]`` selects the union of p-hop neighborhoods of the core
     (level 0 is the core itself). Nodes may repeat across levels; the
     per-level algebra keeps those duplicates, while ``distinct_nodes``
-    counts each observed node once for compression accounting.
+    counts each observed node once: it orders the rows and columns of
+    the observed covariance and sets the compression.
     """
 
     core: tuple[int, ...]
@@ -142,53 +147,50 @@ def core_by_degree(graph: Graph, k0: int = 1) -> tuple[int, ...]:
     return tuple(sorted(order[:k0]))
 
 
-def true_ar_covariances(scheme: ARSamplingScheme, cov) -> dict:
-    """All level-pair covariance blocks of a full N x N covariance."""
+def true_ar_covariances(scheme: ARSamplingScheme, cov) -> CovarianceMatrix:
+    """Covariance of the scheme's distinct nodes, cut from a full N x N covariance."""
     matrix = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
-    blocks = {}
-    for p_idx, level_p in enumerate(scheme.levels):
-        for q_idx, level_q in enumerate(scheme.levels):
-            blocks[(p_idx, q_idx)] = matrix[np.ix_(level_p.selected, level_q.selected)]
-    return blocks
+    nodes = list(scheme.distinct_nodes)
+    return CovarianceMatrix(matrix[np.ix_(nodes, nodes)], kind="true")
 
 
-def sample_ar_covariances(scheme: ARSamplingScheme, snapshots: np.ndarray) -> dict:
-    """Level-pair sample covariance blocks from full N x N_s snapshot data."""
+def sample_ar_covariances(scheme: ARSamplingScheme, snapshots: np.ndarray) -> CovarianceMatrix:
+    """Sample covariance of the scheme's distinct nodes from full N x N_s snapshot data."""
     x = np.atleast_2d(np.asarray(snapshots, dtype=float))
-    n_s = x.shape[1]
-    blocks = {}
-    for p_idx, level_p in enumerate(scheme.levels):
-        for q_idx, level_q in enumerate(scheme.levels):
-            blocks[(p_idx, q_idx)] = x[list(level_p.selected)] @ x[list(level_q.selected)].T / n_s
-    return blocks
+    return sample_covariance(x[list(scheme.distinct_nodes)])
 
 
 def build_ar_model(
-    shift: ShiftOperator, scheme: ARSamplingScheme, covariances: dict
+    shift: ShiftOperator, scheme: ARSamplingScheme, cov
 ) -> tuple[ObservationModel, np.ndarray]:
-    """Stacked linear system relating covariance blocks to AR coefficients.
+    """Stacked linear system relating the observed covariance to AR coefficients.
 
-    For each lag q, column k of block q is
-    ``vec(S^k[core, level_k] R_{k,q})`` and the corresponding target rows
-    are ``vec(R_{0,q})``; blocks are stacked over q = 0..P. Returns the
-    observation model together with the target vector.
+    ``cov`` is the covariance of ``scheme.distinct_nodes`` (in that order),
+    a CovarianceMatrix or a plain array; the block ``R_{k,q}`` of levels k
+    and q is cut from it by position. For each lag q, column k of block q
+    is ``vec(S^k[core, level_k] R_{k,q})`` and the corresponding target
+    rows are ``vec(R_{0,q})``; blocks are stacked over q = 0..P. Returns
+    the observation model together with the target vector.
     """
+    matrix = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
+    nodes = scheme.distinct_nodes
+    if matrix.shape != (len(nodes), len(nodes)):
+        raise InvalidInputError(
+            f"covariance has shape {matrix.shape}; the scheme observes {len(nodes)} distinct nodes"
+        )
     p_order = scheme.order
     powers = shift.powers(p_order + 1)
     core = list(scheme.core)
+    where = [np.searchsorted(nodes, level.selected) for level in scheme.levels]
     g_blocks = []
     r_blocks = []
     for q in range(p_order + 1):
-        if (0, q) not in covariances:
-            raise InvalidInputError(f"missing covariance block (0, {q})")
         cols = []
         for k in range(1, p_order + 1):
-            if (k, q) not in covariances:
-                raise InvalidInputError(f"missing covariance block ({k}, {q})")
             sk = powers[k][np.ix_(core, scheme.levels[k].selected)]
-            cols.append(vec(sk @ np.asarray(covariances[(k, q)])))
+            cols.append(vec(sk @ matrix[np.ix_(where[k], where[q])]))
         g_blocks.append(np.column_stack(cols))
-        r_blocks.append(vec(np.asarray(covariances[(0, q)])))
+        r_blocks.append(vec(matrix[np.ix_(where[0], where[q])]))
     model = ObservationModel(matrix=np.vstack(g_blocks), param_kind=AUTOREGRESSIVE)
     return model, np.concatenate(r_blocks)
 

@@ -14,32 +14,27 @@ import sys
 import numpy as np
 
 from . import ar as armod
-from .design import (
-    LOGDET,
-    DesignProblem,
-    check_valid,
-    greedy_design,
-    is_sparse_ruler,
-    minimal_sparse_ruler,
-)
+from .design import LOGDET, DesignProblem, check_valid, greedy_design
 from .errors import (
     CapabilityError,
     GraphCovError,
     InvalidInputError,
     NumericalError,
 )
-from .estimators import ls_estimate, nnls_estimate, wls_estimate
-from .experiment import ExperimentConfig, make_graph, make_shift, rows_to_csv, run_experiment
-from .graphs import Graph, GraphFilter, ShiftOperator
-from .models import (
-    CovarianceModel,
-    Subsampler,
-    build_psi_ma,
-    build_psi_spectral,
-    compress_model,
-    vandermonde,
-    vec,
+from .experiment import (
+    METHODS,
+    ExperimentConfig,
+    estimate,
+    make_graph,
+    make_model,
+    make_shift,
+    model_spectrum,
+    rows_to_csv,
+    ruler_sampler,
+    run_experiment,
 )
+from .graphs import Graph, GraphFilter
+from .models import Subsampler, compress_model, vec
 from .stationary import (
     SnapshotMatrix,
     generate_signals,
@@ -86,19 +81,10 @@ def cmd_graph_gen(args) -> int:
     return 0
 
 
-def _model(args, shift: ShiftOperator) -> CovarianceModel:
-    """Uncompressed spectral or moving-average model named by ``--model``/``--q``."""
-    if args.model == "spectral":
-        return build_psi_spectral(shift.basis())
-    if args.q is None:
-        raise InvalidInputError("--q is required for the moving-average model")
-    return build_psi_ma(shift, args.q)
-
-
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift, use_dft="auto" if args.dft is None else args.dft)
-    psi = _model(args, shift)
+    psi = make_model(shift, {"kind": args.model, "q": args.q})
     problem = DesignProblem(
         psi=psi,
         k=args.k,
@@ -132,18 +118,15 @@ def cmd_sampler_design(args) -> int:
 
 
 def cmd_sampler_ruler(args) -> int:
-    if args.marks is not None:
-        marks = _parse_ints(args.marks)
-        if not is_sparse_ruler(marks, args.n):
-            raise InvalidInputError(f"marks {marks} are not a sparse ruler for n={args.n}")
-    else:
-        marks = minimal_sparse_ruler(args.n)
-    sampler = Subsampler(args.n, marks)
+    marks = None if args.marks is None else _parse_ints(args.marks)
+    sampler = ruler_sampler(args.n, marks)
     _write(args.out, sampler.to_json())
     if args.report:
         _write(
             args.report,
-            json.dumps({"selected": list(marks), "n": args.n, "minimal_search": args.marks is None}),
+            json.dumps(
+                {"selected": list(sampler.selected), "n": args.n, "minimal_search": marks is None}
+            ),
         )
     return 0
 
@@ -177,42 +160,28 @@ def _subsampled_snapshots(snapshots: SnapshotMatrix, nodes) -> np.ndarray:
 def cmd_estimate(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift)
-    basis = shift.basis()
     snapshots = load_snapshots_csv(args.snapshots)
 
     if args.model == "ar":
         if args.p is None:
             raise InvalidInputError("--p is required for the autoregressive model")
-        if args.method != "ls":
-            raise InvalidInputError("the autoregressive estimator is least squares only")
         core = _parse_ints(args.core) if args.core else armod.core_by_degree(graph)
         scheme = armod.build_ar_scheme(shift, core, args.p)
-        nodes = list(scheme.distinct_nodes)
-        full = np.zeros((shift.n, snapshots.n_snapshots))
-        full[nodes] = _subsampled_snapshots(snapshots, nodes)
-        blocks = armod.sample_ar_covariances(scheme, full)
-        model, r_y = armod.build_ar_model(shift, scheme, blocks)
-        result = armod.estimate_ar(model, r_y)
-        spectrum = armod.ar_power_spectrum(basis.eigvals, result.theta)
+        nodes = scheme.distinct_nodes
     else:
+        if args.sampler is None:
+            raise InvalidInputError("--sampler is required for the spectral and ma models")
         with open(args.sampler) as fh:
             sampler = Subsampler.from_json(fh.read())
-        if sampler.n_nodes != shift.n:
-            raise InvalidInputError("sampler and graph disagree on the node count")
-        data = _subsampled_snapshots(snapshots, sampler.selected)
-        cov = sample_covariance(data, demean=args.demean)
+        model = compress_model(make_model(shift, {"kind": args.model, "q": args.q}), sampler)
+        nodes = sampler.selected
+    cov = sample_covariance(_subsampled_snapshots(snapshots, nodes), demean=args.demean)
+    if args.model == "ar":
+        model, r_y = armod.build_ar_model(shift, scheme, cov)
+    else:
         r_y = vec(cov.matrix)
-        model = compress_model(_model(args, shift), sampler)
-        if args.method == "ls":
-            result = ls_estimate(model, r_y)
-        elif args.method == "nnls":
-            result = nnls_estimate(model, r_y)
-        else:
-            result = wls_estimate(model, r_y, cov)
-        if args.model == "spectral":
-            spectrum = np.asarray(result.theta)
-        else:
-            spectrum = vandermonde(basis.eigvals, args.q) @ result.theta
+    result = estimate(model, args.method, r_y, cov)
+    spectrum = model_spectrum(model, shift.basis().eigvals, result.theta)
 
     _write(
         args.out,
@@ -291,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     sgen.add_argument("--out", required=True)
     sgen.set_defaults(func=cmd_signal_gen)
 
-    estimate = top.add_parser("estimate", help="estimate the power spectrum from snapshots")
-    estimate.add_argument("--graph", required=True)
-    estimate.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
-    estimate.add_argument("--snapshots", required=True)
-    estimate.add_argument("--sampler", help="sampler JSON (spectral/ma models)")
-    estimate.add_argument("--model", default="spectral", choices=["spectral", "ma", "ar"])
-    estimate.add_argument("--q", type=int)
-    estimate.add_argument("--p", type=int)
-    estimate.add_argument("--core", help="comma-separated AR core nodes")
-    estimate.add_argument("--method", default="ls", choices=["ls", "nnls", "wls"])
-    estimate.add_argument("--demean", action="store_true")
-    estimate.add_argument("--out", default="-")
-    estimate.set_defaults(func=cmd_estimate)
+    est = top.add_parser("estimate", help="estimate the power spectrum from snapshots")
+    est.add_argument("--graph", required=True)
+    est.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
+    est.add_argument("--snapshots", required=True)
+    est.add_argument("--sampler", help="sampler JSON (spectral/ma models)")
+    est.add_argument("--model", default="spectral", choices=["spectral", "ma", "ar"])
+    est.add_argument("--q", type=int)
+    est.add_argument("--p", type=int)
+    est.add_argument("--core", help="comma-separated AR core nodes")
+    est.add_argument("--method", default="ls", choices=METHODS)
+    est.add_argument("--demean", action="store_true")
+    est.add_argument("--out", default="-")
+    est.set_defaults(func=cmd_estimate)
 
     experiment = top.add_parser("experiment", help="Monte-Carlo studies").add_subparsers(
         dest="subcommand", required=True

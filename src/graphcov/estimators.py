@@ -123,8 +123,7 @@ def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
     delta = 1e-8 * float(np.real(np.trace(r))) / k
     if delta <= 0.0:
         raise SingularityError("covariance has nonpositive trace; cannot regularize")
-    min_eig = float(np.linalg.eigvalsh(r).min())
-    if min_eig < delta:
+    if cov.min_eigenvalue < delta:
         r = r + delta * np.eye(k)
     try:
         return np.linalg.cholesky(r)
@@ -236,8 +235,7 @@ def fisher_info(
     k = cov.k
     if k * k != model.matrix.shape[0]:
         raise InvalidInputError(f"covariance is {k}x{k} but model has {model.matrix.shape[0]} rows")
-    eigs = np.linalg.eigvalsh(cov.matrix)
-    if eigs.min() <= 0.0:
+    if cov.min_eigenvalue <= 0.0:
         raise SingularityError("covariance must be positive definite for the Fisher information")
     fim = nu * n_snapshots * _weighted_gram(model.matrix, np.linalg.cholesky(cov.matrix))
     svals = np.linalg.svd(fim, compute_uv=False)

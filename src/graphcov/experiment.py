@@ -20,7 +20,18 @@ import numpy as np
 from . import ar as armod
 from .design import DesignProblem, greedy_design, is_sparse_ruler, minimal_sparse_ruler
 from .errors import GraphCovError, InvalidInputError, NumericalError
-from .estimators import NU_REAL, fisher_info, ls_estimate, nmse_db, nnls_estimate, wls_estimate
+from .estimators import (
+    LS,
+    NNLS,
+    NU_REAL,
+    WLS,
+    EstimationResult,
+    fisher_info,
+    ls_estimate,
+    nmse_db,
+    nnls_estimate,
+    wls_estimate,
+)
 from .graphs import (
     CIRCULANT_DFT,
     Graph,
@@ -35,7 +46,11 @@ from .graphs import (
     sensor_graph,
 )
 from .models import (
+    AUTOREGRESSIVE,
+    MOVING_AVERAGE,
+    SPECTRAL,
     CovarianceModel,
+    ObservationModel,
     Subsampler,
     build_psi_ma,
     build_psi_spectral,
@@ -46,20 +61,29 @@ from .models import (
 from .stationary import CovarianceMatrix, generate_signals, sample_covariance, true_covariance
 
 CSV_HEADER = "n_snapshots,method,compression,nmse_db,crb_db,failures"
+METHODS = (LS, NNLS, WLS)
+
+
+def _required(spec: dict, key: str, where: str):
+    """``spec[key]``; a missing or null value is refused by the name ``where.key``."""
+    value = spec.get(key)
+    if value is None:
+        raise InvalidInputError(f"{where}.{key} is required for {where} kind {spec.get('kind')!r}")
+    return value
 
 
 def make_graph(spec: dict) -> Graph:
     kind = spec.get("kind")
     if kind == "sensor":
-        return sensor_graph(spec["n"], spec.get("seed", 0), spec.get("knn", 6))
+        return sensor_graph(_required(spec, "n", "graph"), spec.get("seed", 0), spec.get("knn", 6))
     if kind == "cycle":
-        return cycle_graph(spec["n"])
+        return cycle_graph(_required(spec, "n", "graph"))
     if kind == "mobius":
-        return mobius_ladder(spec["n"])
+        return mobius_ladder(_required(spec, "n", "graph"))
     if kind == "path":
-        return path_graph(spec["n"])
+        return path_graph(_required(spec, "n", "graph"))
     if kind == "file":
-        path = spec["path"]
+        path = _required(spec, "path", "graph")
         if not os.path.exists(path):
             raise InvalidInputError(f"graph file not found: {path}")
         with open(path) as fh:
@@ -74,6 +98,56 @@ def make_shift(graph: Graph, kind: str, use_dft: str | bool = "auto") -> ShiftOp
     if dft:
         return ShiftOperator(shift.matrix, kind=CIRCULANT_DFT)
     return shift
+
+
+def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
+    """Uncompressed model of ``spec``: ``{"kind": "spectral"}`` or ``{"kind": "ma", "q": Q}``."""
+    kind = spec.get("kind")
+    if kind == "spectral":
+        return build_psi_spectral(shift.basis())
+    if kind == "ma":
+        return build_psi_ma(shift, int(_required(spec, "q", "model")))
+    raise InvalidInputError(f"unknown model kind {kind!r}")
+
+
+def ruler_sampler(n: int, marks=None) -> Subsampler:
+    """Sampler on sparse-ruler marks: the given ones, checked, or the minimal ruler for n."""
+    if marks is None:
+        marks = minimal_sparse_ruler(n)
+    elif not is_sparse_ruler(marks, n):
+        raise InvalidInputError(f"marks {tuple(marks)} are not a sparse ruler for n={n}")
+    return Subsampler(n, tuple(marks))
+
+
+def estimate(
+    model: ObservationModel, method: str, r_y, cov: CovarianceMatrix | None
+) -> EstimationResult:
+    """Parameters of ``model`` from the observed ``r_y`` by ``method`` (ls, nnls or wls).
+
+    ``cov`` is the sample covariance WLS weights with; without one (exact
+    covariances) WLS is plain LS. Autoregressive models are fitted by
+    least squares only.
+    """
+    if model.param_kind == AUTOREGRESSIVE:
+        if method != LS:
+            raise InvalidInputError("the autoregressive estimator is least squares only")
+        return armod.estimate_ar(model, r_y)
+    if method == LS or (method == WLS and cov is None):
+        return ls_estimate(model, r_y)
+    if method == NNLS:
+        return nnls_estimate(model, r_y)
+    if method == WLS:
+        return wls_estimate(model, r_y, cov)
+    raise InvalidInputError(f"unknown method {method!r}")
+
+
+def model_spectrum(model: ObservationModel, eigvals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Power spectrum, one value per graph frequency, of a model's parameters theta."""
+    if model.param_kind == SPECTRAL:
+        return np.asarray(theta)
+    if model.param_kind == MOVING_AVERAGE:
+        return vandermonde(eigvals, model.n_params) @ theta
+    return armod.ar_power_spectrum(eigvals, theta)
 
 
 @dataclass
@@ -96,13 +170,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_snapshots:
             raise InvalidInputError("snapshot grid must be non-empty")
+        if any(ns < 1 for ns in self.n_snapshots):
+            raise InvalidInputError("snapshot counts must be >= 1")
         if self.n_trials < 1:
             raise InvalidInputError("n_trials must be >= 1")
         if not self.samplers:
             raise InvalidInputError("need at least one sampler")
         if not self.methods:
             raise InvalidInputError("need at least one method")
-        if self.model.get("kind") == "ar" and any(m != "ls" for m in self.methods):
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+        if self.model.get("kind") == "ar" and any(m != LS for m in self.methods):
             raise InvalidInputError("the autoregressive estimator is least squares only")
 
     @classmethod
@@ -127,9 +206,9 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     if kind == "full":
         return Subsampler.full(n)
     if kind == "explicit":
-        return Subsampler(n, tuple(entry["selected"]))
+        return Subsampler(n, tuple(_required(entry, "selected", "sampler")))
     if kind == "greedy":
-        k = int(entry["k"])
+        k = int(_required(entry, "k", "sampler"))
         if k > n:
             raise InvalidInputError(f"sampler budget {k} exceeds N={n}")
         problem = DesignProblem(
@@ -137,12 +216,7 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
         )
         return greedy_design(problem).sampler
     if kind == "ruler":
-        marks = entry.get("marks")
-        if marks is None:
-            marks = minimal_sparse_ruler(n)
-        elif not is_sparse_ruler(marks, n):
-            raise InvalidInputError(f"marks {tuple(marks)} are not a sparse ruler for n={n}")
-        return Subsampler(n, tuple(marks))
+        return ruler_sampler(n, entry.get("marks"))
     raise InvalidInputError(f"unknown sampler kind {kind!r}")
 
 
@@ -158,34 +232,25 @@ class _Pipeline:
 
         sig = config.signal
         if sig.get("kind") == "ma":
-            self.filt = GraphFilter(np.asarray(sig["h"], dtype=float))
+            self.filt = GraphFilter(np.asarray(_required(sig, "h", "signal"), dtype=float))
             self.ar_coeffs = None
             self.true_p = np.abs(frequency_response(self.basis.eigvals, self.filt)) ** 2
             self.true_cov = true_covariance(self.shift, self.filt).matrix
         elif sig.get("kind") == "ar":
             self.filt = None
-            self.ar_coeffs = np.asarray(sig["a"], dtype=float)
+            self.ar_coeffs = np.asarray(_required(sig, "a", "signal"), dtype=float)
             self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.ar_coeffs)
             self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
         else:
             raise InvalidInputError("signal kind must be 'ma' or 'ar'")
         self.p_norm = float(np.linalg.norm(self.true_p))
 
-        model = config.model
-        self.model_kind = model.get("kind")
-        if self.model_kind == "spectral":
-            self.psi = build_psi_spectral(self.basis)
-            self.vand = None
-        elif self.model_kind == "ma":
-            self.q = int(model["q"])
-            self.psi = build_psi_ma(self.shift, self.q)
-            self.vand = vandermonde(self.basis.eigvals, self.q)
-        elif self.model_kind == "ar":
+        self.model_kind = config.model.get("kind")
+        if self.model_kind == "ar":
             self.psi = None
-            self.vand = None
-            self.p_order = int(model["p"])
+            self.p_order = int(_required(config.model, "p", "model"))
         else:
-            raise InvalidInputError(f"unknown model kind {self.model_kind!r}")
+            self.psi = make_model(self.shift, config.model)
 
         self.cells = []  # (name, compression, compressed model or AR scheme)
         for entry in config.samplers:
@@ -221,13 +286,6 @@ class _Pipeline:
             return armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed)
         return generate_signals(self.shift, self.filt, n_snapshots, seed)
 
-    def reconstruct(self, theta: np.ndarray) -> np.ndarray:
-        if self.model_kind == "spectral":
-            return theta
-        if self.model_kind == "ma":
-            return self.vand @ theta
-        return armod.ar_power_spectrum(self.basis.eigvals, theta)
-
     def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
         """Fill ``sqerr[:, :, trial]`` for one trial; NaN stays where an estimate failed."""
         if self.config.exact_covariance:
@@ -251,7 +309,8 @@ class _Pipeline:
         Node-sampled cells get ``(r_y, cov)``: the vectorized compressed
         covariance and the sample covariance it came from (None in exact
         mode), built once and shared by all methods. Autoregressive cells
-        get the snapshots, since their one method builds its own blocks.
+        get the snapshots, from which their one method takes the covariance
+        of the scheme's distinct nodes.
         """
         if self.model_kind == "ar":
             return data
@@ -267,27 +326,15 @@ class _Pipeline:
         if self.model_kind == "ar":
             scheme = payload
             if observed is None:
-                blocks = armod.true_ar_covariances(scheme, self.true_cov)
+                cov = armod.true_ar_covariances(scheme, self.true_cov)
             else:
-                blocks = armod.sample_ar_covariances(scheme, observed)
-            model, r_y = armod.build_ar_model(self.shift, scheme, blocks)
-            theta = armod.estimate_ar(model, r_y).theta
+                cov = armod.sample_ar_covariances(scheme, observed)
+            model, r_y = armod.build_ar_model(self.shift, scheme, cov)
         else:
             _, model = payload
             r_y, cov = observed
-            if method == "ls":
-                theta = ls_estimate(model, r_y).theta
-            elif method == "nnls":
-                theta = nnls_estimate(model, r_y).theta
-            elif method == "wls":
-                if cov is None:
-                    theta = ls_estimate(model, r_y).theta
-                else:
-                    theta = wls_estimate(model, r_y, cov).theta
-            else:
-                raise InvalidInputError(f"unknown method {method!r}")
-        p_hat = self.reconstruct(theta)
-        err = p_hat - self.true_p
+        theta = estimate(model, method, r_y, cov).theta
+        err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
         return float(err @ err)
 
     def crb_sse(self, cell) -> float | None:
@@ -304,10 +351,10 @@ class _Pipeline:
             info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1, nu=NU_REAL)
         except NumericalError:
             return None
+        cov_p = info.crb
         if self.model_kind == "ma":
-            cov_p = self.vand @ info.crb @ self.vand.T
-        else:
-            cov_p = info.crb
+            vand = vandermonde(self.basis.eigvals, model.n_params)
+            cov_p = vand @ cov_p @ vand.T
         return float(np.trace(cov_p))
 
     def crb_db(self, crb_sse: float | None, n_snapshots: int) -> float | None:
@@ -325,8 +372,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     crb_sse = [pipe.crb_sse(cell) for cell in pipe.cells]
     rows = []
     for ns_idx, ns in enumerate(config.n_snapshots):
-        if ns < 1:
-            raise InvalidInputError("snapshot counts must be >= 1")
         # sqerr[cell][method][trial]; NaN marks a failed estimation
         sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
 

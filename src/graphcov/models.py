@@ -276,33 +276,15 @@ def default_ma_order(filt: GraphFilter, n: int) -> int:
     return min(2 * filt.coeffs.size - 1, n)
 
 
-def ma_structure_matrix(length: int) -> np.ndarray:
-    """(2L-1) x L^2 map from ``vec(h h^T)`` to covariance expansion coefficients.
-
-    Row l is the vectorized L x L matrix with ones on the l-th
-    anti-diagonal, so row l sums the products ``h_i h_j`` with i+j = l.
-    """
-    if length < 1:
-        raise InvalidInputError("filter length must be >= 1")
-    m = np.zeros((2 * length - 1, length * length))
-    for l in range(2 * length - 1):
-        theta = np.zeros((length, length))
-        for i in range(length):
-            j = l - i
-            if 0 <= j < length:
-                theta[i, j] = 1.0
-        m[l] = vec(theta)
-    return m
-
-
 def ma_b_from_h(filt: GraphFilter) -> np.ndarray:
-    """Covariance expansion coefficients of a filter: ``b = M vec(h h^T)``.
+    """Covariance expansion coefficients of a filter: the squared filter polynomial.
 
-    Equivalently the coefficients of the squared filter polynomial, e.g.
-    L=3 gives ``[h0^2, 2 h0 h1, h1^2 + 2 h0 h2, 2 h1 h2, h2^2]``.
+    ``b_l`` sums the products ``h_i h_j`` with i+j = l, which is ``h * h``
+    (convolution); e.g. L=3 gives
+    ``[h0^2, 2 h0 h1, h1^2 + 2 h0 h2, 2 h1 h2, h2^2]``.
     """
     h = filt.coeffs
-    return ma_structure_matrix(h.size) @ vec(np.outer(h, h))
+    return np.convolve(h, h)
 
 
 def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationModel:

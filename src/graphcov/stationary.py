@@ -9,7 +9,7 @@ generated by filtering white noise.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,16 @@ SAMPLE = "sample"
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Hermitian PSD covariance, either exact ('true') or estimated ('sample')."""
+    """Hermitian PSD covariance, either exact ('true') or estimated ('sample').
+
+    ``min_eigenvalue`` is the smallest eigenvalue, computed once for the
+    PSD check and read by every consumer that needs it.
+    """
 
     matrix: np.ndarray
     kind: str
     n_snapshots: int | None = None
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
@@ -44,6 +49,7 @@ class CovarianceMatrix:
             raise InvalidInputError(f"unknown covariance kind {self.kind!r}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @property
     def k(self) -> int:

@@ -125,33 +125,55 @@ class TestModel:
         s = build_shift(cycle_graph(8), "adjacency")
         scheme = build_ar_scheme(s, (0,), 1)
         cov = true_ar_covariance(s, [0.2])
-        blocks = true_ar_covariances(scheme, cov)
-        model, r_y = build_ar_model(s, scheme, blocks)
+        observed = true_ar_covariances(scheme, cov)
+        assert scheme.distinct_nodes == (0, 1, 7)
+        npt.assert_array_equal(observed.matrix, cov.matrix[np.ix_([0, 1, 7], [0, 1, 7])])
+        model, r_y = build_ar_model(s, scheme, observed)
         assert model.matrix.shape == (1 * (1 + 2), 1)
         assert r_y.shape == (3,)
+        r = cov.matrix
         col = np.concatenate(
             [
-                (s.matrix[np.ix_([0], [1, 7])] @ blocks[(1, q)]).ravel(order="F")
-                for q in (0, 1)
+                (s.matrix[np.ix_([0], [1, 7])] @ r[np.ix_([1, 7], level)]).ravel(order="F")
+                for level in ([0], [1, 7])
             ]
         )
         npt.assert_allclose(model.matrix[:, 0], col, atol=1e-14)
+        npt.assert_array_equal(r_y, [r[0, 0], r[0, 1], r[0, 7]])
 
-    def test_missing_block_rejected(self):
+    def test_sample_blocks_match_level_products(self):
+        # every level-pair block equals x[level_p] x[level_q]^T / N_s, levels overlapping
+        s = build_shift(cycle_graph(10), "adjacency")
+        scheme = build_ar_scheme(s, (0, 3), 2)
+        x = np.random.default_rng(3).standard_normal((10, 50))
+        model, r_y = build_ar_model(s, scheme, sample_ar_covariances(scheme, x))
+        lev = [list(level.selected) for level in scheme.levels]
+        core = list(scheme.core)
+        powers = s.powers(3)
+        g_ref, r_ref = [], []
+        for q in range(3):
+            block = [x[lev[k]] @ x[lev[q]].T / 50 for k in range(3)]
+            g_ref.append(
+                np.column_stack(
+                    [(powers[k][np.ix_(core, lev[k])] @ block[k]).ravel(order="F") for k in (1, 2)]
+                )
+            )
+            r_ref.append(block[0].ravel(order="F"))
+        npt.assert_allclose(model.matrix, np.vstack(g_ref), rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(r_y, np.concatenate(r_ref), rtol=1e-12, atol=1e-14)
+
+    def test_wrong_shape_covariance_rejected(self):
         s = build_shift(cycle_graph(8), "adjacency")
-        scheme = build_ar_scheme(s, (0,), 1)
-        with pytest.raises(InvalidInputError):
-            build_ar_model(s, scheme, {(0, 0): np.eye(1)})
+        scheme = build_ar_scheme(s, (0,), 1)  # observes 3 distinct nodes
+        with pytest.raises(InvalidInputError, match="3 distinct nodes"):
+            build_ar_model(s, scheme, np.eye(2))
+        with pytest.raises(InvalidInputError, match="3 distinct nodes"):
+            build_ar_model(s, scheme, true_ar_covariance(s, [0.2]))  # the full 8 x 8
 
     def test_zero_covariances_degenerate(self):
         s = build_shift(cycle_graph(8), "adjacency")
         scheme = build_ar_scheme(s, (0,), 1)
-        blocks = {
-            (p, q): np.zeros((scheme.level_sizes[p], scheme.level_sizes[q]))
-            for p in range(2)
-            for q in range(2)
-        }
-        model, r_y = build_ar_model(s, scheme, blocks)
+        model, r_y = build_ar_model(s, scheme, np.zeros((3, 3)))
         assert np.all(model.matrix == 0)
         with pytest.raises(RankDeficiencyError):
             estimate_ar(model, r_y)

@@ -277,6 +277,51 @@ class TestSignalAndEstimate:
         )
         assert code == 2
 
+    def test_ar_demean_equals_estimate_from_demeaned_data(self, tmp_path):
+        from graphcov import SnapshotMatrix, load_snapshots_csv, save_snapshots_csv
+
+        g = tmp_path / "g.json"
+        run_cli("graph", "gen", "--kind", "cycle", "--n", "12", "--out", str(g))
+        raw = tmp_path / "raw.csv"
+        run_cli(
+            "signal", "gen", "--graph", str(g), "--shift", "adjacency", "--signal", "ar",
+            "--coeffs", "0.2", "--ns", "500", "--seed", "4", "--out", str(raw),
+        )
+        snaps = load_snapshots_csv(raw)
+        data = snaps.data + np.linspace(1.0, 3.0, 12)[:, None]  # a mean that demeaning must remove
+        shifted, centred = tmp_path / "shifted.csv", tmp_path / "centred.csv"
+        save_snapshots_csv(shifted, SnapshotMatrix(data, snaps.node_indices))
+        save_snapshots_csv(
+            centred, SnapshotMatrix(data - data.mean(axis=1, keepdims=True), snaps.node_indices)
+        )
+        reports = []
+        for path, extra in ((shifted, ["--demean"]), (centred, []), (shifted, [])):
+            out = tmp_path / "est.json"
+            assert run_cli(
+                "estimate", "--graph", str(g), "--shift", "adjacency", "--snapshots", str(path),
+                "--model", "ar", "--p", "1", *extra, "--out", str(out),
+            ) == 0
+            reports.append(json.loads(out.read_text()))
+        npt.assert_allclose(reports[0]["theta"], reports[1]["theta"], rtol=1e-12)
+        assert abs(reports[2]["theta"][0] - reports[1]["theta"][0]) > 1e-3
+
+    def test_missing_model_option_exit_code(self, sensor_graph_file, tmp_path, capsys):
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--signal", "ma",
+            "--coeffs", "1,0.5", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        sampler_path = tmp_path / "full.json"
+        sampler_path.write_text(Subsampler.full(16).to_json())
+        common = ["--graph", sensor_graph_file, "--out", str(tmp_path / "o.json")]
+        for argv in (
+            ["sampler", "design", "--model", "ma", "--k", "3"],  # no --q
+            ["estimate", "--model", "ma", "--sampler", str(sampler_path), "--snapshots", str(snaps)],
+            ["estimate", "--model", "spectral", "--snapshots", str(snaps)],  # no --sampler
+        ):
+            assert run_cli(*argv, *common) == 2, argv
+            assert "required" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_byte_identical_reruns(self, tmp_path):
@@ -458,3 +503,41 @@ class TestExperiment:
 
         with pytest.raises(InvalidInputError):
             make_graph({"kind": "file", "path": "/nonexistent/graph.json"})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"model": {"kind": "ma"}}, "model.q"),
+            ({"samplers": [{"kind": "greedy"}]}, "sampler.k"),
+            ({"samplers": [{"kind": "explicit"}]}, "sampler.selected"),
+            ({"graph": {"kind": "sensor", "seed": 3}}, "graph.n"),
+            ({"signal": {"kind": "ma"}}, "signal.h"),
+            (
+                {"signal": {"kind": "ar"}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core"}]},
+                "signal.a",
+            ),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar"},
+                 "samplers": [{"kind": "ar-core"}]},
+                "model.p",
+            ),
+            ({"methods": ["ls", "lsq"]}, "unknown methods ['lsq']"),
+            ({"n_snapshots": [100, 0]}, "snapshot counts must be >= 1"),
+        ],
+        ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
+             "ar-p", "unknown-method", "zero-snapshots"],
+    )
+    def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**overrides)))
+        out = tmp_path / "o.csv"
+        code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [{"methods": ["lsq"]}, {"n_snapshots": [0]}])
+    def test_bad_method_and_snapshot_count_refused_at_construction(self, overrides):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(**base_config(**overrides))

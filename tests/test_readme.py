@@ -6,14 +6,15 @@ from pathlib import Path
 
 from graphcov import Subsampler, minimal_sparse_ruler
 from graphcov.cli import main
+from graphcov.experiment import CSV_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_block(heading: str, lang: str) -> str:
-    """Body of the first ``lang`` code block after a ``## heading`` line."""
+    """Body of the first ``lang`` code block after a ``## heading`` (or ``###``) line."""
     text = README.read_text()
-    start = text.index(f"\n## {heading}\n")
+    start = re.compile(rf"^#+ {re.escape(heading)}$", re.M).search(text).start()
     match = re.compile(rf"```{lang}\n(.*?)```", re.S).search(text, start)
     assert match is not None, f"no {lang} block under {heading!r}"
     return match.group(1)
@@ -40,3 +41,22 @@ def test_cli_ruler_line_runs(tmp_path, monkeypatch):
     out = Path(argv[argv.index("--out") + 1])
     n = int(argv[argv.index("--n") + 1])
     assert Subsampler.from_json(out.read_text()) == Subsampler(n, minimal_sparse_ruler(n))
+
+
+def cli_commands() -> list[str]:
+    """The README's CLI block as commands: comments dropped, continuation lines joined."""
+    block = readme_block("CLI", "sh").replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.strip() and not line.startswith("#")]
+
+
+def test_cli_block_runs_in_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("experiment.json").write_text(readme_block("Experiment config", "json"))
+    ran = set()
+    for command in cli_commands():
+        argv = shlex.split(command)
+        assert argv[0] == "graphcov"
+        assert main(argv[1:]) == 0, command
+        ran.add(argv[1])
+    assert ran == {"graph", "sampler", "signal", "estimate", "experiment"}
+    assert Path("results.csv").read_text().startswith(CSV_HEADER + "\n")
