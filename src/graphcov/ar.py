@@ -1,10 +1,20 @@
 """Autoregressive graph signal model and its neighborhood sampling scheme.
 
-An AR graph signal satisfies ``x = sum_k a_k S^k x + n``. Observing a
-small core node set together with the p-hop neighborhoods of the core
-(one selection per lag) lets the covariance equations be written
-linearly in the AR coefficients, so plain least squares applies. What
-is observed is one covariance, of the scheme's distinct nodes in
+An AR graph signal satisfies ``x = sum_k a_k S^k x + n``, so
+``x = H n`` with the transfer ``H = (I - sum_k a_k S^k)^{-1}``. H shares
+the shift's eigenvectors: ``H = U diag(1/d) U^H`` with
+``d = 1 - sum_k a_k lam^k``, and ``ar_transfer_matrix`` builds any rows
+of it from the shift's cached spectral basis instead of factoring the
+N x N system. ``generate_ar_signals`` applies only the requested rows to
+the white noise, so a Monte-Carlo trial realises only the nodes its
+schemes observe. One pole rule (``|d| < 1e-12`` at some graph frequency
+raises SingularityError) serves the transfer, the true covariance and
+the spectrum.
+
+Observing a small core node set together with the p-hop neighborhoods
+of the core (one selection per lag) lets the covariance equations be
+written linearly in the AR coefficients, so plain least squares applies.
+What is observed is one covariance, of the scheme's distinct nodes in
 ascending order (``true_ar_covariances``, ``sample_ar_covariances``);
 ``build_ar_model`` cuts each level-pair block ``R_{k,q}`` from it by
 position, so the cross-level fit of rows ``R[core, level_q]`` reads the
@@ -25,9 +35,9 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator
+from .graphs import Graph, ShiftOperator, SpectralBasis
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
-from .stationary import CovarianceMatrix, sample_covariance
+from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
 
 
 @dataclass(frozen=True)
@@ -154,10 +164,17 @@ def true_ar_covariances(scheme: ARSamplingScheme, cov) -> CovarianceMatrix:
     return CovarianceMatrix(matrix[np.ix_(nodes, nodes)], kind="true")
 
 
-def sample_ar_covariances(scheme: ARSamplingScheme, snapshots: np.ndarray) -> CovarianceMatrix:
-    """Sample covariance of the scheme's distinct nodes from full N x N_s snapshot data."""
+def sample_ar_covariances(scheme: ARSamplingScheme, snapshots) -> CovarianceMatrix:
+    """Sample covariance of the scheme's distinct nodes.
+
+    ``snapshots`` is a SnapshotMatrix, whose rows are picked by node index,
+    or a full N x N_s array, whose rows are the nodes 0..N-1.
+    """
+    nodes = scheme.distinct_nodes
+    if isinstance(snapshots, SnapshotMatrix):
+        return sample_covariance(snapshots.rows(nodes))
     x = np.atleast_2d(np.asarray(snapshots, dtype=float))
-    return sample_covariance(x[list(scheme.distinct_nodes)])
+    return sample_covariance(x[list(nodes)])
 
 
 def build_ar_model(
@@ -219,8 +236,8 @@ def estimate_ar_uncompressed(shift: ShiftOperator, cov, order: int) -> Estimatio
     return ls_estimate(model, vec(matrix))
 
 
-def ar_power_spectrum(eigvals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Spectrum of an AR model: ``1 / |1 - sum_k a_k lam^k|^2`` per frequency."""
+def _ar_denominator(eigvals: np.ndarray, coeffs) -> np.ndarray:
+    """``1 - sum_k a_k lam^k`` per graph frequency; a zero (a pole) raises SingularityError."""
     lam = np.asarray(eigvals, dtype=float)
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
     powers = np.vander(lam, a.size + 1, increasing=True)[:, 1:]
@@ -229,40 +246,60 @@ def ar_power_spectrum(eigvals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     if np.any(bad):
         offender = lam[np.argmax(bad)]
         raise SingularityError(f"AR model has a pole at graph frequency {offender!r}")
-    return 1.0 / np.abs(denom) ** 2
+    return denom
 
 
-def ar_system_matrix(shift: ShiftOperator, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse-transfer matrix ``I - sum_k a_k S^k``; must be nonsingular."""
-    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    powers = shift.powers(a.size + 1)
-    matrix = np.eye(shift.n)
-    for k, coeff in enumerate(a, start=1):
-        matrix = matrix - coeff * powers[k]
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[-1] < 1e-12 * svals[0]:
-        raise SingularityError("AR system matrix is numerically singular")
-    return matrix
+def ar_power_spectrum(eigvals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Spectrum of an AR model: ``1 / |1 - sum_k a_k lam^k|^2`` per frequency."""
+    return 1.0 / np.abs(_ar_denominator(eigvals, coeffs)) ** 2
 
 
-def ar_transfer_matrix(shift: ShiftOperator, coeffs: np.ndarray) -> np.ndarray:
-    """Transfer matrix ``H = (I - sum_k a_k S^k)^{-1}`` mapping white noise to the signal."""
-    return np.linalg.inv(ar_system_matrix(shift, coeffs))
+def _spectral_matrix(basis: SpectralBasis, response: np.ndarray, nodes=None) -> np.ndarray:
+    """Rows ``nodes`` (all by default) of ``U diag(response) U^H``, real for a real response."""
+    u = basis.eigvecs
+    rows = u if nodes is None else u[list(nodes)]
+    matrix = (rows * response) @ u.conj().T
+    return matrix.real if np.iscomplexobj(matrix) else matrix
+
+
+def ar_transfer_matrix(shift: ShiftOperator, coeffs: np.ndarray, nodes=None) -> np.ndarray:
+    """Rows ``nodes`` of the transfer ``H = (I - sum_k a_k S^k)^{-1}`` from noise to signal.
+
+    H is ``U diag(1/d) U^H`` with ``d = 1 - sum_k a_k lam^k``, read from
+    the shift's cached spectral basis, so no system is factored; the real
+    part is kept for the complex DFT basis. ``nodes`` (all by default)
+    may repeat and come in any order. A pole (some ``d`` zero) raises
+    SingularityError, as in :func:`ar_power_spectrum`.
+    """
+    if nodes is not None and any(not (0 <= int(i) < shift.n) for i in nodes):
+        raise InvalidInputError(f"nodes out of range for a graph of {shift.n} nodes")
+    basis = shift.basis()
+    return _spectral_matrix(basis, 1.0 / _ar_denominator(basis.eigvals, coeffs), nodes)
 
 
 def true_ar_covariance(shift: ShiftOperator, coeffs: np.ndarray) -> CovarianceMatrix:
-    """Exact covariance ``H H^T`` of the AR signal, H the transfer matrix."""
-    h = ar_transfer_matrix(shift, coeffs)
-    return CovarianceMatrix(h @ h.T, kind="true")
+    """Exact covariance ``H H^T = U diag(1/|d|^2) U^H`` of the AR signal (see the transfer)."""
+    basis = shift.basis()
+    return CovarianceMatrix(
+        _spectral_matrix(basis, ar_power_spectrum(basis.eigvals, coeffs)), kind="true"
+    )
 
 
 def generate_ar_signals(
-    shift: ShiftOperator, coeffs: np.ndarray, n_snapshots: int, seed
+    shift: ShiftOperator, coeffs: np.ndarray, n_snapshots: int, seed, nodes=None
 ) -> np.ndarray:
-    """Draw N x N_s AR realizations ``H n`` by applying the transfer matrix to white noise."""
+    """AR realizations ``H n`` on the nodes ``nodes`` (all by default), one column per snapshot.
+
+    The white noise ``n`` is always drawn on all N nodes, from
+    ``numpy.random.default_rng(seed).standard_normal((N, N_s))``, and only
+    the rows ``nodes`` of the transfer (:func:`ar_transfer_matrix`, from
+    the eigendecomposition) are applied to it. So for one seed the result
+    equals the rows ``nodes`` of the full realization, while a study that
+    observes few nodes pays for those rows only.
+    """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
-    transfer = ar_transfer_matrix(shift, coeffs)
+    transfer = ar_transfer_matrix(shift, coeffs, nodes)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((shift.n, n_snapshots))
     return transfer @ noise

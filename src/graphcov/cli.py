@@ -149,14 +149,6 @@ def cmd_signal_gen(args) -> int:
     return 0
 
 
-def _subsampled_snapshots(snapshots: SnapshotMatrix, nodes) -> np.ndarray:
-    position = {node: idx for idx, node in enumerate(snapshots.node_indices)}
-    missing = [node for node in nodes if node not in position]
-    if missing:
-        raise InvalidInputError(f"snapshots missing nodes {missing}")
-    return snapshots.data[[position[node] for node in nodes]]
-
-
 def cmd_estimate(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift)
@@ -175,7 +167,7 @@ def cmd_estimate(args) -> int:
             sampler = Subsampler.from_json(fh.read())
         model = compress_model(make_model(shift, {"kind": args.model, "q": args.q}), sampler)
         nodes = sampler.selected
-    cov = sample_covariance(_subsampled_snapshots(snapshots, nodes), demean=args.demean)
+    cov = sample_covariance(snapshots.rows(nodes), demean=args.demean)
     if args.model == "ar":
         model, r_y = armod.build_ar_model(shift, scheme, cov)
     else:

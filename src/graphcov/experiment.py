@@ -58,32 +58,69 @@ from .models import (
     vandermonde,
     vec,
 )
-from .stationary import CovarianceMatrix, generate_signals, sample_covariance, true_covariance
+from .stationary import (
+    CovarianceMatrix,
+    SnapshotMatrix,
+    generate_signals,
+    sample_covariance,
+    true_covariance,
+)
 
 CSV_HEADER = "n_snapshots,method,compression,nmse_db,crb_db,failures"
 METHODS = (LS, NNLS, WLS)
 
 
-def _required(spec: dict, key: str, where: str):
-    """``spec[key]``; a missing or null value is refused by the name ``where.key``."""
+_REQUIRED = object()
+
+
+def _ints(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of integers, got {type(value).__name__}")
+    return tuple(int(v) for v in value)
+
+
+def _floats(value) -> np.ndarray:
+    if isinstance(value, str):
+        raise TypeError("expected a number or a list of numbers, got a string")
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
+    """``convert(spec[key])``, or ``default`` when the value is missing or null.
+
+    A missing value without a default, or one ``convert`` (``int``,
+    ``float``, ``_ints`` or ``_floats``) cannot take, is refused by the
+    name ``where.key``.
+    """
     value = spec.get(key)
     if value is None:
-        raise InvalidInputError(f"{where}.{key} is required for {where} kind {spec.get('kind')!r}")
-    return value
+        if default is _REQUIRED:
+            raise InvalidInputError(
+                f"{where}.{key} is required for {where} kind {spec.get('kind')!r}"
+            )
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad {where}.{key} {value!r}: {exc}") from None
 
 
 def make_graph(spec: dict) -> Graph:
     kind = spec.get("kind")
     if kind == "sensor":
-        return sensor_graph(_required(spec, "n", "graph"), spec.get("seed", 0), spec.get("knn", 6))
+        return sensor_graph(
+            _field(spec, "n", "graph", int),
+            _field(spec, "seed", "graph", int, 0),
+            _field(spec, "knn", "graph", int, 6),
+        )
     if kind == "cycle":
-        return cycle_graph(_required(spec, "n", "graph"))
+        return cycle_graph(_field(spec, "n", "graph", int))
     if kind == "mobius":
-        return mobius_ladder(_required(spec, "n", "graph"))
+        return mobius_ladder(_field(spec, "n", "graph", int))
     if kind == "path":
-        return path_graph(_required(spec, "n", "graph"))
+        return path_graph(_field(spec, "n", "graph", int))
     if kind == "file":
-        path = _required(spec, "path", "graph")
+        path = _field(spec, "path", "graph", str)
         if not os.path.exists(path):
             raise InvalidInputError(f"graph file not found: {path}")
         with open(path) as fh:
@@ -106,7 +143,7 @@ def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
     if kind == "spectral":
         return build_psi_spectral(shift.basis())
     if kind == "ma":
-        return build_psi_ma(shift, int(_required(spec, "q", "model")))
+        return build_psi_ma(shift, _field(spec, "q", "model", int))
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
@@ -168,6 +205,15 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        for section in ("graph", "signal", "model"):
+            if not isinstance(getattr(self, section), dict):
+                raise InvalidInputError(f"config section {section!r} must be an object")
+        if not isinstance(self.samplers, (list, tuple)) or not all(
+            isinstance(entry, dict) for entry in self.samplers
+        ):
+            raise InvalidInputError("samplers must be a list of objects")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.n_snapshots:
             raise InvalidInputError("snapshot grid must be non-empty")
         if any(ns < 1 for ns in self.n_snapshots):
@@ -206,17 +252,20 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     if kind == "full":
         return Subsampler.full(n)
     if kind == "explicit":
-        return Subsampler(n, tuple(_required(entry, "selected", "sampler")))
+        return Subsampler(n, _field(entry, "selected", "sampler", _ints))
     if kind == "greedy":
-        k = int(_required(entry, "k", "sampler"))
+        k = _field(entry, "k", "sampler", int)
         if k > n:
             raise InvalidInputError(f"sampler budget {k} exceeds N={n}")
         problem = DesignProblem(
-            psi=psi, k=k, epsilon=entry.get("epsilon"), cost=entry.get("cost", "logdet")
+            psi=psi,
+            k=k,
+            epsilon=_field(entry, "epsilon", "sampler", float, None),
+            cost=entry.get("cost", "logdet"),
         )
         return greedy_design(problem).sampler
     if kind == "ruler":
-        return ruler_sampler(n, entry.get("marks"))
+        return ruler_sampler(n, _field(entry, "marks", "sampler", _ints, None))
     raise InvalidInputError(f"unknown sampler kind {kind!r}")
 
 
@@ -232,13 +281,13 @@ class _Pipeline:
 
         sig = config.signal
         if sig.get("kind") == "ma":
-            self.filt = GraphFilter(np.asarray(_required(sig, "h", "signal"), dtype=float))
+            self.filt = GraphFilter(_field(sig, "h", "signal", _floats))
             self.ar_coeffs = None
             self.true_p = np.abs(frequency_response(self.basis.eigvals, self.filt)) ** 2
             self.true_cov = true_covariance(self.shift, self.filt).matrix
         elif sig.get("kind") == "ar":
             self.filt = None
-            self.ar_coeffs = np.asarray(_required(sig, "a", "signal"), dtype=float)
+            self.ar_coeffs = _field(sig, "a", "signal", _floats)
             self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.ar_coeffs)
             self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
         else:
@@ -248,11 +297,12 @@ class _Pipeline:
         self.model_kind = config.model.get("kind")
         if self.model_kind == "ar":
             self.psi = None
-            self.p_order = int(_required(config.model, "p", "model"))
+            self.p_order = _field(config.model, "p", "model", int)
         else:
             self.psi = make_model(self.shift, config.model)
 
         self.cells = []  # (name, compression, compressed model or AR scheme)
+        observed = set()  # the nodes some cell reads
         for entry in config.samplers:
             if self.model_kind == "ar":
                 if entry.get("kind", "ar-core") != "ar-core":
@@ -260,10 +310,11 @@ class _Pipeline:
                         "the autoregressive model samples cores plus neighborhoods; "
                         f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
                     )
-                core = entry.get("core") or armod.core_by_degree(
-                    self.graph, entry.get("k0", 1)
+                core = _field(entry, "core", "sampler", _ints, None) or armod.core_by_degree(
+                    self.graph, _field(entry, "k0", "sampler", int, 1)
                 )
                 scheme = armod.build_ar_scheme(self.shift, core, self.p_order)
+                observed.update(scheme.distinct_nodes)
                 compression = 1.0 - len(scheme.distinct_nodes) / n
                 name = entry.get("name", f"ar-core-{len(scheme.core)}")
                 self.cells.append((name, compression, scheme))
@@ -275,16 +326,27 @@ class _Pipeline:
                         f"sampler {entry!r} is not a valid covariance subsampler "
                         f"(rank {compressed.rank} of {compressed.n_params})"
                     )
+                observed.update(sampler.selected)
                 compression = 1.0 - sampler.k / n
                 name = entry.get("name", f"k{sampler.k}")
                 self.cells.append((name, compression, (sampler, compressed)))
+        self.observed_nodes = tuple(sorted(observed))
 
     # -- per-trial work ---------------------------------------------------
 
-    def generate(self, n_snapshots: int, seed) -> np.ndarray:
+    def generate(self, n_snapshots: int, seed) -> SnapshotMatrix:
+        """One trial's realization: of ``observed_nodes`` for an AR signal, of all nodes otherwise.
+
+        An AR realization is the transfer's rows applied to white noise, so
+        only the rows some cell reads are computed; a filtered (MA) signal
+        needs the noise shifted over the whole graph either way.
+        """
         if self.ar_coeffs is not None:
-            return armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed)
-        return generate_signals(self.shift, self.filt, n_snapshots, seed)
+            nodes = self.observed_nodes
+            data = armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed, nodes)
+            return SnapshotMatrix(data, nodes)
+        data = generate_signals(self.shift, self.filt, n_snapshots, seed)
+        return SnapshotMatrix(data, range(self.shift.n))
 
     def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
         """Fill ``sqerr[:, :, trial]`` for one trial; NaN stays where an estimate failed."""
@@ -303,7 +365,7 @@ class _Pipeline:
                 except (GraphCovError, np.linalg.LinAlgError):
                     pass  # failure recorded as NaN
 
-    def observe(self, cell, data: np.ndarray | None):
+    def observe(self, cell, data: SnapshotMatrix | None):
         """What every method of a cell estimates from in one trial; data=None for exact mode.
 
         Node-sampled cells get ``(r_y, cov)``: the vectorized compressed
@@ -317,7 +379,7 @@ class _Pipeline:
         sampler, _ = cell[2]
         if data is None:
             return vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)]), None
-        cov = sample_covariance(data[list(sampler.selected)])
+        cov = sample_covariance(data.rows(sampler.selected))
         return vec(cov.matrix), cov
 
     def estimate_cell(self, cell, method: str, observed):

@@ -79,6 +79,14 @@ class SnapshotMatrix:
     def n_snapshots(self) -> int:
         return self.data.shape[1]
 
+    def rows(self, nodes) -> np.ndarray:
+        """Data rows of the graph nodes ``nodes``, in that order; an absent node is refused."""
+        position = {node: idx for idx, node in enumerate(self.node_indices)}
+        missing = [node for node in nodes if node not in position]
+        if missing:
+            raise InvalidInputError(f"snapshots missing nodes {missing}")
+        return self.data[[position[node] for node in nodes]]
+
 
 def true_covariance(shift: ShiftOperator, filt: GraphFilter) -> CovarianceMatrix:
     """Exact covariance ``H H^T`` of a filtered unit-variance white signal."""

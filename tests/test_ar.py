@@ -7,7 +7,9 @@ from graphcov import (
     Graph,
     InvalidInputError,
     RankDeficiencyError,
+    ShiftOperator,
     SingularityError,
+    SnapshotMatrix,
     ar_power_spectrum,
     build_ar_model,
     build_ar_scheme,
@@ -24,11 +26,19 @@ from graphcov import (
     true_ar_covariance,
     true_ar_covariances,
 )
-from graphcov.ar import ar_system_matrix
+from graphcov.ar import ar_transfer_matrix
+from graphcov.graphs import CIRCULANT_DFT
 
 
 def star_graph(n):
     return Graph(n, tuple((0, i, 1.0) for i in range(1, n)))
+
+
+def system_matrix(shift, coeffs):
+    """Reference ``I - sum_k a_k S^k``, built from plain matrix powers."""
+    return np.eye(shift.n) - sum(
+        a * np.linalg.matrix_power(shift.matrix, k) for k, a in enumerate(coeffs, start=1)
+    )
 
 
 class TestNeighborhood:
@@ -56,8 +66,6 @@ class TestNeighborhood:
         g = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (3, 2, 1.0)))
         w = g.weight_matrix()
         w[0, 3] = w[3, 0] = -1.0  # antisymmetric contribution cancels via node 3
-        from graphcov import ShiftOperator
-
         s = ShiftOperator(w)
         assert (s.matrix @ s.matrix)[0, 2] == 0.0
         assert 2 in neighborhood(s, 0, 2)
@@ -113,7 +121,7 @@ class TestModel:
         scheme = build_ar_scheme(s, (2, 5), 2)
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(12)
-        x = np.linalg.solve(ar_system_matrix(s, a), noise)
+        x = np.linalg.solve(system_matrix(s, a), noise)
         y0 = x[list(scheme.core)]
         recon = np.zeros_like(y0)
         for k in (1, 2):
@@ -263,11 +271,82 @@ class TestSpectrum:
         s = build_shift(sensor_graph(20, seed=7), "adjacency")
         a = np.array([0.1, -0.02])
         noise = np.random.default_rng(12).standard_normal((20, 300))
-        reference = np.linalg.solve(ar_system_matrix(s, a), noise)
+        reference = np.linalg.solve(system_matrix(s, a), noise)
         x = generate_ar_signals(s, a, 300, seed=12)
         npt.assert_allclose(x, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
     def test_singular_system_rejected(self):
+        # 1 - 0.5*2 = 0 at lambda = 2: every AR entry point refuses the pole
         s = build_shift(cycle_graph(8), "adjacency")
-        with pytest.raises(SingularityError):
-            ar_system_matrix(s, np.array([0.5]))  # 1 - 0.5*2 = 0 at lambda = 2
+        a = np.array([0.5])
+        for call in (
+            lambda: ar_transfer_matrix(s, a),
+            lambda: ar_transfer_matrix(s, a, nodes=(0, 3)),
+            lambda: true_ar_covariance(s, a),
+            lambda: generate_ar_signals(s, a, 10, seed=0),
+            lambda: ar_power_spectrum(s.basis().eigvals, a),
+        ):
+            with pytest.raises(SingularityError):
+                call()
+
+    def test_dft_transfer_matches_system_solve(self):
+        # the complex DFT basis gives the same real transfer and covariance
+        graph = cycle_graph(10)
+        s = ShiftOperator(build_shift(graph, "adjacency").matrix, kind=CIRCULANT_DFT)
+        a = np.array([0.2, 0.05])
+        reference = np.linalg.inv(system_matrix(s, a))
+        transfer = ar_transfer_matrix(s, a)
+        assert transfer.dtype == float
+        npt.assert_allclose(transfer, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+        npt.assert_allclose(true_ar_covariance(s, a).matrix, reference @ reference.T, atol=1e-12)
+        noise = np.random.default_rng(3).standard_normal((10, 40))
+        npt.assert_allclose(
+            generate_ar_signals(s, a, 40, seed=3, nodes=(7, 2)),
+            (reference @ noise)[[7, 2]],
+            rtol=0,
+            atol=1e-12 * np.abs(reference @ noise).max(),
+        )
+
+    def test_transfer_factors_no_system(self, monkeypatch):
+        # once the basis is cached, the transfer, the covariance and the
+        # realizations take no SVD, inverse or solve
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        s.basis()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an N x N system was factored")
+
+        for name in ("svd", "inv", "solve", "pinv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        ar_transfer_matrix(s, [0.1], nodes=(2, 5))
+        true_ar_covariance(s, [0.1])
+        generate_ar_signals(s, [0.1], 20, seed=1, nodes=(2, 5))
+
+    def test_node_rows_equal_full_realization_rows(self):
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        a = np.array([0.1])
+        nodes = (3, 4, 11, 17)
+        full = generate_ar_signals(s, a, 500, seed=np.random.SeedSequence((0, 1, 2)))
+        part = generate_ar_signals(s, a, 500, seed=np.random.SeedSequence((0, 1, 2)), nodes=nodes)
+        assert part.shape == (4, 500)
+        npt.assert_allclose(part, full[list(nodes)], rtol=1e-12, atol=1e-12 * np.abs(full).max())
+        transfer = ar_transfer_matrix(s, a)
+        npt.assert_allclose(
+            ar_transfer_matrix(s, a, nodes), transfer[list(nodes)], rtol=1e-12, atol=1e-15
+        )
+        with pytest.raises(InvalidInputError):
+            ar_transfer_matrix(s, a, nodes=(0, 20))
+
+    def test_sample_covariance_from_observed_rows_matches_full_array(self):
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        schemes = [build_ar_scheme(s, core, 1) for core in ((0,), (5, 9))]
+        union = sorted(set().union(*(scheme.distinct_nodes for scheme in schemes)))
+        x = generate_ar_signals(s, [0.1], 300, seed=4)
+        observed = SnapshotMatrix(x[union], union)
+        for scheme in schemes:
+            npt.assert_array_equal(
+                sample_ar_covariances(scheme, observed).matrix,
+                sample_ar_covariances(scheme, x).matrix,
+            )
+        with pytest.raises(InvalidInputError, match="missing nodes"):
+            sample_ar_covariances(schemes[0], SnapshotMatrix(x[:2], (0, 1)))

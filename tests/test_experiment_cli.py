@@ -335,8 +335,9 @@ class TestExperiment:
         assert header == "n_snapshots,method,compression,nmse_db,crb_db,failures"
 
     def test_thread_env_does_not_change_results(self, tmp_path):
-        # One study on a real sensor basis and one on a complex DFT basis,
-        # each run in a fresh process at one and at two BLAS threads.
+        # One study on a real sensor basis, one on a complex DFT basis and
+        # one AR study, each run in a fresh process at one and at two BLAS
+        # threads.
         configs = [
             base_config(
                 methods=["ls", "nnls", "wls"],
@@ -348,6 +349,15 @@ class TestExperiment:
                 shift="adjacency",
                 methods=["ls", "nnls", "wls"],
                 samplers=[{"name": "ruler", "kind": "ruler"}],
+            ),
+            base_config(
+                graph={"kind": "sensor", "n": 20, "seed": 7},
+                shift="adjacency",
+                signal={"kind": "ar", "a": [0.1]},
+                model={"kind": "ar", "p": 1},
+                # 13 and 17 distinct nodes: trials realise 17 of the 20 nodes
+                samplers=[{"name": "core1", "kind": "ar-core", "k0": 1},
+                          {"name": "core2", "kind": "ar-core", "k0": 2}],
             ),
         ]
         paths = []
@@ -374,8 +384,14 @@ class TestExperiment:
             )
             assert done.returncode == 0, done.stderr.decode()
             outputs.append(done.stdout)
-        assert outputs[0].count(b"\n") == (1 + 2 * 3) + (1 + 1 * 3)  # headers and rows
-        assert b",," not in outputs[0]  # every cell has an NMSE and a CRB
+        header = b"n_snapshots,method,compression,nmse_db,crb_db,failures\n"
+        studies = outputs[0].split(header)
+        assert studies[0] == b""
+        assert [study.count(b"\n") for study in studies[1:]] == [2 * 3, 1 * 3, 2 * 1]  # rows
+        assert b",," not in studies[1] + studies[2]  # every spectral cell has an NMSE and a CRB
+        for row in studies[3].splitlines():  # every AR cell has an NMSE; AR has no CRB
+            fields = row.split(b",")
+            assert fields[3] != b"" and fields[4] == b"" and fields[5] == b"0"
         assert outputs[0] == outputs[1]
 
     def test_trials_make_no_scipy_linalg_call(self, monkeypatch):
@@ -449,6 +465,28 @@ class TestExperiment:
         assert len(rows) == 1
         assert rows[0]["crb_db"] is None
         assert rows[0]["failures"] == 0
+
+    def test_ar_trials_realise_only_observed_nodes(self):
+        from graphcov import generate_ar_signals
+        from graphcov.experiment import _Pipeline
+
+        cfg = ExperimentConfig(
+            **base_config(
+                graph={"kind": "sensor", "n": 20, "seed": 7},
+                shift="adjacency",
+                signal={"kind": "ar", "a": [0.1]},
+                model={"kind": "ar", "p": 1},
+                samplers=[{"kind": "ar-core", "k0": 1}, {"kind": "ar-core", "core": [5]}],
+            )
+        )
+        pipe = _Pipeline(cfg)
+        schemes = [cell[2] for cell in pipe.cells]
+        union = sorted(set(schemes[0].distinct_nodes) | set(schemes[1].distinct_nodes))
+        assert pipe.observed_nodes == tuple(union) and len(union) < 20
+        data = pipe.generate(50, np.random.SeedSequence((11, 0, 0)))
+        assert data.node_indices == tuple(union)
+        full = generate_ar_signals(pipe.shift, [0.1], 50, np.random.SeedSequence((11, 0, 0)))
+        npt.assert_allclose(data.data, full[union], rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
     def test_ar_model_threaded_determinism(self):
         cfg_dict = base_config(
@@ -524,9 +562,19 @@ class TestExperiment:
             ),
             ({"methods": ["ls", "lsq"]}, "unknown methods ['lsq']"),
             ({"n_snapshots": [100, 0]}, "snapshot counts must be >= 1"),
+            ({"graph": "sensor"}, "config section 'graph' must be an object"),
+            ({"signal": "ma"}, "config section 'signal' must be an object"),
+            ({"model": "spectral"}, "config section 'model' must be an object"),
+            ({"samplers": ["full"]}, "samplers must be a list of objects"),
+            ({"samplers": [{"kind": "greedy", "k": "x"}]}, "bad sampler.k 'x'"),
+            ({"signal": {"kind": "ma", "h": "abc"}}, "bad signal.h 'abc'"),
+            ({"graph": {"kind": "sensor", "n": "x"}}, "bad graph.n 'x'"),
+            ({"seed": "x"}, "seed must be a non-negative integer"),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
-             "ar-p", "unknown-method", "zero-snapshots"],
+             "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
+             "model-not-object", "sampler-not-object", "greedy-k-not-int", "signal-h-not-numbers",
+             "sensor-n-not-int", "seed-not-int"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"

@@ -209,3 +209,16 @@ class TestSnapshotCsv:
             load_snapshots_csv(path)
         with pytest.raises(InvalidInputError, match="non-finite"):
             SnapshotMatrix(np.array([[1.0, 3.0], [2.0, float(value)]]), (0, 1))
+
+
+class TestSnapshotRows:
+    def test_rows_follow_node_index_in_requested_order(self):
+        data = np.arange(12.0).reshape(4, 3)
+        snaps = SnapshotMatrix(data, (7, 2, 5, 9))
+        npt.assert_array_equal(snaps.rows((2, 9, 7)), data[[1, 3, 0]])
+        npt.assert_array_equal(snaps.rows((5, 5)), data[[2, 2]])
+
+    def test_absent_node_refused(self):
+        snaps = SnapshotMatrix(np.zeros((2, 3)), (1, 4))
+        with pytest.raises(InvalidInputError, match=r"missing nodes \[0, 3\]"):
+            snaps.rows((0, 1, 3))
