@@ -49,7 +49,6 @@ from .estimators import (
     FisherInfo,
     fisher_info,
     ls_estimate,
-    nmse,
     nnls_estimate,
     wls_estimate,
     wls_stationarity_residual,
@@ -89,7 +88,6 @@ from .models import (
     unvec,
     vandermonde,
     vec,
-    vectorize_compressed_cov,
 )
 from .stationary import (
     CovarianceMatrix,

@@ -83,7 +83,7 @@ def cmd_graph_gen(args) -> int:
 
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
-    shift = make_shift(graph, args.shift, use_dft="auto" if args.dft is None else args.dft)
+    shift = make_shift(graph, args.shift)
     psi = make_model(shift, {"kind": args.model, "q": args.q})
     problem = DesignProblem(
         psi=psi,
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--q", type=int)
     design.add_argument("--cost", default="logdet", choices=["logdet", "frame-potential"])
     design.add_argument("--epsilon", type=float)
-    design.add_argument("--dft", action=argparse.BooleanOptionalAction, default=None)
     design.add_argument("--out", default="-")
     design.add_argument("--report")
     design.set_defaults(func=cmd_sampler_design)

@@ -61,8 +61,8 @@ class DesignProblem:
             raise InvalidInputError(f"need 1 <= K <= {n}, got {self.k}")
         if self.cost not in (LOGDET, FRAME_POTENTIAL):
             raise InvalidInputError(f"unknown design cost {self.cost!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise InvalidInputError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def n_nodes(self) -> int:

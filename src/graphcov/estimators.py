@@ -9,10 +9,11 @@ likelihood stationarity equations with the weight built from the sample
 covariance itself: its normal matrix is the weighted Gram
 ``Re(G_w^H G_w)`` of the whitened columns, solved by Cholesky. The
 Fisher information is the same Gram, built from the true covariance and
-scaled by ``nu N_s``; it gives the Cramer-Rao floor the unweighted
-estimator does not reach. LS, WLS and the Fisher information make no
-``scipy.linalg`` call: their linear algebra runs in numpy's BLAS, which
-is a different OpenBLAS from scipy's, with its own thread pool.
+scaled by ``nu N_s``, with nu = 1/2 because the data are real; it gives
+the Cramer-Rao floor the unweighted estimator does not reach. LS, WLS
+and the Fisher information make no ``scipy.linalg`` call: their linear
+algebra runs in numpy's BLAS, which is a different OpenBLAS from
+scipy's, with its own thread pool.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ LS = "ls"
 NNLS = "nnls"
 WLS = "wls"
 
-# 0.5 for real-valued data, 1.0 for circular complex data.
+# nu of the Fisher information: SnapshotMatrix and sample_covariance cast data to float.
 NU_REAL = 0.5
-NU_COMPLEX = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class FisherInfo:
     """
 
     matrix: np.ndarray
-    nu: float
     n_snapshots: int
     crb: np.ndarray
     crb_is_pinv: bool
@@ -198,7 +197,6 @@ def wls_stationarity_residual(
     theta: np.ndarray,
     r_hat,
     cov_hat: CovarianceMatrix,
-    nu: float = NU_REAL,
 ) -> float:
     """Max likelihood-equation residual ``|g_i^H C_w (G theta - r)|`` at theta.
 
@@ -211,18 +209,13 @@ def wls_stationarity_residual(
     misfit = unvec(model.matrix @ np.asarray(theta) - r, k)
     half = scipy.linalg.cho_solve((chol, True), misfit)  # R^{-1} X
     weighted = scipy.linalg.cho_solve((chol, True), half.conj().T).conj().T
-    weighted = nu * (cov_hat.n_snapshots or 1) * weighted.ravel(order="F")
+    weighted = NU_REAL * (cov_hat.n_snapshots or 1) * weighted.ravel(order="F")
     grad = model.matrix.conj().T @ weighted
     return float(np.abs(grad).max())
 
 
-def fisher_info(
-    model: ObservationModel,
-    cov: CovarianceMatrix,
-    n_snapshots: int,
-    nu: float = NU_REAL,
-) -> FisherInfo:
-    """Fisher information ``F_ij = nu N_s tr(R^{-1} G_i R^{-1} G_j^H)``.
+def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int) -> FisherInfo:
+    """Fisher information ``F_ij = nu N_s tr(R^{-1} G_i R^{-1} G_j^H)``, nu = 1/2 for real data.
 
     ``G_i`` is column i of the model reshaped K x K: the weighted Gram
     that :func:`wls_estimate` solves, built from the true covariance and
@@ -237,7 +230,7 @@ def fisher_info(
         raise InvalidInputError(f"covariance is {k}x{k} but model has {model.matrix.shape[0]} rows")
     if cov.min_eigenvalue <= 0.0:
         raise SingularityError("covariance must be positive definite for the Fisher information")
-    fim = nu * n_snapshots * _weighted_gram(model.matrix, np.linalg.cholesky(cov.matrix))
+    fim = NU_REAL * n_snapshots * _weighted_gram(model.matrix, np.linalg.cholesky(cov.matrix))
     svals = np.linalg.svd(fim, compute_uv=False)
     if numerical_rank(svals, fim.shape) == fim.shape[0]:
         crb = np.linalg.inv(fim)
@@ -246,7 +239,7 @@ def fisher_info(
         crb = np.linalg.pinv(fim)
         is_pinv = True
     crb = 0.5 * (crb + crb.T)
-    return FisherInfo(matrix=fim, nu=nu, n_snapshots=n_snapshots, crb=crb, crb_is_pinv=is_pinv)
+    return FisherInfo(matrix=fim, n_snapshots=n_snapshots, crb=crb, crb_is_pinv=is_pinv)
 
 
 NMSE_FLOOR_DB = -300.0
@@ -258,32 +251,14 @@ def nmse_db(sse: float, count: int, norm: float, squared_norm: bool = False) -> 
     ``sse`` sums the squared errors of ``count`` estimates of a parameter
     vector of 2-norm ``norm``; ``squared_norm`` divides by the squared
     norm instead. This is the one NMSE rule: Monte-Carlo scores and the
-    expected error at the CRB both go through it.
+    expected error at the CRB both go through it. A norm that is not
+    positive and finite, or a count below 1, is refused.
     """
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise InvalidInputError(f"true parameter norm must be positive and finite, got {norm}")
+    if count < 1:
+        raise InvalidInputError("need at least one estimate")
     ratio = sse / (count * (norm**2 if squared_norm else norm))
     if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
         return NMSE_FLOOR_DB
     return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))
-
-
-def nmse(true_theta, estimates, squared_norm: bool = False) -> float:
-    """Normalized mean squared error over Monte-Carlo estimates, in dB.
-
-    ``10 log10( sum_m ||theta - theta_m||^2 / (N_exp ||theta||) )``; the
-    denominator uses the plain 2-norm by default, the squared norm with
-    ``squared_norm=True``. Exact recovery reports the -300 dB floor.
-    """
-    p = np.asarray(true_theta, dtype=float).ravel()
-    norm = float(np.linalg.norm(p))
-    if norm == 0.0:
-        raise InvalidInputError("true parameter vector must be nonzero")
-    estimates = list(estimates)
-    if not estimates:
-        raise InvalidInputError("need at least one estimate")
-    sse = 0.0
-    for est in estimates:
-        err = np.asarray(est, dtype=float).ravel() - p
-        if err.size != p.size:
-            raise InvalidInputError("estimate length mismatch")
-        sse += float(err @ err)
-    return nmse_db(sse, len(estimates), norm, squared_norm)

@@ -3,9 +3,9 @@
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
 Per-trial seeds are derived from the master seed by counter, and one
-data realization is shared by every sampler of a trial and one sample
-covariance by every method of a sampler (paired comparisons), so output
-is byte-identical for a fixed config. Trials run one after another; the
+data realization is shared by every cell of a trial and one covariance
+and linear system by every method of a cell (paired comparisons), so
+output is byte-identical for a fixed config. Trials run one after another; the
 only parallelism is the BLAS library's own.
 """
 
@@ -23,7 +23,6 @@ from .errors import GraphCovError, InvalidInputError, NumericalError
 from .estimators import (
     LS,
     NNLS,
-    NU_REAL,
     WLS,
     EstimationResult,
     fisher_info,
@@ -73,24 +72,44 @@ METHODS = (LS, NNLS, WLS)
 _REQUIRED = object()
 
 
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _float(value) -> float:
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("expected a finite number")
+    return number
+
+
 def _ints(value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list of integers, got {type(value).__name__}")
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def _floats(value) -> np.ndarray:
     if isinstance(value, str):
         raise TypeError("expected a number or a list of numbers, got a string")
-    return np.atleast_1d(np.asarray(value, dtype=float))
+    values = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("expected finite numbers")
+    return values
 
 
 def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
     """``convert(spec[key])``, or ``default`` when the value is missing or null.
 
-    A missing value without a default, or one ``convert`` (``int``,
-    ``float``, ``_ints`` or ``_floats``) cannot take, is refused by the
-    name ``where.key``.
+    A missing value without a default, or one ``convert`` (``_int``,
+    ``_float``, ``_ints`` or ``_floats``) cannot take, is refused by the
+    name ``where.key``. Numbers must be finite, and integers whole.
     """
     value = spec.get(key)
     if value is None:
@@ -109,16 +128,16 @@ def make_graph(spec: dict) -> Graph:
     kind = spec.get("kind")
     if kind == "sensor":
         return sensor_graph(
-            _field(spec, "n", "graph", int),
-            _field(spec, "seed", "graph", int, 0),
-            _field(spec, "knn", "graph", int, 6),
+            _field(spec, "n", "graph", _int),
+            _field(spec, "seed", "graph", _int, 0),
+            _field(spec, "knn", "graph", _int, 6),
         )
     if kind == "cycle":
-        return cycle_graph(_field(spec, "n", "graph", int))
+        return cycle_graph(_field(spec, "n", "graph", _int))
     if kind == "mobius":
-        return mobius_ladder(_field(spec, "n", "graph", int))
+        return mobius_ladder(_field(spec, "n", "graph", _int))
     if kind == "path":
-        return path_graph(_field(spec, "n", "graph", int))
+        return path_graph(_field(spec, "n", "graph", _int))
     if kind == "file":
         path = _field(spec, "path", "graph", str)
         if not os.path.exists(path):
@@ -128,11 +147,10 @@ def make_graph(spec: dict) -> Graph:
     raise InvalidInputError(f"unknown graph kind {kind!r}")
 
 
-def make_shift(graph: Graph, kind: str, use_dft: str | bool = "auto") -> ShiftOperator:
-    """Build the shift; circulant operators get the closed-form DFT basis."""
+def make_shift(graph: Graph, kind: str) -> ShiftOperator:
+    """Build the shift; a circulant operator gets the closed-form DFT basis."""
     shift = build_shift(graph, kind)
-    dft = is_circulant(shift.matrix) if use_dft == "auto" else bool(use_dft)
-    if dft:
+    if is_circulant(shift.matrix):
         return ShiftOperator(shift.matrix, kind=CIRCULANT_DFT)
     return shift
 
@@ -143,7 +161,7 @@ def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
     if kind == "spectral":
         return build_psi_spectral(shift.basis())
     if kind == "ma":
-        return build_psi_ma(shift, _field(spec, "q", "model", int))
+        return build_psi_ma(shift, _field(spec, "q", "model", _int))
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
@@ -214,12 +232,14 @@ class ExperimentConfig:
             raise InvalidInputError("samplers must be a list of objects")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.n_snapshots:
-            raise InvalidInputError("snapshot grid must be non-empty")
-        if any(ns < 1 for ns in self.n_snapshots):
-            raise InvalidInputError("snapshot counts must be >= 1")
-        if self.n_trials < 1:
-            raise InvalidInputError("n_trials must be >= 1")
+        if not isinstance(self.n_snapshots, (list, tuple)) or not self.n_snapshots:
+            raise InvalidInputError("snapshot grid must be a non-empty list")
+        if not all(_is_count(ns) for ns in self.n_snapshots):
+            raise InvalidInputError(
+                f"snapshot counts must be >= 1 and whole, got n_snapshots {self.n_snapshots!r}"
+            )
+        if not _is_count(self.n_trials):
+            raise InvalidInputError(f"n_trials must be a whole number >= 1, got {self.n_trials!r}")
         if not self.samplers:
             raise InvalidInputError("need at least one sampler")
         if not self.methods:
@@ -254,13 +274,13 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     if kind == "explicit":
         return Subsampler(n, _field(entry, "selected", "sampler", _ints))
     if kind == "greedy":
-        k = _field(entry, "k", "sampler", int)
+        k = _field(entry, "k", "sampler", _int)
         if k > n:
             raise InvalidInputError(f"sampler budget {k} exceeds N={n}")
         problem = DesignProblem(
             psi=psi,
             k=k,
-            epsilon=_field(entry, "epsilon", "sampler", float, None),
+            epsilon=_field(entry, "epsilon", "sampler", _float, None),
             cost=entry.get("cost", "logdet"),
         )
         return greedy_design(problem).sampler
@@ -293,11 +313,13 @@ class _Pipeline:
         else:
             raise InvalidInputError("signal kind must be 'ma' or 'ar'")
         self.p_norm = float(np.linalg.norm(self.true_p))
+        if not (np.isfinite(self.p_norm) and self.p_norm > 0.0):
+            raise InvalidInputError(f"signal {sig!r} has a zero or non-finite power spectrum")
 
         self.model_kind = config.model.get("kind")
         if self.model_kind == "ar":
             self.psi = None
-            self.p_order = _field(config.model, "p", "model", int)
+            self.p_order = _field(config.model, "p", "model", _int)
         else:
             self.psi = make_model(self.shift, config.model)
 
@@ -311,7 +333,7 @@ class _Pipeline:
                         f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
                     )
                 core = _field(entry, "core", "sampler", _ints, None) or armod.core_by_degree(
-                    self.graph, _field(entry, "k0", "sampler", int, 1)
+                    self.graph, _field(entry, "k0", "sampler", _int, 1)
                 )
                 scheme = armod.build_ar_scheme(self.shift, core, self.p_order)
                 observed.update(scheme.distinct_nodes)
@@ -355,49 +377,41 @@ class _Pipeline:
         else:
             data = self.generate(ns, np.random.SeedSequence((self.config.seed, ns_idx, trial)))
         for c_idx, cell in enumerate(self.cells):
-            try:
-                observed = self.observe(cell, data)
-            except (GraphCovError, np.linalg.LinAlgError):
-                continue  # every method of the cell fails
-            for m_idx, method in enumerate(self.config.methods):
-                try:
-                    sqerr[c_idx, m_idx, trial] = self.estimate_cell(cell, method, observed)
-                except (GraphCovError, np.linalg.LinAlgError):
-                    pass  # failure recorded as NaN
+            self.estimate_cell(cell, data, sqerr[c_idx, :, trial])
 
-    def observe(self, cell, data: SnapshotMatrix | None):
-        """What every method of a cell estimates from in one trial; data=None for exact mode.
+    def estimate_cell(self, cell, data: SnapshotMatrix | None, out: np.ndarray) -> None:
+        """Squared spectrum error of each method of one cell into ``out``; data=None for exact mode.
 
-        Node-sampled cells get ``(r_y, cov)``: the vectorized compressed
-        covariance and the sample covariance it came from (None in exact
-        mode), built once and shared by all methods. Autoregressive cells
-        get the snapshots, from which their one method takes the covariance
-        of the scheme's distinct nodes.
+        The cell's covariance and its linear system ``(model, r_y)`` are
+        built once and shared by all methods: the compressed covariance of
+        the sampled nodes, or an AR scheme's covariance and the system built
+        from it. An entry of ``out`` stays NaN where its estimate failed.
         """
-        if self.model_kind == "ar":
-            return data
-        sampler, _ = cell[2]
-        if data is None:
-            return vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)]), None
-        cov = sample_covariance(data.rows(sampler.selected))
-        return vec(cov.matrix), cov
-
-    def estimate_cell(self, cell, method: str, observed):
-        """Squared spectrum error of one (cell, method) estimate from :meth:`observe`'s output."""
         _, _, payload = cell
-        if self.model_kind == "ar":
-            scheme = payload
-            if observed is None:
-                cov = armod.true_ar_covariances(scheme, self.true_cov)
+        try:
+            if self.model_kind == "ar":
+                scheme = payload
+                if data is None:
+                    cov = armod.true_ar_covariances(scheme, self.true_cov)
+                else:
+                    cov = armod.sample_ar_covariances(scheme, data)
+                model, r_y = armod.build_ar_model(self.shift, scheme, cov)
             else:
-                cov = armod.sample_ar_covariances(scheme, observed)
-            model, r_y = armod.build_ar_model(self.shift, scheme, cov)
-        else:
-            _, model = payload
-            r_y, cov = observed
-        theta = estimate(model, method, r_y, cov).theta
-        err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
-        return float(err @ err)
+                sampler, model = payload
+                if data is None:
+                    cov, r_y = None, vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)])
+                else:
+                    cov = sample_covariance(data.rows(sampler.selected))
+                    r_y = vec(cov.matrix)
+        except (GraphCovError, np.linalg.LinAlgError):
+            return  # every method of the cell fails
+        for m_idx, method in enumerate(self.config.methods):
+            try:
+                theta = estimate(model, method, r_y, cov).theta
+                err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
+            except (GraphCovError, np.linalg.LinAlgError):
+                continue
+            out[m_idx] = float(err @ err)
 
     def crb_sse(self, cell) -> float | None:
         """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
@@ -410,7 +424,7 @@ class _Pipeline:
         sampler, model = cell[2]
         r_true = self.true_cov[np.ix_(sampler.selected, sampler.selected)]
         try:
-            info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1, nu=NU_REAL)
+            info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1)
         except NumericalError:
             return None
         cov_p = info.crb

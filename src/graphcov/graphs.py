@@ -101,12 +101,24 @@ class SpectralBasis:
     basis of circulant operators); ``eigvals`` are the corresponding real
     graph frequencies, ascending for numerical decompositions and in DFT
     order for circulant ones. ``distinct`` is False when two eigenvalues
-    fall within the gap tolerance of each other.
+    fall within the gap tolerance of each other. A basis that is not
+    N x N with N eigenvalues, or whose ``U^H U`` deviates from the
+    identity by 1e-10 or more in any entry, is refused.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
     distinct: bool
+
+    def __post_init__(self):
+        u, lam = np.asarray(self.eigvecs), np.asarray(self.eigvals)
+        if lam.ndim != 1 or u.shape != (lam.size, lam.size):
+            raise InvalidInputError(
+                f"basis must be N x N with N eigenvalues, got {u.shape} and {lam.shape}"
+            )
+        gram_err = np.abs(u.conj().T @ u - np.eye(lam.size)).max()
+        if gram_err >= 1e-10:
+            raise InvalidInputError(f"basis not orthonormal (max deviation {gram_err:.2e})")
 
     @property
     def n(self) -> int:
@@ -230,10 +242,8 @@ def _fix_signs(eigvecs: np.ndarray) -> np.ndarray:
 
 
 def _check_basis(basis: SpectralBasis, matrix: np.ndarray) -> None:
+    """Refuse a basis whose ``U diag(lam) U^H`` is not the operator."""
     u = basis.eigvecs
-    gram_err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if gram_err >= 1e-10:
-        raise InvalidInputError(f"basis not orthonormal (max deviation {gram_err:.2e})")
     recon = u @ np.diag(basis.eigvals) @ u.conj().T
     scale = max(np.abs(matrix).max(), 1e-300)
     recon_err = np.abs(matrix - recon).max()

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import InvalidInputError, RepeatedEigenvaluesWarning
 from .graphs import GraphFilter, ShiftOperator, SpectralBasis
-from .stationary import CovarianceMatrix
 
 SPECTRAL = "spectral"
 MOVING_AVERAGE = "moving_average"
@@ -235,10 +234,9 @@ class CovarianceModel:
 def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
     """Spectral-domain model with columns ``conj(u_i) kron u_i``, held by the basis.
 
-    Full column rank for any orthonormal basis; asserted here on the N x N
-    Gram ``Psi^H Psi = |U^H U|^2`` (element-wise), which has the rank of
-    Psi: its eigenvalues are cut with the :func:`numerical_rank` threshold.
-    Warns when the basis has repeated eigenvalues, since individual
+    Its Gram ``Psi^H Psi = |U^H U|^2`` (element-wise) is the identity,
+    since a :class:`SpectralBasis` is orthonormal, so Psi has full column
+    rank. Warns when the basis has repeated eigenvalues, since individual
     components within a repeated cluster are then not tied to unique
     frequencies.
     """
@@ -249,12 +247,7 @@ def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
             RepeatedEigenvaluesWarning,
             stacklevel=2,
         )
-    u = basis.eigvecs
-    n = basis.n
-    gram = np.abs(u.conj().T @ u) ** 2
-    if numerical_rank(np.linalg.eigvalsh(gram)[::-1], gram.shape) != n:
-        raise InvalidInputError("spectral model matrix is rank deficient; basis not orthonormal?")
-    return CovarianceModel(SPECTRAL, u)
+    return CovarianceModel(SPECTRAL, basis.eigvecs)
 
 
 def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
@@ -291,7 +284,7 @@ def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationMode
     """Restrict a model to the covariance entries a sampler observes.
 
     Computes the K^2 rows of the selected node pairs, in the order of
-    :func:`vectorize_compressed_cov`: entry ``q*K + p`` is the covariance
+    :func:`vec` of the K x K covariance: entry ``q*K + p`` is the covariance
     entry (selected[p], selected[q]). Neither the Kronecker selection
     matrix nor the uncompressed model is formed.
     """
@@ -300,11 +293,3 @@ def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationMode
     sel = np.asarray(sampler.selected)
     rows = psi.rows(sel[:, None], sel[None, :]).reshape(sampler.k**2, psi.n_params)
     return ObservationModel(matrix=rows, param_kind=psi.kind)
-
-
-def vectorize_compressed_cov(cov: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """Column-major vectorization of a (compressed) covariance matrix."""
-    matrix = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InvalidInputError("expected a square covariance matrix")
-    return vec(matrix)

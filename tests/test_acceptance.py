@@ -220,7 +220,7 @@ def test_crb_ordering_and_wls_stationarity():
     sampler, model = samplers["half"], models["half"]
     mse_emp = float(np.mean(sse[("half", ns)]))
     r_true = gc.true_covariance(shift, h).matrix[np.ix_(sampler.selected, sampler.selected)]
-    info = gc.fisher_info(model, gc.CovarianceMatrix(r_true, kind="true"), ns, nu=0.5)
+    info = gc.fisher_info(model, gc.CovarianceMatrix(r_true, kind="true"), ns)
     crb_trace = float(np.trace(info.crb))
     m = model.n_params
     crb_ok = mse_emp / m >= crb_trace / m

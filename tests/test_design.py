@@ -256,6 +256,12 @@ class TestGreedy:
         with pytest.raises(InvalidInputError):
             DesignProblem(psi=psi, k=5)
 
+    def test_bad_epsilon_rejected(self):
+        psi = random_psi(4, 10)
+        for epsilon in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="epsilon must be positive and finite"):
+                DesignProblem(psi=psi, k=2, epsilon=epsilon)
+
 
 GREEDY_CASES = {
     "sensor30-real": (lambda: sensor_psi(30), 15),

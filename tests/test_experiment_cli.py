@@ -129,6 +129,14 @@ class TestSamplerCommands:
         )
         assert code == 3  # K^2 = 1 < 5: numerically invalid sampler
 
+    def test_design_nan_epsilon_exit_code(self, sensor_graph_file, tmp_path, capsys):
+        code = run_cli(
+            "sampler", "design", "--graph", sensor_graph_file, "--k", "6",
+            "--epsilon", "nan", "--out", str(tmp_path / "s.json"),
+        )
+        assert code == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_ruler_minimal(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("sampler", "ruler", "--n", "10", "--out", str(out)) == 0
@@ -304,6 +312,31 @@ class TestSignalAndEstimate:
             reports.append(json.loads(out.read_text()))
         npt.assert_allclose(reports[0]["theta"], reports[1]["theta"], rtol=1e-12)
         assert abs(reports[2]["theta"][0] - reports[1]["theta"][0]) > 1e-3
+
+    @pytest.mark.parametrize(
+        "sampler, code, message",
+        [
+            ({"n": 12, "selected": [0, 1, 2]}, 3, "model rank 6 < 12 parameters"),
+            ({"n": 16, "selected": [0, 1, 2, 3]}, 2, "sampler has 16 nodes, the model 12"),
+        ],
+        ids=["rank-deficient", "other-node-count"],
+    )
+    def test_estimate_bad_sampler_exit_code(self, tmp_path, capsys, sampler, code, message):
+        g = tmp_path / "g.json"
+        run_cli("graph", "gen", "--kind", "sensor", "--n", "12", "--seed", "3", "--out", str(g))
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", str(g), "--signal", "ma",
+            "--coeffs", "1,0.5", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        sampler_path = tmp_path / "s.json"
+        sampler_path.write_text(json.dumps(sampler))
+        capsys.readouterr()
+        assert run_cli(
+            "estimate", "--graph", str(g), "--snapshots", str(snaps),
+            "--sampler", str(sampler_path), "--out", str(tmp_path / "o.json"),
+        ) == code
+        assert message in capsys.readouterr().err
 
     def test_missing_model_option_exit_code(self, sensor_graph_file, tmp_path, capsys):
         snaps = tmp_path / "snaps.csv"
@@ -570,11 +603,29 @@ class TestExperiment:
             ({"signal": {"kind": "ma", "h": "abc"}}, "bad signal.h 'abc'"),
             ({"graph": {"kind": "sensor", "n": "x"}}, "bad graph.n 'x'"),
             ({"seed": "x"}, "seed must be a non-negative integer"),
+            ({"signal": {"kind": "ma", "h": [0.0]}}, "zero or non-finite power spectrum"),
+            ({"signal": {"kind": "ma", "h": [1.0, float("nan")]}}, "bad signal.h [1.0, nan]"),
+            ({"signal": {"kind": "ma", "h": [float("inf")]}}, "bad signal.h [inf]"),
+            (
+                {"signal": {"kind": "ar", "a": [float("nan")]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core"}]},
+                "bad signal.a [nan]",
+            ),
+            ({"n_trials": 2.5}, "n_trials must be"),
+            ({"n_trials": float("nan")}, "n_trials must be"),
+            ({"n_trials": True}, "n_trials must be"),
+            ({"n_snapshots": [10.5]}, "n_snapshots [10.5]"),
+            ({"n_snapshots": [float("nan")]}, "n_snapshots [nan]"),
+            ({"samplers": [{"kind": "greedy", "k": 8, "epsilon": float("nan")}]},
+             "bad sampler.epsilon nan"),
+            ({"samplers": [{"kind": "greedy", "k": 8.7}]}, "bad sampler.k 8.7"),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
              "model-not-object", "sampler-not-object", "greedy-k-not-int", "signal-h-not-numbers",
-             "sensor-n-not-int", "seed-not-int"],
+             "sensor-n-not-int", "seed-not-int", "zero-spectrum", "signal-h-nan", "signal-h-inf",
+             "signal-a-nan", "trials-fraction", "trials-nan", "trials-bool", "snapshots-fraction",
+             "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"

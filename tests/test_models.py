@@ -26,9 +26,9 @@ from graphcov import (
     path_graph,
     sensor_graph,
     true_covariance,
+    unvec,
     vandermonde,
     vec,
-    vectorize_compressed_cov,
 )
 from graphcov.graphs import CIRCULANT_DFT
 
@@ -103,9 +103,8 @@ class TestPsiSpectral:
         r = (basis.eigvecs * p) @ basis.eigvecs.conj().T
         npt.assert_allclose(dense(psi) @ p, vec(r), atol=1e-12)
 
-    # (N, seed, complex basis, repeated column): the first two leave a
-    # rounding-level eigenvalue of the Gram whose square root, about 1e-8,
-    # would pass a singular-value cut of order N^2 eps
+    # (N, seed, complex basis, repeated column): the repeated column makes
+    # U^H U deviate from the identity by 1, so the basis is refused when made
     @pytest.mark.parametrize("n,seed,is_complex,col", [(12, 6, False, 3), (20, 1, True, 6), (5, 0, False, 1)])
     def test_repeated_eigenvector_column_rejected(self, n, seed, is_complex, col):
         rng = np.random.default_rng(seed)
@@ -114,9 +113,8 @@ class TestPsiSpectral:
             z = z + 1j * rng.standard_normal((n, n))
         q, _ = np.linalg.qr(z)
         q[:, col] = q[:, 0]
-        basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
-        with pytest.raises(InvalidInputError, match="rank deficient"):
-            build_psi_spectral(basis)
+        with pytest.raises(InvalidInputError, match="not orthonormal"):
+            SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
 
     def test_warns_on_repeated_eigenvalues(self):
         basis = eigendecompose(ShiftOperator(np.eye(3)))
@@ -302,15 +300,16 @@ class TestCompressModel:
 class TestVectorize:
     def test_column_major(self):
         m = np.array([[1.0, 3.0], [2.0, 4.0]])
-        npt.assert_array_equal(vectorize_compressed_cov(m), [1, 2, 3, 4])
+        npt.assert_array_equal(vec(m), [1, 2, 3, 4])
 
     def test_identity(self):
-        npt.assert_array_equal(vectorize_compressed_cov(np.eye(2)), [1, 0, 0, 1])
+        npt.assert_array_equal(vec(np.eye(2)), [1, 0, 0, 1])
 
     def test_round_trip(self):
         cov = CovarianceMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), kind="true")
-        v = vectorize_compressed_cov(cov)
+        v = vec(cov.matrix)
         npt.assert_array_equal(v.reshape(2, 2, order="F"), cov.matrix)
+        npt.assert_array_equal(unvec(v, 2), cov.matrix)
 
 
 class TestObservationModel:
