@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator, SpectralBasis
+from .graphs import Graph, ShiftOperator, SpectralBasis, _rng
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
 from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
 
@@ -102,29 +102,28 @@ class ARSamplingScheme:
             raise InvalidInputError(f"malformed AR scheme JSON: {exc}") from exc
 
 
-def _pattern_powers(shift: ShiftOperator, count: int) -> list[np.ndarray]:
-    """Boolean sparsity patterns of S^1..S^count (no numerical cancellation)."""
-    base = (shift.matrix != 0).astype(np.int64)
-    patterns = [base.astype(bool)]
-    current = base
-    for _ in range(count - 1):
-        current = np.sign(current @ base)
-        patterns.append(current.astype(bool))
-    return patterns
-
-
-def neighborhood(shift: ShiftOperator, node: int, p: int) -> tuple[int, ...]:
-    """Nodes reachable in exactly-p applications of the shift pattern.
+def _hop_sets(shift: ShiftOperator, nodes, order: int) -> list[tuple[int, ...]]:
+    """Union over ``nodes`` of their p-hop neighborhoods, for p = 1..order.
 
     Membership follows the Boolean sparsity pattern of S^p, so numerical
     cancellation in the actual powers never changes the sampling scheme.
     """
+    base = (shift.matrix != 0).astype(np.int64)
+    reach = base[list(nodes)]
+    sets = []
+    for _ in range(order):
+        sets.append(tuple(int(i) for i in np.flatnonzero(reach.any(axis=0))))
+        reach = np.sign(reach @ base)
+    return sets
+
+
+def neighborhood(shift: ShiftOperator, node: int, p: int) -> tuple[int, ...]:
+    """Nodes reachable in exactly-p applications of the shift pattern."""
     if not (0 <= node < shift.n):
         raise InvalidInputError(f"node {node} out of range")
     if p < 1:
         raise InvalidInputError("hop distance must be >= 1")
-    pattern = _pattern_powers(shift, p)[p - 1]
-    return tuple(int(i) for i in np.flatnonzero(pattern[node]))
+    return _hop_sets(shift, (node,), p)[p - 1]
 
 
 def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
@@ -136,15 +135,11 @@ def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
         raise InvalidInputError("core node out of range")
     if order < 1:
         raise InvalidInputError("AR order must be >= 1")
-    patterns = _pattern_powers(shift, order)
     levels = [Subsampler(shift.n, core)]
-    for p in range(1, order + 1):
-        union = set()
-        for c in core:
-            union.update(int(i) for i in np.flatnonzero(patterns[p - 1][c]))
-        if not union:
+    for p, hop in enumerate(_hop_sets(shift, core, order), start=1):
+        if not hop:
             raise InvalidInputError(f"core has empty {p}-hop neighborhood")
-        levels.append(Subsampler(shift.n, tuple(sorted(union))))
+        levels.append(Subsampler(shift.n, hop))
     return ARSamplingScheme(core=core, order=order, levels=tuple(levels))
 
 
@@ -220,20 +215,18 @@ def estimate_ar(model: ObservationModel, r_y) -> EstimationResult:
 
 
 def estimate_ar_uncompressed(shift: ShiftOperator, cov, order: int) -> EstimationResult:
-    """AR coefficients from the full covariance: fit ``vec(R)`` on ``vec(S^k R)``.
+    """AR coefficients from the full covariance: the zero-compression baseline.
 
-    The white-noise cross term is ignored, exactly as in the compressed
-    estimator; this is the zero-compression baseline.
+    It is :func:`build_ar_model` and :func:`estimate_ar` on the scheme
+    whose core and every level are all N nodes, so it drops the
+    white-noise cross term exactly as the compressed estimator does. Each
+    of that system's P+1 lag blocks repeats the fit of ``vec(R)`` on the
+    columns ``vec(S^k R)``, so theta is that fit's, and the residual norm
+    is sqrt(P+1) times the fit's own.
     """
-    if order < 1:
-        raise InvalidInputError("AR order must be >= 1")
-    matrix = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
-    if matrix.shape[0] != shift.n:
-        raise InvalidInputError("covariance size must match the graph")
-    powers = shift.powers(order + 1)
-    columns = np.column_stack([vec(powers[k] @ matrix) for k in range(1, order + 1)])
-    model = ObservationModel(matrix=columns, param_kind=AUTOREGRESSIVE)
-    return ls_estimate(model, vec(matrix))
+    everyone = Subsampler.full(shift.n)
+    scheme = ARSamplingScheme(everyone.selected, order, (everyone,) * (order + 1))
+    return estimate_ar(*build_ar_model(shift, scheme, cov))
 
 
 def _ar_denominator(eigvals: np.ndarray, coeffs) -> np.ndarray:
@@ -300,6 +293,5 @@ def generate_ar_signals(
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
     transfer = ar_transfer_matrix(shift, coeffs, nodes)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((shift.n, n_snapshots))
+    noise = _rng(seed).standard_normal((shift.n, n_snapshots))
     return transfer @ noise

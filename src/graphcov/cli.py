@@ -143,6 +143,8 @@ def cmd_signal_gen(args) -> int:
     if args.sampler:
         with open(args.sampler) as fh:
             sampler = Subsampler.from_json(fh.read())
+        if sampler.n_nodes != shift.n:
+            raise InvalidInputError(f"sampler has {sampler.n_nodes} nodes, the graph {shift.n}")
         data = data[list(sampler.selected)]
         nodes = sampler.selected
     save_snapshots_csv(args.out, SnapshotMatrix(data, nodes))

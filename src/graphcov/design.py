@@ -277,17 +277,6 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     return _greedy_frame_potential(problem)
 
 
-def _distinct_equations(compressed: np.ndarray, k: int) -> int:
-    """K(K+1)/2 when the (p,q) and (q,p) rows coincide, as for every real
-    spectral or moving-average model of a symmetric shift; K^2 otherwise."""
-    rows = compressed.reshape(k, k, -1, order="F")
-    scale = np.abs(rows).max(axis=(0, 1))
-    asymmetry = np.abs(rows - rows.transpose(1, 0, 2)).max(axis=(0, 1))
-    if np.all(asymmetry <= np.sqrt(np.finfo(float).eps) * scale):
-        return k * (k + 1) // 2
-    return k * k
-
-
 def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:
     """Decide whether a sampler keeps the compressed model identifiable.
 
@@ -295,15 +284,19 @@ def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:
     rank of the K^2 x M compressed matrix with threshold
     ``max(K^2, M) * eps * sigma_max``, so the sampler is valid iff the
     model has full column rank. ``feasible`` reports the necessary count
-    condition: at least M distinct equations, which is K(K+1)/2 when the
-    model's (p,q) and (q,p) rows coincide and K^2 otherwise.
+    condition: at least M distinct equations. The model's columns are
+    Hermitian, so its (p,q) and (q,p) rows are conjugate: they coincide
+    for a real model, which gives K(K+1)/2 equations, and a complex one
+    gives K^2.
     """
     model = compress_model(psi, sampler)
+    k = sampler.k
+    equations = k * k if np.iscomplexobj(psi.factors) else k * (k + 1) // 2
     return ValidityReport(
         valid=model.full_column_rank,
         rank=model.rank,
         min_singular=model.min_singular,
-        feasible=_distinct_equations(model.matrix, sampler.k) >= model.n_params,
+        feasible=equations >= model.n_params,
         condition_number=model.condition_number,
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ar as armod
 from .design import DesignProblem, greedy_design, is_sparse_ruler, minimal_sparse_ruler
-from .errors import GraphCovError, InvalidInputError, NumericalError
+from .errors import GraphCovError, InvalidInputError, NumericalError, RankDeficiencyError
 from .estimators import (
     LS,
     NNLS,
@@ -36,6 +36,7 @@ from .graphs import (
     Graph,
     GraphFilter,
     ShiftOperator,
+    _is_int,
     build_shift,
     cycle_graph,
     frequency_response,
@@ -73,13 +74,9 @@ _REQUIRED = object()
 
 
 def _int(value) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("expected an integer")
+    if not _is_int(value):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
     return int(value)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _float(value) -> float:
@@ -109,7 +106,7 @@ def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
 
     A missing value without a default, or one ``convert`` (``_int``,
     ``_float``, ``_ints`` or ``_floats``) cannot take, is refused by the
-    name ``where.key``. Numbers must be finite, and integers whole.
+    name ``where.key``. Numbers must be finite, and integers JSON integers.
     """
     value = spec.get(key)
     if value is None:
@@ -230,15 +227,15 @@ class ExperimentConfig:
             isinstance(entry, dict) for entry in self.samplers
         ):
             raise InvalidInputError("samplers must be a list of objects")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.n_snapshots, (list, tuple)) or not self.n_snapshots:
             raise InvalidInputError("snapshot grid must be a non-empty list")
-        if not all(_is_count(ns) for ns in self.n_snapshots):
+        if not all(_is_int(ns) and ns >= 1 for ns in self.n_snapshots):
             raise InvalidInputError(
                 f"snapshot counts must be >= 1 and whole, got n_snapshots {self.n_snapshots!r}"
             )
-        if not _is_count(self.n_trials):
+        if not (_is_int(self.n_trials) and self.n_trials >= 1):
             raise InvalidInputError(f"n_trials must be a whole number >= 1, got {self.n_trials!r}")
         if not self.samplers:
             raise InvalidInputError("need at least one sampler")
@@ -274,12 +271,9 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     if kind == "explicit":
         return Subsampler(n, _field(entry, "selected", "sampler", _ints))
     if kind == "greedy":
-        k = _field(entry, "k", "sampler", _int)
-        if k > n:
-            raise InvalidInputError(f"sampler budget {k} exceeds N={n}")
         problem = DesignProblem(
             psi=psi,
-            k=k,
+            k=_field(entry, "k", "sampler", _int),
             epsilon=_field(entry, "epsilon", "sampler", _float, None),
             cost=entry.get("cost", "logdet"),
         )
@@ -344,9 +338,10 @@ class _Pipeline:
                 sampler = _resolve_sampler(entry, self.psi, n)
                 compressed = compress_model(self.psi, sampler)
                 if not compressed.full_column_rank:
-                    raise InvalidInputError(
+                    raise RankDeficiencyError(
                         f"sampler {entry!r} is not a valid covariance subsampler "
-                        f"(rank {compressed.rank} of {compressed.n_params})"
+                        f"(rank {compressed.rank} of {compressed.n_params})",
+                        rank=compressed.rank,
                     )
                 observed.update(sampler.selected)
                 compression = 1.0 - sampler.k / n

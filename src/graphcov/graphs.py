@@ -9,6 +9,7 @@ eigenvalues the graph frequencies. Filters are polynomials in the shift.
 from __future__ import annotations
 
 import json
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -25,35 +26,50 @@ CIRCULANT_DFT = "circulant-dft"
 _SYMMETRY_RTOL = 1e-12
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: a Python or numpy int, not a bool, float or string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``; a seed numpy refuses, such as -1, is invalid input."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"bad seed {seed!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with 0-based node indices.
 
-    Each edge is stored once as ``(i, j, weight)`` with ``i < j`` and
-    ``weight > 0``. Self-loops and duplicate pairs are rejected.
+    Each edge is given as ``(i, j)`` or ``(i, j, weight)`` and stored once
+    as ``(i, j, weight)`` with ``i < j``. The node count and endpoints
+    must be integers (not bools), and weights finite positive numbers.
+    Self-loops and duplicate pairs are rejected.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise InvalidInputError("graph must have at least one node")
+        if not (_is_int(self.n_nodes) and self.n_nodes >= 1):
+            raise InvalidInputError(f"graph must have an integer n >= 1, got {self.n_nodes!r}")
         seen = set()
         canonical = []
         for edge in self.edges:
-            if len(edge) == 2:
-                i, j = edge
-                w = 1.0
-            else:
-                i, j, w = edge
+            if len(edge) not in (2, 3):
+                raise InvalidInputError(f"edge {list(edge)} must be [i, j] or [i, j, weight]")
+            i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
+            if not (_is_int(i) and _is_int(j)):
+                raise InvalidInputError(f"edge {list(edge)} has a non-integer endpoint")
             i, j = int(i), int(j)
             if i == j:
                 raise InvalidInputError(f"self-loop at node {i}")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise InvalidInputError(f"edge ({i},{j}) out of range for n={self.n_nodes}")
-            if w <= 0:
-                raise InvalidInputError(f"edge ({i},{j}) has non-positive weight {w}")
+            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 < w < np.inf:
+                raise InvalidInputError(f"edge ({i},{j}) weight {w!r} is not finite and positive")
             pair = (min(i, j), max(i, j))
             if pair in seen:
                 raise InvalidInputError(f"duplicate edge {pair}")
@@ -87,10 +103,10 @@ class Graph:
         try:
             obj = json.loads(text)
             n = obj["n"]
-            edges = obj["edges"]
+            edges = tuple(tuple(e) for e in obj["edges"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed graph JSON: {exc}") from exc
-        return cls(n_nodes=n, edges=tuple(tuple(e) for e in edges))
+        return cls(n_nodes=n, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -405,7 +421,7 @@ def sensor_graph(n: int, seed: int, k: int = 6) -> Graph:
         raise InvalidInputError("sensor graph needs n >= 2")
     if not (1 <= k < n):
         raise InvalidInputError("need 1 <= k < n")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pts = rng.random((n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .graphs import GraphFilter, ShiftOperator, SpectralBasis, apply_filter, filter_matrix
+from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _rng, apply_filter, filter_matrix
 
 TRUE = "true"
 SAMPLE = "sample"
@@ -58,22 +58,25 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class SnapshotMatrix:
-    """K x N_s matrix of finite signal realizations on the nodes ``node_indices``."""
+    """K x N_s matrix of finite signal realizations on the distinct nodes ``node_indices``."""
 
     data: np.ndarray
     node_indices: tuple[int, ...]
 
     def __post_init__(self):
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if data.shape[0] != len(self.node_indices):
+        nodes = tuple(int(i) for i in self.node_indices)
+        if data.shape[0] != len(nodes):
             raise InvalidInputError("row count must match node_indices")
+        if len(set(nodes)) != len(nodes):
+            raise InvalidInputError(f"repeated node in node_indices {list(nodes)}")
         if data.shape[1] < 1:
             raise InvalidInputError("need at least one snapshot")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("non-finite values in snapshot data")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "node_indices", tuple(int(i) for i in self.node_indices))
+        object.__setattr__(self, "node_indices", nodes)
 
     @property
     def n_snapshots(self) -> int:
@@ -104,11 +107,11 @@ def generate_signals(
 
     The noise comes from ``numpy.random.default_rng(seed)`` (PCG64), which
     is stable across platforms, so output is reproducible. ``seed`` may
-    be an int or a ``SeedSequence``.
+    be a non-negative int or a ``SeedSequence``.
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     noise = rng.standard_normal((shift.n, n_snapshots))
     return apply_filter(shift, filt, noise)
 
@@ -188,6 +191,11 @@ def load_snapshots_csv(path) -> SnapshotMatrix:
             rows = [[float(v) for v in row] for row in reader if row]
         except ValueError as exc:
             raise InvalidInputError(f"{path}: non-numeric snapshot value: {exc}") from exc
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(nodes):
+            raise InvalidInputError(
+                f"{path}: snapshot {number} has {len(row)} values for {len(nodes)} node columns"
+            )
     if not rows:
         raise InvalidInputError(f"{path}: no snapshots")
     return SnapshotMatrix(np.asarray(rows, dtype=float).T, nodes)

@@ -415,6 +415,16 @@ class TestCheckValid:
         report = check_valid(psi, Subsampler(12, (0, 1, 3, 7)))
         assert report.feasible and report.valid and report.rank == 12
 
+    def test_moving_average_model_counts_distinct_equations(self):
+        # the MA columns vec(S^k) are real and symmetric: K=3 gives
+        # K(K+1)/2 = 6 distinct equations, fewer than Q = 7 <= K^2 = 9
+        psi = build_psi_ma(build_shift(sensor_graph(20, seed=7), "laplacian"), 7)
+        report = check_valid(psi, Subsampler(20, (0, 5, 11)))
+        assert not report.feasible
+        assert not report.valid
+        assert report.rank <= 6
+        assert check_valid(psi, Subsampler(20, (0, 5, 11, 17))).feasible  # 10 >= 7
+
     def test_reads_the_compressed_model(self):
         psi = sensor_psi(20)
         sampler = Subsampler(20, (0, 3, 5, 8, 11, 13, 16, 19))

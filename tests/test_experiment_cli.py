@@ -71,6 +71,12 @@ class TestGraphGen:
         run_cli("graph", "gen", "--kind", "sensor", "--n", "30", "--seed", "7", "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "12", "--seed", "-1", "--out", str(out)) == 2
+        assert "bad seed -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSamplerCommands:
     def test_design_spectral_cycle(self, tmp_path):
@@ -136,6 +142,28 @@ class TestSamplerCommands:
         )
         assert code == 2
         assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "graph_json, message",
+        [
+            ('{"n": 4, "edges": [[0]]}', "must be [i, j] or [i, j, weight]"),
+            ('{"n": "x", "edges": [[0, 1]]}', "integer n >= 1, got 'x'"),
+            ('{"n": 2.5, "edges": [[0, 1]]}', "integer n >= 1, got 2.5"),
+            ('{"n": 4, "edges": [[0, 1, "x"]]}', "weight 'x' is not finite and positive"),
+            ('{"n": 4, "edges": [[0, 1, NaN]]}', "weight nan is not finite and positive"),
+            ('{"n": 4, "edges": [[0, 1, Infinity]]}', "weight inf is not finite and positive"),
+            ('{"n": 4, "edges": [[0, 1.5]]}', "non-integer endpoint"),
+        ],
+        ids=["short-edge", "n-string", "n-fraction", "weight-string", "weight-nan",
+             "weight-inf", "endpoint-fraction"],
+    )
+    def test_design_malformed_graph_exit_code(self, tmp_path, capsys, graph_json, message):
+        g = tmp_path / "g.json"
+        g.write_text(graph_json)
+        out = tmp_path / "s.json"
+        assert run_cli("sampler", "design", "--graph", str(g), "--k", "2", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ruler_minimal(self, tmp_path):
         out = tmp_path / "r.json"
@@ -208,6 +236,54 @@ class TestSignalAndEstimate:
             "--out", str(tmp_path / "out.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("sampler", [{"n": 20, "selected": [0, 19]}, {"n": 4, "selected": [0, 1]}],
+                             ids=["more-nodes", "fewer-nodes"])
+    def test_signal_gen_sampler_node_count_exit_code(self, tmp_path, capsys, sampler):
+        g = tmp_path / "g.json"
+        run_cli("graph", "gen", "--kind", "sensor", "--n", "12", "--seed", "3", "--out", str(g))
+        sampler_path = tmp_path / "s.json"
+        sampler_path.write_text(json.dumps(sampler))
+        snaps = tmp_path / "snaps.csv"
+        code = run_cli(
+            "signal", "gen", "--graph", str(g), "--coeffs", "1,0.5", "--ns", "10",
+            "--sampler", str(sampler_path), "--out", str(snaps),
+        )
+        assert code == 2
+        assert f"sampler has {sampler['n']} nodes, the graph 12" in capsys.readouterr().err
+        assert not snaps.exists()
+
+    @pytest.mark.parametrize("signal, coeffs", [("ma", "1,0.5"), ("ar", "0.1")])
+    def test_signal_gen_negative_seed_exit_code(self, sensor_graph_file, tmp_path, capsys,
+                                                signal, coeffs):
+        code = run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--shift", "adjacency",
+            "--signal", signal, "--coeffs", coeffs, "--ns", "10", "--seed", "-1",
+            "--out", str(tmp_path / "snaps.csv"),
+        )
+        assert code == 2
+        assert "bad seed -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "csv_text, message",
+        [
+            ("node_0,node_1,node_2\n1.0,2.0,3.0\n1.0,2.0\n", "snapshot 2 has 2 values for 3 node columns"),
+            ("node_3,node_3,node_5\n1.0,2.0,3.0\n", "repeated node in node_indices [3, 3, 5]"),
+        ],
+        ids=["short-row", "repeated-node"],
+    )
+    def test_estimate_malformed_snapshots_exit_code(self, sensor_graph_file, tmp_path, capsys,
+                                                    csv_text, message):
+        snaps = tmp_path / "snaps.csv"
+        snaps.write_text(csv_text)
+        sampler_path = tmp_path / "s.json"
+        sampler_path.write_text(Subsampler(16, (0, 1, 2, 3, 5)).to_json())
+        code = run_cli(
+            "estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+            "--sampler", str(sampler_path), "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_ar_estimate(self, tmp_path):
         g = tmp_path / "g.json"
@@ -619,13 +695,21 @@ class TestExperiment:
             ({"samplers": [{"kind": "greedy", "k": 8, "epsilon": float("nan")}]},
              "bad sampler.epsilon nan"),
             ({"samplers": [{"kind": "greedy", "k": 8.7}]}, "bad sampler.k 8.7"),
+            ({"seed": True}, "seed must be a non-negative integer"),
+            ({"samplers": [{"kind": "greedy", "k": "8"}]}, "bad sampler.k '8'"),
+            ({"samplers": [{"kind": "greedy", "k": 8.0}]}, "bad sampler.k 8.0"),
+            ({"graph": {"kind": "sensor", "n": "12"}}, "bad graph.n '12'"),
+            ({"graph": {"kind": "sensor", "n": 12, "seed": -1}}, "bad seed -1"),
+            ({"samplers": [{"kind": "greedy", "k": 17}]}, "need 1 <= K <= 16, got 17"),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
              "model-not-object", "sampler-not-object", "greedy-k-not-int", "signal-h-not-numbers",
              "sensor-n-not-int", "seed-not-int", "zero-spectrum", "signal-h-nan", "signal-h-inf",
              "signal-a-nan", "trials-fraction", "trials-nan", "trials-bool", "snapshots-fraction",
-             "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction"],
+             "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction", "seed-bool",
+             "greedy-k-string", "greedy-k-float", "sensor-n-string", "graph-seed-negative",
+             "greedy-k-above-n"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
@@ -634,6 +718,20 @@ class TestExperiment:
         code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sampler", [{"kind": "explicit", "selected": [0, 1, 2]}, {"kind": "greedy", "k": 3}],
+        ids=["explicit", "greedy"],
+    )
+    def test_rank_deficient_sampler_exit_code(self, tmp_path, capsys, sampler):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            graph={"kind": "sensor", "n": 12, "seed": 3}, samplers=[sampler]
+        )))
+        out = tmp_path / "o.csv"
+        assert run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out)) == 3
+        assert "(rank 6 of 12)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [{"methods": ["lsq"]}, {"n_snapshots": [0]}])
