@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator, SpectralBasis, _rng
+from .graphs import Graph, ShiftOperator, SpectralBasis, _is_int, _rng
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
 from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
 
@@ -58,14 +58,17 @@ class ARSamplingScheme:
     def __post_init__(self):
         if not self.core:
             raise InvalidInputError("core set must be non-empty")
-        if self.order < 1:
-            raise InvalidInputError("AR order must be >= 1")
+        if not all(_is_int(i) for i in self.core):
+            raise InvalidInputError(f"core nodes must be integers, got {list(self.core)}")
+        if not (_is_int(self.order) and self.order >= 1):
+            raise InvalidInputError(f"AR order must be an integer >= 1, got {self.order!r}")
         if len(self.levels) != self.order + 1:
             raise InvalidInputError("need one level per hop 0..P")
         core = tuple(sorted(int(i) for i in self.core))
         if self.levels[0].selected != core:
             raise InvalidInputError("level 0 must select exactly the core set")
         object.__setattr__(self, "core", core)
+        object.__setattr__(self, "order", int(self.order))
 
     @property
     def level_sizes(self) -> tuple[int, ...]:

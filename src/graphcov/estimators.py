@@ -3,17 +3,25 @@
 Every estimator is least squares on ``r_y = G theta`` with real
 parameters. Ordinary least squares is one product with the pseudo-inverse
 the model keeps from its single SVD; the nonnegative variant enforces the
-sign constraint a power spectrum carries by definition on the model's
-real-stacked matrix. One-step weighted least squares solves the Gaussian
-likelihood stationarity equations with the weight built from the sample
-covariance itself: its normal matrix is the weighted Gram
+sign constraint a power spectrum carries by definition, on the M x M
+system ``Sigma V^T`` of that SVD, which has the same minimiser as the
+real-stacked K^2-row system. One-step weighted least squares solves the
+Gaussian likelihood stationarity equations with the weight built from the
+sample covariance itself: its normal matrix is the weighted Gram
 ``Re(G_w^H G_w)`` of the whitened columns, solved by Cholesky. The
 Fisher information is the same Gram, built from the true covariance and
 scaled by ``nu N_s``, with nu = 1/2 because the data are real; it gives
-the Cramer-Rao floor the unweighted estimator does not reach. LS, WLS
-and the Fisher information make no ``scipy.linalg`` call: their linear
-algebra runs in numpy's BLAS, which is a different OpenBLAS from
-scipy's, with its own thread pool.
+the Cramer-Rao floor the unweighted estimator does not reach.
+
+For a spectral model column i is ``conj(u_i) kron u_i`` for a sampled
+basis row set U_S, so with ``R = L L^H`` and ``B = L^{-1} U_S`` the Gram
+is ``|B^H B|^2`` (elementwise) and the right-hand side is
+``Re diag(B^H L^{-1} R_hat L^{-H} B)``: K x M and M x M products, the
+covariance-matching weighting of Ottersten, Stoica and Roy (COMET, 1998).
+Other models, whose columns are not rank one, whiten their K^2 x M matrix
+column by column. LS, WLS and the Fisher information make no
+``scipy.linalg`` call: their linear algebra runs in numpy's BLAS, which
+is a different OpenBLAS from scipy's, with its own thread pool.
 """
 
 from __future__ import annotations
@@ -100,15 +108,19 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least squares with elementwise nonnegativity on the parameters.
 
-    Backed by the Lawson-Hanson active-set solver on the model's
-    real-stacked matrix, with an iteration cap of 10 * M^2; exhausting the
-    cap raises ConvergenceError.
+    Backed by the Lawson-Hanson active-set solver, with an iteration cap
+    of 10 * M^2; exhausting the cap raises ConvergenceError. For the
+    full-rank model's SVD ``U Sigma V^T`` of the real-stacked matrix,
+    ``||U Sigma V^T theta - b||^2`` is ``||Sigma V^T (theta - theta_LS)||^2``
+    plus a constant, so the solver runs on the M x M pair
+    ``(Sigma V^T, Sigma V^T theta_LS)`` and has the same solution.
     """
     r = _require_vector(model, r_y)
     _require_full_rank(model)
     m = model.n_params
+    target = model.reduced @ (model.pinv @ model.stack(r))
     try:
-        theta, _ = scipy.optimize.nnls(model.stacked_matrix, model.stack(r), maxiter=10 * m * m)
+        theta, _ = scipy.optimize.nnls(model.reduced, target, maxiter=10 * m * m)
     except RuntimeError as exc:
         raise ConvergenceError(f"nonnegative solver did not converge: {exc}") from exc
     residual = float(np.linalg.norm(model.matrix @ theta - r))
@@ -146,16 +158,33 @@ def _whiten_columns(g: np.ndarray, chol: np.ndarray, k: int) -> np.ndarray:
     return full.reshape(k, m, k).transpose(0, 2, 1).reshape(k * k, m, order="F")
 
 
-def _weighted_gram(columns: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Symmetrised ``Re(C_w^H C_w)`` of the whitened columns ``C_w``.
+def _weighted_system(model: ObservationModel, chol: np.ndarray, r=None):
+    """Weighted normal matrix ``Re(G_w^H G_w)`` and, given r, right-hand side ``Re(G_w^H r_w)``.
 
-    Entry (i, j) is ``Re tr(R^{-1} X_i R^{-1} X_j^H)`` for columns
-    ``vec(X_i)`` and ``R = L L^H``: the normal matrix of least squares
-    weighted by ``R^{-T} kron R^{-1}``, which is never formed.
+    ``G_w`` and ``r_w`` are the model columns ``vec(X_i)`` and ``vec(R_hat)``
+    whitened to ``vec(L^{-1} X L^{-H})``, for ``R = L L^H``: entry (i, j)
+    of the normal matrix is ``Re tr(R^{-1} X_i R^{-1} X_j^H)``, the
+    normal matrix of least squares weighted by ``R^{-T} kron R^{-1}``,
+    which is never formed. A spectral model has ``X_i = u_i u_i^H`` for
+    its sampled basis rows, so with ``B = L^{-1} U_S`` the entries are
+    ``|b_i^H b_j|^2`` and ``Re b_i^H L^{-1} R_hat L^{-H} b_i``; any other
+    model whitens its K^2 x M matrix. The normal matrix is symmetrised.
     """
-    whitened = _whiten_columns(columns, chol, chol.shape[0])
-    gram = np.real(whitened.conj().T @ whitened)
-    return 0.5 * (gram + gram.T)
+    k, m = chol.shape[0], model.n_params
+    if model.sampled_basis is None:
+        columns = model.matrix if r is None else np.column_stack([model.matrix, r])
+        whitened = _whiten_columns(columns, chol, k)
+        gram = np.real(whitened.conj().T @ whitened)
+        gram = 0.5 * (gram + gram.T)
+        return gram[:m, :m], (None if r is None else gram[:m, m])
+    l_inv = np.linalg.inv(chol)
+    b = l_inv @ model.sampled_basis
+    gram = np.abs(b.conj().T @ b) ** 2
+    rhs = None
+    if r is not None:
+        r_w = l_inv @ unvec(r, k) @ l_inv.conj().T
+        rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=0))
+    return 0.5 * (gram + gram.T), rhs
 
 
 def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> EstimationResult:
@@ -166,9 +195,13 @@ def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> E
     where R is the supplied (sample) covariance, diagonally loaded when
     near-singular. The normal matrix is the weighted Gram of the model
     columns, the Fisher information up to the factor ``nu N_s``, and the
-    right-hand side is the same product with ``r_hat``; both come from one
-    whitening of ``[G r_hat]``. It is solved by Cholesky, which makes the
-    likelihood stationarity equations hold at the solution. A normal
+    right-hand side is the same product with ``r_hat``. For a spectral
+    model both come from ``B = L^{-1} U_S``, with L the Cholesky factor
+    of the loaded R and U_S the sampled basis rows: the normal matrix is
+    ``|B^H B|^2`` and the right-hand side ``Re diag(B^H L^{-1} R_hat
+    L^{-H} B)``, so no K^2 x M array is formed. Other models whiten
+    ``[G r_hat]`` column by column. It is solved by Cholesky, which makes
+    the likelihood stationarity equations hold at the solution. A normal
     matrix that is not positive definite raises RankDeficiencyError.
     ``condition_number`` is ``sqrt(lambda_max / lambda_min)`` of the
     normal matrix, the condition number of the whitened system.
@@ -178,14 +211,12 @@ def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> E
     if k * k != r.size:
         raise InvalidInputError(f"weight covariance is {k}x{k} but observation has {r.size} entries")
     _require_full_rank(model)
-    m = model.n_params
-    gram = _weighted_gram(np.column_stack([model.matrix, r]), _regularized_cholesky(cov_hat))
-    normal = gram[:m, :m]
+    normal, rhs = _weighted_system(model, _regularized_cholesky(cov_hat), r)
     try:
         factor = np.linalg.cholesky(normal)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("weighted normal matrix is not positive definite") from exc
-    theta = np.linalg.solve(factor.T, np.linalg.solve(factor, gram[:m, m]))
+    theta = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
     residual = float(np.linalg.norm(model.matrix @ theta - r))
     eigs = np.linalg.eigvalsh(normal)
     condition = float(np.sqrt(eigs[-1] / eigs[0])) if eigs[0] > 0.0 else np.inf
@@ -219,7 +250,9 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
 
     ``G_i`` is column i of the model reshaped K x K: the weighted Gram
     that :func:`wls_estimate` solves, built from the true covariance and
-    scaled by ``nu N_s``, so only K x K factors are formed. The CRB is
+    scaled by ``nu N_s``. For a spectral model that is
+    ``nu N_s |B^H B|^2`` with ``B = L^{-1} U_S`` and L the Cholesky
+    factor of R, so only K x M and M x M factors are formed. The CRB is
     ``F^{-1}``; a singular F falls back to the pseudo-inverse with
     ``crb_is_pinv`` set.
     """
@@ -230,7 +263,8 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
         raise InvalidInputError(f"covariance is {k}x{k} but model has {model.matrix.shape[0]} rows")
     if cov.min_eigenvalue <= 0.0:
         raise SingularityError("covariance must be positive definite for the Fisher information")
-    fim = NU_REAL * n_snapshots * _weighted_gram(model.matrix, np.linalg.cholesky(cov.matrix))
+    fim, _ = _weighted_system(model, np.linalg.cholesky(cov.matrix))
+    fim *= NU_REAL * n_snapshots
     svals = np.linalg.svd(fim, compute_uv=False)
     if numerical_rank(svals, fim.shape) == fim.shape[0]:
         crb = np.linalg.inv(fim)

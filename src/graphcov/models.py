@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, RepeatedEigenvaluesWarning
-from .graphs import GraphFilter, ShiftOperator, SpectralBasis
+from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _is_int
 
 SPECTRAL = "spectral"
 MOVING_AVERAGE = "moving_average"
@@ -52,6 +52,12 @@ class Subsampler:
     selected: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_int(self.n_nodes):
+            raise InvalidInputError(f"sampler node count must be an integer, got {self.n_nodes!r}")
+        bad = [i for i in self.selected if not _is_int(i)]
+        if bad:
+            raise InvalidInputError(f"sampler node index must be an integer, got {bad[0]!r}")
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
         sel = tuple(sorted(int(i) for i in self.selected))
         if len(sel) != len(set(sel)):
             raise InvalidInputError("duplicate node in sampler")
@@ -105,30 +111,39 @@ class ObservationModel:
 
     A non-finite G is refused.
 
-    Construction takes one SVD, of the real-stacked matrix
-    ``stacked_matrix``: ``[Re G; Im G]`` for a complex G and G itself for
-    a real one. Every diagnostic and every least-squares solve comes from
-    it. ``rank`` counts the singular values above the
-    :func:`numerical_rank` threshold ``max(shape) * eps * sigma_max`` of
-    the stacked matrix, so it is the rank over real parameters, which is
-    what least squares solves for; ``full_column_rank``, ``min_singular``
-    and ``condition_number`` read the same singular values. ``pinv``
-    inverts the kept singular values and zeroes the rest, so
-    ``pinv @ stack(r)`` is the minimum-norm least-squares solution. For
-    every model this package builds the real rank equals the complex
-    rank of G: spectral models have a real Gram ``G^H G``, and
+    Construction takes one SVD, of the real-stacked matrix ``[Re G; Im G]``
+    for a complex G and of G itself for a real one (see :meth:`stack`).
+    Every diagnostic and every least-squares solve comes from it. ``rank``
+    counts the singular values above the :func:`numerical_rank` threshold
+    ``max(shape) * eps * sigma_max`` of the stacked matrix, so it is the
+    rank over real parameters, which is what least squares solves for;
+    ``full_column_rank``, ``min_singular`` and ``condition_number`` read
+    the same singular values. ``pinv`` inverts the kept singular values and
+    zeroes the rest, so ``pinv @ stack(r)`` is the minimum-norm
+    least-squares solution. ``reduced`` is ``Sigma V^T`` of the same SVD:
+    for a full-rank model with real-stacked matrix A,
+    ``||A theta - stack(r)||^2`` equals
+    ``||reduced (theta - pinv stack(r))||^2`` plus a constant, an M x M
+    system. For every model this package builds the real rank equals the
+    complex rank of G: spectral models have a real Gram ``G^H G``, and
     moving-average and autoregressive models are real.
+
+    ``sampled_basis`` is set for a spectral model: the K x M sampled basis
+    rows U_S whose Khatri-Rao product ``conj(u_i) kron u_i`` is column i of
+    G. The weighted estimators reduce to K x M products of it. Only its
+    shape is checked against G; :func:`compress_model` builds both.
     """
 
     matrix: np.ndarray
     param_kind: str
+    sampled_basis: np.ndarray | None = field(default=None, repr=False)
     singular_values: np.ndarray = field(init=False)
     rank: int = field(init=False)
     full_column_rank: bool = field(init=False)
     min_singular: float = field(init=False)
     condition_number: float = field(init=False)
-    stacked_matrix: np.ndarray = field(init=False, repr=False)
     pinv: np.ndarray = field(init=False, repr=False)
+    reduced: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.matrix)
@@ -138,12 +153,19 @@ class ObservationModel:
             raise InvalidInputError(f"unknown parameter kind {self.param_kind!r}")
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("non-finite values in model matrix")
+        if self.sampled_basis is not None:
+            u_s = np.asarray(self.sampled_basis)
+            if u_s.ndim != 2 or u_s.shape[1] != g.shape[1] or u_s.shape[0] ** 2 != g.shape[0]:
+                raise InvalidInputError(
+                    f"sampled basis of shape {u_s.shape} does not match a {g.shape} model"
+                )
+            self.sampled_basis = u_s
         self.matrix = g
         a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else np.asarray(g, dtype=float)
         u, svals, vt = np.linalg.svd(a, full_matrices=False)
         rank = numerical_rank(svals, a.shape)
-        self.stacked_matrix = a
         self.pinv = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
+        self.reduced = svals[:, None] * vt
         self.singular_values = svals
         self.rank = rank
         self.full_column_rank = rank == g.shape[1]
@@ -155,14 +177,14 @@ class ObservationModel:
         return self.matrix.shape[1]
 
     def stack(self, r: np.ndarray) -> np.ndarray:
-        """Right-hand side matching ``stacked_matrix``: ``[Re r; Im r]`` or ``Re r``.
+        """Right-hand side of the real-stacked system: ``[Re r; Im r]`` for a complex G, else ``Re r``.
 
         A real model has zero imaginary rows, so the imaginary part of r
         cannot change its solution and is dropped.
         """
-        if self.stacked_matrix.shape[0] == r.size:
-            return np.real(r)
-        return np.concatenate([np.real(r), np.imag(r)])
+        if np.iscomplexobj(self.matrix):
+            return np.concatenate([np.real(r), np.imag(r)])
+        return np.real(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,10 +308,12 @@ def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationMode
     Computes the K^2 rows of the selected node pairs, in the order of
     :func:`vec` of the K x K covariance: entry ``q*K + p`` is the covariance
     entry (selected[p], selected[q]). Neither the Kronecker selection
-    matrix nor the uncompressed model is formed.
+    matrix nor the uncompressed model is formed. A spectral model also
+    hands its sampled basis rows U_S to the :class:`ObservationModel`.
     """
     if sampler.n_nodes != psi.n_nodes:
         raise InvalidInputError(f"sampler has {sampler.n_nodes} nodes, the model {psi.n_nodes}")
     sel = np.asarray(sampler.selected)
     rows = psi.rows(sel[:, None], sel[None, :]).reshape(sampler.k**2, psi.n_params)
-    return ObservationModel(matrix=rows, param_kind=psi.kind)
+    sampled_basis = psi.factors[sel] if psi.kind == SPECTRAL else None
+    return ObservationModel(matrix=rows, param_kind=psi.kind, sampled_basis=sampled_basis)

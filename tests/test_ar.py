@@ -107,6 +107,27 @@ class TestScheme:
         loaded = ARSamplingScheme.from_json(scheme.to_json(), 10)
         assert loaded == scheme
 
+    @pytest.mark.parametrize(
+        "text, n_nodes",
+        [
+            ('{"core": [0], "P": 1, "levels": [[0], [1.5, 2.7]]}', 10),
+            ('{"core": [0], "P": 1, "levels": [[0], [true, 2]]}', 10),
+            ('{"core": [0], "P": 1, "levels": [[0], [1, 9]]}', 12.5),
+            ('{"core": [1.5], "P": 1, "levels": [[1], [0, 2]]}', 10),
+            ('{"core": [0], "P": true, "levels": [[0], [1, 9]]}', 10),
+        ],
+        ids=["fractional-index", "bool-index", "fractional-n", "fractional-core", "bool-order"],
+    )
+    def test_non_integer_json_rejected(self, text, n_nodes):
+        with pytest.raises(InvalidInputError, match="integer"):
+            ARSamplingScheme.from_json(text, n_nodes)
+
+    def test_numpy_integer_core_accepted(self):
+        s = build_shift(cycle_graph(10), "adjacency")
+        scheme = build_ar_scheme(s, np.array([0, 5]), np.int64(1))
+        assert scheme.core == (0, 5)
+        assert ARSamplingScheme.from_json(scheme.to_json(), np.int64(10)) == scheme
+
     def test_core_by_degree_prefers_max_degree_then_lowest_index(self):
         assert core_by_degree(star_graph(5)) == (0,)
         assert core_by_degree(cycle_graph(6)) == (0,)  # all tied, lowest index

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.optimize
 
 from graphcov import (
     CovarianceMatrix,
@@ -13,6 +15,7 @@ from graphcov import (
     RepeatedEigenvaluesWarning,
     SingularityError,
     Subsampler,
+    build_psi_ma,
     build_psi_spectral,
     build_shift,
     compress_model,
@@ -82,6 +85,22 @@ def dense_weight(cov):
     return 0.5 * cov.n_snapshots * np.kron(r_inv.T, r_inv)
 
 
+def whitening_model(model):
+    """The same matrix without its sampled basis rows: the column-whitening path."""
+    return ObservationModel(matrix=model.matrix, param_kind=model.param_kind)
+
+
+@pytest.fixture(scope="module")
+def ma_setup():
+    """Moving-average model (Q=3) of the sensor graph's nodes, and a sample covariance."""
+    s = build_shift(sensor_graph(12, seed=2), "laplacian")
+    sampler = Subsampler(12, (0, 2, 3, 5, 8, 10))
+    model = compress_model(build_psi_ma(s, 3), sampler)
+    x = generate_signals(s, GraphFilter([1.0, -0.3]), 200, seed=4)
+    cov = sample_covariance(x[list(sampler.selected)])
+    return model, cov, vec(cov.matrix)
+
+
 class TestLs:
     def test_matches_lstsq(self, k4_setup):
         model, _, r = k4_setup
@@ -145,6 +164,21 @@ class TestNnls:
             clipped = np.clip(ls_estimate(model, r).theta, 0.0, None)
             assert nn.residual_norm <= np.linalg.norm(a @ clipped - r) + 1e-12
 
+    def test_reduced_system_matches_stacked_nnls(self, k4_setup):
+        model, _, _ = k4_setup
+        g = model.matrix
+        rng = np.random.default_rng(4)
+        theta0 = rng.standard_normal(model.n_params)  # negative entries: active constraints
+        r = g @ theta0 + 0.1 * rng.standard_normal(g.shape[0])
+        assert ls_estimate(model, r).theta.min() < 0
+        a = np.vstack([g.real, g.imag])
+        b = np.concatenate([r.real, r.imag])
+        reference, _ = scipy.optimize.nnls(a, b)
+        res = nnls_estimate(model, r)
+        assert np.sum(res.theta == 0.0) >= 1
+        npt.assert_allclose(res.theta, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference))
+        assert res.residual_norm == pytest.approx(np.linalg.norm(g @ reference - r), rel=1e-10)
+
     def test_average_nmse_not_worse_than_ls(self, compressed_setup):
         s, sampler, model, h, p_true, _ = compressed_setup
         ls_runs, nn_runs = [], []
@@ -184,6 +218,47 @@ class TestWls:
         reference = np.linalg.solve(normal, np.real(g.conj().T @ weight @ r))
         theta = wls_estimate(model, r, cov).theta
         npt.assert_allclose(theta, reference, rtol=0, atol=1e-12 * np.linalg.norm(reference))
+
+    def test_rank_one_path_matches_whitening_path(self, k4_setup):
+        model, cov, r = k4_setup
+        assert model.sampled_basis is not None
+        reference = wls_estimate(whitening_model(model), r, cov)
+        res = wls_estimate(model, r, cov)
+        npt.assert_allclose(res.theta, reference.theta, rtol=0, atol=1e-12 * np.linalg.norm(reference.theta))
+        assert res.condition_number == pytest.approx(reference.condition_number, rel=1e-10)
+
+    def test_loaded_weight_matches_whitening_path(self, compressed_setup):
+        # N_s = 3 < K = 6: the weight is the sample covariance loaded by delta,
+        # which puts the normal matrix's condition number near 1e10; so the
+        # paths agree to 1e-5, and theta solves the dense loaded normal equations
+        # to a backward error of 1e-9.
+        s, sampler, model, h, _, _ = compressed_setup
+        cov = sample_covariance(generate_signals(s, h, 3, seed=17)[list(sampler.selected)])
+        r = vec(cov.matrix)
+        delta = 1e-8 * np.trace(cov.matrix) / sampler.k
+        assert cov.min_eigenvalue < delta
+        theta = wls_estimate(model, r, cov).theta
+        reference = wls_estimate(whitening_model(model), r, cov).theta
+        npt.assert_allclose(theta, reference, rtol=0, atol=1e-5 * np.linalg.norm(reference))
+        loaded = CovarianceMatrix(cov.matrix + delta * np.eye(sampler.k), kind="sample", n_snapshots=3)
+        g, weight = model.matrix, dense_weight(loaded)
+        normal, rhs = g.T @ weight @ g, g.T @ weight @ r
+        backward = np.linalg.norm(normal @ theta - rhs) / (np.linalg.norm(normal) * np.linalg.norm(theta))
+        assert backward < 1e-9
+
+    def test_stationarity_on_rank_one_path(self, k4_setup):
+        model, cov, r = k4_setup
+        theta = wls_estimate(model, r, cov).theta
+        assert wls_stationarity_residual(model, theta, r, cov) < 1e-8
+
+    def test_moving_average_matches_dense_weight(self, ma_setup):
+        model, cov, r = ma_setup
+        assert model.sampled_basis is None
+        g, weight = model.matrix, dense_weight(cov)
+        reference = np.linalg.solve(g.T @ weight @ g, g.T @ weight @ r)
+        theta = wls_estimate(model, r, cov).theta
+        npt.assert_allclose(theta, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference))
+        assert wls_stationarity_residual(model, theta, r, cov) < 1e-8
 
     def test_condition_number_of_whitened_system(self, k4_setup):
         model, cov, r = k4_setup
@@ -256,6 +331,20 @@ class TestFisher:
         info = fisher_info(model, cov, cov.n_snapshots)
         npt.assert_allclose(info.matrix, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
+    def test_rank_one_path_matches_whitening_path(self, k4_setup):
+        model, cov, _ = k4_setup
+        reference = fisher_info(whitening_model(model), cov, cov.n_snapshots)
+        info = fisher_info(model, cov, cov.n_snapshots)
+        npt.assert_allclose(info.matrix, reference.matrix, rtol=0, atol=1e-12 * np.abs(reference.matrix).max())
+        npt.assert_allclose(info.crb, reference.crb, rtol=0, atol=1e-10 * np.abs(reference.crb).max())
+
+    def test_moving_average_matches_dense_weight(self, ma_setup):
+        model, cov, _ = ma_setup
+        g = model.matrix
+        reference = np.real(g.T @ dense_weight(cov) @ g)
+        info = fisher_info(model, cov, cov.n_snapshots)
+        npt.assert_allclose(info.matrix, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
     def test_scalar_variance_bound(self):
         # variance estimation from real Gaussian data: CRB = 2 theta^2 / N_s
         theta = 1.7
@@ -292,6 +381,27 @@ class TestFisher:
         info = fisher_info(model, cov, 10)
         assert info.crb_is_pinv
         npt.assert_allclose(info.crb, np.linalg.pinv(info.matrix), atol=1e-12)
+
+
+def test_spectral_estimators_form_no_k2_by_m_array():
+    """WLS and the Fisher information on K=60 of N=M=400 nodes stay on K x M and M x M arrays."""
+    s = build_shift(sensor_graph(400, seed=1), "laplacian")
+    sel = tuple(np.sort(np.random.default_rng(0).choice(400, 60, replace=False)))
+    model = compress_model(build_psi_spectral(s.basis()), Subsampler(400, sel))
+    assert model.matrix.shape == (3600, 400) and model.full_column_rank
+    h = GraphFilter([1.0, 0.5])
+    cov = CovarianceMatrix(true_covariance(s, h).matrix[np.ix_(sel, sel)], kind="true")
+    cov_hat = sample_covariance(generate_signals(s, h, 100, seed=1)[list(sel)])
+    r = vec(cov_hat.matrix)
+    one_array = 3600 * 400 * 8  # bytes of one real K^2 x M array
+    for call in (lambda: wls_estimate(model, r, cov_hat), lambda: fisher_info(model, cov, 100)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * one_array
 
 
 class TestNmse:

@@ -237,6 +237,27 @@ class TestSignalAndEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [{"n": 16, "selected": [0, 1.5, 2.7]}, {"n": 16, "selected": [True, 2]}, {"n": 16.5, "selected": [0, 1]}],
+        ids=["fractional-index", "bool-index", "fractional-n"],
+    )
+    def test_estimate_non_integer_sampler_exit_code(self, sensor_graph_file, tmp_path, capsys, sampler):
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--signal", "ma",
+            "--coeffs", "1,0.5", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        sampler_path = tmp_path / "s.json"
+        sampler_path.write_text(json.dumps(sampler))
+        code = run_cli(
+            "estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+            "--sampler", str(sampler_path), "--model", "spectral", "--method", "ls",
+            "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sampler", [{"n": 20, "selected": [0, 19]}, {"n": 4, "selected": [0, 1]}],
                              ids=["more-nodes", "fewer-nodes"])
     def test_signal_gen_sampler_node_count_exit_code(self, tmp_path, capsys, sampler):

@@ -67,6 +67,24 @@ class TestSubsampler:
         s = Subsampler(10, (0, 1, 4, 7, 9))
         assert Subsampler.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 12, "selected": [0, 1.5, 2.7]}',
+            '{"n": 12, "selected": [true, 2]}',
+            '{"n": 12.5, "selected": [0, 1]}',
+        ],
+        ids=["fractional-index", "bool-index", "fractional-n"],
+    )
+    def test_non_integer_json_rejected(self, text):
+        with pytest.raises(InvalidInputError, match="integer"):
+            Subsampler.from_json(text)
+
+    def test_numpy_integers_accepted(self):
+        s = Subsampler(np.int64(5), (np.int64(3), np.int32(0)))
+        assert s == Subsampler(5, (0, 3))
+        assert Subsampler.from_json(s.to_json()) == s
+
     def test_selection_matrix(self):
         s = Subsampler(4, (1, 3))
         phi = s.selection_matrix()
@@ -337,6 +355,31 @@ class TestObservationModel:
         npt.assert_allclose(model.singular_values, svals, rtol=1e-12)
         assert model.rank == 10
         npt.assert_allclose(model.pinv, np.linalg.pinv(stacked), atol=1e-12)
+
+    def test_reduced_factor_and_stack(self):
+        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind=CIRCULANT_DFT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            model = compress_model(build_psi_spectral(s.basis()), Subsampler(10, (0, 1, 4, 7, 9)))
+        stacked = np.vstack([model.matrix.real, model.matrix.imag])
+        assert model.reduced.shape == (10, 10)
+        npt.assert_allclose(model.reduced.T @ model.reduced, stacked.T @ stacked, atol=1e-12)
+        r = np.arange(25) + 1j * np.arange(25)
+        npt.assert_array_equal(model.stack(r), np.concatenate([r.real, r.imag]))
+        real_model = ObservationModel(matrix=stacked, param_kind="spectral")
+        npt.assert_array_equal(real_model.stack(np.concatenate([r, r])), np.concatenate([r.real, r.real]))
+
+    def test_sampled_basis_is_the_khatri_rao_factor(self):
+        s = build_shift(sensor_graph(10, seed=1), "laplacian")
+        sampler = Subsampler(10, (0, 1, 4, 7, 9))
+        model = compress_model(build_psi_spectral(s.basis()), sampler)
+        u_s = s.basis().eigvecs[list(sampler.selected)]
+        npt.assert_array_equal(model.sampled_basis, u_s)
+        kr = np.einsum("ai,bi->abi", u_s.conj(), u_s).reshape(25, 10)
+        npt.assert_allclose(model.matrix, kr, atol=1e-15)
+        assert compress_model(build_psi_ma(s, 3), sampler).sampled_basis is None
+        with pytest.raises(InvalidInputError, match="sampled basis"):
+            ObservationModel(matrix=model.matrix, param_kind="spectral", sampled_basis=u_s[:4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_rejected(self, bad):
