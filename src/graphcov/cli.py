@@ -3,6 +3,10 @@
 Subcommands: ``graph gen``, ``sampler design``, ``sampler ruler``,
 ``signal gen``, ``estimate``, ``experiment nmse``. Exit codes: 0 ok,
 2 invalid input, 3 numerical failure, 4 capability limit.
+
+Every command runs with numpy's OpenBLAS pinned to one thread
+(:func:`graphcov._blas.one_blas_thread`), whatever ``OPENBLAS_NUM_THREADS``
+says, so a command writes the same bytes at any thread setting.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import sys
 import numpy as np
 
 from . import ar as armod
+from ._blas import one_blas_thread
 from .design import LOGDET, DesignProblem, check_valid, greedy_design
 from .errors import (
     CapabilityError,
@@ -282,7 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

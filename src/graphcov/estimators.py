@@ -21,7 +21,8 @@ covariance-matching weighting of Ottersten, Stoica and Roy (COMET, 1998).
 Other models, whose columns are not rank one, whiten their K^2 x M matrix
 column by column. LS, WLS and the Fisher information make no
 ``scipy.linalg`` call: their linear algebra runs in numpy's BLAS, which
-is a different OpenBLAS from scipy's, with its own thread pool.
+is a different OpenBLAS from scipy's, with its own thread pool, and which
+``run_experiment`` and the CLI pin to one thread (``graphcov._blas``).
 """
 
 from __future__ import annotations

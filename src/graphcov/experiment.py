@@ -4,9 +4,9 @@ Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
 Per-trial seeds are derived from the master seed by counter, and one
 data realization is shared by every cell of a trial and one covariance
-and linear system by every method of a cell (paired comparisons), so
-output is byte-identical for a fixed config. Trials run one after another; the
-only parallelism is the BLAS library's own.
+and linear system by every method of a cell (paired comparisons). Trials
+run one after another, with numpy's BLAS pinned to one thread, so output
+is byte-identical for a fixed config at any thread setting.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ar as armod
+from ._blas import one_blas_thread
 from .design import DesignProblem, greedy_design, is_sparse_ruler, minimal_sparse_ruler
 from .errors import GraphCovError, InvalidInputError, NumericalError, RankDeficiencyError
 from .estimators import (
@@ -436,41 +437,48 @@ class _Pipeline:
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """Run all cells and return one result row per (n_snapshots, sampler, method)."""
-    pipe = _Pipeline(config)
-    n_cells = len(pipe.cells)
-    n_methods = len(config.methods)
-    crb_sse = [pipe.crb_sse(cell) for cell in pipe.cells]
-    rows = []
-    for ns_idx, ns in enumerate(config.n_snapshots):
-        # sqerr[cell][method][trial]; NaN marks a failed estimation
-        sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
+    """Run all cells and return one result row per (n_snapshots, sampler, method).
 
-        for trial in range(config.n_trials):
-            pipe.run_trial(trial, ns, ns_idx, sqerr)
+    numpy's OpenBLAS runs on one thread for the whole call, whatever
+    ``OPENBLAS_NUM_THREADS`` says (see :mod:`graphcov._blas`), so the rows
+    are byte-identical for a fixed config at any thread setting. The
+    caller's thread count is restored on return and on an exception.
+    """
+    with one_blas_thread():
+        pipe = _Pipeline(config)
+        n_cells = len(pipe.cells)
+        n_methods = len(config.methods)
+        crb_sse = [pipe.crb_sse(cell) for cell in pipe.cells]
+        rows = []
+        for ns_idx, ns in enumerate(config.n_snapshots):
+            # sqerr[cell][method][trial]; NaN marks a failed estimation
+            sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
 
-        for c_idx, cell in enumerate(pipe.cells):
-            crb = pipe.crb_db(crb_sse[c_idx], ns)
-            for m_idx, method in enumerate(config.methods):
-                values = sqerr[c_idx, m_idx]
-                good = values[~np.isnan(values)]
-                failures = int(np.isnan(values).sum())
-                nmse = (
-                    nmse_db(float(good.sum()), good.size, pipe.p_norm, config.nmse_squared_norm)
-                    if good.size
-                    else None
-                )
-                rows.append(
-                    {
-                        "n_snapshots": ns,
-                        "method": method,
-                        "sampler": cell[0],
-                        "compression": cell[1],
-                        "nmse_db": nmse,
-                        "crb_db": crb,
-                        "failures": failures,
-                    }
-                )
+            for trial in range(config.n_trials):
+                pipe.run_trial(trial, ns, ns_idx, sqerr)
+
+            for c_idx, cell in enumerate(pipe.cells):
+                crb = pipe.crb_db(crb_sse[c_idx], ns)
+                for m_idx, method in enumerate(config.methods):
+                    values = sqerr[c_idx, m_idx]
+                    good = values[~np.isnan(values)]
+                    failures = int(np.isnan(values).sum())
+                    nmse = (
+                        nmse_db(float(good.sum()), good.size, pipe.p_norm, config.nmse_squared_norm)
+                        if good.size
+                        else None
+                    )
+                    rows.append(
+                        {
+                            "n_snapshots": ns,
+                            "method": method,
+                            "sampler": cell[0],
+                            "compression": cell[1],
+                            "nmse_db": nmse,
+                            "crb_db": crb,
+                            "failures": failures,
+                        }
+                    )
     return rows
 
 

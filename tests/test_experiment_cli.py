@@ -524,6 +524,45 @@ class TestExperiment:
             assert fields[3] != b"" and fields[4] == b"" and fields[5] == b"0"
         assert outputs[0] == outputs[1]
 
+    def test_large_study_and_design_same_bytes_at_any_thread_count(self, tmp_path):
+        # At N=250 a second OpenBLAS thread changes the bits of eigh, so
+        # this holds only because a run pins numpy's BLAS to one thread.
+        graph = tmp_path / "g250.json"
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "250", "--seed", "7",
+                       "--out", str(graph)) == 0
+        cfg = base_config(
+            graph={"kind": "sensor", "n": 250, "seed": 7},
+            samplers=[{"name": "greedy25", "kind": "greedy", "k": 25}],
+            methods=["ls", "wls"],
+            n_snapshots=[1000],
+            n_trials=2,
+            seed=0,
+        )
+        cfg_path = tmp_path / "cfg250.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(graphcov.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            files = {name: tmp_path / f"{name}{threads}" for name in ("csv", "sampler", "report")}
+            for argv in (
+                ["experiment", "nmse", "--config", str(cfg_path), "--out", str(files["csv"])],
+                ["sampler", "design", "--graph", str(graph), "--k", "25",
+                 "--out", str(files["sampler"]), "--report", str(files["report"])],
+            ):
+                done = subprocess.run(
+                    [sys.executable, "-m", "graphcov.cli", *argv],
+                    env=env, capture_output=True, timeout=300,
+                )
+                assert done.returncode == 0, done.stderr.decode()
+            outputs.append({name: path.read_bytes() for name, path in files.items()})
+        assert outputs[0]["csv"].count(b"\n") == 1 + 2  # header, ls and wls rows
+        assert len(json.loads(outputs[0]["sampler"])["selected"]) == 25
+        for name in ("csv", "sampler", "report"):
+            assert outputs[0][name] == outputs[1][name], name
+
     def test_trials_make_no_scipy_linalg_call(self, monkeypatch):
         import scipy.linalg
 
