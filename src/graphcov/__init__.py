@@ -14,7 +14,6 @@ from .ar import (
     build_ar_scheme,
     core_by_degree,
     estimate_ar,
-    estimate_ar_uncompressed,
     generate_ar_signals,
     neighborhood,
     sample_ar_covariances,
@@ -27,7 +26,6 @@ from .design import (
     ValidityReport,
     check_valid,
     default_epsilon,
-    frame_potential,
     gram,
     greedy_design,
     is_sparse_ruler,

@@ -217,21 +217,6 @@ def estimate_ar(model: ObservationModel, r_y) -> EstimationResult:
     return ls_estimate(model, r_y)
 
 
-def estimate_ar_uncompressed(shift: ShiftOperator, cov, order: int) -> EstimationResult:
-    """AR coefficients from the full covariance: the zero-compression baseline.
-
-    It is :func:`build_ar_model` and :func:`estimate_ar` on the scheme
-    whose core and every level are all N nodes, so it drops the
-    white-noise cross term exactly as the compressed estimator does. Each
-    of that system's P+1 lag blocks repeats the fit of ``vec(R)`` on the
-    columns ``vec(S^k R)``, so theta is that fit's, and the residual norm
-    is sqrt(P+1) times the fit's own.
-    """
-    everyone = Subsampler.full(shift.n)
-    scheme = ARSamplingScheme(everyone.selected, order, (everyone,) * (order + 1))
-    return estimate_ar(*build_ar_model(shift, scheme, cov))
-
-
 def _ar_denominator(eigvals: np.ndarray, coeffs) -> np.ndarray:
     """``1 - sum_k a_k lam^k`` per graph frequency; a zero (a pole) raises SingularityError."""
     lam = np.asarray(eigvals, dtype=float)

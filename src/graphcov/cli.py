@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ar as armod
 from ._blas import one_blas_thread
-from .design import LOGDET, DesignProblem, check_valid, greedy_design
+from .design import DesignProblem, check_valid, greedy_design
 from .errors import (
     CapabilityError,
     GraphCovError,
@@ -90,12 +90,7 @@ def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift)
     psi = make_model(shift, {"kind": args.model, "q": args.q})
-    problem = DesignProblem(
-        psi=psi,
-        k=args.k,
-        epsilon=args.epsilon,
-        cost=args.cost.replace("-", "_"),
-    )
+    problem = DesignProblem(psi=psi, k=args.k, epsilon=args.epsilon)
     result = greedy_design(problem)
     report = check_valid(psi, result.sampler)
     _write(args.out, result.sampler.to_json())
@@ -108,7 +103,7 @@ def cmd_sampler_design(args) -> int:
                     "objective_trace": list(result.objective_trace),
                     "valid": report.valid,
                     "min_singular": report.min_singular,
-                    "epsilon": problem.resolved_epsilon() if problem.cost == LOGDET else None,
+                    "epsilon": problem.resolved_epsilon(),
                     "rank": report.rank,
                     "feasible": report.feasible,
                     "condition_number": report.condition_number,
@@ -232,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--model", default="spectral", choices=["spectral", "ma"])
     design.add_argument("--k", type=int, required=True)
     design.add_argument("--q", type=int)
-    design.add_argument("--cost", default="logdet", choices=["logdet", "frame-potential"])
     design.add_argument("--epsilon", type=float)
     design.add_argument("--out", default="-")
     design.add_argument("--report")

@@ -1,11 +1,12 @@
 """Design of the observed node subset.
 
 Selecting K of N nodes to keep the compressed model identifiable is a
-combinatorial problem. The log-det of the (diagonally loaded) Gram of
-the selected model rows is a normalized, monotone set function, which
-greedy augmentation maximizes one node at a time. The model rows come
-from the factors of a :class:`~graphcov.models.CovarianceModel`, so the
-N^2 x M model matrix is never formed. The objective is not submodular:
+combinatorial problem. The one design cost is the log-det of the
+(diagonally loaded) Gram of the selected model rows (Joshi & Boyd, IEEE
+TSP 2009): a normalized, monotone set function, which greedy
+augmentation maximizes one node at a time. The model rows come from the
+factors of a :class:`~graphcov.models.CovarianceModel`, so the N^2 x M
+model matrix is never formed. The objective is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
 submodular maximization does not apply. Each greedy step still scores
@@ -25,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
+from .graphs import _is_int
 from .models import CovarianceModel, Subsampler, compress_model
-
-LOGDET = "logdet"
-FRAME_POTENTIAL = "frame_potential"
 
 # Rows per working block of the greedy passes and of gram; a block holds
 # about M x _BLOCK_ROWS values, which bounds their memory.
@@ -40,27 +39,27 @@ _TIE_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Inputs of a sampler design run.
+    """Inputs of a greedy log-det design run.
 
     ``psi`` is the uncompressed model, held by its factors; ``k`` the node
-    budget; ``epsilon`` the diagonal loading (a scale-relative default is
-    chosen when None). Every column of the model is Hermitian, so its pair
-    rows (a,b) and (b,a) are conjugate, which the log-det cost relies on.
+    budget, an integer in 1..N; ``epsilon`` the diagonal loading (a
+    scale-relative default is chosen when None). Every column of the model
+    is Hermitian, so its pair rows (a,b) and (b,a) are conjugate, which the
+    greedy relies on.
     """
 
     psi: CovarianceModel
     k: int
     epsilon: float | None = None
-    cost: str = LOGDET
 
     def __post_init__(self):
         if not isinstance(self.psi, CovarianceModel):
             raise InvalidInputError("psi must be a CovarianceModel from build_psi_spectral or build_psi_ma")
         n = self.psi.n_nodes
+        if not _is_int(self.k):
+            raise InvalidInputError(f"K must be an integer, got {self.k!r}")
         if not (1 <= self.k <= n):
             raise InvalidInputError(f"need 1 <= K <= {n}, got {self.k}")
-        if self.cost not in (LOGDET, FRAME_POTENTIAL):
-            raise InvalidInputError(f"unknown design cost {self.cost!r}")
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
             raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
 
@@ -141,12 +140,6 @@ def set_objective(psi: CovarianceModel, selected, epsilon: float) -> float:
     return float(logdet - m * np.log(epsilon))
 
 
-def frame_potential(psi: CovarianceModel, w) -> float:
-    """Squared Frobenius norm of the selection Gram matrix."""
-    t = gram(psi, w)
-    return float(np.real(np.sum(np.abs(t) ** 2)))
-
-
 def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
     """Position of the lowest node among those whose score lies within
     ``_TIE_RTOL * |max|`` of the largest score."""
@@ -155,14 +148,20 @@ def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
     return int(tied[np.argmin(nodes[tied])])
 
 
-def _greedy_logdet(problem: DesignProblem) -> DesignResult:
-    """Greedy log-det design on folded real rows, updated in place.
+def greedy_design(problem: DesignProblem) -> DesignResult:
+    """Greedy log-det sampler design: K augmentation steps, each of which
+    scores every remaining candidate exactly.
 
-    Pair rows (j,s) and (s,j) of the model are conjugate, so
-    together they add ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``.
-    A candidate s therefore brings the real rows ``Re z_ss`` and, per
-    selected j, ``sqrt(2) Re z_js`` and (complex models only)
-    ``sqrt(2) Im z_js``. ``y[s]`` holds them whitened, ``Z_s F^{-T}``, where
+    Scores within ``1e-9 * |best|`` of the best are tied, and ties go to
+    the lowest node index. The running sums of the picked gains, one per
+    step, are returned alongside the sampler.
+
+    The greedy runs on folded real rows, updated in place. Pair rows
+    (j,s) and (s,j) of the model are conjugate, so together they add
+    ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``. A candidate s
+    therefore brings the real rows ``Re z_ss`` and, per selected j,
+    ``sqrt(2) Re z_js`` and (complex models only) ``sqrt(2) Im z_js``.
+    ``y[s]`` holds them whitened, ``Z_s F^{-T}``, where
     ``F F^T = eps I + T`` and T is the Gram of the selected rows, and the
     gain of s is ``logdet(I + Y_s Y_s^T)``. A pick with whitened rows W
     turns F into ``F (I + W^T W)^{1/2}``: with ``W W^T = V diag(lam) V^T``,
@@ -224,57 +223,6 @@ def _greedy_logdet(problem: DesignProblem) -> DesignResult:
     return DesignResult(
         sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
     )
-
-
-def _greedy_frame_potential(problem: DesignProblem) -> DesignResult:
-    """Worst-out greedy: start from all nodes, drop the one whose removal
-    leaves the smallest frame potential, until K remain."""
-    psi = problem.psi
-    n = problem.n_nodes
-    selected = list(range(n))
-    t = gram(psi, Subsampler.full(n))
-    trace = [float(np.real(np.sum(np.abs(t) ** 2)))]
-
-    def removed(s: int) -> np.ndarray:
-        # the rows s takes away: (s,s), then (j,s) and (s,j) for each other j
-        others = [j for j in selected if j != s]
-        a = np.full(2 * len(others) + 1, s)
-        b = a.copy()
-        a[1::2] = others
-        b[2::2] = others
-        z = psi.rows(a, b)
-        return t - z.conj().T @ z
-
-    while len(selected) > problem.k:
-        potentials = np.array(
-            [float(np.real(np.sum(np.abs(removed(s)) ** 2))) for s in selected]
-        )
-        best = _lowest_tied(-potentials, np.asarray(selected))
-        t_best = removed(selected[best])
-        t = 0.5 * (t_best + t_best.conj().T)
-        del selected[best]
-        trace.append(float(potentials[best]))
-    return DesignResult(
-        sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
-    )
-
-
-def greedy_design(problem: DesignProblem) -> DesignResult:
-    """Greedy sampler design under the configured cost.
-
-    The log-det cost is maximized by K augmentation steps; each step
-    scores every remaining candidate exactly. Each candidate keeps its new
-    rows whitened against the loaded Gram, and a pick updates them by
-    its own low-rank factor instead of re-solving them. The frame
-    potential is minimized by complement removal. Scores within
-    ``1e-9 * |best|`` of the best are tied, and ties go to the lowest
-    node index. The per-iteration objective values are returned
-    alongside the sampler; the log-det ones are running sums of the
-    picked gains.
-    """
-    if problem.cost == LOGDET:
-        return _greedy_logdet(problem)
-    return _greedy_frame_potential(problem)
 
 
 def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:

@@ -280,20 +280,19 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
 NMSE_FLOOR_DB = -300.0
 
 
-def nmse_db(sse: float, count: int, norm: float, squared_norm: bool = False) -> float:
+def nmse_db(sse: float, count: int, norm: float) -> float:
     """``10 log10(sse / (count ||theta||))`` floored at NMSE_FLOOR_DB.
 
     ``sse`` sums the squared errors of ``count`` estimates of a parameter
-    vector of 2-norm ``norm``; ``squared_norm`` divides by the squared
-    norm instead. This is the one NMSE rule: Monte-Carlo scores and the
-    expected error at the CRB both go through it. A norm that is not
-    positive and finite, or a count below 1, is refused.
+    vector of 2-norm ``norm``. This is the one NMSE rule: Monte-Carlo
+    scores and the expected error at the CRB both go through it. A norm
+    that is not positive and finite, or a count below 1, is refused.
     """
     if not (np.isfinite(norm) and norm > 0.0):
         raise InvalidInputError(f"true parameter norm must be positive and finite, got {norm}")
     if count < 1:
         raise InvalidInputError("need at least one estimate")
-    ratio = sse / (count * (norm**2 if squared_norm else norm))
+    ratio = sse / (count * norm)
     if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
         return NMSE_FLOOR_DB
     return float(max(10.0 * np.log10(ratio), NMSE_FLOOR_DB))

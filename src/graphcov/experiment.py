@@ -69,6 +69,14 @@ from .stationary import (
 
 CSV_HEADER = "n_snapshots,method,compression,nmse_db,crb_db,failures"
 METHODS = (LS, NNLS, WLS)
+# The keys each sampler kind takes besides "kind"; any other key is refused.
+SAMPLER_KEYS = {
+    "full": ("name",),
+    "explicit": ("name", "selected"),
+    "greedy": ("name", "k", "epsilon"),
+    "ruler": ("name", "marks"),
+    "ar-core": ("name", "core", "k0"),
+}
 
 
 _REQUIRED = object()
@@ -217,7 +225,6 @@ class ExperimentConfig:
     n_trials: int
     seed: int = 0
     exact_covariance: bool = False
-    nmse_squared_norm: bool = False
     output: str | None = None
 
     def __post_init__(self):
@@ -228,6 +235,24 @@ class ExperimentConfig:
             isinstance(entry, dict) for entry in self.samplers
         ):
             raise InvalidInputError("samplers must be a list of objects")
+        ar_model = self.model.get("kind") == "ar"
+        for entry in self.samplers:
+            # an unknown kind is refused where the sampler is built
+            kind = entry.get("kind", "ar-core" if ar_model else None)
+            if not (isinstance(kind, str) and kind in SAMPLER_KEYS):
+                continue
+            unknown = sorted(set(entry) - {"kind", *SAMPLER_KEYS[kind]})
+            if unknown:
+                raise InvalidInputError(
+                    f"sampler kind {kind!r} takes no key {unknown[0]!r}; "
+                    f"its keys are {['kind', *SAMPLER_KEYS[kind]]}"
+                )
+        if not isinstance(self.exact_covariance, bool):
+            raise InvalidInputError(
+                f"exact_covariance must be true or false, got {self.exact_covariance!r}"
+            )
+        if not (self.output is None or isinstance(self.output, str)):
+            raise InvalidInputError(f"output must be a file path or null, got {self.output!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.n_snapshots, (list, tuple)) or not self.n_snapshots:
@@ -245,7 +270,7 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
-        if self.model.get("kind") == "ar" and any(m != LS for m in self.methods):
+        if ar_model and any(m != LS for m in self.methods):
             raise InvalidInputError("the autoregressive estimator is least squares only")
 
     @classmethod
@@ -276,7 +301,6 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
             psi=psi,
             k=_field(entry, "k", "sampler", _int),
             epsilon=_field(entry, "epsilon", "sampler", _float, None),
-            cost=entry.get("cost", "logdet"),
         )
         return greedy_design(problem).sampler
     if kind == "ruler":
@@ -433,7 +457,7 @@ class _Pipeline:
         """CRB at N_s snapshots on the NMSE scale, from :meth:`crb_sse`."""
         if crb_sse is None:
             return None
-        return nmse_db(crb_sse / n_snapshots, 1, self.p_norm, self.config.nmse_squared_norm)
+        return nmse_db(crb_sse / n_snapshots, 1, self.p_norm)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
@@ -463,11 +487,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     values = sqerr[c_idx, m_idx]
                     good = values[~np.isnan(values)]
                     failures = int(np.isnan(values).sum())
-                    nmse = (
-                        nmse_db(float(good.sum()), good.size, pipe.p_norm, config.nmse_squared_norm)
-                        if good.size
-                        else None
-                    )
+                    nmse = nmse_db(float(good.sum()), good.size, pipe.p_norm) if good.size else None
                     rows.append(
                         {
                             "n_snapshots": ns,

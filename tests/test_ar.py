@@ -17,7 +17,6 @@ from graphcov import (
     core_by_degree,
     cycle_graph,
     estimate_ar,
-    estimate_ar_uncompressed,
     generate_ar_signals,
     neighborhood,
     path_graph,
@@ -234,22 +233,15 @@ class TestEstimate:
         ratio = errs[500] / errs[8000]  # expect ~4 = sqrt(8000/500)
         assert 4 / 3 < ratio < 12
 
-    def test_full_core_equals_uncompressed(self):
-        s = build_shift(cycle_graph(10), "adjacency")
-        cov = true_ar_covariance(s, [0.2])
-        scheme = build_ar_scheme(s, tuple(range(10)), 1)
-        model, r_y = build_ar_model(s, scheme, true_ar_covariances(scheme, cov))
-        compressed = estimate_ar(model, r_y).theta
-        uncompressed = estimate_ar_uncompressed(s, cov, 1).theta
-        npt.assert_allclose(compressed, uncompressed, atol=1e-10)
-
     def test_uncompressed_white_identity(self):
-        # R = I and a traceless shift: the best single coefficient is 0
+        # R = I and a traceless shift, every node observed: the best single
+        # coefficient is 0
         s = build_shift(cycle_graph(9), "adjacency")
         from graphcov import CovarianceMatrix
 
-        res = estimate_ar_uncompressed(s, CovarianceMatrix(np.eye(9), kind="true"), 1)
-        npt.assert_allclose(res.theta, [0.0], atol=1e-12)
+        scheme = build_ar_scheme(s, range(9), 1)
+        model, r_y = build_ar_model(s, scheme, CovarianceMatrix(np.eye(9), kind="true"))
+        npt.assert_allclose(estimate_ar(model, r_y).theta, [0.0], atol=1e-12)
 
     def test_true_cov_estimate_deterministic_and_matched_by_samples(self):
         s = build_shift(cycle_graph(20), "adjacency")

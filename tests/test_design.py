@@ -24,7 +24,6 @@ from graphcov import (
     compress_model,
     cycle_graph,
     default_epsilon,
-    frame_potential,
     gram,
     greedy_design,
     is_sparse_ruler,
@@ -256,6 +255,12 @@ class TestGreedy:
         with pytest.raises(InvalidInputError):
             DesignProblem(psi=psi, k=5)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2", None])
+    def test_budget_that_is_not_an_integer_rejected(self, k):
+        psi = random_psi(4, 10)
+        with pytest.raises(InvalidInputError, match="K must be an integer"):
+            DesignProblem(psi=psi, k=k)
+
     def test_bad_epsilon_rejected(self):
         psi = random_psi(4, 10)
         for epsilon in (0.0, -1.0, np.nan, np.inf):
@@ -362,29 +367,6 @@ class TestDefaultEpsilon:
         assert default_epsilon(psi) == pytest.approx(one_shot_epsilon(dense(psi)), rel=1e-13, abs=0)
         loaded = 1e-6 * (1.0 + np.mean(np.real(np.diag(gram(psi, Subsampler.full(psi.n_nodes))))))
         assert default_epsilon(psi) == pytest.approx(loaded, rel=1e-13, abs=0)
-
-
-class TestFramePotential:
-    def test_empty_is_zero(self):
-        psi = random_psi(4, 11)
-        assert frame_potential(psi, np.zeros(4, dtype=bool)) == 0.0
-
-    def test_identity_gram_gives_dimension(self):
-        basis = SpectralBasis(eigvecs=np.eye(3), eigvals=np.arange(3.0), distinct=True)
-        psi = build_psi_spectral(basis)
-        assert frame_potential(psi, np.ones(3, dtype=bool)) == pytest.approx(3.0)
-
-    def test_frobenius_identity(self):
-        psi = random_psi(5, 12)
-        w = np.array([1, 1, 0, 1, 0], dtype=bool)
-        svals = np.linalg.svd(gram(psi, w), compute_uv=False)
-        assert frame_potential(psi, w) == pytest.approx(float(np.sum(svals**2)))
-
-    def test_removal_greedy_returns_valid_budget(self):
-        psi = random_psi(8, 13)
-        result = greedy_design(DesignProblem(psi=psi, k=4, cost="frame_potential"))
-        assert result.sampler.k == 4
-        assert len(result.objective_trace) == 5  # full set + one per removal
 
 
 class TestCheckValid:

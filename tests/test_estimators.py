@@ -420,10 +420,6 @@ class TestNmse:
         delta = nmse_db(4 * float(err @ err), 1, norm) - nmse_db(float(err @ err), 1, norm)
         assert delta == pytest.approx(20 * np.log10(2), abs=1e-9)
 
-    def test_squared_norm_convention(self):
-        # squared error 25 = squared norm of [3, 4]
-        assert nmse_db(25.0, 1, 5.0, squared_norm=True) == pytest.approx(0.0, abs=1e-12)
-
     def test_zero_truth_rejected(self):
         for norm in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(InvalidInputError):

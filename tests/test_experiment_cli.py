@@ -103,21 +103,36 @@ class TestSamplerCommands:
         assert report["feasible"] is True
         assert 1.0 <= report["condition_number"] < 1e6
 
-    def test_design_report_frame_potential_has_no_epsilon(self, tmp_path):
+    def test_design_report_written_for_an_invalid_design(self, tmp_path):
+        # three nodes of the 10-cycle keep only 7 of its 10 spectral parameters
         g = tmp_path / "g.json"
         run_cli("graph", "gen", "--kind", "cycle", "--n", "10", "--out", str(g))
         rep = tmp_path / "rep.json"
         code = run_cli(
             "sampler", "design", "--graph", str(g), "--shift", "adjacency",
-            "--cost", "frame-potential", "--k", "6", "--out", str(tmp_path / "s.json"),
-            "--report", str(rep),
+            "--k", "3", "--out", str(tmp_path / "s.json"), "--report", str(rep),
         )
+        assert code == 3
         report = json.loads(rep.read_text())
-        assert report["epsilon"] is None
-        assert report["valid"] is (code == 0)
-        assert report["rank"] <= 10
-        assert isinstance(report["feasible"], bool)
-        assert report["condition_number"] >= 1.0
+        assert report["valid"] is False
+        assert report["rank"] == 7
+        assert report["feasible"] is False
+        cycle = make_shift(Graph.from_json(g.read_text()), "adjacency")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            psi = build_psi_spectral(cycle.basis())
+        assert report["epsilon"] == default_epsilon(psi)
+
+    def test_design_has_no_cost_option(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        run_cli("graph", "gen", "--kind", "cycle", "--n", "10", "--out", str(g))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "sampler", "design", "--graph", str(g), "--k", "5", "--cost", "logdet",
+                "--out", str(tmp_path / "s.json"),
+            )
+        assert exc.value.code == 2
+        assert "--cost" in capsys.readouterr().err
 
     def test_design_ma_feasible(self, sensor_graph_file, tmp_path):
         s = tmp_path / "s.json"
@@ -761,6 +776,22 @@ class TestExperiment:
             ({"graph": {"kind": "sensor", "n": "12"}}, "bad graph.n '12'"),
             ({"graph": {"kind": "sensor", "n": 12, "seed": -1}}, "bad seed -1"),
             ({"samplers": [{"kind": "greedy", "k": 17}]}, "need 1 <= K <= 16, got 17"),
+            ({"exact_covariance": "false"}, "exact_covariance must be true or false, got 'false'"),
+            ({"exact_covariance": 0.5}, "exact_covariance must be true or false, got 0.5"),
+            ({"output": 7}, "output must be a file path or null, got 7"),
+            ({"samplers": [{"kind": "greedy", "k": 8, "cost": "frame_potential"}]},
+             "sampler kind 'greedy' takes no key 'cost'"),
+            ({"samplers": [{"kind": "full", "kost": "x"}]}, "sampler kind 'full' takes no key 'kost'"),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core", "ko": 2}]},
+                "sampler kind 'ar-core' takes no key 'ko'",
+            ),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"cores": [0]}]},
+                "sampler kind 'ar-core' takes no key 'cores'",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -769,7 +800,9 @@ class TestExperiment:
              "signal-a-nan", "trials-fraction", "trials-nan", "trials-bool", "snapshots-fraction",
              "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction", "seed-bool",
              "greedy-k-string", "greedy-k-float", "sensor-n-string", "graph-seed-negative",
-             "greedy-k-above-n"],
+             "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
+             "output-not-string", "greedy-cost", "full-unknown-key", "ar-core-misspelled-key",
+             "ar-core-default-kind-unknown-key"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
