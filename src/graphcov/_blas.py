@@ -15,8 +15,10 @@ The library and its two symbols are looked up once per process, on first
 use; each entry and exit after that is one get and one set call. Where
 numpy bundles no such library (another numpy build), the context does
 nothing and :func:`unavailable_reason` says why. scipy bundles its own
-OpenBLAS with its own pool, which only NNLS reaches inside a trial; it is
-left at its setting, since its idle workers do not spin.
+OpenBLAS with its own pool. It loads only when NNLS or the WLS
+stationarity check first runs in a process, since ``graphcov.estimators``
+imports scipy's modules inside those two functions. It is left at its
+setting, since its idle workers do not spin.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ rulers give the best compression.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +254,16 @@ def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:
 
 
 def is_sparse_ruler(marks, n: int) -> bool:
-    """True when the pairwise differences of ``marks`` cover 0..n-1."""
-    marks = sorted(int(m) for m in set(marks))
+    """True when the pairwise differences of ``marks`` cover 0..n-1.
+
+    The length and every mark must be integers (not bools).
+    """
+    marks = set(marks)
+    if not (_is_int(n) and all(_is_int(m) for m in marks)):
+        raise InvalidInputError(
+            f"ruler length and marks must be integers, got n={n!r} and marks {tuple(marks)!r}"
+        )
+    marks = sorted(marks)
     if not marks:
         return False
     if marks[0] < 0 or marks[-1] >= n:
@@ -278,8 +287,12 @@ def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
     expanded only once for both orientations, and a branch is dropped
     once no completion of either orientation can be lexicographically
     smaller than the best ruler found. Beyond ``search_limit`` the
-    combinatorial search is refused.
+    combinatorial search is refused. The length must be an integer (not a
+    bool). The arguments are checked on every call, and the marks are
+    searched once per n in a process: later calls return the stored tuple.
     """
+    if not _is_int(n):
+        raise InvalidInputError(f"ruler length must be an integer, got {n!r}")
     if n < 2:
         raise InvalidInputError("need n >= 2")
     if n > search_limit:
@@ -287,6 +300,12 @@ def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
             f"minimal ruler search capped at n={search_limit}; "
             "check a known set with is_sparse_ruler instead"
         )
+    return _search_ruler(int(n))
+
+
+@functools.cache
+def _search_ruler(n: int) -> tuple[int, ...]:
+    """The marks :func:`minimal_sparse_ruler` returns, for a checked n."""
     full = (1 << n) - 1
     top = n - 1
     ends = 1 | (1 << top)  # every ruler holds 0 and n-1, the only pair at distance n-1

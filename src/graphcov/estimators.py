@@ -19,10 +19,13 @@ is ``|B^H B|^2`` (elementwise) and the right-hand side is
 ``Re diag(B^H L^{-1} R_hat L^{-H} B)``: K x M and M x M products, the
 covariance-matching weighting of Ottersten, Stoica and Roy (COMET, 1998).
 Other models, whose columns are not rank one, whiten their K^2 x M matrix
-column by column. LS, WLS and the Fisher information make no
-``scipy.linalg`` call: their linear algebra runs in numpy's BLAS, which
-is a different OpenBLAS from scipy's, with its own thread pool, and which
-``run_experiment`` and the CLI pin to one thread (``graphcov._blas``).
+column by column. LS, WLS and the Fisher information make no scipy
+call: their linear algebra runs in numpy's BLAS, which ``run_experiment``
+and the CLI pin to one thread (``graphcov._blas``). scipy bundles a
+different OpenBLAS, with its own thread pool. ``scipy.optimize`` is
+imported inside :func:`nnls_estimate` and ``scipy.linalg`` inside
+:func:`wls_stationarity_residual`, their only callers, so a process that
+runs neither loads neither module nor scipy's OpenBLAS.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     ConvergenceError,
@@ -120,6 +121,8 @@ def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     _require_full_rank(model)
     m = model.n_params
     target = model.reduced @ (model.pinv @ model.stack(r))
+    import scipy.optimize  # loads scipy's OpenBLAS; only NNLS needs it
+
     try:
         theta, _ = scipy.optimize.nnls(model.reduced, target, maxiter=10 * m * m)
     except RuntimeError as exc:
@@ -239,6 +242,8 @@ def wls_stationarity_residual(
     k = cov_hat.k
     chol = _regularized_cholesky(cov_hat)
     misfit = unvec(model.matrix @ np.asarray(theta) - r, k)
+    import scipy.linalg  # loads scipy's OpenBLAS; only this check needs it
+
     half = scipy.linalg.cho_solve((chol, True), misfit)  # R^{-1} X
     weighted = scipy.linalg.cho_solve((chol, True), half.conj().T).conj().T
     weighted = NU_REAL * (cov_hat.n_snapshots or 1) * weighted.ravel(order="F")

@@ -287,13 +287,15 @@ def eigendecompose(shift: ShiftOperator) -> SpectralBasis:
 
 
 def is_circulant(matrix: np.ndarray) -> bool:
-    """True when every row is the one-step cyclic shift of the previous (exactly)."""
+    """True when every row is the one-step cyclic shift of the previous (exactly).
+
+    Row i must equal row 0 rotated by i, so entry (i, j) of rows 1 onward
+    is compared with entry ``(j - i) mod N`` of row 0, in one comparison.
+    """
     matrix = np.asarray(matrix)
-    first = matrix[0]
-    for i in range(1, matrix.shape[0]):
-        if not np.array_equal(matrix[i], np.roll(first, i)):
-            return False
-    return True
+    rows, cols = matrix.shape
+    shifts = np.arange(1, rows)[:, None]
+    return np.array_equal(matrix[1:], matrix[0][(np.arange(cols) - shifts) % cols])
 
 
 def circulant_dft_basis(shift: ShiftOperator) -> SpectralBasis:
@@ -302,9 +304,11 @@ def circulant_dft_basis(shift: ShiftOperator) -> SpectralBasis:
     Column n of the basis is ``exp(-2*pi*1j*n*m/N)/sqrt(N)`` over entries
     m, and the eigenvalues are the DFT of the first row (real, since the
     matrix is symmetric). No numerical eigendecomposition is involved.
+    A shift of kind ``circulant-dft`` is not checked again: its
+    constructor checked the read-only matrix.
     """
     matrix = shift.matrix
-    if not is_circulant(matrix):
+    if shift.kind != CIRCULANT_DFT and not is_circulant(matrix):
         raise InvalidInputError("matrix is not circulant")
     n = matrix.shape[0]
     m = np.arange(n)

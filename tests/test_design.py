@@ -490,6 +490,30 @@ class TestSparseRulers:
             minimal_sparse_ruler(100)
         assert minimal_sparse_ruler(16, search_limit=16)
 
+    def test_second_call_returns_stored_marks(self):
+        first = minimal_sparse_ruler(13)
+        searches = design._search_ruler.cache_info().misses
+        assert minimal_sparse_ruler(13) is first
+        assert design._search_ruler.cache_info().misses == searches
+
+    def test_stored_length_still_refused_above_smaller_cap(self):
+        assert minimal_sparse_ruler(16)
+        with pytest.raises(CapabilityError):
+            minimal_sparse_ruler(16, search_limit=15)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: minimal_sparse_ruler(36.0),
+            lambda: minimal_sparse_ruler("36"),
+            lambda: is_sparse_ruler([0, 1.5, 3], 4),
+        ],
+        ids=["float-length", "string-length", "float-mark"],
+    )
+    def test_non_integer_length_or_mark_refused(self, call):
+        with pytest.raises(InvalidInputError, match="integer"):
+            call()
+
     def test_rulers_give_valid_samplers_on_circulant_graphs(self):
         for n in range(6, 17):
             s = ShiftOperator(build_shift(cycle_graph(n), "adjacency").matrix, kind="circulant-dft")

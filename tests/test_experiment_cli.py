@@ -602,6 +602,65 @@ class TestExperiment:
             assert len(rows) == 6
             assert all(row["failures"] == 0 and row["nmse_db"] is not None for row in rows)
 
+    def test_scipy_solvers_load_only_for_nnls(self, tmp_path):
+        # Run in fresh processes, so that scipy modules this test process
+        # has imported cannot hide an import made when graphcov loads.
+        configs = {
+            "spectral": base_config(methods=["ls", "wls"], n_trials=2),
+            "ar": base_config(
+                graph={"kind": "sensor", "n": 20, "seed": 7},
+                shift="adjacency",
+                signal={"kind": "ar", "a": [0.1]},
+                model={"kind": "ar", "p": 1},
+                samplers=[{"name": "core1", "kind": "ar-core", "k0": 1}],
+                n_trials=2,
+            ),
+            "nnls": base_config(methods=["nnls"], n_trials=2),
+        }
+        paths = {}
+        for name, cfg in configs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(cfg))
+        # argv: a ruler output path ("" for none), studies to run first, the last study
+        script = (
+            "import json, sys, warnings\n"
+            "warnings.simplefilter('ignore')\n"
+            "import graphcov\n"
+            "from graphcov.cli import main\n"
+            "from graphcov.experiment import ExperimentConfig, rows_to_csv, run_experiment\n"
+            "def study(path):\n"
+            "    return rows_to_csv(run_experiment(ExperimentConfig.from_json(open(path).read())))\n"
+            "def solvers():\n"
+            "    return [m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]\n"
+            "ruler, *first, last = sys.argv[1:]\n"
+            "for path in first:\n"
+            "    study(path)\n"
+            "if ruler:\n"
+            "    assert main(['sampler', 'ruler', '--n', '10', '--out', ruler]) == 0\n"
+            "before = solvers()\n"
+            "csv = study(last)\n"
+            "print(json.dumps({'before': before, 'after': solvers(), 'csv': csv}))\n"
+        )
+        src = str(Path(graphcov.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def run(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *map(str, argv)],
+                env=env, capture_output=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            return json.loads(done.stdout)
+
+        ruler = tmp_path / "ruler.json"
+        warm = run(ruler, paths["spectral"], paths["ar"], paths["nnls"])
+        assert warm["before"] == []
+        assert "scipy.optimize" in warm["after"]
+        fresh = run("", paths["nnls"])
+        assert fresh["csv"] == warm["csv"]
+        assert fresh["csv"].count("\n") == 1 + 2  # header and the nnls row of each sampler
+
     def test_crb_column_matches_per_snapshot_fisher(self):
         from graphcov import CovarianceMatrix, fisher_info
         from graphcov.estimators import nmse_db

@@ -251,6 +251,25 @@ class TestFamilies:
         assert is_circulant(build_shift(cycle_graph(9), "adjacency").matrix)
         assert is_circulant(build_shift(mobius_ladder(10), "adjacency").matrix)
 
+    def test_changed_entry_in_last_row_not_circulant(self):
+        matrix = build_shift(mobius_ladder(36), "adjacency").matrix.copy()
+        matrix[-1, 5] += 1.0
+        assert not is_circulant(matrix)
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            ([[3.0]], True),
+            ([[np.nan]], True),  # row 0 is never compared with itself
+            ([[0.0, 1.0], [1.0, 0.0]], True),
+            ([[1.0, 2.0], [2.0, 1.0]], True),
+            ([[1.0, 2.0], [2.0, 1.5]], False),
+            ([[1.0, 2.0], [3.0, 4.0]], False),
+        ],
+    )
+    def test_small_matrices(self, matrix, expected):
+        assert is_circulant(np.array(matrix)) is expected
+
     def test_sensor_deterministic(self):
         assert sensor_graph(30, seed=7).to_json() == sensor_graph(30, seed=7).to_json()
 
