@@ -2,7 +2,8 @@
 
 Subcommands: ``graph gen``, ``sampler design``, ``sampler ruler``,
 ``signal gen``, ``estimate``, ``experiment nmse``. Exit codes: 0 ok,
-2 invalid input, 3 numerical failure, 4 capability limit.
+2 invalid input (an unreadable or unwritable path and a non-UTF-8 file
+included), 3 numerical failure, 4 capability limit.
 
 Every command runs with numpy's OpenBLAS pinned to one thread
 (:func:`graphcov._blas.one_blas_thread`), whatever ``OPENBLAS_NUM_THREADS``
@@ -289,7 +290,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except GraphCovError as exc:

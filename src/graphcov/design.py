@@ -28,11 +28,8 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
 from .graphs import _is_int
-from .models import CovarianceModel, Subsampler, compress_model
+from .models import _BLOCK_ROWS, CovarianceModel, Subsampler, compress_model
 
-# Rows per working block of the greedy passes and of gram; a block holds
-# about M x _BLOCK_ROWS values, which bounds their memory.
-_BLOCK_ROWS = 2048
 # Greedy scores within this fraction of the best are tied, and the lowest
 # node index wins; rounding differences between equal scores stay far below.
 _TIE_RTOL = 1e-9
@@ -115,7 +112,7 @@ def gram(psi: CovarianceModel, w) -> np.ndarray:
         selected = np.flatnonzero(np.asarray(w, dtype=bool))
     sel = np.asarray(selected, dtype=int)
     m = psi.n_params
-    t = np.zeros((m, m), dtype=psi.factors.dtype)
+    t = np.zeros((m, m), dtype=complex if psi.complex_rows else float)
     per_block = max(1, _BLOCK_ROWS // max(1, sel.size))
     for start in range(0, sel.size, per_block):
         z = psi.rows(sel[start : start + per_block, None], sel[None, :]).reshape(-1, m)
@@ -161,7 +158,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     (j,s) and (s,j) of the model are conjugate, so together they add
     ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``. A candidate s
     therefore brings the real rows ``Re z_ss`` and, per selected j,
-    ``sqrt(2) Re z_js`` and (complex models only) ``sqrt(2) Im z_js``.
+    ``sqrt(2) Re z_js`` and (complex rows only) ``sqrt(2) Im z_js``.
     ``y[s]`` holds them whitened, ``Z_s F^{-T}``, where
     ``F F^T = eps I + T`` and T is the Gram of the selected rows, and the
     gain of s is ``logdet(I + Y_s Y_s^T)``. A pick with whitened rows W
@@ -176,7 +173,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     psi = problem.psi
     n, m, k = problem.n_nodes, psi.n_params, problem.k
     eps = problem.resolved_epsilon()
-    parts = (np.real, np.imag) if np.iscomplexobj(psi.factors) else (np.real,)
+    parts = (np.real, np.imag) if psi.complex_rows else (np.real,)
     candidates = np.arange(n)
     y = np.empty((n, 1 + len(parts) * (k - 1), m))
     y[:, 0] = np.real(psi.rows(candidates, candidates)) / np.sqrt(eps)
@@ -235,12 +232,12 @@ def check_valid(psi: CovarianceModel, sampler: Subsampler) -> ValidityReport:
     model has full column rank. ``feasible`` reports the necessary count
     condition: at least M distinct equations. The model's columns are
     Hermitian, so its (p,q) and (q,p) rows are conjugate: they coincide
-    for a real model, which gives K(K+1)/2 equations, and a complex one
-    gives K^2.
+    for a model with real rows (a real basis, or any parameter map), which
+    gives K(K+1)/2 equations, and complex rows give K^2.
     """
     model = compress_model(psi, sampler)
     k = sampler.k
-    equations = k * k if np.iscomplexobj(psi.factors) else k * (k + 1) // 2
+    equations = k * k if psi.complex_rows else k * (k + 1) // 2
     return ValidityReport(
         valid=model.full_column_rank,
         rank=model.rank,

@@ -13,16 +13,21 @@ Fisher information is the same Gram, built from the true covariance and
 scaled by ``nu N_s``, with nu = 1/2 because the data are real; it gives
 the Cramer-Rao floor the unweighted estimator does not reach.
 
-For a spectral model column i is ``conj(u_i) kron u_i`` for a sampled
+For a spectral model column j is ``conj(u_j) kron u_j`` for a sampled
 basis row set U_S, so with ``R = L L^H`` and ``B = L^{-1} U_S`` the Gram
 is ``|B^H B|^2`` (elementwise) and the right-hand side is
-``Re diag(B^H L^{-1} R_hat L^{-H} B)``: K x M and M x M products, the
+``Re diag(B^H L^{-1} R_hat L^{-H} B)``: K x N and N x N products, the
 covariance-matching weighting of Ottersten, Stoica and Roy (COMET, 1998).
-Other models, whose columns are not rank one, whiten their K^2 x M matrix
-column by column. LS, WLS and the Fisher information make no scipy
-call: their linear algebra runs in numpy's BLAS, which ``run_experiment``
-and the CLI pin to one thread (``graphcov._blas``). scipy bundles a
-different OpenBLAS, with its own thread pool. ``scipy.optimize`` is
+A parametric model is the spectral model times its real map T, such as
+the Vandermonde matrix of a moving-average model, so its Gram is
+``T^T |B^H B|^2 T`` and its right-hand side ``T^T`` times the spectral
+one: every weighted estimate takes this one path, and a model without
+sampled basis rows (autoregressive) is refused.
+
+LS, WLS and the Fisher information make no scipy call: their linear
+algebra runs in numpy's BLAS, which ``run_experiment`` and the CLI pin to
+one thread (``graphcov._blas``). scipy bundles a different OpenBLAS,
+with its own thread pool. ``scipy.optimize`` is
 imported inside :func:`nnls_estimate` and ``scipy.linalg`` inside
 :func:`wls_stationarity_residual`, their only callers, so a process that
 runs neither loads neither module nor scipy's OpenBLAS.
@@ -146,48 +151,30 @@ def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
         raise SingularityError("covariance not positive definite") from exc
 
 
-def _whiten_columns(g: np.ndarray, chol: np.ndarray, k: int) -> np.ndarray:
-    """Map each column ``vec(X)`` to ``vec(L^{-1} X L^{-H})``.
-
-    ``L^{-1}`` is formed once (K x K), and all M columns are whitened
-    together by two matrix products: ``L^{-1}`` times the K x (K M) matrix
-    ``[X_1 ... X_M]``, then the (K M) x K stack of the ``L^{-1} X_i`` times
-    ``L^{-H}``.
-    """
-    m = g.shape[1]
-    l_inv = np.linalg.inv(chol)
-    blocks = g.reshape(k, k, m, order="F").transpose(0, 2, 1)  # X_i[p, q] at [p, i, q]
-    half = l_inv @ blocks.reshape(k, m * k)
-    full = half.reshape(k * m, k) @ l_inv.conj().T
-    return full.reshape(k, m, k).transpose(0, 2, 1).reshape(k * k, m, order="F")
-
-
 def _weighted_system(model: ObservationModel, chol: np.ndarray, r=None):
-    """Weighted normal matrix ``Re(G_w^H G_w)`` and, given r, right-hand side ``Re(G_w^H r_w)``.
+    """Weighted normal matrix and, given r, right-hand side, from ``B = L^{-1} U_S``.
 
-    ``G_w`` and ``r_w`` are the model columns ``vec(X_i)`` and ``vec(R_hat)``
-    whitened to ``vec(L^{-1} X L^{-H})``, for ``R = L L^H``: entry (i, j)
-    of the normal matrix is ``Re tr(R^{-1} X_i R^{-1} X_j^H)``, the
-    normal matrix of least squares weighted by ``R^{-T} kron R^{-1}``,
-    which is never formed. A spectral model has ``X_i = u_i u_i^H`` for
-    its sampled basis rows, so with ``B = L^{-1} U_S`` the entries are
-    ``|b_i^H b_j|^2`` and ``Re b_i^H L^{-1} R_hat L^{-H} b_i``; any other
-    model whitens its K^2 x M matrix. The normal matrix is symmetrised.
+    For ``R = L L^H`` the normal matrix of least squares weighted by
+    ``R^{-T} kron R^{-1}``, which is never formed, has entries
+    ``Re tr(R^{-1} X_i R^{-1} X_j^H)`` for the model columns ``vec(X_i)``.
+    Spectral columns are ``u_j u_j^H``, which gives ``|B^H B|^2``
+    (elementwise) and ``Re diag(B^H L^{-1} R_hat L^{-H} B)``; a parameter
+    map T maps both by T. The normal matrix is symmetrised. A model
+    without sampled basis rows is refused.
     """
-    k, m = chol.shape[0], model.n_params
     if model.sampled_basis is None:
-        columns = model.matrix if r is None else np.column_stack([model.matrix, r])
-        whitened = _whiten_columns(columns, chol, k)
-        gram = np.real(whitened.conj().T @ whitened)
-        gram = 0.5 * (gram + gram.T)
-        return gram[:m, :m], (None if r is None else gram[:m, m])
+        raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
     l_inv = np.linalg.inv(chol)
     b = l_inv @ model.sampled_basis
     gram = np.abs(b.conj().T @ b) ** 2
     rhs = None
     if r is not None:
-        r_w = l_inv @ unvec(r, k) @ l_inv.conj().T
+        r_w = l_inv @ unvec(r, chol.shape[0]) @ l_inv.conj().T
         rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=0))
+    t = model.param_map
+    if t is not None:
+        gram = t.T @ gram @ t
+        rhs = None if rhs is None else t.T @ rhs
     return 0.5 * (gram + gram.T), rhs
 
 
@@ -199,14 +186,15 @@ def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> E
     where R is the supplied (sample) covariance, diagonally loaded when
     near-singular. The normal matrix is the weighted Gram of the model
     columns, the Fisher information up to the factor ``nu N_s``, and the
-    right-hand side is the same product with ``r_hat``. For a spectral
-    model both come from ``B = L^{-1} U_S``, with L the Cholesky factor
-    of the loaded R and U_S the sampled basis rows: the normal matrix is
-    ``|B^H B|^2`` and the right-hand side ``Re diag(B^H L^{-1} R_hat
-    L^{-H} B)``, so no K^2 x M array is formed. Other models whiten
-    ``[G r_hat]`` column by column. It is solved by Cholesky, which makes
-    the likelihood stationarity equations hold at the solution. A normal
-    matrix that is not positive definite raises RankDeficiencyError.
+    right-hand side is the same product with ``r_hat``. Both come from
+    ``B = L^{-1} U_S``, with L the Cholesky factor of the loaded R and U_S
+    the sampled basis rows: the normal matrix is ``T^T |B^H B|^2 T`` and
+    the right-hand side ``T^T Re diag(B^H L^{-1} R_hat L^{-H} B)``, with T
+    the model's parameter map (the identity for a spectral model), so no
+    K^2 x M array is formed. It is solved by Cholesky, which makes the
+    likelihood stationarity equations hold at the solution. A normal
+    matrix that is not positive definite raises RankDeficiencyError, and
+    a model without sampled basis rows (autoregressive) InvalidInputError.
     ``condition_number`` is ``sqrt(lambda_max / lambda_min)`` of the
     normal matrix, the condition number of the whitened system.
     """
@@ -256,11 +244,12 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
 
     ``G_i`` is column i of the model reshaped K x K: the weighted Gram
     that :func:`wls_estimate` solves, built from the true covariance and
-    scaled by ``nu N_s``. For a spectral model that is
-    ``nu N_s |B^H B|^2`` with ``B = L^{-1} U_S`` and L the Cholesky
-    factor of R, so only K x M and M x M factors are formed. The CRB is
-    ``F^{-1}``; a singular F falls back to the pseudo-inverse with
-    ``crb_is_pinv`` set.
+    scaled by ``nu N_s``: ``nu N_s T^T |B^H B|^2 T`` with
+    ``B = L^{-1} U_S``, L the Cholesky factor of R and T the model's
+    parameter map (the identity for a spectral model), so only K x N and
+    N x N factors are formed; a model without sampled basis rows is
+    refused. The CRB is ``F^{-1}``; a singular F falls back to the
+    pseudo-inverse with ``crb_is_pinv`` set.
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")

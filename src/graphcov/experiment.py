@@ -11,6 +11,8 @@ is byte-identical for a fixed config at any thread setting.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -48,15 +50,12 @@ from .graphs import (
 )
 from .models import (
     AUTOREGRESSIVE,
-    MOVING_AVERAGE,
-    SPECTRAL,
     CovarianceModel,
     ObservationModel,
     Subsampler,
     build_psi_ma,
     build_psi_spectral,
     compress_model,
-    vandermonde,
     vec,
 )
 from .stationary import (
@@ -67,7 +66,7 @@ from .stationary import (
     true_covariance,
 )
 
-CSV_HEADER = "n_snapshots,method,compression,nmse_db,crb_db,failures"
+CSV_HEADER = "n_snapshots,method,sampler,compression,nmse_db,crb_db,failures"
 METHODS = (LS, NNLS, WLS)
 # The keys each sampler kind takes besides "kind"; any other key is refused.
 SAMPLER_KEYS = {
@@ -203,12 +202,10 @@ def estimate(
 
 
 def model_spectrum(model: ObservationModel, eigvals: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Power spectrum, one value per graph frequency, of a model's parameters theta."""
-    if model.param_kind == SPECTRAL:
-        return np.asarray(theta)
-    if model.param_kind == MOVING_AVERAGE:
-        return vandermonde(eigvals, model.n_params) @ theta
-    return armod.ar_power_spectrum(eigvals, theta)
+    """Power spectrum of theta, one value per graph frequency: ``T theta`` for a model with a map T."""
+    if model.param_kind == AUTOREGRESSIVE:
+        return armod.ar_power_spectrum(eigvals, theta)
+    return np.asarray(theta) if model.param_map is None else model.param_map @ theta
 
 
 @dataclass
@@ -237,6 +234,8 @@ class ExperimentConfig:
             raise InvalidInputError("samplers must be a list of objects")
         ar_model = self.model.get("kind") == "ar"
         for entry in self.samplers:
+            if not isinstance(entry.get("name", ""), str):
+                raise InvalidInputError(f"bad sampler.name {entry['name']!r}: expected a string")
             # an unknown kind is refused where the sampler is built
             kind = entry.get("kind", "ar-core" if ar_model else None)
             if not (isinstance(kind, str) and kind in SAMPLER_KEYS):
@@ -447,10 +446,9 @@ class _Pipeline:
             info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1)
         except NumericalError:
             return None
-        cov_p = info.crb
-        if self.model_kind == "ma":
-            vand = vandermonde(self.basis.eigvals, model.n_params)
-            cov_p = vand @ cov_p @ vand.T
+        cov_p, t = info.crb, model.param_map
+        if t is not None:
+            cov_p = t @ cov_p @ t.T
         return float(np.trace(cov_p))
 
     def crb_db(self, crb_sse: float | None, n_snapshots: int) -> float | None:
@@ -503,11 +501,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
+    """The rows as CSV under ``CSV_HEADER``; a sampler name holding a comma or quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for row in rows:
-        nmse_db = "" if row["nmse_db"] is None else repr(row["nmse_db"])
-        crb_db = "" if row["crb_db"] is None else repr(row["crb_db"])
-        lines.append(
-            f"{row['n_snapshots']},{row['method']},{row['compression']!r},{nmse_db},{crb_db},{row['failures']}"
-        )
-    return "\n".join(lines) + "\n"
+        numbers = ["" if row[key] is None else repr(row[key]) for key in ("compression", "nmse_db", "crb_db")]
+        writer.writerow([row["n_snapshots"], row["method"], row["sampler"], *numbers, row["failures"]])
+    return out.getvalue()

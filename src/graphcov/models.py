@@ -8,9 +8,10 @@ model). All vectorizations are column-major so the Khatri-Rao identity
 ``vec(A diag(b) C) = (C^T kr A) b`` holds.
 
 The uncompressed N^2 x M model is never stored: a
-:class:`CovarianceModel` holds its factors, the basis U or the shift
-powers, and computes any of its rows on demand. A sampler's compressed
-model is the K^2 rows of its selected node pairs.
+:class:`CovarianceModel` holds the basis U and, for the moving-average
+model, the Vandermonde map T from its parameters to the spectrum, and
+computes any of its rows on demand. A sampler's compressed model is the
+K^2 rows of its selected node pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _is_int
 SPECTRAL = "spectral"
 MOVING_AVERAGE = "moving_average"
 AUTOREGRESSIVE = "autoregressive"
+
+# Rows per working block wherever model rows are computed; it bounds their memory.
+_BLOCK_ROWS = 2048
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -128,15 +132,17 @@ class ObservationModel:
     complex rank of G: spectral models have a real Gram ``G^H G``, and
     moving-average and autoregressive models are real.
 
-    ``sampled_basis`` is set for a spectral model: the K x M sampled basis
-    rows U_S whose Khatri-Rao product ``conj(u_i) kron u_i`` is column i of
-    G. The weighted estimators reduce to K x M products of it. Only its
-    shape is checked against G; :func:`compress_model` builds both.
+    :func:`compress_model` also sets ``sampled_basis``, the K x N sampled
+    basis rows U_S, and ``param_map``, the model's map T (None, read as
+    the identity, for a spectral model): column i of G is
+    ``sum_j T_ji conj(u_j) kron u_j``, so the weighted estimators reduce to
+    products of U_S and T. Only their shapes are checked against G.
     """
 
     matrix: np.ndarray
     param_kind: str
     sampled_basis: np.ndarray | None = field(default=None, repr=False)
+    param_map: np.ndarray | None = field(default=None, repr=False)
     singular_values: np.ndarray = field(init=False)
     rank: int = field(init=False)
     full_column_rank: bool = field(init=False)
@@ -153,13 +159,12 @@ class ObservationModel:
             raise InvalidInputError(f"unknown parameter kind {self.param_kind!r}")
         if not np.all(np.isfinite(g)):
             raise InvalidInputError("non-finite values in model matrix")
-        if self.sampled_basis is not None:
-            u_s = np.asarray(self.sampled_basis)
-            if u_s.ndim != 2 or u_s.shape[1] != g.shape[1] or u_s.shape[0] ** 2 != g.shape[0]:
-                raise InvalidInputError(
-                    f"sampled basis of shape {u_s.shape} does not match a {g.shape} model"
-                )
-            self.sampled_basis = u_s
+        t, u_s = self.param_map, self.sampled_basis
+        if t is not None and (np.ndim(t) != 2 or np.shape(t)[1] != g.shape[1]):
+            raise InvalidInputError(f"parameter map of shape {np.shape(t)} does not match a {g.shape} model")
+        width = g.shape[1] if t is None else len(t)
+        if u_s is not None and (np.ndim(u_s) != 2 or len(u_s) ** 2 != g.shape[0] or np.shape(u_s)[1] != width):
+            raise InvalidInputError(f"sampled basis of shape {np.shape(u_s)} does not match a {g.shape} model")
         self.matrix = g
         a = np.vstack([g.real, g.imag]) if np.iscomplexobj(g) else np.asarray(g, dtype=float)
         u, svals, vt = np.linalg.svd(a, full_matrices=False)
@@ -191,66 +196,66 @@ class ObservationModel:
 class CovarianceModel:
     """Uncompressed model ``vec(R) = Psi theta``, held by its factors.
 
-    Column i of the N^2 x M matrix Psi is ``vec(X_i)`` for a Hermitian
-    N x N matrix X_i. The spectral model has ``X_i = u_i u_i^H`` and keeps
-    the basis U (N x N) as ``factors``; the moving-average model has
-    ``X_k = S^k`` and keeps the Q shift powers (Q x N x N). Psi itself is
-    never formed: :meth:`rows` computes any of its rows, and it is the
-    only code that knows the row layout. Since every X_i is Hermitian,
-    rows (a, b) and (b, a) are complex conjugates. Moving-average factors
-    that are not real and symmetric (to ``sqrt(eps)`` of each power's
-    largest entry) are refused.
+    Column j of the spectral model is ``conj(u_j) kron u_j`` for the basis
+    U (N x N), which has no ``param_map``. The moving-average model is that
+    model times a real map T (N x M), the Vandermonde matrix of the graph
+    frequencies: its spectrum is ``T theta`` and column i is ``vec(X_i)``,
+    ``X_i = U diag(T[:, i]) U^H = S^i``. Psi itself is never formed:
+    :meth:`rows` computes any of its rows, and it is the only code that
+    knows the row layout. Every X_i is Hermitian, so rows (a, b) and
+    (b, a) are complex conjugates. A row of T depends on the frequency
+    only, and conjugate columns of a complex basis share one, so every
+    mapped X_i is real.
     """
 
     kind: str
-    factors: np.ndarray
+    basis: np.ndarray
+    param_map: np.ndarray | None = None
 
     def __post_init__(self):
-        f = np.asarray(self.factors)
-        if self.kind == SPECTRAL:
-            if f.ndim != 2 or f.shape[0] != f.shape[1]:
-                raise InvalidInputError("spectral factors must be a square basis matrix")
-        elif self.kind == MOVING_AVERAGE:
-            if f.ndim != 3 or f.shape[1] != f.shape[2]:
-                raise InvalidInputError("moving-average factors must be Q x N x N shift powers")
-            if np.iscomplexobj(f):
-                raise InvalidInputError("moving-average factors must be real")
-            f = np.asarray(f, dtype=float)
-            scale = np.abs(f).max(axis=(1, 2))
-            asymmetry = np.abs(f - f.transpose(0, 2, 1)).max(axis=(1, 2))
-            if np.any(asymmetry > np.sqrt(np.finfo(float).eps) * scale):
-                raise InvalidInputError("moving-average factors must be symmetric")
-        else:
+        u = np.asarray(self.basis)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise InvalidInputError("the model basis must be a square matrix")
+        if self.kind not in (SPECTRAL, MOVING_AVERAGE):
             raise InvalidInputError(f"unknown covariance model kind {self.kind!r}")
-        object.__setattr__(self, "factors", f)
+        if (self.param_map is None) != (self.kind == SPECTRAL):
+            raise InvalidInputError("a spectral model has no parameter map, and any other model has one")
+        t = self.param_map
+        if t is not None and (np.ndim(t) != 2 or len(t) != len(u) or np.iscomplexobj(t)):
+            raise InvalidInputError(f"the parameter map must be a real {len(u)} x M matrix")
+        object.__setattr__(self, "basis", u)
 
     @property
     def n_nodes(self) -> int:
-        return self.factors.shape[-1]
+        return self.basis.shape[0]
 
     @property
     def n_params(self) -> int:
-        return self.factors.shape[1] if self.kind == SPECTRAL else self.factors.shape[0]
+        return (self.basis if self.param_map is None else self.param_map).shape[1]
 
     @property
     def nbytes(self) -> int:
-        return self.factors.nbytes
+        return self.basis.nbytes + (0 if self.param_map is None else self.param_map.nbytes)
+
+    @property
+    def complex_rows(self) -> bool:
+        """Whether the rows are complex: a complex basis with no map. A map's rows are real."""
+        return np.iscomplexobj(self.basis) and self.param_map is None
 
     def rows(self, a, b) -> np.ndarray:
         """Rows ``a*N + b`` of Psi: the M model values of covariance entry (b, a).
 
         ``a`` and ``b`` are node indices that broadcast against each other;
-        the rows come back in their broadcast shape, plus an axis of length M.
+        the rows come back in their broadcast shape, plus an axis of length
+        M. Mapped rows are ``(conj(U[a]) * U[b]) @ T``, real up to rounding.
         """
-        if self.kind == SPECTRAL:
-            return self.factors[a].conj() * self.factors[b]
-        return np.ascontiguousarray(np.moveaxis(self.factors[:, b, a], 0, -1))
+        rows = self.basis[a].conj() * self.basis[b]
+        return rows if self.param_map is None else np.real(rows @ self.param_map)
 
     def column_sq_norms(self) -> np.ndarray:
-        """``||X_i||_F^2`` per column: ``(sum_a |U_ai|^2)^2`` or ``sum(S^k * S^k)``."""
-        if self.kind == SPECTRAL:
-            return np.sum(np.abs(self.factors) ** 2, axis=0) ** 2
-        return np.sum(self.factors**2, axis=(1, 2))
+        """``||X_i||_F^2`` per column: ``sum_j |u_j|^4 T_ji^2``, or ``|u_i|^4`` with no map."""
+        norms = np.sum(np.abs(self.basis) ** 2, axis=0) ** 2
+        return norms if self.param_map is None else norms @ self.param_map**2
 
 
 def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
@@ -273,10 +278,15 @@ def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
 
 
 def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
-    """Moving-average model with columns ``vec(S^k)``, k < Q, held by the Q powers."""
+    """Moving-average model with columns ``vec(S^k)``, k < Q: the basis and its Vandermonde map.
+
+    No power of S is formed. S^k does not depend on the basis chosen inside
+    an eigenspace, so repeated eigenvalues raise no warning.
+    """
     if not (1 <= q <= shift.n):
         raise InvalidInputError(f"need 1 <= Q <= N; powers beyond N-1 are linearly dependent (Q={q}, N={shift.n})")
-    return CovarianceModel(MOVING_AVERAGE, np.stack(shift.powers(q)))
+    basis = shift.basis()
+    return CovarianceModel(MOVING_AVERAGE, basis.eigvecs, vandermonde(basis.eigvals, q))
 
 
 def vandermonde(eigvals: np.ndarray, q: int) -> np.ndarray:
@@ -308,12 +318,16 @@ def compress_model(psi: CovarianceModel, sampler: Subsampler) -> ObservationMode
     Computes the K^2 rows of the selected node pairs, in the order of
     :func:`vec` of the K x K covariance: entry ``q*K + p`` is the covariance
     entry (selected[p], selected[q]). Neither the Kronecker selection
-    matrix nor the uncompressed model is formed. A spectral model also
-    hands its sampled basis rows U_S to the :class:`ObservationModel`.
+    matrix nor the uncompressed model is formed; rows are computed in
+    blocks of about ``_BLOCK_ROWS``, which bounds a mapped model's N-wide
+    intermediate. The sampled basis rows and the map go along.
     """
     if sampler.n_nodes != psi.n_nodes:
         raise InvalidInputError(f"sampler has {sampler.n_nodes} nodes, the model {psi.n_nodes}")
     sel = np.asarray(sampler.selected)
-    rows = psi.rows(sel[:, None], sel[None, :]).reshape(sampler.k**2, psi.n_params)
-    sampled_basis = psi.factors[sel] if psi.kind == SPECTRAL else None
-    return ObservationModel(matrix=rows, param_kind=psi.kind, sampled_basis=sampled_basis)
+    k, m = sampler.k, psi.n_params
+    rows = np.empty((k, k, m), dtype=complex if psi.complex_rows else float)
+    per_block = max(1, _BLOCK_ROWS // k)
+    for start in range(0, k, per_block):
+        rows[start : start + per_block] = psi.rows(sel[start : start + per_block, None], sel[None, :])
+    return ObservationModel(rows.reshape(k * k, m), psi.kind, psi.basis[sel], psi.param_map)

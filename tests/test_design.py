@@ -10,7 +10,6 @@ import scipy.linalg
 from graphcov import design
 from graphcov import (
     CapabilityError,
-    CovarianceModel,
     DesignProblem,
     InvalidInputError,
     RepeatedEigenvaluesWarning,
@@ -305,14 +304,6 @@ class TestBlockedGreedy:
         # equal up to rounding, so the first pick is node 0
         assert greedy_design(DesignProblem(psi=mobius_psi(36), k=1)).sampler.selected == (0,)
 
-    def test_non_symmetric_ma_factors_rejected(self):
-        # the greedy folds the conjugate rows (a,b) and (b,a) together, so a
-        # model whose columns are not Hermitian cannot be built
-        rng = np.random.default_rng(16)
-        powers = np.stack([np.eye(6), rng.standard_normal((6, 6))])
-        with pytest.raises(InvalidInputError, match="symmetric"):
-            CovarianceModel("moving_average", powers)
-
     def test_raw_matrix_rejected(self):
         with pytest.raises(InvalidInputError, match="CovarianceModel"):
             DesignProblem(psi=np.ones((36, 12)), k=4)
@@ -406,6 +397,19 @@ class TestCheckValid:
         assert not report.valid
         assert report.rank <= 6
         assert check_valid(psi, Subsampler(20, (0, 5, 11, 17))).feasible  # 10 >= 7
+
+    def test_moving_average_rows_are_real_on_a_dft_basis(self):
+        # the map's rows depend on the frequency only, so the MA model on the
+        # complex DFT basis has real rows: K(K+1)/2 equations and a real Gram
+        s = ShiftOperator(build_shift(mobius_ladder(36), "laplacian").matrix, kind="circulant-dft")
+        assert np.iscomplexobj(s.basis().eigvecs)
+        psi = build_psi_ma(s, 7)
+        assert not psi.complex_rows
+        assert not check_valid(psi, Subsampler(36, (0, 5, 11))).feasible  # 6 < 7 <= 9
+        assert check_valid(psi, Subsampler(36, (0, 5, 11, 17))).feasible
+        assert gram(psi, Subsampler(36, (0, 5, 11))).dtype == float
+        value = set_objective(psi, (0, 5, 11, 17), default_epsilon(psi))
+        assert isinstance(value, float) and np.isfinite(value)
 
     def test_reads_the_compressed_model(self):
         psi = sensor_psi(20)

@@ -22,6 +22,7 @@ from graphcov import (
     cycle_graph,
     fisher_info,
     frequency_response,
+    path_graph,
     generate_signals,
     ls_estimate,
     nnls_estimate,
@@ -32,8 +33,8 @@ from graphcov import (
     wls_estimate,
     wls_stationarity_residual,
 )
-from graphcov.estimators import _whiten_columns, nmse_db
-from graphcov.graphs import CIRCULANT_DFT, ShiftOperator
+from graphcov.estimators import nmse_db
+from graphcov.graphs import CIRCULANT_DFT, ShiftOperator, SpectralBasis
 
 
 def mc_nmse(p_true, estimates):
@@ -43,8 +44,21 @@ def mc_nmse(p_true, estimates):
 
 
 def plain_model(matrix, kind="spectral"):
+    """A model of the bare matrix, without sampled basis rows: LS and NNLS only."""
     matrix = np.asarray(matrix, dtype=float)
     return ObservationModel(matrix=matrix, param_kind=kind)
+
+
+def scalar_model():
+    """The one-node spectral model: G = [[1]], the variance of a single sample."""
+    basis = SpectralBasis(eigvecs=np.eye(1), eigvals=np.zeros(1), distinct=True)
+    return compress_model(build_psi_spectral(basis), Subsampler.full(1))
+
+
+def two_node_model(selected=(0, 1)):
+    """Spectral model of the 2-node path observed at ``selected``: full rank on both nodes."""
+    basis = build_shift(path_graph(2), "laplacian").basis()
+    return compress_model(build_psi_spectral(basis), Subsampler(2, selected))
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +99,12 @@ def dense_weight(cov):
     return 0.5 * cov.n_snapshots * np.kron(r_inv.T, r_inv)
 
 
-def whitening_model(model):
-    """The same matrix without its sampled basis rows: the column-whitening path."""
-    return ObservationModel(matrix=model.matrix, param_kind=model.param_kind)
+def whitened_system(model, cov, r):
+    """Real-stacked ``vec(L^-1 X L^-H)`` of every model column and of r, for R = L L^H, formed densely."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(cov.matrix))
+    whiten = np.kron(l_inv.conj(), l_inv)
+    g_w, r_w = whiten @ model.matrix, whiten @ r
+    return np.vstack([g_w.real, g_w.imag]), np.concatenate([r_w.real, r_w.imag])
 
 
 @pytest.fixture(scope="module")
@@ -192,24 +209,6 @@ class TestNnls:
 
 
 class TestWls:
-    def test_whitening_matches_dense_kronecker(self, k4_setup):
-        model, cov, _ = k4_setup
-        chol = np.linalg.cholesky(cov.matrix)
-        l_inv = np.linalg.inv(chol)
-        reference = np.kron(l_inv.conj(), l_inv) @ model.matrix  # vec(L^-1 X L^-H)
-        whitened = _whiten_columns(model.matrix, chol, cov.k)
-        npt.assert_allclose(whitened, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
-
-    def test_whitening_with_complex_covariance(self, k4_setup):
-        model, _, _ = k4_setup
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        chol = np.linalg.cholesky(a @ a.conj().T + np.eye(4))
-        l_inv = np.linalg.inv(chol)
-        reference = np.kron(l_inv.conj(), l_inv) @ model.matrix
-        whitened = _whiten_columns(model.matrix, chol, 4)
-        npt.assert_allclose(whitened, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
-
     def test_matches_dense_weight(self, k4_setup):
         model, cov, r = k4_setup
         g = model.matrix
@@ -220,27 +219,29 @@ class TestWls:
         npt.assert_allclose(theta, reference, rtol=0, atol=1e-12 * np.linalg.norm(reference))
 
     def test_rank_one_path_matches_whitening_path(self, k4_setup):
+        # the K x M path solves least squares on the explicitly whitened system
         model, cov, r = k4_setup
         assert model.sampled_basis is not None
-        reference = wls_estimate(whitening_model(model), r, cov)
+        a, b = whitened_system(model, cov, r)
+        reference = np.linalg.lstsq(a, b, rcond=None)[0]
         res = wls_estimate(model, r, cov)
-        npt.assert_allclose(res.theta, reference.theta, rtol=0, atol=1e-12 * np.linalg.norm(reference.theta))
-        assert res.condition_number == pytest.approx(reference.condition_number, rel=1e-10)
+        npt.assert_allclose(res.theta, reference, rtol=0, atol=1e-12 * np.linalg.norm(reference))
 
     def test_loaded_weight_matches_whitening_path(self, compressed_setup):
         # N_s = 3 < K = 6: the weight is the sample covariance loaded by delta,
-        # which puts the normal matrix's condition number near 1e10; so the
-        # paths agree to 1e-5, and theta solves the dense loaded normal equations
-        # to a backward error of 1e-9.
+        # which puts the normal matrix's condition number near 1e10; so theta
+        # agrees with least squares on the explicitly whitened loaded system to
+        # 1e-5, and solves the dense loaded normal equations to a backward
+        # error of 1e-9.
         s, sampler, model, h, _, _ = compressed_setup
         cov = sample_covariance(generate_signals(s, h, 3, seed=17)[list(sampler.selected)])
         r = vec(cov.matrix)
         delta = 1e-8 * np.trace(cov.matrix) / sampler.k
         assert cov.min_eigenvalue < delta
         theta = wls_estimate(model, r, cov).theta
-        reference = wls_estimate(whitening_model(model), r, cov).theta
-        npt.assert_allclose(theta, reference, rtol=0, atol=1e-5 * np.linalg.norm(reference))
         loaded = CovarianceMatrix(cov.matrix + delta * np.eye(sampler.k), kind="sample", n_snapshots=3)
+        reference = np.linalg.lstsq(*whitened_system(model, loaded, r), rcond=None)[0]
+        npt.assert_allclose(theta, reference, rtol=0, atol=1e-5 * np.linalg.norm(reference))
         g, weight = model.matrix, dense_weight(loaded)
         normal, rhs = g.T @ weight @ g, g.T @ weight @ r
         backward = np.linalg.norm(normal @ theta - rhs) / (np.linalg.norm(normal) * np.linalg.norm(theta))
@@ -253,7 +254,7 @@ class TestWls:
 
     def test_moving_average_matches_dense_weight(self, ma_setup):
         model, cov, r = ma_setup
-        assert model.sampled_basis is None
+        assert model.param_map is not None
         g, weight = model.matrix, dense_weight(cov)
         reference = np.linalg.solve(g.T @ weight @ g, g.T @ weight @ r)
         theta = wls_estimate(model, r, cov).theta
@@ -262,23 +263,23 @@ class TestWls:
 
     def test_condition_number_of_whitened_system(self, k4_setup):
         model, cov, r = k4_setup
-        whitened = _whiten_columns(model.matrix, np.linalg.cholesky(cov.matrix), cov.k)
-        stacked = np.vstack([whitened.real, whitened.imag])
+        stacked, _ = whitened_system(model, cov, r)
         res = wls_estimate(model, r, cov)
         assert res.condition_number == pytest.approx(np.linalg.cond(stacked), rel=1e-8)
 
-    def test_identity_weight_equals_ls(self):
+    def test_identity_weight_equals_ls(self, compressed_setup):
+        _, sampler, model, _, _, _ = compressed_setup
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 2))
-        r = rng.standard_normal(4)
-        model = plain_model(a)
-        weight = CovarianceMatrix(np.eye(2), kind="true")
+        x = rng.standard_normal((sampler.k, 2 * sampler.k))
+        r = vec(x @ x.T)
+        weight = CovarianceMatrix(np.eye(sampler.k), kind="true")
+        reference = ls_estimate(model, r).theta
         npt.assert_allclose(
-            wls_estimate(model, r, weight).theta, ls_estimate(model, r).theta, atol=1e-10
+            wls_estimate(model, r, weight).theta, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference)
         )
 
     def test_scalar_case(self):
-        model = plain_model(np.array([[1.0]]))
+        model = scalar_model()
         weight = CovarianceMatrix(np.array([[0.3]]), kind="sample", n_snapshots=10)
         res = wls_estimate(model, np.array([2.5]), weight)
         npt.assert_allclose(res.theta, [2.5], atol=1e-12)
@@ -308,7 +309,7 @@ class TestWls:
         assert mse_wls <= 1.05 * mse_ls
 
     def test_zero_covariance_rejected(self):
-        model = plain_model(np.eye(4))
+        model = two_node_model()
         weight = CovarianceMatrix(np.zeros((2, 2)), kind="true")
         with pytest.raises(SingularityError):
             wls_estimate(model, np.zeros(4), weight)
@@ -332,11 +333,14 @@ class TestFisher:
         npt.assert_allclose(info.matrix, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
     def test_rank_one_path_matches_whitening_path(self, k4_setup):
-        model, cov, _ = k4_setup
-        reference = fisher_info(whitening_model(model), cov, cov.n_snapshots)
+        # F = nu N_s A^T A for the explicitly whitened real-stacked columns A
+        model, cov, r = k4_setup
+        a, _ = whitened_system(model, cov, r)
+        reference = 0.5 * cov.n_snapshots * (a.T @ a)
         info = fisher_info(model, cov, cov.n_snapshots)
-        npt.assert_allclose(info.matrix, reference.matrix, rtol=0, atol=1e-12 * np.abs(reference.matrix).max())
-        npt.assert_allclose(info.crb, reference.crb, rtol=0, atol=1e-10 * np.abs(reference.crb).max())
+        npt.assert_allclose(info.matrix, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+        crb = np.linalg.inv(reference)
+        npt.assert_allclose(info.crb, crb, rtol=0, atol=1e-10 * np.abs(crb).max())
 
     def test_moving_average_matches_dense_weight(self, ma_setup):
         model, cov, _ = ma_setup
@@ -348,7 +352,7 @@ class TestFisher:
     def test_scalar_variance_bound(self):
         # variance estimation from real Gaussian data: CRB = 2 theta^2 / N_s
         theta = 1.7
-        model = plain_model(np.array([[1.0]]))
+        model = scalar_model()
         cov = CovarianceMatrix(np.array([[theta]]), kind="true")
         info = fisher_info(model, cov, n_snapshots=50)
         npt.assert_allclose(info.matrix, [[50 / (2 * theta**2)]], atol=1e-12)
@@ -370,17 +374,28 @@ class TestFisher:
         assert np.diag(info.crb).min() > 0
 
     def test_singular_covariance_rejected(self):
-        model = plain_model(np.eye(4))
+        model = two_node_model()
         cov = CovarianceMatrix(np.diag([1.0, 0.0]), kind="true")
         with pytest.raises(SingularityError):
             fisher_info(model, cov, 10)
 
     def test_singular_fisher_falls_back_to_pinv(self):
-        model = plain_model(np.array([[1.0, 1.0]]))  # duplicate columns
+        model = two_node_model(selected=(0,))  # one row |u_0|^2 = [1/2, 1/2]: duplicate columns
+        npt.assert_allclose(model.matrix, [[0.5, 0.5]], atol=1e-15)
         cov = CovarianceMatrix(np.array([[2.0]]), kind="true")
         info = fisher_info(model, cov, 10)
         assert info.crb_is_pinv
         npt.assert_allclose(info.crb, np.linalg.pinv(info.matrix), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["autoregressive", "spectral"])
+def test_weighted_estimators_refuse_a_model_without_sampled_basis(kind):
+    model = plain_model(np.eye(4), kind=kind)
+    cov = CovarianceMatrix(np.eye(2), kind="sample", n_snapshots=10)
+    with pytest.raises(InvalidInputError, match="sampled basis"):
+        wls_estimate(model, vec(cov.matrix), cov)
+    with pytest.raises(InvalidInputError, match="sampled basis"):
+        fisher_info(model, cov, 10)
 
 
 def test_spectral_estimators_form_no_k2_by_m_array():

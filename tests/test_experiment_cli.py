@@ -19,7 +19,14 @@ from graphcov import (
     default_epsilon,
 )
 from graphcov.cli import main
-from graphcov.experiment import ExperimentConfig, make_graph, make_shift, run_experiment, rows_to_csv
+from graphcov.experiment import (
+    CSV_HEADER,
+    ExperimentConfig,
+    make_graph,
+    make_shift,
+    rows_to_csv,
+    run_experiment,
+)
 
 
 def run_cli(*argv):
@@ -468,6 +475,37 @@ class TestSignalAndEstimate:
             assert "required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["estimate-graph-dir", "estimate-binary-snapshots", "estimate-snapshots-dir",
+     "experiment-config-dir", "design-out-dir"],
+)
+def test_unreadable_path_exit_code(sensor_graph_file, tmp_path, capsys, command):
+    """A path that is a directory, a file that is not UTF-8 or an unwritable --out exits 2 in one line."""
+    snaps = tmp_path / "snaps.csv"
+    assert run_cli(
+        "signal", "gen", "--graph", sensor_graph_file, "--coeffs", "1,0.5", "--ns", "20", "--out", str(snaps)
+    ) == 0
+    sampler_path = tmp_path / "s.json"
+    sampler_path.write_text(Subsampler.full(16).to_json())
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    estimate = ["estimate", "--sampler", str(sampler_path), "--out", str(tmp_path / "o.json")]
+    argv = {
+        "estimate-graph-dir": [*estimate, "--graph", str(folder), "--snapshots", str(snaps)],
+        "estimate-binary-snapshots": [*estimate, "--graph", sensor_graph_file, "--snapshots", str(binary)],
+        "estimate-snapshots-dir": [*estimate, "--graph", sensor_graph_file, "--snapshots", str(folder)],
+        "experiment-config-dir": ["experiment", "nmse", "--config", str(folder)],
+        "design-out-dir": ["sampler", "design", "--graph", sensor_graph_file, "--k", "8", "--out", str(folder)],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -477,7 +515,27 @@ class TestExperiment:
         assert run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().split("\n")[0]
-        assert header == "n_snapshots,method,compression,nmse_db,crb_db,failures"
+        assert header == "n_snapshots,method,sampler,compression,nmse_db,crb_db,failures"
+
+    def test_csv_names_the_sampler_of_each_row(self):
+        import csv
+
+        samplers = [
+            {"name": "greedy, k=8", "kind": "greedy", "k": 8},
+            {"name": 'first "eight"', "kind": "explicit", "selected": list(range(8))},
+        ]
+        rows = run_experiment(ExperimentConfig(**base_config(samplers=samplers, n_trials=2)))
+        text = rows_to_csv(rows)
+        parsed = list(csv.reader(text.splitlines()))
+        assert parsed[0] == CSV_HEADER.split(",")
+        assert [line[2] for line in parsed[1:]] == ["greedy, k=8", 'first "eight"']
+        for row, line in zip(rows, text.splitlines()[1:]):
+            name = row["sampler"]
+            quoted = '"' + name.replace('"', '""') + '"'
+            assert line == (
+                f"{row['n_snapshots']},{row['method']},{quoted},{row['compression']!r},"
+                f"{row['nmse_db']!r},{row['crb_db']!r},{row['failures']}"
+            )
 
     def test_thread_env_does_not_change_results(self, tmp_path):
         # One study on a real sensor basis, one on a complex DFT basis and
@@ -529,14 +587,14 @@ class TestExperiment:
             )
             assert done.returncode == 0, done.stderr.decode()
             outputs.append(done.stdout)
-        header = b"n_snapshots,method,compression,nmse_db,crb_db,failures\n"
+        header = b"n_snapshots,method,sampler,compression,nmse_db,crb_db,failures\n"
         studies = outputs[0].split(header)
         assert studies[0] == b""
         assert [study.count(b"\n") for study in studies[1:]] == [2 * 3, 1 * 3, 2 * 1]  # rows
         assert b",," not in studies[1] + studies[2]  # every spectral cell has an NMSE and a CRB
         for row in studies[3].splitlines():  # every AR cell has an NMSE; AR has no CRB
             fields = row.split(b",")
-            assert fields[3] != b"" and fields[4] == b"" and fields[5] == b"0"
+            assert fields[4] != b"" and fields[5] == b"" and fields[6] == b"0"
         assert outputs[0] == outputs[1]
 
     def test_large_study_and_design_same_bytes_at_any_thread_count(self, tmp_path):
@@ -841,6 +899,7 @@ class TestExperiment:
             ({"samplers": [{"kind": "greedy", "k": 8, "cost": "frame_potential"}]},
              "sampler kind 'greedy' takes no key 'cost'"),
             ({"samplers": [{"kind": "full", "kost": "x"}]}, "sampler kind 'full' takes no key 'kost'"),
+            ({"samplers": [{"kind": "full", "name": 5}]}, "bad sampler.name 5"),
             (
                 {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
                  "samplers": [{"kind": "ar-core", "ko": 2}]},
@@ -860,7 +919,8 @@ class TestExperiment:
              "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction", "seed-bool",
              "greedy-k-string", "greedy-k-float", "sensor-n-string", "graph-seed-negative",
              "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
-             "output-not-string", "greedy-cost", "full-unknown-key", "ar-core-misspelled-key",
+             "output-not-string", "greedy-cost", "full-unknown-key", "sampler-name-not-string",
+             "ar-core-misspelled-key",
              "ar-core-default-kind-unknown-key"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):

@@ -23,6 +23,7 @@ from graphcov import (
     eigendecompose,
     ma_b_from_h,
     ls_estimate,
+    mobius_ladder,
     path_graph,
     sensor_graph,
     true_covariance,
@@ -30,6 +31,7 @@ from graphcov import (
     vandermonde,
     vec,
 )
+from graphcov import models
 from graphcov.graphs import CIRCULANT_DFT
 
 
@@ -143,12 +145,12 @@ class TestPsiSpectral:
 class TestPsiMa:
     def test_q1_is_vec_identity(self):
         s = build_shift(path_graph(2), "laplacian")
-        npt.assert_array_equal(dense(build_psi_ma(s, 1))[:, 0], vec(np.eye(2)))
+        npt.assert_allclose(dense(build_psi_ma(s, 1))[:, 0], vec(np.eye(2)), rtol=0, atol=1e-15)
 
     def test_q2_path(self):
         s = build_shift(path_graph(2), "laplacian")
         psi = build_psi_ma(s, 2)
-        npt.assert_array_equal(dense(psi)[:, 1], vec(np.array([[1, -1], [-1, 1]])))
+        npt.assert_allclose(dense(psi)[:, 1], vec(np.array([[1, -1], [-1, 1]])), rtol=0, atol=1e-15)
 
     def test_q_bounds(self):
         s = build_shift(path_graph(2), "laplacian")
@@ -172,11 +174,25 @@ class TestCovarianceModel:
         s = build_shift(sensor_graph(10, seed=6), "laplacian")
         spectral, ma = build_psi_spectral(s.basis()), build_psi_ma(s, 3)
         assert (spectral.n_nodes, spectral.n_params, spectral.nbytes) == (10, 10, 800)
-        assert (ma.n_nodes, ma.n_params, ma.nbytes) == (10, 3, 2400)
+        assert (ma.n_nodes, ma.n_params, ma.nbytes) == (10, 3, 800 + 240)
+
+    def test_ma_model_is_the_basis_and_its_vandermonde_map(self):
+        s = build_shift(sensor_graph(400, seed=7), "laplacian")
+        psi = build_psi_ma(s, 5)
+        assert psi.nbytes == 8 * 400**2 + 8 * 400 * 5
+        npt.assert_array_equal(psi.basis, s.basis().eigvecs)
+        npt.assert_array_equal(psi.param_map, vandermonde(s.basis().eigvals, 5))
 
     def test_complex_ma_factors_rejected(self):
         with pytest.raises(InvalidInputError, match="real"):
-            CovarianceModel("moving_average", np.eye(3)[None] * (1 + 1j))
+            CovarianceModel("moving_average", np.eye(3), np.ones((3, 1)) * (1 + 1j))
+
+    @pytest.mark.parametrize(
+        "kind,param_map", [("spectral", np.ones((3, 2))), ("moving_average", None), ("moving_average", np.ones((4, 2)))]
+    )
+    def test_map_must_match_kind_and_basis(self, kind, param_map):
+        with pytest.raises(InvalidInputError, match="map"):
+            CovarianceModel(kind, np.eye(3), param_map)
 
     @pytest.mark.parametrize(
         "kind,factors",
@@ -295,8 +311,9 @@ class TestCompressModel:
     @pytest.mark.parametrize("kind", ["real", "complex-dft", "ma"])
     @pytest.mark.parametrize("selected", [tuple(range(12)), (0, 1, 3, 7), (5,), (2, 9, 4)])
     def test_rows_equal_dense_construction(self, kind, selected):
-        # bit for bit the rows of the explicit N^2 x M matrices
-        # conj(u_i) kron u_i and vec(S^k)
+        # the rows of the explicit N^2 x M matrices: conj(u_i) kron u_i bit
+        # for bit, and vec(S^k), which the model computes as U diag(lambda^k)
+        # U^H, to rounding
         if kind == "real":
             s = build_shift(sensor_graph(12, seed=4), "laplacian")
         else:
@@ -312,7 +329,29 @@ class TestCompressModel:
             full = (u.conj()[:, None, :] * u[None, :, :]).reshape(144, 12)
         sel = np.asarray(sorted(selected))
         rows = (sel[None, :] * 12 + sel[:, None]).ravel(order="F")
-        npt.assert_array_equal(compress_model(psi, Subsampler(12, selected)).matrix, full[rows])
+        matrix = compress_model(psi, Subsampler(12, selected)).matrix
+        if kind == "ma":
+            npt.assert_allclose(matrix, full[rows], rtol=0, atol=1e-12 * np.abs(full).max())
+        else:
+            npt.assert_array_equal(matrix, full[rows])
+
+    @pytest.mark.parametrize("graph", ["mobius36-dft", "sensor30"])
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_ma_rows_are_real_shift_powers(self, graph, block_rows, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
+        if graph == "mobius36-dft":
+            s = ShiftOperator(build_shift(mobius_ladder(36), "laplacian").matrix, kind=CIRCULANT_DFT)
+            assert np.iscomplexobj(s.basis().eigvecs)
+        else:
+            s = build_shift(sensor_graph(30, seed=7), "laplacian")
+        q = 5
+        sel = np.array([0, 1, 4, 9, 15, 20, 28])
+        model = compress_model(build_psi_ma(s, q), Subsampler(s.n, tuple(sel)))
+        assert not np.iscomplexobj(model.matrix)
+        reference = np.stack(s.powers(q))[:, sel][:, :, sel]  # reference[k, p, q] = S^k[sel_p, sel_q]
+        rows = model.matrix.reshape(sel.size, sel.size, q).transpose(2, 1, 0)
+        npt.assert_allclose(rows, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
 
 
 class TestVectorize:
@@ -377,7 +416,12 @@ class TestObservationModel:
         npt.assert_array_equal(model.sampled_basis, u_s)
         kr = np.einsum("ai,bi->abi", u_s.conj(), u_s).reshape(25, 10)
         npt.assert_allclose(model.matrix, kr, atol=1e-15)
-        assert compress_model(build_psi_ma(s, 3), sampler).sampled_basis is None
+        ma = compress_model(build_psi_ma(s, 3), sampler)
+        npt.assert_array_equal(ma.sampled_basis, u_s)
+        npt.assert_array_equal(ma.param_map, vandermonde(s.basis().eigvals, 3))
+        assert model.param_map is None
+        with pytest.raises(InvalidInputError, match="parameter map"):
+            ObservationModel(matrix=ma.matrix, param_kind="moving_average", param_map=np.ones((10, 2)))
         with pytest.raises(InvalidInputError, match="sampled basis"):
             ObservationModel(matrix=model.matrix, param_kind="spectral", sampled_basis=u_s[:4])
 

@@ -60,3 +60,10 @@ def test_cli_block_runs_in_order(tmp_path, monkeypatch):
         ran.add(argv[1])
     assert ran == {"graph", "sampler", "signal", "estimate", "experiment"}
     assert Path("results.csv").read_text().startswith(CSV_HEADER + "\n")
+
+
+def test_csv_columns_in_prose_match_the_header():
+    text = " ".join(README.read_text().split())
+    match = re.search(r"The CSV has columns `([^`]*)`", text)
+    assert match is not None, "README names no CSV columns"
+    assert match.group(1) == CSV_HEADER
