@@ -65,7 +65,6 @@ from .graphs import (
     circulant_dft_basis,
     cycle_graph,
     eigendecompose,
-    filter_matrix,
     frequency_response,
     gft,
     igft,
@@ -73,6 +72,7 @@ from .graphs import (
     mobius_ladder,
     path_graph,
     sensor_graph,
+    vandermonde,
 )
 from .models import (
     CovarianceModel,
@@ -84,7 +84,6 @@ from .models import (
     default_ma_order,
     ma_b_from_h,
     unvec,
-    vandermonde,
     vec,
 )
 from .stationary import (

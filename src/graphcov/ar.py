@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator, SpectralBasis, _is_int, _rng
+from .graphs import Graph, ShiftOperator, SpectralBasis, _is_int, _rng, vandermonde
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
 from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
 
@@ -120,24 +120,28 @@ def _hop_sets(shift: ShiftOperator, nodes, order: int) -> list[tuple[int, ...]]:
     return sets
 
 
+def _check_ints(values, low: int, high, what: str) -> None:
+    """Refuse any of ``values`` that is not an integer (``_is_int``, no bool or float) in ``[low, high)``."""
+    bad = [v for v in values if not (_is_int(v) and low <= v < high)]
+    if bad:
+        raise InvalidInputError(f"{what} must be an integer in [{low}, {high}), got {bad[0]!r}")
+
+
 def neighborhood(shift: ShiftOperator, node: int, p: int) -> tuple[int, ...]:
     """Nodes reachable in exactly-p applications of the shift pattern."""
-    if not (0 <= node < shift.n):
-        raise InvalidInputError(f"node {node} out of range")
-    if p < 1:
-        raise InvalidInputError("hop distance must be >= 1")
+    _check_ints((node,), 0, shift.n, "node")
+    _check_ints((p,), 1, np.inf, "hop distance")
     return _hop_sets(shift, (node,), p)[p - 1]
 
 
 def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
     """Sampling scheme observing the core and its 1..P hop neighborhoods."""
-    core = tuple(sorted(int(i) for i in set(core)))
+    core = list(core)
+    _check_ints(core, 0, shift.n, "core node")
+    _check_ints((order,), 1, np.inf, "AR order")
+    core = tuple(sorted({int(i) for i in core}))
     if not core:
         raise InvalidInputError("core set must be non-empty")
-    if any(not (0 <= c < shift.n) for c in core):
-        raise InvalidInputError("core node out of range")
-    if order < 1:
-        raise InvalidInputError("AR order must be >= 1")
     levels = [Subsampler(shift.n, core)]
     for p, hop in enumerate(_hop_sets(shift, core, order), start=1):
         if not hop:
@@ -194,15 +198,17 @@ def build_ar_model(
             f"covariance has shape {matrix.shape}; the scheme observes {len(nodes)} distinct nodes"
         )
     p_order = scheme.order
-    powers = shift.powers(p_order + 1)
-    core = list(scheme.core)
+    core_rows = [shift.matrix[list(scheme.core)]]  # core rows of S^1..S^P, by repeated shifting
+    while len(core_rows) < p_order:
+        core_rows.append(core_rows[-1] @ shift.matrix)
     where = [np.searchsorted(nodes, level.selected) for level in scheme.levels]
     g_blocks = []
     r_blocks = []
     for q in range(p_order + 1):
         cols = []
         for k in range(1, p_order + 1):
-            sk = powers[k][np.ix_(core, scheme.levels[k].selected)]
+            # np.ix_ keeps the block C-ordered; an F-ordered [:, sel] slice moves the products' last digits
+            sk = core_rows[k - 1][np.ix_(range(len(scheme.core)), scheme.levels[k].selected)]
             cols.append(vec(sk @ matrix[np.ix_(where[k], where[q])]))
         g_blocks.append(np.column_stack(cols))
         r_blocks.append(vec(matrix[np.ix_(where[0], where[q])]))
@@ -221,8 +227,7 @@ def _ar_denominator(eigvals: np.ndarray, coeffs) -> np.ndarray:
     """``1 - sum_k a_k lam^k`` per graph frequency; a zero (a pole) raises SingularityError."""
     lam = np.asarray(eigvals, dtype=float)
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    powers = np.vander(lam, a.size + 1, increasing=True)[:, 1:]
-    denom = 1.0 - powers @ a
+    denom = 1.0 - vandermonde(lam, a.size + 1)[:, 1:] @ a
     bad = np.abs(denom) < 1e-12
     if np.any(bad):
         offender = lam[np.argmax(bad)]
@@ -252,8 +257,8 @@ def ar_transfer_matrix(shift: ShiftOperator, coeffs: np.ndarray, nodes=None) -> 
     may repeat and come in any order. A pole (some ``d`` zero) raises
     SingularityError, as in :func:`ar_power_spectrum`.
     """
-    if nodes is not None and any(not (0 <= int(i) < shift.n) for i in nodes):
-        raise InvalidInputError(f"nodes out of range for a graph of {shift.n} nodes")
+    if nodes is not None:
+        _check_ints(nodes, 0, shift.n, "node")
     basis = shift.basis()
     return _spectral_matrix(basis, 1.0 / _ar_denominator(basis.eigvals, coeffs), nodes)
 

@@ -196,7 +196,11 @@ def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> E
     matrix that is not positive definite raises RankDeficiencyError, and
     a model without sampled basis rows (autoregressive) InvalidInputError.
     ``condition_number`` is ``sqrt(lambda_max / lambda_min)`` of the
-    normal matrix, the condition number of the whitened system.
+    normal matrix, the condition number of the whitened system. With
+    fewer snapshots than observed nodes (N_s < K) the sample covariance
+    is singular; its loading ``delta = 1e-8 tr(R) / K`` puts a weight of
+    about ``1/delta`` on its null space, which drives the estimate toward
+    theta = 0.
     """
     r = _require_vector(model, r_hat)
     k = cov_hat.k
@@ -248,8 +252,10 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
     ``B = L^{-1} U_S``, L the Cholesky factor of R and T the model's
     parameter map (the identity for a spectral model), so only K x N and
     N x N factors are formed; a model without sampled basis rows is
-    refused. The CRB is ``F^{-1}``; a singular F falls back to the
-    pseudo-inverse with ``crb_is_pinv`` set.
+    refused. The CRB is ``F^{-1}``. An F that is singular by the
+    :func:`numerical_rank` threshold falls back, with ``crb_is_pinv`` set,
+    to the pseudo-inverse built from its SVD with that same threshold, so
+    every singular value the rank counts as zero is zeroed, not inverted.
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
@@ -261,12 +267,13 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
     fim, _ = _weighted_system(model, np.linalg.cholesky(cov.matrix))
     fim *= NU_REAL * n_snapshots
     svals = np.linalg.svd(fim, compute_uv=False)
-    if numerical_rank(svals, fim.shape) == fim.shape[0]:
-        crb = np.linalg.inv(fim)
-        is_pinv = False
+    is_pinv = numerical_rank(svals, fim.shape) < fim.shape[0]
+    if is_pinv:
+        u, svals, vt = np.linalg.svd(fim)
+        rank = numerical_rank(svals, fim.shape)
+        crb = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
     else:
-        crb = np.linalg.pinv(fim)
-        is_pinv = True
+        crb = np.linalg.inv(fim)
     crb = 0.5 * (crb + crb.T)
     return FisherInfo(matrix=fim, n_snapshots=n_snapshots, crb=crb, crb_is_pinv=is_pinv)
 

@@ -162,8 +162,9 @@ class GraphFilter:
 class ShiftOperator:
     """Symmetric shift operator with a lazily computed spectral basis.
 
-    Instances are immutable; powers of the matrix and the basis are
-    cached on first use, so sharing across parallel readers is safe.
+    Instances are immutable and hold only the matrix and the basis, which
+    is cached on first use under a lock, so sharing across parallel
+    readers is safe. No power of the matrix is stored.
     """
 
     def __init__(self, matrix: np.ndarray, kind: str = CUSTOM):
@@ -185,7 +186,6 @@ class ShiftOperator:
         self.kind = kind
         self._lock = threading.Lock()
         self._basis: SpectralBasis | None = None
-        self._powers: list[np.ndarray] = [np.eye(matrix.shape[0])]
 
     @property
     def n(self) -> int:
@@ -201,21 +201,6 @@ class ShiftOperator:
                     else:
                         self._basis = eigendecompose(self)
         return self._basis
-
-    def powers(self, count: int) -> list[np.ndarray]:
-        """Return ``[S^0, S^1, ..., S^{count-1}]``, cached across calls.
-
-        The cache is guarded so concurrent callers may share the operator.
-        """
-        if count < 1:
-            raise InvalidInputError("power count must be >= 1")
-        if len(self._powers) < count:
-            with self._lock:
-                while len(self._powers) < count:
-                    nxt = self._powers[-1] @ self.matrix
-                    nxt.setflags(write=False)
-                    self._powers.append(nxt)
-        return self._powers[:count]
 
     def __repr__(self):
         return f"ShiftOperator(kind={self.kind!r}, n={self.n})"
@@ -362,23 +347,16 @@ def apply_filter(shift: ShiftOperator, filt: GraphFilter, x: np.ndarray) -> np.n
     return out
 
 
+def vandermonde(eigvals: np.ndarray, q: int) -> np.ndarray:
+    """N x Q Vandermonde matrix of graph frequencies; maps polynomial coefficients to a spectrum."""
+    if q < 1:
+        raise InvalidInputError("Q must be >= 1")
+    return np.vander(np.asarray(eigvals, dtype=float), q, increasing=True)
+
+
 def frequency_response(eigvals: np.ndarray, filt: GraphFilter) -> np.ndarray:
     """Filter response ``h[0] + h[1]*lam + ...`` at each graph frequency."""
-    lam = np.asarray(eigvals, dtype=float)
-    vand = np.vander(lam, filt.coeffs.size, increasing=True)
-    return vand @ filt.coeffs
-
-
-def filter_matrix(shift: ShiftOperator, filt: GraphFilter) -> np.ndarray:
-    """Dense filter matrix ``sum_l h_l S^l`` (desk scale only)."""
-    h = filt.coeffs
-    if h.size > shift.n:
-        raise InvalidInputError(f"filter length {h.size} exceeds graph size {shift.n}")
-    powers = shift.powers(h.size)
-    out = np.zeros_like(shift.matrix)
-    for coeff, power in zip(h, powers):
-        out = out + coeff * power
-    return out
+    return vandermonde(eigvals, filt.coeffs.size) @ filt.coeffs
 
 
 # --- Graph families -------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, RepeatedEigenvaluesWarning
-from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _is_int
+from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _is_int, vandermonde
 
 SPECTRAL = "spectral"
 MOVING_AVERAGE = "moving_average"
@@ -205,10 +205,10 @@ class CovarianceModel:
     knows the row layout. Every X_i is Hermitian, so rows (a, b) and
     (b, a) are complex conjugates. A row of T depends on the frequency
     only, and conjugate columns of a complex basis share one, so every
-    mapped X_i is real.
+    mapped X_i is real. ``kind`` follows from the map: spectral without
+    one, moving-average with one.
     """
 
-    kind: str
     basis: np.ndarray
     param_map: np.ndarray | None = None
 
@@ -216,14 +216,15 @@ class CovarianceModel:
         u = np.asarray(self.basis)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise InvalidInputError("the model basis must be a square matrix")
-        if self.kind not in (SPECTRAL, MOVING_AVERAGE):
-            raise InvalidInputError(f"unknown covariance model kind {self.kind!r}")
-        if (self.param_map is None) != (self.kind == SPECTRAL):
-            raise InvalidInputError("a spectral model has no parameter map, and any other model has one")
         t = self.param_map
         if t is not None and (np.ndim(t) != 2 or len(t) != len(u) or np.iscomplexobj(t)):
             raise InvalidInputError(f"the parameter map must be a real {len(u)} x M matrix")
         object.__setattr__(self, "basis", u)
+
+    @property
+    def kind(self) -> str:
+        """``spectral`` without a parameter map, ``moving_average`` with one."""
+        return SPECTRAL if self.param_map is None else MOVING_AVERAGE
 
     @property
     def n_nodes(self) -> int:
@@ -274,7 +275,7 @@ def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:
             RepeatedEigenvaluesWarning,
             stacklevel=2,
         )
-    return CovarianceModel(SPECTRAL, basis.eigvecs)
+    return CovarianceModel(basis.eigvecs)
 
 
 def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
@@ -286,14 +287,7 @@ def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
     if not (1 <= q <= shift.n):
         raise InvalidInputError(f"need 1 <= Q <= N; powers beyond N-1 are linearly dependent (Q={q}, N={shift.n})")
     basis = shift.basis()
-    return CovarianceModel(MOVING_AVERAGE, basis.eigvecs, vandermonde(basis.eigvals, q))
-
-
-def vandermonde(eigvals: np.ndarray, q: int) -> np.ndarray:
-    """N x Q Vandermonde matrix of graph frequencies; maps MA coefficients to a spectrum."""
-    if q < 1:
-        raise InvalidInputError("Q must be >= 1")
-    return np.vander(np.asarray(eigvals, dtype=float), q, increasing=True)
+    return CovarianceModel(basis.eigvecs, vandermonde(basis.eigvals, q))
 
 
 def default_ma_order(filt: GraphFilter, n: int) -> int:

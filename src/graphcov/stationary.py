@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _rng, apply_filter, filter_matrix
+from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _rng, apply_filter
 
 TRUE = "true"
 SAMPLE = "sample"
@@ -92,8 +92,8 @@ class SnapshotMatrix:
 
 
 def true_covariance(shift: ShiftOperator, filt: GraphFilter) -> CovarianceMatrix:
-    """Exact covariance ``H H^T`` of a filtered unit-variance white signal."""
-    h_mat = filter_matrix(shift, filt)
+    """Exact covariance ``H H^T`` of a filtered unit-variance white signal, H the filter of I."""
+    h_mat = apply_filter(shift, filt, np.eye(shift.n))
     return CovarianceMatrix(h_mat @ h_mat.T, kind=TRUE)
 
 

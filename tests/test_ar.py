@@ -121,6 +121,25 @@ class TestScheme:
         with pytest.raises(InvalidInputError, match="integer"):
             ARSamplingScheme.from_json(text, n_nodes)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: build_ar_scheme(s, [1.5], 1),
+            lambda s: build_ar_scheme(s, [1, True], 1),
+            lambda s: build_ar_scheme(s, [1], 1.5),
+            lambda s: build_ar_scheme(s, [1], True),
+            lambda s: neighborhood(s, 1.5, 1),
+            lambda s: neighborhood(s, 1, 1.5),
+            lambda s: generate_ar_signals(s, [0.1], 5, seed=0, nodes=[1.5]),
+        ],
+        ids=["fractional-core", "bool-core", "fractional-order", "bool-order", "fractional-node", "fractional-hop",
+             "fractional-signal-node"],
+    )
+    def test_non_integer_node_or_order_rejected(self, call):
+        s = build_shift(cycle_graph(10), "adjacency")
+        with pytest.raises(InvalidInputError, match="integer"):
+            call(s)
+
     def test_numpy_integer_core_accepted(self):
         s = build_shift(cycle_graph(10), "adjacency")
         scheme = build_ar_scheme(s, np.array([0, 5]), np.int64(1))
@@ -145,7 +164,7 @@ class TestModel:
         y0 = x[list(scheme.core)]
         recon = np.zeros_like(y0)
         for k in (1, 2):
-            sk = s.powers(3)[k][np.ix_(scheme.core, scheme.levels[k].selected)]
+            sk = np.linalg.matrix_power(s.matrix, k)[np.ix_(scheme.core, scheme.levels[k].selected)]
             recon += a[k - 1] * (sk @ x[list(scheme.levels[k].selected)])
         npt.assert_allclose(y0 - recon, noise[list(scheme.core)], atol=1e-12)
 
@@ -170,25 +189,29 @@ class TestModel:
         npt.assert_array_equal(r_y, [r[0, 0], r[0, 1], r[0, 7]])
 
     def test_sample_blocks_match_level_products(self):
-        # every level-pair block equals x[level_p] x[level_q]^T / N_s, levels overlapping
+        # every level-pair block equals x[level_p] x[level_q]^T / N_s, levels overlapping,
+        # and the core rows of S^k are the plain matrix power, up to three shifts
         s = build_shift(cycle_graph(10), "adjacency")
-        scheme = build_ar_scheme(s, (0, 3), 2)
         x = np.random.default_rng(3).standard_normal((10, 50))
-        model, r_y = build_ar_model(s, scheme, sample_ar_covariances(scheme, x))
-        lev = [list(level.selected) for level in scheme.levels]
-        core = list(scheme.core)
-        powers = s.powers(3)
-        g_ref, r_ref = [], []
-        for q in range(3):
-            block = [x[lev[k]] @ x[lev[q]].T / 50 for k in range(3)]
-            g_ref.append(
-                np.column_stack(
-                    [(powers[k][np.ix_(core, lev[k])] @ block[k]).ravel(order="F") for k in (1, 2)]
+        for order in (1, 2, 3):
+            scheme = build_ar_scheme(s, (0, 3), order)
+            model, r_y = build_ar_model(s, scheme, sample_ar_covariances(scheme, x))
+            lev = [list(level.selected) for level in scheme.levels]
+            core = list(scheme.core)
+            g_ref, r_ref = [], []
+            for q in range(order + 1):
+                block = [x[lev[k]] @ x[lev[q]].T / 50 for k in range(order + 1)]
+                g_ref.append(
+                    np.column_stack(
+                        [
+                            (np.linalg.matrix_power(s.matrix, k)[np.ix_(core, lev[k])] @ block[k]).ravel(order="F")
+                            for k in range(1, order + 1)
+                        ]
+                    )
                 )
-            )
-            r_ref.append(block[0].ravel(order="F"))
-        npt.assert_allclose(model.matrix, np.vstack(g_ref), rtol=1e-12, atol=1e-14)
-        npt.assert_allclose(r_y, np.concatenate(r_ref), rtol=1e-12, atol=1e-14)
+                r_ref.append(block[0].ravel(order="F"))
+            npt.assert_allclose(model.matrix, np.vstack(g_ref), rtol=1e-12, atol=1e-14)
+            npt.assert_allclose(r_y, np.concatenate(r_ref), rtol=1e-12, atol=1e-14)
 
     def test_wrong_shape_covariance_rejected(self):
         s = build_shift(cycle_graph(8), "adjacency")

@@ -388,6 +388,19 @@ class TestFisher:
         npt.assert_allclose(info.crb, np.linalg.pinv(info.matrix), atol=1e-12)
 
 
+    def test_pinv_zeroes_what_the_rank_counts_as_zero(self):
+        # F = diag(sigma) exactly (full sampler, identity basis and covariance, nu N_s = 1), and
+        # sigma_6 lies between pinv's default cutoff 1e-15 and the rank's 6 eps, both times sigma_max
+        sigma = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.05e-15])
+        assert 1e-15 < sigma[-1] < 6 * np.finfo(float).eps
+        t = np.diag(np.sqrt(sigma))
+        columns = [np.sqrt(s_i) * vec(np.diag(np.eye(6)[i])) for i, s_i in enumerate(sigma)]
+        model = ObservationModel(np.column_stack(columns), "moving_average", np.eye(6), t)
+        info = fisher_info(model, CovarianceMatrix(np.eye(6), kind="true"), 2)
+        npt.assert_allclose(info.matrix, np.diag(sigma), rtol=1e-15, atol=0)
+        assert info.crb_is_pinv
+        npt.assert_array_equal(info.crb, np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
+
 @pytest.mark.parametrize("kind", ["autoregressive", "spectral"])
 def test_weighted_estimators_refuse_a_model_without_sampled_basis(kind):
     model = plain_model(np.eye(4), kind=kind)

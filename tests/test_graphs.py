@@ -12,7 +12,6 @@ from graphcov import (
     circulant_dft_basis,
     cycle_graph,
     eigendecompose,
-    filter_matrix,
     frequency_response,
     gft,
     igft,
@@ -214,13 +213,6 @@ class TestApplyFilter:
         hf = frequency_response(basis.eigvals, h)
         spectral = basis.eigvecs @ (hf * gft(basis, x))
         assert np.linalg.norm(direct - spectral) < 1e-8 * np.linalg.norm(direct)
-
-    def test_filter_matrix_agrees(self):
-        rng = np.random.default_rng(8)
-        s = build_shift(sensor_graph(10, seed=6), "adjacency")
-        h = GraphFilter(rng.standard_normal(3))
-        x = rng.standard_normal(10)
-        npt.assert_allclose(filter_matrix(s, h) @ x, apply_filter(s, h, x), atol=1e-12)
 
 
 class TestFrequencyResponse:
