@@ -28,7 +28,6 @@ spectrum has a pole inside the graph spectrum.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,8 @@ class ARSamplingScheme:
     (level 0 is the core itself). Nodes may repeat across levels; the
     per-level algebra keeps those duplicates, while ``distinct_nodes``
     counts each observed node once: it orders the rows and columns of
-    the observed covariance and sets the compression.
+    the observed covariance and sets the compression. A scheme has no file
+    format: :func:`build_ar_scheme` makes it from a core and an order.
     """
 
     core: tuple[int, ...]
@@ -71,38 +71,11 @@ class ARSamplingScheme:
         object.__setattr__(self, "order", int(self.order))
 
     @property
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(level.k for level in self.levels)
-
-    @property
-    def total_observations(self) -> int:
-        """Sum of level sizes (duplicates across levels counted)."""
-        return sum(self.level_sizes)
-
-    @property
     def distinct_nodes(self) -> tuple[int, ...]:
         nodes = set()
         for level in self.levels:
             nodes.update(level.selected)
         return tuple(sorted(nodes))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "core": list(self.core),
-                "P": self.order,
-                "levels": [list(level.selected) for level in self.levels],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, n_nodes: int) -> "ARSamplingScheme":
-        try:
-            obj = json.loads(text)
-            levels = tuple(Subsampler(n_nodes, tuple(sel)) for sel in obj["levels"])
-            return cls(core=tuple(obj["core"]), order=obj["P"], levels=levels)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed AR scheme JSON: {exc}") from exc
 
 
 def _hop_sets(shift: ShiftOperator, nodes, order: int) -> list[tuple[int, ...]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ar as armod
 from ._blas import one_blas_thread
-from .design import DesignProblem, check_valid, greedy_design
+from .design import DesignProblem, check_valid, default_epsilon, greedy_design
 from .errors import (
     CapabilityError,
     GraphCovError,
@@ -91,8 +91,7 @@ def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = make_shift(graph, args.shift)
     psi = make_model(shift, {"kind": args.model, "q": args.q})
-    problem = DesignProblem(psi=psi, k=args.k, epsilon=args.epsilon)
-    result = greedy_design(problem)
+    result = greedy_design(DesignProblem(psi=psi, k=args.k))
     report = check_valid(psi, result.sampler)
     _write(args.out, result.sampler.to_json())
     if args.report:
@@ -104,7 +103,7 @@ def cmd_sampler_design(args) -> int:
                     "objective_trace": list(result.objective_trace),
                     "valid": report.valid,
                     "min_singular": report.min_singular,
-                    "epsilon": problem.resolved_epsilon(),
+                    "epsilon": default_epsilon(psi),
                     "rank": report.rank,
                     "feasible": report.feasible,
                     "condition_number": report.condition_number,
@@ -160,7 +159,7 @@ def cmd_estimate(args) -> int:
     if args.model == "ar":
         if args.p is None:
             raise InvalidInputError("--p is required for the autoregressive model")
-        core = _parse_ints(args.core) if args.core else armod.core_by_degree(graph)
+        core = armod.core_by_degree(graph) if args.core is None else _parse_ints(args.core)
         scheme = armod.build_ar_scheme(shift, core, args.p)
         nodes = scheme.distinct_nodes
     else:
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--model", default="spectral", choices=["spectral", "ma"])
     design.add_argument("--k", type=int, required=True)
     design.add_argument("--q", type=int)
-    design.add_argument("--epsilon", type=float)
     design.add_argument("--out", default="-")
     design.add_argument("--report")
     design.set_defaults(func=cmd_sampler_design)

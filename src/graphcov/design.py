@@ -33,6 +33,9 @@ from .models import _BLOCK_ROWS, CovarianceModel, Subsampler, compress_model
 # Greedy scores within this fraction of the best are tied, and the lowest
 # node index wins; rounding differences between equal scores stay far below.
 _TIE_RTOL = 1e-9
+# Longest ruler minimal_sparse_ruler searches; the exact search time grows
+# steeply with the length.
+_RULER_SEARCH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,14 @@ class DesignProblem:
     """Inputs of a greedy log-det design run.
 
     ``psi`` is the uncompressed model, held by its factors; ``k`` the node
-    budget, an integer in 1..N; ``epsilon`` the diagonal loading (a
-    scale-relative default is chosen when None). Every column of the model
-    is Hermitian, so its pair rows (a,b) and (b,a) are conjugate, which the
+    budget, an integer in 1..N. The diagonal loading is
+    :func:`default_epsilon` of the model. Every column of the model is
+    Hermitian, so its pair rows (a,b) and (b,a) are conjugate, which the
     greedy relies on.
     """
 
     psi: CovarianceModel
     k: int
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.psi, CovarianceModel):
@@ -58,17 +60,10 @@ class DesignProblem:
             raise InvalidInputError(f"K must be an integer, got {self.k!r}")
         if not (1 <= self.k <= n):
             raise InvalidInputError(f"need 1 <= K <= {n}, got {self.k}")
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     @property
     def n_nodes(self) -> int:
         return self.psi.n_nodes
-
-    def resolved_epsilon(self) -> float:
-        if self.epsilon is not None:
-            return float(self.epsilon)
-        return default_epsilon(self.psi)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     """
     psi = problem.psi
     n, m, k = problem.n_nodes, psi.n_params, problem.k
-    eps = problem.resolved_epsilon()
+    eps = default_epsilon(psi)
     parts = (np.real, np.imag) if psi.complex_rows else (np.real,)
     candidates = np.arange(n)
     y = np.empty((n, 1 + len(parts) * (k - 1), m))
@@ -269,7 +264,7 @@ def is_sparse_ruler(marks, n: int) -> bool:
     return all(d in diffs for d in range(n))
 
 
-def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
+def minimal_sparse_ruler(n: int) -> tuple[int, ...]:
     """Smallest mark set whose differences cover 0..n-1, by exact search.
 
     Cardinalities are tried upward from the counting bound k(k-1)/2 >= n-1.
@@ -283,18 +278,18 @@ def minimal_sparse_ruler(n: int, search_limit: int = 64) -> tuple[int, ...]:
     mirror image x -> n-1-x cover the same distances, so a mark set is
     expanded only once for both orientations, and a branch is dropped
     once no completion of either orientation can be lexicographically
-    smaller than the best ruler found. Beyond ``search_limit`` the
-    combinatorial search is refused. The length must be an integer (not a
-    bool). The arguments are checked on every call, and the marks are
-    searched once per n in a process: later calls return the stored tuple.
+    smaller than the best ruler found. Beyond n = 64 the combinatorial
+    search is refused. The length must be an integer (not a bool). It is
+    checked on every call, and the marks are searched once per n in a
+    process: later calls return the stored tuple.
     """
     if not _is_int(n):
         raise InvalidInputError(f"ruler length must be an integer, got {n!r}")
     if n < 2:
         raise InvalidInputError("need n >= 2")
-    if n > search_limit:
+    if n > _RULER_SEARCH_CAP:
         raise CapabilityError(
-            f"minimal ruler search capped at n={search_limit}; "
+            f"minimal ruler search capped at n={_RULER_SEARCH_CAP}; "
             "check a known set with is_sparse_ruler instead"
         )
     return _search_ruler(int(n))

@@ -252,10 +252,12 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
     ``B = L^{-1} U_S``, L the Cholesky factor of R and T the model's
     parameter map (the identity for a spectral model), so only K x N and
     N x N factors are formed; a model without sampled basis rows is
-    refused. The CRB is ``F^{-1}``. An F that is singular by the
-    :func:`numerical_rank` threshold falls back, with ``crb_is_pinv`` set,
-    to the pseudo-inverse built from its SVD with that same threshold, so
-    every singular value the rank counts as zero is zeroed, not inverted.
+    refused. F is symmetric, and one eigendecomposition ``F = V diag(lam) V^T``
+    gives both its rank, by :func:`numerical_rank` on the descending
+    eigenvalues, and the CRB ``V_r diag(1/lam_r) V_r^T`` over the r kept
+    eigenpairs. That is ``F^{-1}`` at full rank; a singular F sets
+    ``crb_is_pinv``, and every eigenvalue the rank counts as zero is
+    zeroed, not inverted.
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
@@ -266,16 +268,14 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
         raise SingularityError("covariance must be positive definite for the Fisher information")
     fim, _ = _weighted_system(model, np.linalg.cholesky(cov.matrix))
     fim *= NU_REAL * n_snapshots
-    svals = np.linalg.svd(fim, compute_uv=False)
-    is_pinv = numerical_rank(svals, fim.shape) < fim.shape[0]
-    if is_pinv:
-        u, svals, vt = np.linalg.svd(fim)
-        rank = numerical_rank(svals, fim.shape)
-        crb = (vt[:rank].T / svals[:rank]) @ u[:, :rank].T
-    else:
-        crb = np.linalg.inv(fim)
+    lam, vecs = np.linalg.eigh(fim)  # ascending
+    rank = numerical_rank(lam[::-1], fim.shape)
+    kept = slice(lam.size - rank, None)
+    crb = (vecs[:, kept] / lam[kept]) @ vecs[:, kept].T
     crb = 0.5 * (crb + crb.T)
-    return FisherInfo(matrix=fim, n_snapshots=n_snapshots, crb=crb, crb_is_pinv=is_pinv)
+    return FisherInfo(
+        matrix=fim, n_snapshots=n_snapshots, crb=crb, crb_is_pinv=rank < fim.shape[0]
+    )
 
 
 NMSE_FLOOR_DB = -300.0

@@ -72,7 +72,7 @@ METHODS = (LS, NNLS, WLS)
 SAMPLER_KEYS = {
     "full": ("name",),
     "explicit": ("name", "selected"),
-    "greedy": ("name", "k", "epsilon"),
+    "greedy": ("name", "k"),
     "ruler": ("name", "marks"),
     "ar-core": ("name", "core", "k0"),
 }
@@ -85,13 +85,6 @@ def _int(value) -> int:
     if not _is_int(value):
         raise TypeError(f"expected an integer, got {type(value).__name__}")
     return int(value)
-
-
-def _float(value) -> float:
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError("expected a finite number")
-    return number
 
 
 def _ints(value) -> tuple[int, ...]:
@@ -113,8 +106,8 @@ def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
     """``convert(spec[key])``, or ``default`` when the value is missing or null.
 
     A missing value without a default, or one ``convert`` (``_int``,
-    ``_float``, ``_ints`` or ``_floats``) cannot take, is refused by the
-    name ``where.key``. Numbers must be finite, and integers JSON integers.
+    ``_ints`` or ``_floats``) cannot take, is refused by the name
+    ``where.key``. Numbers must be finite, and integers JSON integers.
     """
     value = spec.get(key)
     if value is None:
@@ -296,11 +289,7 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     if kind == "explicit":
         return Subsampler(n, _field(entry, "selected", "sampler", _ints))
     if kind == "greedy":
-        problem = DesignProblem(
-            psi=psi,
-            k=_field(entry, "k", "sampler", _int),
-            epsilon=_field(entry, "epsilon", "sampler", _float, None),
-        )
+        problem = DesignProblem(psi=psi, k=_field(entry, "k", "sampler", _int))
         return greedy_design(problem).sampler
     if kind == "ruler":
         return ruler_sampler(n, _field(entry, "marks", "sampler", _ints, None))
@@ -350,9 +339,10 @@ class _Pipeline:
                         "the autoregressive model samples cores plus neighborhoods; "
                         f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
                     )
-                core = _field(entry, "core", "sampler", _ints, None) or armod.core_by_degree(
-                    self.graph, _field(entry, "k0", "sampler", _int, 1)
-                )
+                core = _field(entry, "core", "sampler", _ints, None)
+                if core is None:
+                    k0 = _field(entry, "k0", "sampler", _int, 1)
+                    core = armod.core_by_degree(self.graph, k0)
                 scheme = armod.build_ar_scheme(self.shift, core, self.p_order)
                 observed.update(scheme.distinct_nodes)
                 compression = 1.0 - len(scheme.distinct_nodes) / n

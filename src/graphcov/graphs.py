@@ -77,10 +77,6 @@ class Graph:
             canonical.append((pair[0], pair[1], float(w)))
         object.__setattr__(self, "edges", tuple(canonical))
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def weight_matrix(self) -> np.ndarray:
         """Symmetric N x N weight matrix W."""
         w = np.zeros((self.n_nodes, self.n_nodes))

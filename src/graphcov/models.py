@@ -75,12 +75,6 @@ class Subsampler:
     def k(self) -> int:
         return len(self.selected)
 
-    @property
-    def w(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[list(self.selected)] = True
-        return mask
-
     @classmethod
     def full(cls, n_nodes: int) -> "Subsampler":
         return cls(n_nodes=n_nodes, selected=tuple(range(n_nodes)))

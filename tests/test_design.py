@@ -253,18 +253,14 @@ class TestGreedy:
         psi = random_psi(4, 10)
         with pytest.raises(InvalidInputError):
             DesignProblem(psi=psi, k=5)
+        with pytest.raises(TypeError, match="epsilon"):
+            DesignProblem(psi=psi, k=2, epsilon=1e-3)  # the loading is default_epsilon(psi)
 
     @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2", None])
     def test_budget_that_is_not_an_integer_rejected(self, k):
         psi = random_psi(4, 10)
         with pytest.raises(InvalidInputError, match="K must be an integer"):
             DesignProblem(psi=psi, k=k)
-
-    def test_bad_epsilon_rejected(self):
-        psi = random_psi(4, 10)
-        for epsilon in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(InvalidInputError, match="epsilon must be positive and finite"):
-                DesignProblem(psi=psi, k=2, epsilon=epsilon)
 
 
 GREEDY_CASES = {
@@ -288,12 +284,11 @@ class TestBlockedGreedy:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         make_psi, k = GREEDY_CASES[case]
         psi = make_psi()
-        eps = one_shot_epsilon(dense(psi))
-        expected_order, expected_trace = reference_greedy_logdet(dense(psi), k, eps)
+        expected_order, expected_trace = reference_greedy_logdet(dense(psi), k, default_epsilon(psi))
         # the j-step design holds the first j picks, which recovers the order
         order, picked = [], set()
         for j in range(1, k + 1):
-            result = greedy_design(DesignProblem(psi=psi, k=j, epsilon=eps))
+            result = greedy_design(DesignProblem(psi=psi, k=j))
             order += sorted(set(result.sampler.selected) - picked)
             picked = set(result.sampler.selected)
         assert order == expected_order
@@ -490,20 +485,19 @@ class TestSparseRulers:
         assert is_sparse_ruler(marks, n)
 
     def test_capability_limit(self):
-        with pytest.raises(CapabilityError):
-            minimal_sparse_ruler(100)
-        assert minimal_sparse_ruler(16, search_limit=16)
+        searches = design._search_ruler.cache_info().misses
+        for n in (65, 100):
+            with pytest.raises(CapabilityError, match="capped at n=64"):
+                minimal_sparse_ruler(n)
+        assert design._search_ruler.cache_info().misses == searches
+        with pytest.raises(TypeError):
+            minimal_sparse_ruler(16, search_limit=16)
 
     def test_second_call_returns_stored_marks(self):
         first = minimal_sparse_ruler(13)
         searches = design._search_ruler.cache_info().misses
         assert minimal_sparse_ruler(13) is first
         assert design._search_ruler.cache_info().misses == searches
-
-    def test_stored_length_still_refused_above_smaller_cap(self):
-        assert minimal_sparse_ruler(16)
-        with pytest.raises(CapabilityError):
-            minimal_sparse_ruler(16, search_limit=15)
 
     @pytest.mark.parametrize(
         "call",

@@ -158,12 +158,13 @@ class TestSamplerCommands:
         assert code == 3  # K^2 = 1 < 5: numerically invalid sampler
 
     def test_design_nan_epsilon_exit_code(self, sensor_graph_file, tmp_path, capsys):
-        code = run_cli(
-            "sampler", "design", "--graph", sensor_graph_file, "--k", "6",
-            "--epsilon", "nan", "--out", str(tmp_path / "s.json"),
-        )
-        assert code == 2
-        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "sampler", "design", "--graph", sensor_graph_file, "--k", "6",
+                "--epsilon", "nan", "--out", str(tmp_path / "s.json"),
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "graph_json, message",
@@ -328,7 +329,7 @@ class TestSignalAndEstimate:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    def test_ar_estimate(self, tmp_path):
+    def test_ar_estimate(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         run_cli("graph", "gen", "--kind", "cycle", "--n", "12", "--out", str(g))
         snaps = tmp_path / "snaps.csv"
@@ -344,6 +345,12 @@ class TestSignalAndEstimate:
         report = json.loads(report_path.read_text())
         assert len(report["theta"]) == 1
         assert len(report["power_spectrum"]) == 12
+        # an explicitly empty core is refused, not replaced by the default core
+        assert run_cli(
+            "estimate", "--graph", str(g), "--shift", "adjacency", "--snapshots", str(snaps),
+            "--model", "ar", "--p", "1", "--core", "", "--out", str(report_path),
+        ) == 2
+        assert "core set must be non-empty" in capsys.readouterr().err
 
     def test_circulant_ruler_pipeline(self, tmp_path):
         # cycle graph: sampler ruler -> subsampled snapshots -> estimate uses
@@ -885,7 +892,7 @@ class TestExperiment:
             ({"n_snapshots": [10.5]}, "n_snapshots [10.5]"),
             ({"n_snapshots": [float("nan")]}, "n_snapshots [nan]"),
             ({"samplers": [{"kind": "greedy", "k": 8, "epsilon": float("nan")}]},
-             "bad sampler.epsilon nan"),
+             "sampler kind 'greedy' takes no key 'epsilon'"),
             ({"samplers": [{"kind": "greedy", "k": 8.7}]}, "bad sampler.k 8.7"),
             ({"seed": True}, "seed must be a non-negative integer"),
             ({"samplers": [{"kind": "greedy", "k": "8"}]}, "bad sampler.k '8'"),
@@ -910,6 +917,11 @@ class TestExperiment:
                  "samplers": [{"cores": [0]}]},
                 "sampler kind 'ar-core' takes no key 'cores'",
             ),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core", "core": []}]},
+                "core set must be non-empty",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -921,7 +933,7 @@ class TestExperiment:
              "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
              "output-not-string", "greedy-cost", "full-unknown-key", "sampler-name-not-string",
              "ar-core-misspelled-key",
-             "ar-core-default-kind-unknown-key"],
+             "ar-core-default-kind-unknown-key", "ar-core-empty"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"

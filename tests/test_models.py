@@ -50,7 +50,6 @@ class TestSubsampler:
     def test_sorted_and_mask(self):
         s = Subsampler(5, (3, 0, 4))
         assert s.selected == (0, 3, 4)
-        npt.assert_array_equal(s.w, [True, False, False, True, True])
         assert s.k == 3
 
     def test_duplicate_rejected(self):
