@@ -14,11 +14,9 @@ callers share one pin.
 The library and its two symbols are looked up once per process, on first
 use; each entry and exit after that is one get and one set call. Where
 numpy bundles no such library (another numpy build), the context does
-nothing and :func:`unavailable_reason` says why. scipy bundles its own
-OpenBLAS with its own pool. It loads only when NNLS or the WLS
-stationarity check first runs in a process, since ``graphcov.estimators``
-imports scipy's modules inside those two functions. It is left at its
-setting, since its idle workers do not spin.
+nothing and :func:`unavailable_reason` says why. graphcov makes no scipy
+call, so scipy's own OpenBLAS, with its own pool, never loads in a run
+and this one pin covers all of a run's BLAS work.
 """
 
 from __future__ import annotations

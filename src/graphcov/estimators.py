@@ -5,13 +5,15 @@ parameters. Ordinary least squares is one product with the pseudo-inverse
 the model keeps from its single SVD; the nonnegative variant enforces the
 sign constraint a power spectrum carries by definition, on the M x M
 system ``Sigma V^T`` of that SVD, which has the same minimiser as the
-real-stacked K^2-row system. One-step weighted least squares solves the
-Gaussian likelihood stationarity equations with the weight built from the
-sample covariance itself: its normal matrix is the weighted Gram
-``Re(G_w^H G_w)`` of the whitened columns, solved by Cholesky. The
-Fisher information is the same Gram, built from the true covariance and
-scaled by ``nu N_s``, with nu = 1/2 because the data are real; it gives
-the Cramer-Rao floor the unweighted estimator does not reach.
+real-stacked K^2-row system, by the Lawson-Hanson active-set method in
+its normal-equation form, started from the clipped LS estimate. One-step
+weighted least squares solves the Gaussian likelihood stationarity
+equations with the weight built from the sample covariance itself: its
+normal matrix is the weighted Gram ``Re(G_w^H G_w)`` of the whitened
+columns, solved by Cholesky. The Fisher information is the same Gram,
+built from the true covariance and scaled by ``nu N_s``, with nu = 1/2
+because the data are real; it gives the Cramer-Rao floor the unweighted
+estimator does not reach.
 
 For a spectral model column j is ``conj(u_j) kron u_j`` for a sampled
 basis row set U_S, so with ``R = L L^H`` and ``B = L^{-1} U_S`` the Gram
@@ -24,13 +26,11 @@ the Vandermonde matrix of a moving-average model, so its Gram is
 one: every weighted estimate takes this one path, and a model without
 sampled basis rows (autoregressive) is refused.
 
-LS, WLS and the Fisher information make no scipy call: their linear
-algebra runs in numpy's BLAS, which ``run_experiment`` and the CLI pin to
-one thread (``graphcov._blas``). scipy bundles a different OpenBLAS,
-with its own thread pool. ``scipy.optimize`` is
-imported inside :func:`nnls_estimate` and ``scipy.linalg`` inside
-:func:`wls_stationarity_residual`, their only callers, so a process that
-runs neither loads neither module nor scipy's OpenBLAS.
+Every estimator, the Fisher information and the WLS stationarity check
+run on numpy alone: their linear algebra runs in numpy's BLAS, which
+``run_experiment`` and the CLI pin to one thread (``graphcov._blas``).
+graphcov imports no scipy module, so scipy's own OpenBLAS and its thread
+pool never load.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ WLS = "wls"
 
 # nu of the Fisher information: SnapshotMatrix and sample_covariance cast data to float.
 NU_REAL = 0.5
+
+# nnls_estimate gives up after NNLS_CAP * M^2 solves on the passive set.
+NNLS_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -115,25 +118,74 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least squares with elementwise nonnegativity on the parameters.
 
-    Backed by the Lawson-Hanson active-set solver, with an iteration cap
-    of 10 * M^2; exhausting the cap raises ConvergenceError. For the
-    full-rank model's SVD ``U Sigma V^T`` of the real-stacked matrix,
-    ``||U Sigma V^T theta - b||^2`` is ``||Sigma V^T (theta - theta_LS)||^2``
-    plus a constant, so the solver runs on the M x M pair
-    ``(Sigma V^T, Sigma V^T theta_LS)`` and has the same solution.
+    For the full-rank model's SVD ``U Sigma V^T`` of the real-stacked
+    matrix, ``||U Sigma V^T theta - b||^2`` is ``||R (theta - theta_LS)||^2``
+    plus a constant, with ``R = Sigma V^T`` (``model.reduced``), so the
+    problem is the M x M pair ``(R, t = R theta_LS)``. A least-squares
+    estimate with every entry positive meets the optimality conditions and
+    is returned as it is; this is the exact-covariance case.
+
+    Otherwise the Lawson-Hanson active-set method (1974) runs in its
+    normal-equation form (Bro and De Jong, 1997) on ``H = R^T R`` and
+    ``f = R^T t``. It starts from the clipped LS estimate, with the
+    positive entries as the passive set P. An inner step solves
+    ``H[P, P] s = f[P]``; while some entry of s is not positive it moves
+    from theta toward s until an entry reaches zero, and drops that entry
+    from P. An outer step adds to P the zero entry with the largest
+    ``w = f - H theta``. The solver stops when every zero entry has
+    ``w_j <= 10 M eps ||H||_1 max|theta_LS|``, the optimality tolerance.
+    The final solve on P gets one correction ``H[P, P]^{-1} R_P^T (t - R_P
+    theta_P)``, which brings it from the accuracy of the normal equations,
+    ``cond(R)^2 eps``, to that of R. More than ``NNLS_CAP * M^2`` solves
+    raise ConvergenceError.
     """
     r = _require_vector(model, r_y)
     _require_full_rank(model)
-    m = model.n_params
-    target = model.reduced @ (model.pinv @ model.stack(r))
-    import scipy.optimize  # loads scipy's OpenBLAS; only NNLS needs it
-
-    try:
-        theta, _ = scipy.optimize.nnls(model.reduced, target, maxiter=10 * m * m)
-    except RuntimeError as exc:
-        raise ConvergenceError(f"nonnegative solver did not converge: {exc}") from exc
+    theta_ls = model.pinv @ model.stack(r)
+    if theta_ls.min() > 0.0:
+        theta = theta_ls
+    else:
+        theta = _lawson_hanson(model.reduced, model.reduced @ theta_ls, theta_ls)
     residual = float(np.linalg.norm(model.matrix @ theta - r))
     return EstimationResult(theta, residual, NNLS, model.condition_number)
+
+
+def _lawson_hanson(reduced: np.ndarray, target: np.ndarray, theta_ls: np.ndarray) -> np.ndarray:
+    """``argmin ||reduced theta - target||`` over theta >= 0, as :func:`nnls_estimate` states it."""
+    h = reduced.T @ reduced
+    f = reduced.T @ target
+    m = f.size
+    tol = 10 * m * np.finfo(float).eps * np.abs(h).sum(axis=0).max() * np.abs(theta_ls).max()
+    passive = theta_ls > 0.0
+    theta = np.where(passive, theta_ls, 0.0)
+    solves = 0
+    while True:
+        while True:  # theta is feasible and positive on P
+            if solves == NNLS_CAP * m * m:
+                raise ConvergenceError(f"nonnegative solver exhausted its {solves} solves")
+            solves += 1
+            idx = np.flatnonzero(passive)
+            h_p = h[np.ix_(idx, idx)]
+            s = np.zeros(m)
+            s[idx] = np.linalg.solve(h_p, f[idx])
+            if np.all(s[idx] > 0.0):
+                break
+            out = idx[s[idx] <= 0.0]
+            steps = theta[out] / (theta[out] - s[out])
+            theta = theta + steps.min() * (s - theta)
+            passive[out[np.argmin(steps)]] = False
+            passive &= theta > 0.0
+            theta[~passive] = 0.0
+        theta = s
+        w = f - h @ theta
+        zero = np.flatnonzero(~passive)
+        if zero.size == 0 or w[zero].max() <= tol:
+            break
+        passive[zero[np.argmax(w[zero])]] = True
+    if idx.size:
+        r_p = reduced[:, idx]
+        theta[idx] += np.linalg.solve(h_p, r_p.T @ (target - r_p @ theta[idx]))
+    return np.maximum(theta, 0.0)
 
 
 def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
@@ -159,22 +211,28 @@ def _weighted_system(model: ObservationModel, chol: np.ndarray, r=None):
     ``Re tr(R^{-1} X_i R^{-1} X_j^H)`` for the model columns ``vec(X_i)``.
     Spectral columns are ``u_j u_j^H``, which gives ``|B^H B|^2``
     (elementwise) and ``Re diag(B^H L^{-1} R_hat L^{-H} B)``; a parameter
-    map T maps both by T. The normal matrix is symmetrised. A model
-    without sampled basis rows is refused.
+    map T maps both by T. The mapped normal matrix ``T^T |B^H B|^2 T`` is
+    formed without its N x N middle factor, as the Q x Q matrix of
+    ``tr(Y_k Y_l)`` with ``Y_k = B diag(T[:, k]) B^H`` (K x K), at a cost
+    of Q K^2 N rather than K N^2. The normal matrix is symmetrised. A
+    model without sampled basis rows is refused.
     """
     if model.sampled_basis is None:
         raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
     l_inv = np.linalg.inv(chol)
     b = l_inv @ model.sampled_basis
-    gram = np.abs(b.conj().T @ b) ** 2
+    t = model.param_map
+    if t is None:
+        gram = np.abs(b.conj().T @ b) ** 2
+    else:  # tr(Y_k Y_l) is the inner product of vec(Y_k) and vec(Y_l), as each Y_k is Hermitian
+        b_h = b.conj().T
+        y = np.stack([(b * column) @ b_h for column in t.T]).reshape(t.shape[1], -1)
+        gram = np.real(y @ y.conj().T)
     rhs = None
     if r is not None:
         r_w = l_inv @ unvec(r, chol.shape[0]) @ l_inv.conj().T
         rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=0))
-    t = model.param_map
-    if t is not None:
-        gram = t.T @ gram @ t
-        rhs = None if rhs is None else t.T @ rhs
+        rhs = rhs if t is None else t.T @ rhs
     return 0.5 * (gram + gram.T), rhs
 
 
@@ -234,10 +292,11 @@ def wls_stationarity_residual(
     k = cov_hat.k
     chol = _regularized_cholesky(cov_hat)
     misfit = unvec(model.matrix @ np.asarray(theta) - r, k)
-    import scipy.linalg  # loads scipy's OpenBLAS; only this check needs it
 
-    half = scipy.linalg.cho_solve((chol, True), misfit)  # R^{-1} X
-    weighted = scipy.linalg.cho_solve((chol, True), half.conj().T).conj().T
+    def solve(x):  # R^{-1} x, for R = L L^H
+        return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, x))
+
+    weighted = solve(solve(misfit).conj().T).conj().T  # R^{-1} X R^{-1}
     weighted = NU_REAL * (cov_hat.n_snapshots or 1) * weighted.ravel(order="F")
     grad = model.matrix.conj().T @ weighted
     return float(np.abs(grad).max())

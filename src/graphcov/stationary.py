@@ -24,8 +24,9 @@ SAMPLE = "sample"
 class CovarianceMatrix:
     """Hermitian PSD covariance, either exact ('true') or estimated ('sample').
 
-    ``min_eigenvalue`` is the smallest eigenvalue, computed once for the
-    PSD check and read by every consumer that needs it.
+    An empty or non-finite matrix is refused. ``min_eigenvalue`` is the
+    smallest eigenvalue, computed once for the PSD check and read by every
+    consumer that needs it.
     """
 
     matrix: np.ndarray
@@ -35,14 +36,16 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInputError("covariance must be a square matrix")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise InvalidInputError(f"covariance must be a non-empty square matrix, got shape {m.shape}")
+        largest = np.abs(m).max()
+        if not np.isfinite(largest):
+            raise InvalidInputError("non-finite values in covariance")
+        if np.abs(m - m.conj().T).max() > 1e-12 * max(largest, 1.0):
             raise InvalidInputError("covariance must be Hermitian")
         m = 0.5 * (m + m.conj().T)
         trace = float(np.real(np.trace(m)))
-        min_eig = float(np.linalg.eigvalsh(m).min()) if m.shape[0] else 0.0
+        min_eig = float(np.linalg.eigvalsh(m).min())
         if min_eig < -1e-10 * max(trace, 1e-300):
             raise InvalidInputError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
         if self.kind not in (TRUE, SAMPLE):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.optimize
 
 from graphcov import (
+    ConvergenceError,
     CovarianceMatrix,
     GraphFilter,
     InvalidInputError,
@@ -33,6 +35,8 @@ from graphcov import (
     wls_estimate,
     wls_stationarity_residual,
 )
+from graphcov import estimators
+from graphcov.cli import main
 from graphcov.estimators import nmse_db
 from graphcov.graphs import CIRCULANT_DFT, ShiftOperator, SpectralBasis
 
@@ -195,6 +199,92 @@ class TestNnls:
         assert np.sum(res.theta == 0.0) >= 1
         npt.assert_allclose(res.theta, reference, rtol=0, atol=1e-10 * np.linalg.norm(reference))
         assert res.residual_norm == pytest.approx(np.linalg.norm(g @ reference - r), rel=1e-10)
+
+    @staticmethod
+    def random_problems(seed, count=240):
+        """Full-rank least-squares problems with M = 2..60, condition numbers 1 to 1e5, random signs."""
+        rng = np.random.default_rng(seed)
+        for trial in range(count):
+            m = int(rng.integers(2, 61))
+            rows = m + int(rng.integers(0, m + 1))
+            u = np.linalg.qr(rng.standard_normal((rows, m)))[0]
+            v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            cond = (1.0, 1e2, 1e5)[trial % 3]
+            yield (u * np.logspace(0, -np.log10(cond), m)) @ v.T, rng.standard_normal(rows)
+
+    def test_matches_scipy_on_the_reduced_pair(self):
+        # the reference is scipy's solver on the M x M pair (reduced, reduced theta_LS)
+        active = 0
+        for a, b in self.random_problems(seed=10):
+            model = plain_model(a)
+            reduced, m = model.reduced, model.n_params
+            reference, _ = scipy.optimize.nnls(reduced, reduced @ (model.pinv @ b), maxiter=10 * m * m)
+            theta = nnls_estimate(model, b).theta
+            assert np.linalg.norm(theta - reference) <= 1e-10 * np.linalg.norm(reference)
+            active += bool(np.any(theta == 0.0))
+        assert active >= 200
+
+    def test_optimality_conditions(self):
+        # theta >= 0, and the gradient R^T (R theta - t) is within the documented
+        # tolerance 10 M eps ||H||_1 max|theta_LS| of 0 on the support and of
+        # nonnegative on the zero set
+        for a, b in self.random_problems(seed=11, count=120):
+            model = plain_model(a)
+            reduced, m = model.reduced, model.n_params
+            theta_ls = model.pinv @ b
+            h = reduced.T @ reduced
+            tol = 10 * m * np.finfo(float).eps * np.abs(h).sum(axis=0).max() * np.abs(theta_ls).max()
+            theta = nnls_estimate(model, b).theta
+            grad = reduced.T @ (reduced @ (theta - theta_ls))
+            support = theta > 0.0
+            assert np.all(theta >= 0.0)
+            assert np.all(np.abs(grad[support]) <= tol)
+            assert np.all(grad[~support] >= -tol)
+
+    def test_negative_target_on_nonnegative_columns_gives_zero(self):
+        # A >= 0 and b < 0: ||A theta - b|| >= ||b|| for every theta >= 0, with equality at 0
+        rng = np.random.default_rng(12)
+        a = np.abs(rng.standard_normal((20, 6)))
+        b = -np.abs(rng.standard_normal(20))
+        res = nnls_estimate(plain_model(a), b)
+        npt.assert_array_equal(res.theta, np.zeros(6))
+        assert res.residual_norm == pytest.approx(np.linalg.norm(b), rel=1e-14)
+
+    def test_positive_ls_estimate_returned_unchanged(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((40, 8))
+        r = a @ (1.0 + rng.random(8)) + 0.01 * rng.standard_normal(40)
+        model = plain_model(a)
+        ls = ls_estimate(model, r).theta
+        assert ls.min() > 0
+        npt.assert_array_equal(nnls_estimate(model, r).theta, ls)
+
+    def test_exhausted_cap_raises_convergence_error(self, monkeypatch):
+        model = plain_model(np.eye(3))
+        r = np.array([1.0, -1.0, 2.0])
+        npt.assert_array_equal(nnls_estimate(model, r).theta, [1.0, 0.0, 2.0])
+        monkeypatch.setattr(estimators, "NNLS_CAP", 0)
+        with pytest.raises(ConvergenceError, match="exhausted"):
+            nnls_estimate(model, r)
+        # an LS estimate that is already positive needs no solve
+        npt.assert_array_equal(nnls_estimate(model, np.abs(r)).theta, np.abs(r))
+
+    def test_exhausted_cap_exits_3_from_the_cli(self, monkeypatch, tmp_path, capsys):
+        graph, sampler, snaps = (tmp_path / name for name in ("g.json", "s.json", "snaps.csv"))
+        assert main(["graph", "gen", "--kind", "sensor", "--n", "16", "--seed", "3", "--out", str(graph)]) == 0
+        sampler.write_text(Subsampler(16, (0, 2, 3, 5, 7, 8, 11, 12, 14)).to_json())
+        assert main(["signal", "gen", "--graph", str(graph), "--coeffs", "1,0.5,0.2", "--ns", "20",
+                     "--seed", "1", "--out", str(snaps)]) == 0
+        estimate = ["estimate", "--graph", str(graph), "--snapshots", str(snaps), "--sampler", str(sampler)]
+        outputs = {}
+        for method in ("ls", "nnls"):
+            assert main([*estimate, "--method", method, "--out", str(tmp_path / method)]) == 0
+            outputs[method] = json.loads((tmp_path / method).read_text())["theta"]
+        assert min(outputs["ls"]) < 0 and min(outputs["nnls"]) >= 0
+        monkeypatch.setattr(estimators, "NNLS_CAP", 0)
+        assert main([*estimate, "--method", "nnls", "--out", str(tmp_path / "capped")]) == 3
+        assert "exhausted" in capsys.readouterr().err
+        assert not (tmp_path / "capped").exists()
 
     def test_average_nmse_not_worse_than_ls(self, compressed_setup):
         s, sampler, model, h, p_true, _ = compressed_setup

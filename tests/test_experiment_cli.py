@@ -667,10 +667,11 @@ class TestExperiment:
             assert len(rows) == 6
             assert all(row["failures"] == 0 and row["nmse_db"] is not None for row in rows)
 
-    def test_scipy_solvers_load_only_for_nnls(self, tmp_path):
-        # Run in fresh processes, so that scipy modules this test process
-        # has imported cannot hide an import made when graphcov loads.
-        configs = {
+    def test_no_scipy_module_loads_at_run_time(self, tmp_path):
+        # Run in a fresh process, so that the scipy modules this test process
+        # has imported (the tests use scipy as a reference) cannot hide one
+        # that graphcov loads. Each step records every scipy module loaded so far.
+        studies = {
             "spectral": base_config(methods=["ls", "wls"], n_trials=2),
             "ar": base_config(
                 graph={"kind": "sensor", "n": 20, "seed": 7},
@@ -680,51 +681,69 @@ class TestExperiment:
                 samplers=[{"name": "core1", "kind": "ar-core", "k0": 1}],
                 n_trials=2,
             ),
+            "ma": base_config(model={"kind": "ma", "q": 3}, methods=["ls", "nnls", "wls"], n_trials=2),
             "nnls": base_config(methods=["nnls"], n_trials=2),
         }
         paths = {}
-        for name, cfg in configs.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(cfg))
-        # argv: a ruler output path ("" for none), studies to run first, the last study
+        for name, cfg in studies.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(cfg))
+        graph, sampler, snaps = (str(tmp_path / name) for name in ("g.json", "s.json", "snaps.csv"))
+        estimate = ["estimate", "--graph", graph, "--snapshots", snaps]
+        commands = {
+            "graph gen": ["graph", "gen", "--kind", "sensor", "--n", "16", "--seed", "3", "--out", graph],
+            "sampler design": ["sampler", "design", "--graph", graph, "--k", "8", "--out", sampler,
+                               "--report", str(tmp_path / "report.json")],
+            "sampler ruler": ["sampler", "ruler", "--n", "10", "--out", str(tmp_path / "ruler.json")],
+            "signal gen": ["signal", "gen", "--graph", graph, "--coeffs", "1,0.5,0.2", "--ns", "20",
+                           "--seed", "1", "--out", snaps],
+            "estimate nnls": [*estimate, "--sampler", sampler, "--method", "nnls", "--out", str(tmp_path / "e1")],
+            "estimate ma wls": [*estimate, "--sampler", sampler, "--model", "ma", "--q", "3", "--method", "wls",
+                                "--out", str(tmp_path / "e2")],
+            "estimate ar": [*estimate, "--shift", "adjacency", "--model", "ar", "--p", "1",
+                            "--out", str(tmp_path / "e3")],
+            "experiment nmse": ["experiment", "nmse", "--config", paths["nnls"], "--out", str(tmp_path / "nnls.csv")],
+        }
         script = (
             "import json, sys, warnings\n"
             "warnings.simplefilter('ignore')\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
             "import graphcov\n"
+            "loaded = {'import graphcov': scipy_modules()}\n"
+            "import numpy as np\n"
             "from graphcov.cli import main\n"
             "from graphcov.experiment import ExperimentConfig, rows_to_csv, run_experiment\n"
-            "def study(path):\n"
-            "    return rows_to_csv(run_experiment(ExperimentConfig.from_json(open(path).read())))\n"
-            "def solvers():\n"
-            "    return [m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]\n"
-            "ruler, *first, last = sys.argv[1:]\n"
-            "for path in first:\n"
-            "    study(path)\n"
-            "if ruler:\n"
-            "    assert main(['sampler', 'ruler', '--n', '10', '--out', ruler]) == 0\n"
-            "before = solvers()\n"
-            "csv = study(last)\n"
-            "print(json.dumps({'before': before, 'after': solvers(), 'csv': csv}))\n"
+            "studies, commands = json.loads(sys.argv[1])\n"
+            "csv = {}\n"
+            "for name, path in studies.items():\n"
+            "    csv[name] = rows_to_csv(run_experiment(ExperimentConfig.from_json(open(path).read())))\n"
+            "    loaded[name + ' study'] = scipy_modules()\n"
+            "cov = graphcov.CovarianceMatrix(np.eye(2), kind='sample', n_snapshots=10)\n"
+            "model = graphcov.ObservationModel(np.eye(4), 'spectral')\n"
+            "graphcov.wls_stationarity_residual(model, np.ones(4), np.ones(4), cov)\n"
+            "loaded['wls stationarity residual'] = scipy_modules()\n"
+            "for name, argv in commands.items():\n"
+            "    assert main(argv) == 0, name\n"
+            "    loaded[name] = scipy_modules()\n"
+            "print(json.dumps({'loaded': loaded, 'csv': csv}))\n"
         )
         src = str(Path(graphcov.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
-        def run(*argv):
-            done = subprocess.run(
-                [sys.executable, "-c", script, *map(str, argv)],
-                env=env, capture_output=True, timeout=300,
-            )
-            assert done.returncode == 0, done.stderr.decode()
-            return json.loads(done.stdout)
-
-        ruler = tmp_path / "ruler.json"
-        warm = run(ruler, paths["spectral"], paths["ar"], paths["nnls"])
-        assert warm["before"] == []
-        assert "scipy.optimize" in warm["after"]
-        fresh = run("", paths["nnls"])
-        assert fresh["csv"] == warm["csv"]
-        assert fresh["csv"].count("\n") == 1 + 2  # header and the nnls row of each sampler
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([paths, commands])],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        out = json.loads(done.stdout)
+        steps = ["import graphcov", *(f"{name} study" for name in studies), "wls stationarity residual", *commands]
+        assert out["loaded"] == {step: [] for step in steps}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert out["csv"]["nnls"] == rows_to_csv(run_experiment(ExperimentConfig(**studies["nnls"])))
+        assert out["csv"]["nnls"].count("\n") == 1 + 2  # header and the nnls row of each sampler
+        assert (tmp_path / "nnls.csv").read_text() == out["csv"]["nnls"]
 
     def test_crb_column_matches_per_snapshot_fisher(self):
         from graphcov import CovarianceMatrix, fisher_info

@@ -41,6 +41,27 @@ class TestCovarianceType:
         with pytest.raises(InvalidInputError):
             CovarianceMatrix(np.eye(2), kind="estimated")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+            [[1.0, np.inf], [0.0, 1.0]],
+            [[1.0, np.inf], [-np.inf, 1.0]],
+        ],
+        ids=["nan", "inf-diagonal", "inf-symmetric", "inf-one-side", "inf-opposite-signs"],
+    )
+    def test_rejects_non_finite(self, matrix):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            CovarianceMatrix(np.array(matrix), kind="sample", n_snapshots=10)
+
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            CovarianceMatrix(np.zeros((0, 0)), kind="true")
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            sample_covariance(np.zeros((0, 5)))
+
 
 class TestTrueCovariance:
     def test_identity_filter(self, path2):
