@@ -10,10 +10,16 @@ model matrix is never formed. The objective is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
 submodular maximization does not apply. Each greedy step still scores
-every candidate exactly: a candidate keeps its new rows whitened against
-the loaded Gram, and a pick updates them by its own low-rank factor, as
-fast greedy MAP inference for determinantal point processes does with
-single vectors (Chen, Zhang & Zhou, NeurIPS 2018). For circulant shift
+every candidate exactly. A candidate keeps its model rows raw, and a row
+once appended is never rewritten. On a spectral model it also keeps the
+small Gram of its rows against the inverse loaded Gram, and a pick, a
+rank-r update of the loaded Gram, downdates every such Gram by the
+Woodbury identity with one GEMM against a shared M x r factor: the
+incremental update of fast greedy MAP inference for determinantal point
+processes (Chen, Zhang & Zhou, NeurIPS 2018), in blocks. A step costs
+about 2 N r^2 M flops for r rows per candidate. A moving-average model,
+with its few parameters, whitens the rows against a fresh Cholesky
+factor each step instead (see :func:`greedy_design`). For circulant shift
 operators the problem has a closed combinatorial answer: node sets whose
 pairwise differences cover 0..N-1 (sparse rulers) are valid, and minimal
 rulers give the best compression.
@@ -149,30 +155,53 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     the lowest node index. The running sums of the picked gains, one per
     step, are returned alongside the sampler.
 
-    The greedy runs on folded real rows, updated in place. Pair rows
-    (j,s) and (s,j) of the model are conjugate, so together they add
-    ``2(a^T a + b^T b)`` to the Gram, with ``z = a + ib``. A candidate s
-    therefore brings the real rows ``Re z_ss`` and, per selected j,
-    ``sqrt(2) Re z_js`` and (complex rows only) ``sqrt(2) Im z_js``.
-    ``y[s]`` holds them whitened, ``Z_s F^{-T}``, where
-    ``F F^T = eps I + T`` and T is the Gram of the selected rows, and the
-    gain of s is ``logdet(I + Y_s Y_s^T)``. A pick with whitened rows W
-    turns F into ``F (I + W^T W)^{1/2}``: with ``W W^T = V diag(lam) V^T``,
-    every whitened row y becomes ``y - (y W^T) V diag(phi) V^T W`` with
-    ``phi = (1 - (1 + lam)^{-1/2}) / lam``. The candidates' rows and
-    ``F^{-T}`` are updated so, and the rows the pick adds to each
-    candidate are appended whitened by the new ``F^{-T}``. Picks are
-    swap-removed from ``y``, and the scoring and update passes run over
-    candidate blocks of at most ``_BLOCK_ROWS`` rows.
+    The greedy runs on folded real rows. Pair rows (j,s) and (s,j) of the
+    model are conjugate, so together they add ``2(a^T a + b^T b)`` to the
+    Gram, with ``z = a + ib``. A candidate s therefore brings the real
+    rows ``Re z_ss`` and, per selected j, ``sqrt(2) Re z_js`` and (complex
+    rows only) ``sqrt(2) Im z_js``. They are stored raw, as ``z[:, s]``,
+    and a row once appended is never rewritten. With T the Gram of the
+    selected rows, the gain of s is ``logdet(I + Z_s C Z_s^T)``, with
+    ``C = (eps I + T)^{-1}``.
+
+    On a spectral model, candidate s keeps its small Gram
+    ``G_s = Z_s C Z_s^T``, r x r for its r rows, and its gain comes from
+    one batched Cholesky. A pick with rows ``Z_p`` and ``L L^T = I + G_p``
+    adds ``Z_p^T Z_p`` to T, so by the Woodbury identity C loses
+    ``bw bw^T`` with ``bw = C Z_p^T L^{-T}`` (M x r), and every ``G_s``
+    loses ``(Z_s bw)(Z_s bw)^T``: r GEMMs of the live candidates' rows
+    against bw. The rows the pick adds to each candidate get the Gram
+    entries ``Z_s C z``, from ``C z`` and one rowwise product. A step costs
+    about ``2 N r^2 M`` flops for the downdate, ``N r^3`` for the small
+    Grams and ``2 N M^2`` per appended row. The spectral Gram is at most
+    the full one, the identity, so ``cond(eps I + T)`` stays below
+    ``(1 + eps) / eps``, which bounds the digits the downdates lose.
+
+    A mapped model's Gram has no such bound: its Vandermonde columns grow
+    as powers of the eigenvalues, and downdated Grams lose digits in
+    proportion to ``cond(eps I + T)``. Its M is small, so each step
+    instead whitens every candidate's rows against a fresh Cholesky
+    factor, ``Y_s = Z_s F^{-T}`` with ``F F^T = eps I + T``, and scores
+    ``logdet(I + Y_s Y_s^T)``, or the equal ``logdet(I + Y_s^T Y_s)`` once
+    r exceeds M: about ``4 N r M^2`` flops a step.
+
+    Picks are swap-removed, and the passes over the candidates run in
+    blocks of at most ``_BLOCK_ROWS`` rows.
     """
     psi = problem.psi
     n, m, k = problem.n_nodes, psi.n_params, problem.k
     eps = default_epsilon(psi)
     parts = (np.real, np.imag) if psi.complex_rows else (np.real,)
+    spectral = psi.param_map is None
     candidates = np.arange(n)
-    y = np.empty((n, 1 + len(parts) * (k - 1), m))
-    y[:, 0] = np.real(psi.rows(candidates, candidates)) / np.sqrt(eps)
-    white = np.eye(m) / np.sqrt(eps)  # F^{-T}
+    z = np.empty((1 + len(parts) * (k - 1), n, m))
+    z[0] = np.real(psi.rows(candidates, candidates))
+    if spectral:
+        grams = np.empty((n, len(z), len(z)))
+        grams[:, 0, 0] = np.einsum("sm,sm->s", z[0], z[0]) / eps
+        c = np.eye(m) / eps  # (eps I + T)^{-1}
+    else:
+        loaded = eps * np.eye(m)  # eps I + T
     selected: list[int] = []
     trace = []
     total = 0.0
@@ -180,13 +209,19 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
         live = n - step
         r = 1 + len(parts) * step
         per_block = max(1, _BLOCK_ROWS // r)
+        if not spectral:
+            white = np.linalg.inv(np.linalg.cholesky(loaded)).T  # F^{-T}
         gains = np.empty(live)
         for start in range(0, live, per_block):
-            block = y[start : min(start + per_block, live), :r]
-            small = block @ block.transpose(0, 2, 1)
-            small += np.eye(r)
+            stop = min(start + per_block, live)
+            if spectral:
+                small = grams[start:stop, :r, :r] + np.eye(r)
+            else:
+                y = np.matmul(z[:r, start:stop], white).transpose(1, 0, 2)
+                small = y.transpose(0, 2, 1) @ y if r > m else y @ y.transpose(0, 2, 1)
+                small += np.eye(small.shape[-1])
             diag = np.diagonal(np.linalg.cholesky(small), axis1=1, axis2=2)
-            gains[start : start + block.shape[0]] = 2.0 * np.sum(np.log(diag), axis=1)
+            gains[start:stop] = 2.0 * np.sum(np.log(diag), axis=1)
         best = _lowest_tied(gains, candidates[:live])
         pick = int(candidates[best])
         selected.append(pick)
@@ -194,25 +229,32 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
         trace.append(total)
         if step == k - 1:
             break
-        w = y[best, :r].copy()
+        if spectral:
+            root = np.linalg.cholesky(grams[best, :r, :r] + np.eye(r))  # L
+            bw = np.linalg.solve(root, z[:r, best] @ c).T  # C Z_p^T L^{-T}
+            for start in range(0, live, per_block):
+                stop = min(start + per_block, live)
+                zbw = np.matmul(z[:r, start:stop], bw).transpose(1, 0, 2)  # Z_s bw
+                grams[start:stop, :r, :r] -= zbw @ zbw.transpose(0, 2, 1)
+            c -= bw @ bw.T
+            grams[best, :r, :r] = grams[live - 1, :r, :r]
+        else:
+            loaded += z[:r, best].T @ z[:r, best]
         live -= 1
-        y[best, :r] = y[live, :r]
+        z[:r, best] = z[:r, live]
         candidates[best] = candidates[live]
-        lam, v = np.linalg.eigh(w @ w.T)
-        root = np.sqrt(1.0 + np.maximum(lam, 0.0))
-        # phi = 1 / (root (1 + root)) is (1 - 1/root) / lam without the
-        # cancellation at small lam
-        pw = (v / (root * (1.0 + root))) @ (v.T @ w)  # V diag(phi) V^T W
-        for start in range(0, live, per_block):
-            block = y[start : min(start + per_block, live), :r]
-            block -= (block @ w.T) @ pw
-        white -= (white @ w.T) @ pw
-        folded = np.sqrt(2.0) * white
+        grown = r + len(parts)
         for start in range(0, live, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, live)
-            z = psi.rows(pick, candidates[start:stop])  # entries (s, pick)
+            rows = psi.rows(pick, candidates[start:stop])  # entries (s, pick)
             for offset, part in enumerate(parts):
-                np.matmul(np.ascontiguousarray(part(z)), folded, out=y[start:stop, r + offset])
+                np.multiply(part(rows), np.sqrt(2.0), out=z[r + offset, start:stop])
+            del rows  # freed before C z is formed, so the two blocks never coexist
+            if spectral:
+                cz = np.matmul(z[r:grown, start:stop], c).transpose(1, 2, 0)
+                entries = np.matmul(z[:grown, start:stop].transpose(1, 0, 2), cz)  # Z_s C z
+                grams[start:stop, :grown, r:grown] = entries
+                grams[start:stop, r:grown, :grown] = entries.transpose(0, 2, 1)
     return DesignResult(
         sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
     )

@@ -2,11 +2,14 @@
 
 Every estimator is least squares on ``r_y = G theta`` with real
 parameters. Ordinary least squares is one product with the pseudo-inverse
-the model keeps from its single SVD; the nonnegative variant enforces the
-sign constraint a power spectrum carries by definition, on the M x M
-system ``Sigma V^T`` of that SVD, which has the same minimiser as the
-real-stacked K^2-row system, by the Lawson-Hanson active-set method in
-its normal-equation form, started from the clipped LS estimate. One-step
+the model keeps from its single SVD. The nonnegative variant enforces,
+on a spectral model, the sign a power spectrum carries by definition. It
+runs on the M x M system ``Sigma V^T`` of that SVD, which has the same
+minimiser as the real-stacked K^2-row system, by the Lawson-Hanson
+active-set method in its normal-equation form, started from the clipped
+LS estimate. A moving-average model's parameters are the coefficients
+``b = h * h``, which may be negative, so the experiment and the CLI
+refuse the nonnegative variant there. One-step
 weighted least squares solves the Gaussian likelihood stationarity
 equations with the weight built from the sample covariance itself: its
 normal matrix is the weighted Gram ``Re(G_w^H G_w)`` of the whitened
@@ -117,6 +120,12 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
 
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """Least squares with elementwise nonnegativity on the parameters.
+
+    The constraint is the sign of a power spectrum only for a spectral
+    model, whose parameters are the spectrum. A moving-average model's
+    parameters are the expansion coefficients ``b = h * h``: a filter with
+    a negative tap gives a negative coefficient and a nonnegative
+    spectrum. ``experiment.estimate`` and the CLI refuse nnls there.
 
     For the full-rank model's SVD ``U Sigma V^T`` of the real-stacked
     matrix, ``||U Sigma V^T theta - b||^2`` is ``||R (theta - theta_LS)||^2``

@@ -50,6 +50,7 @@ from .graphs import (
 )
 from .models import (
     AUTOREGRESSIVE,
+    MOVING_AVERAGE,
     CovarianceModel,
     ObservationModel,
     Subsampler,
@@ -68,6 +69,10 @@ from .stationary import (
 
 CSV_HEADER = "n_snapshots,method,sampler,compression,nmse_db,crb_db,failures"
 METHODS = (LS, NNLS, WLS)
+MA_NNLS_REFUSED = (
+    "nnls constrains the parameters to be nonnegative, but a moving-average model's "
+    "parameters are the coefficients b = h * h, which may be negative; use ls or wls"
+)
 # The keys each sampler kind takes besides "kind"; any other key is refused.
 SAMPLER_KEYS = {
     "full": ("name",),
@@ -179,12 +184,14 @@ def estimate(
 
     ``cov`` is the sample covariance WLS weights with; without one (exact
     covariances) WLS is plain LS. Autoregressive models are fitted by
-    least squares only.
+    least squares only, and moving-average models refuse nnls.
     """
     if model.param_kind == AUTOREGRESSIVE:
         if method != LS:
             raise InvalidInputError("the autoregressive estimator is least squares only")
         return armod.estimate_ar(model, r_y)
+    if model.param_kind == MOVING_AVERAGE and method == NNLS:
+        raise InvalidInputError(MA_NNLS_REFUSED)
     if method == LS or (method == WLS and cov is None):
         return ls_estimate(model, r_y)
     if method == NNLS:
@@ -264,6 +271,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
         if ar_model and any(m != LS for m in self.methods):
             raise InvalidInputError("the autoregressive estimator is least squares only")
+        if self.model.get("kind") == "ma" and NNLS in self.methods:
+            raise InvalidInputError(MA_NNLS_REFUSED)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

@@ -270,6 +270,12 @@ GREEDY_CASES = {
     "ma20": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 5), 4),
     "mobius36-complex-ties": (lambda: mobius_psi(36), 12),
     "sensor60-real": (lambda: sensor_psi(60), 12),
+    # a candidate's row count passes M = 3 from the fourth step on
+    "ma20-rows-exceed-m": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 3), 8),
+    # rows never exceed M = 6, but the Vandermonde Gram is ill-conditioned:
+    # Woodbury-downdated Grams drift 7e-12 relative from the reference here
+    "ma20-q6": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 6), 6),
+    "sensor100-real": (lambda: sensor_psi(100), 15),
 }
 
 
@@ -277,9 +283,9 @@ class TestBlockedGreedy:
     @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
     def test_matches_per_candidate_reference(self, case, block_rows, monkeypatch):
-        # with 7 rows per block, every step scores, updates and extends the
-        # candidates' whitened rows over several blocks, the last ones one
-        # candidate at a time
+        # with 7 rows per block, every step scores the candidates, downdates
+        # their Grams and appends their rows over several blocks, the last
+        # ones one candidate at a time
         if block_rows is not None:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         make_psi, k = GREEDY_CASES[case]
@@ -304,20 +310,21 @@ class TestBlockedGreedy:
             DesignProblem(psi=np.ones((36, 12)), k=4)
 
     @pytest.mark.parametrize("block_rows", [None, 64])
-    def test_peak_memory_is_the_whitened_rows_and_two_blocks(self, block_rows, monkeypatch):
+    def test_peak_memory_is_the_raw_rows_grams_and_two_blocks(self, block_rows, monkeypatch):
         if block_rows is not None:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         n, k = 100, 15
         psi = sensor_psi(n)
         m = psi.n_params
-        whitened_rows = n * k * m * 8  # one real row per selected node and the diagonal
+        raw_rows = n * k * m * 8  # one real row per selected node and the diagonal
+        grams = n * k * k * 8  # each candidate's k x k Gram of those rows
         tracemalloc.start()
         try:
             greedy_design(DesignProblem(psi=psi, k=k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= whitened_rows + 2 * design._BLOCK_ROWS * m * 8 + 2**20
+        assert peak <= raw_rows + grams + 2 * design._BLOCK_ROWS * m * 8 + 2**19
 
     def test_model_and_design_stay_far_below_the_dense_model(self):
         n = 200

@@ -481,6 +481,22 @@ class TestSignalAndEstimate:
             assert run_cli(*argv, *common) == 2, argv
             assert "required" in capsys.readouterr().err
 
+    def test_estimate_ma_nnls_exit_code(self, sensor_graph_file, tmp_path, capsys):
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--signal", "ma",
+            "--coeffs", "1,-0.3", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        sampler_path = tmp_path / "full.json"
+        sampler_path.write_text(Subsampler.full(16).to_json())
+        out = tmp_path / "o.json"
+        common = ["estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+                  "--sampler", str(sampler_path), "--model", "ma", "--q", "3", "--out", str(out)]
+        assert run_cli(*common, "--method", "nnls") == 2
+        assert "moving-average" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(*common, "--method", "ls") == 0
+
 
 @pytest.mark.parametrize(
     "command",
@@ -546,8 +562,12 @@ class TestExperiment:
 
     def test_thread_env_does_not_change_results(self, tmp_path):
         # One study on a real sensor basis, one on a complex DFT basis and
-        # one AR study, each run in a fresh process at one and at two BLAS
-        # threads.
+        # one AR study, and a greedy design of 12 of 60 sensor nodes on the
+        # spectral and the moving-average model, each run in a fresh process
+        # at one and at two BLAS threads.
+        graph = tmp_path / "g60.json"
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "60", "--seed", "7",
+                       "--out", str(graph)) == 0
         configs = [
             base_config(
                 methods=["ls", "nnls", "wls"],
@@ -584,7 +604,7 @@ class TestExperiment:
             "    sys.stdout.write(rows_to_csv(run_experiment(cfg)))\n"
         )
         src = str(Path(graphcov.__file__).resolve().parents[1])
-        outputs = []
+        outputs, reports = [], {}
         for threads in ("1", "2"):
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -594,6 +614,16 @@ class TestExperiment:
             )
             assert done.returncode == 0, done.stderr.decode()
             outputs.append(done.stdout)
+            for model, options in (("spectral", []), ("ma", ["--q", "5"])):
+                report = tmp_path / f"report-{model}{threads}.json"
+                design = subprocess.run(
+                    [sys.executable, "-m", "graphcov.cli", "sampler", "design", "--graph", str(graph),
+                     "--model", model, *options, "--k", "12",
+                     "--out", str(tmp_path / f"s-{model}{threads}.json"), "--report", str(report)],
+                    env=env, capture_output=True, timeout=300,
+                )
+                assert design.returncode == 0, design.stderr.decode()
+                reports.setdefault(model, []).append(report.read_bytes())
         header = b"n_snapshots,method,sampler,compression,nmse_db,crb_db,failures\n"
         studies = outputs[0].split(header)
         assert studies[0] == b""
@@ -603,6 +633,9 @@ class TestExperiment:
             fields = row.split(b",")
             assert fields[4] != b"" and fields[5] == b"" and fields[6] == b"0"
         assert outputs[0] == outputs[1]
+        for model, (one, two) in reports.items():
+            assert len(json.loads(one)["objective_trace"]) == 12
+            assert one == two, model
 
     def test_large_study_and_design_same_bytes_at_any_thread_count(self, tmp_path):
         # At N=250 a second OpenBLAS thread changes the bits of eigh, so
@@ -681,7 +714,7 @@ class TestExperiment:
                 samplers=[{"name": "core1", "kind": "ar-core", "k0": 1}],
                 n_trials=2,
             ),
-            "ma": base_config(model={"kind": "ma", "q": 3}, methods=["ls", "nnls", "wls"], n_trials=2),
+            "ma": base_config(model={"kind": "ma", "q": 3}, methods=["ls", "wls"], n_trials=2),
             "nnls": base_config(methods=["nnls"], n_trials=2),
         }
         paths = {}
@@ -941,6 +974,12 @@ class TestExperiment:
                  "samplers": [{"kind": "ar-core", "core": []}]},
                 "core set must be non-empty",
             ),
+            (
+                # b = h * h = [1, -0.6, 0.09]: nnls would constrain b, not the spectrum
+                {"signal": {"kind": "ma", "h": [1.0, -0.3]}, "model": {"kind": "ma", "q": 3},
+                 "methods": ["ls", "nnls"]},
+                "moving-average model's parameters are the coefficients b = h * h",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -952,7 +991,7 @@ class TestExperiment:
              "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
              "output-not-string", "greedy-cost", "full-unknown-key", "sampler-name-not-string",
              "ar-core-misspelled-key",
-             "ar-core-default-kind-unknown-key", "ar-core-empty"],
+             "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
@@ -977,7 +1016,27 @@ class TestExperiment:
         assert "(rank 6 of 12)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides", [{"methods": ["lsq"]}, {"n_snapshots": [0]}])
+    def test_estimate_refuses_nnls_on_a_moving_average_model(self):
+        # h = [1, -0.3] gives b = h * h = [1, -0.6, 0.09]: the constraint theta >= 0
+        # would fall on b, whose middle entry is negative, not on the spectrum
+        from graphcov import build_psi_ma, compress_model, vec
+        from graphcov.experiment import _Pipeline, estimate
+
+        cfg = ExperimentConfig(**base_config(
+            graph={"kind": "sensor", "n": 30, "seed": 7}, signal={"kind": "ma", "h": [1.0, -0.3]},
+            model={"kind": "ma", "q": 3}, samplers=[{"name": "full", "kind": "full"}], n_trials=1,
+        ))
+        pipe = _Pipeline(cfg)
+        model = compress_model(build_psi_ma(pipe.shift, 3), Subsampler.full(30))
+        r_y = vec(pipe.true_cov)
+        npt.assert_allclose(estimate(model, "ls", r_y, None).theta, [1.0, -0.6, 0.09], atol=1e-9)
+        with pytest.raises(InvalidInputError, match="moving-average"):
+            estimate(model, "nnls", r_y, None)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"methods": ["lsq"]}, {"n_snapshots": [0]}, {"model": {"kind": "ma", "q": 3}, "methods": ["nnls"]}],
+    )
     def test_bad_method_and_snapshot_count_refused_at_construction(self, overrides):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(**base_config(**overrides))
