@@ -53,8 +53,6 @@ from .estimators import (
 )
 from .graphs import (
     ADJACENCY,
-    CIRCULANT_DFT,
-    CUSTOM,
     LAPLACIAN,
     Graph,
     GraphFilter,
@@ -81,7 +79,6 @@ from .models import (
     build_psi_ma,
     build_psi_spectral,
     compress_model,
-    default_ma_order,
     ma_b_from_h,
     unvec,
     vec,

@@ -43,32 +43,29 @@ from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
 class ARSamplingScheme:
     """Core nodes plus one node selection per hop distance up to the order.
 
-    ``levels[p]`` selects the union of p-hop neighborhoods of the core
-    (level 0 is the core itself). Nodes may repeat across levels; the
+    ``levels[p]`` selects the union of p-hop neighborhoods of the core,
+    and level 0 is the core itself, so the levels fix both: ``core`` is
+    ``levels[0].selected`` and the AR ``order`` is ``len(levels) - 1``. A
+    scheme needs at least two levels. Nodes may repeat across levels; the
     per-level algebra keeps those duplicates, while ``distinct_nodes``
     counts each observed node once: it orders the rows and columns of
     the observed covariance and sets the compression. A scheme has no file
     format: :func:`build_ar_scheme` makes it from a core and an order.
     """
 
-    core: tuple[int, ...]
-    order: int
     levels: tuple[Subsampler, ...]
 
     def __post_init__(self):
-        if not self.core:
-            raise InvalidInputError("core set must be non-empty")
-        if not all(_is_int(i) for i in self.core):
-            raise InvalidInputError(f"core nodes must be integers, got {list(self.core)}")
-        if not (_is_int(self.order) and self.order >= 1):
-            raise InvalidInputError(f"AR order must be an integer >= 1, got {self.order!r}")
-        if len(self.levels) != self.order + 1:
-            raise InvalidInputError("need one level per hop 0..P")
-        core = tuple(sorted(int(i) for i in self.core))
-        if self.levels[0].selected != core:
-            raise InvalidInputError("level 0 must select exactly the core set")
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "order", int(self.order))
+        if len(self.levels) < 2:
+            raise InvalidInputError("an AR scheme needs the core level and at least one hop level")
+
+    @property
+    def core(self) -> tuple[int, ...]:
+        return self.levels[0].selected
+
+    @property
+    def order(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def distinct_nodes(self) -> tuple[int, ...]:
@@ -108,7 +105,12 @@ def neighborhood(shift: ShiftOperator, node: int, p: int) -> tuple[int, ...]:
 
 
 def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
-    """Sampling scheme observing the core and its 1..P hop neighborhoods."""
+    """Sampling scheme observing the core and its 1..P hop neighborhoods.
+
+    The core's repeated nodes count once. The scheme's level 0 is the core
+    and it has ``order`` hop levels after it; an empty core, or a core
+    with an empty p-hop neighborhood, is refused.
+    """
     core = list(core)
     _check_ints(core, 0, shift.n, "core node")
     _check_ints((order,), 1, np.inf, "AR order")
@@ -120,7 +122,7 @@ def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
         if not hop:
             raise InvalidInputError(f"core has empty {p}-hop neighborhood")
         levels.append(Subsampler(shift.n, hop))
-    return ARSamplingScheme(core=core, order=order, levels=tuple(levels))
+    return ARSamplingScheme(tuple(levels))
 
 
 def core_by_degree(graph: Graph, k0: int = 1) -> tuple[int, ...]:

@@ -29,17 +29,18 @@ from .errors import (
 )
 from .experiment import (
     METHODS,
+    SECTION_KEYS,
     ExperimentConfig,
+    check_keys,
     estimate,
     make_graph,
     make_model,
-    make_shift,
     model_spectrum,
     rows_to_csv,
     ruler_sampler,
     run_experiment,
 )
-from .graphs import Graph, GraphFilter
+from .graphs import Graph, GraphFilter, build_shift
 from .models import Subsampler, compress_model, vec
 from .stationary import (
     SnapshotMatrix,
@@ -80,6 +81,14 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InvalidInputError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _model_spec(args) -> dict:
+    """``--model`` with the model options given; one its kind does not take is refused."""
+    spec = {"kind": args.model}
+    spec.update((key, getattr(args, key)) for key in ("q", "p") if getattr(args, key, None) is not None)
+    check_keys(spec, SECTION_KEYS["model"], "model")
+    return spec
+
+
 def cmd_graph_gen(args) -> int:
     spec = {"kind": args.kind, "n": args.n, "seed": args.seed, "knn": args.knn}
     graph = make_graph(spec)
@@ -89,8 +98,8 @@ def cmd_graph_gen(args) -> int:
 
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
-    shift = make_shift(graph, args.shift)
-    psi = make_model(shift, {"kind": args.model, "q": args.q})
+    shift = build_shift(graph, args.shift)
+    psi = make_model(shift, _model_spec(args))
     result = greedy_design(DesignProblem(psi=psi, k=args.k))
     report = check_valid(psi, result.sampler)
     _write(args.out, result.sampler.to_json())
@@ -133,7 +142,7 @@ def cmd_sampler_ruler(args) -> int:
 
 def cmd_signal_gen(args) -> int:
     graph = _load_graph(args.graph)
-    shift = make_shift(graph, args.shift)
+    shift = build_shift(graph, args.shift)
     coeffs = _parse_floats(args.coeffs)
     if args.signal == "ma":
         data = generate_signals(shift, GraphFilter(coeffs), args.ns, args.seed)
@@ -153,21 +162,26 @@ def cmd_signal_gen(args) -> int:
 
 def cmd_estimate(args) -> int:
     graph = _load_graph(args.graph)
-    shift = make_shift(graph, args.shift)
+    shift = build_shift(graph, args.shift)
     snapshots = load_snapshots_csv(args.snapshots)
+    spec = _model_spec(args)
 
     if args.model == "ar":
         if args.p is None:
             raise InvalidInputError("--p is required for the autoregressive model")
+        if args.sampler is not None:
+            raise InvalidInputError("the autoregressive model takes --core, not --sampler")
         core = armod.core_by_degree(graph) if args.core is None else _parse_ints(args.core)
         scheme = armod.build_ar_scheme(shift, core, args.p)
         nodes = scheme.distinct_nodes
     else:
         if args.sampler is None:
             raise InvalidInputError("--sampler is required for the spectral and ma models")
+        if args.core is not None:
+            raise InvalidInputError(f"the {args.model} model takes --sampler, not --core")
         with open(args.sampler) as fh:
             sampler = Subsampler.from_json(fh.read())
-        model = compress_model(make_model(shift, {"kind": args.model, "q": args.q}), sampler)
+        model = compress_model(make_model(shift, spec), sampler)
         nodes = sampler.selected
     cov = sample_covariance(snapshots.rows(nodes), demean=args.demean)
     if args.model == "ar":

@@ -35,7 +35,6 @@ from .estimators import (
     wls_estimate,
 )
 from .graphs import (
-    CIRCULANT_DFT,
     Graph,
     GraphFilter,
     ShiftOperator,
@@ -43,7 +42,6 @@ from .graphs import (
     build_shift,
     cycle_graph,
     frequency_response,
-    is_circulant,
     mobius_ladder,
     path_graph,
     sensor_graph,
@@ -80,6 +78,11 @@ SAMPLER_KEYS = {
     "greedy": ("name", "k"),
     "ruler": ("name", "marks"),
     "ar-core": ("name", "core", "k0"),
+}
+# The keys each model and signal kind takes besides "kind", by config section.
+SECTION_KEYS = {
+    "model": {"spectral": (), "ma": ("q",), "ar": ("p",)},
+    "signal": {"ma": ("h",), "ar": ("a",)},
 }
 
 
@@ -150,12 +153,20 @@ def make_graph(spec: dict) -> Graph:
     raise InvalidInputError(f"unknown graph kind {kind!r}")
 
 
-def make_shift(graph: Graph, kind: str) -> ShiftOperator:
-    """Build the shift; a circulant operator gets the closed-form DFT basis."""
-    shift = build_shift(graph, kind)
-    if is_circulant(shift.matrix):
-        return ShiftOperator(shift.matrix, kind=CIRCULANT_DFT)
-    return shift
+def check_keys(spec: dict, keys: dict, where: str) -> None:
+    """Refuse a key of ``spec`` that its kind does not take, by ``keys[kind]``.
+
+    ``keys`` is ``SAMPLER_KEYS`` or a table of ``SECTION_KEYS``. A kind
+    the table does not know passes: it is refused where it is built.
+    """
+    kind = spec.get("kind")
+    if not (isinstance(kind, str) and kind in keys):
+        return
+    unknown = sorted(set(spec) - {"kind", *keys[kind]})
+    if unknown:
+        raise InvalidInputError(
+            f"{where} kind {kind!r} takes no key {unknown[0]!r}; its keys are {['kind', *keys[kind]]}"
+        )
 
 
 def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
@@ -215,7 +226,7 @@ class ExperimentConfig:
     graph: dict
     shift: str
     signal: dict  # {"kind": "ma", "h": [...]} or {"kind": "ar", "a": [...]}
-    model: dict  # {"kind": "spectral"} | {"kind": "ma", "q": Q} | {"kind": "ar", "p": P, ...}
+    model: dict  # {"kind": "spectral"} | {"kind": "ma", "q": Q} | {"kind": "ar", "p": P}
     samplers: list
     methods: list
     n_snapshots: list
@@ -232,20 +243,13 @@ class ExperimentConfig:
             isinstance(entry, dict) for entry in self.samplers
         ):
             raise InvalidInputError("samplers must be a list of objects")
+        for section, keys in SECTION_KEYS.items():
+            check_keys(getattr(self, section), keys, section)
         ar_model = self.model.get("kind") == "ar"
         for entry in self.samplers:
             if not isinstance(entry.get("name", ""), str):
                 raise InvalidInputError(f"bad sampler.name {entry['name']!r}: expected a string")
-            # an unknown kind is refused where the sampler is built
-            kind = entry.get("kind", "ar-core" if ar_model else None)
-            if not (isinstance(kind, str) and kind in SAMPLER_KEYS):
-                continue
-            unknown = sorted(set(entry) - {"kind", *SAMPLER_KEYS[kind]})
-            if unknown:
-                raise InvalidInputError(
-                    f"sampler kind {kind!r} takes no key {unknown[0]!r}; "
-                    f"its keys are {['kind', *SAMPLER_KEYS[kind]]}"
-                )
+            check_keys({"kind": "ar-core", **entry} if ar_model else entry, SAMPLER_KEYS, "sampler")
         if not isinstance(self.exact_covariance, bool):
             raise InvalidInputError(
                 f"exact_covariance must be true or false, got {self.exact_covariance!r}"
@@ -311,7 +315,7 @@ class _Pipeline:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.graph = make_graph(config.graph)
-        self.shift = make_shift(self.graph, config.shift)
+        self.shift = build_shift(self.graph, config.shift)
         self.basis = self.shift.basis()
         n = self.shift.n
 

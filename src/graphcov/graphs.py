@@ -20,8 +20,6 @@ from .errors import InvalidInputError
 # Shift operator kinds.
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
-CUSTOM = "custom"
-CIRCULANT_DFT = "circulant-dft"
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -112,15 +110,16 @@ class SpectralBasis:
     ``eigvecs`` holds the basis vectors as columns (complex for the DFT
     basis of circulant operators); ``eigvals`` are the corresponding real
     graph frequencies, ascending for numerical decompositions and in DFT
-    order for circulant ones. ``distinct`` is False when two eigenvalues
-    fall within the gap tolerance of each other. A basis that is not
-    N x N with N eigenvalues, or whose ``U^H U`` deviates from the
-    identity by 1e-10 or more in any entry, is refused.
+    order for circulant ones. ``distinct`` is False when two sorted
+    eigenvalues lie within ``1e-8 * max(1, max|lam|)`` of each other; the
+    scale ``max|lam|`` is the operator's spectral norm, the bound in
+    Weyl's perturbation inequality. A basis that is not N x N with N
+    eigenvalues, or whose ``U^H U`` deviates from the identity by 1e-10
+    or more in any entry, is refused.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    distinct: bool
 
     def __post_init__(self):
         u, lam = np.asarray(self.eigvecs), np.asarray(self.eigvals)
@@ -136,6 +135,13 @@ class SpectralBasis:
     def n(self) -> int:
         return self.eigvals.shape[0]
 
+    @property
+    def distinct(self) -> bool:
+        lam = np.sort(np.asarray(self.eigvals, dtype=float))
+        if lam.size < 2:
+            return True
+        return bool(np.diff(lam).min() > 1e-8 * max(1.0, np.abs(lam).max()))
+
 
 @dataclass(frozen=True)
 class GraphFilter:
@@ -150,20 +156,18 @@ class GraphFilter:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
 
 class ShiftOperator:
     """Symmetric shift operator with a lazily computed spectral basis.
 
-    Instances are immutable and hold only the matrix and the basis, which
-    is cached on first use under a lock, so sharing across parallel
-    readers is safe. No power of the matrix is stored.
+    The matrix chooses the basis: the closed-form DFT basis when it is
+    circulant (:func:`is_circulant`), the numerical ``eigh`` basis
+    otherwise. Instances are immutable and hold only the matrix and the
+    basis, which is cached on first use under a lock, so sharing across
+    parallel readers is safe. No power of the matrix is stored.
     """
 
-    def __init__(self, matrix: np.ndarray, kind: str = CUSTOM):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidInputError("shift operator must be a square matrix")
@@ -172,14 +176,9 @@ class ShiftOperator:
         scale = max(np.abs(matrix).max(), 1.0)
         if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
             raise InvalidInputError("shift operator must be symmetric")
-        if kind not in (LAPLACIAN, ADJACENCY, CUSTOM, CIRCULANT_DFT):
-            raise InvalidInputError(f"unknown shift kind {kind!r}")
-        if kind == CIRCULANT_DFT and not is_circulant(matrix):
-            raise InvalidInputError("kind 'circulant-dft' requires a circulant matrix")
         matrix = 0.5 * (matrix + matrix.T)
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.kind = kind
         self._lock = threading.Lock()
         self._basis: SpectralBasis | None = None
 
@@ -188,18 +187,18 @@ class ShiftOperator:
         return self.matrix.shape[0]
 
     def basis(self) -> SpectralBasis:
-        """Spectral basis: closed-form DFT for circulant kind, eigh otherwise."""
+        """Spectral basis: closed-form DFT for a circulant matrix, eigh otherwise."""
         if self._basis is None:
             with self._lock:
                 if self._basis is None:
-                    if self.kind == CIRCULANT_DFT:
-                        self._basis = circulant_dft_basis(self)
+                    if is_circulant(self.matrix):
+                        self._basis = _dft_basis(self.matrix)
                     else:
                         self._basis = eigendecompose(self)
         return self._basis
 
     def __repr__(self):
-        return f"ShiftOperator(kind={self.kind!r}, n={self.n})"
+        return f"ShiftOperator(n={self.n})"
 
 
 def build_shift(graph: Graph, kind: str) -> ShiftOperator:
@@ -215,18 +214,7 @@ def build_shift(graph: Graph, kind: str) -> ShiftOperator:
         matrix = np.diag(w.sum(axis=1)) - w
     else:
         matrix = w
-    return ShiftOperator(matrix, kind=kind)
-
-
-def _gap_tolerance(matrix: np.ndarray) -> float:
-    return 1e-8 * max(1.0, np.abs(matrix).max())
-
-
-def _has_distinct_eigvals(eigvals: np.ndarray, gap_tol: float) -> bool:
-    lam = np.sort(np.asarray(eigvals, dtype=float))
-    if lam.size < 2:
-        return True
-    return float(np.min(np.diff(lam))) > gap_tol
+    return ShiftOperator(matrix)
 
 
 def _fix_signs(eigvecs: np.ndarray) -> np.ndarray:
@@ -241,7 +229,7 @@ def _fix_signs(eigvecs: np.ndarray) -> np.ndarray:
 def _check_basis(basis: SpectralBasis, matrix: np.ndarray) -> None:
     """Refuse a basis whose ``U diag(lam) U^H`` is not the operator."""
     u = basis.eigvecs
-    recon = u @ np.diag(basis.eigvals) @ u.conj().T
+    recon = (u * basis.eigvals) @ u.conj().T
     scale = max(np.abs(matrix).max(), 1e-300)
     recon_err = np.abs(matrix - recon).max()
     if recon_err >= 1e-8 * scale:
@@ -256,13 +244,7 @@ def eigendecompose(shift: ShiftOperator) -> SpectralBasis:
     """
     matrix = np.asarray(shift.matrix, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    eigvecs = _fix_signs(eigvecs)
-    gap_tol = _gap_tolerance(matrix)
-    basis = SpectralBasis(
-        eigvecs=eigvecs,
-        eigvals=eigvals,
-        distinct=_has_distinct_eigvals(eigvals, gap_tol),
-    )
+    basis = SpectralBasis(eigvecs=_fix_signs(eigvecs), eigvals=eigvals)
     _check_basis(basis, matrix)
     return basis
 
@@ -285,24 +267,23 @@ def circulant_dft_basis(shift: ShiftOperator) -> SpectralBasis:
     Column n of the basis is ``exp(-2*pi*1j*n*m/N)/sqrt(N)`` over entries
     m, and the eigenvalues are the DFT of the first row (real, since the
     matrix is symmetric). No numerical eigendecomposition is involved.
-    A shift of kind ``circulant-dft`` is not checked again: its
-    constructor checked the read-only matrix.
+    A non-circulant shift is refused. :meth:`ShiftOperator.basis` returns
+    this basis exactly when the shift is circulant.
     """
-    matrix = shift.matrix
-    if shift.kind != CIRCULANT_DFT and not is_circulant(matrix):
+    if not is_circulant(shift.matrix):
         raise InvalidInputError("matrix is not circulant")
+    return _dft_basis(shift.matrix)
+
+
+def _dft_basis(matrix: np.ndarray) -> SpectralBasis:
+    """:func:`circulant_dft_basis` of a matrix already known to be circulant."""
     n = matrix.shape[0]
     m = np.arange(n)
     u = np.exp(-2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
     eigvals = np.fft.fft(matrix[0])
     if np.abs(eigvals.imag).max() > 1e-9 * max(1.0, np.abs(eigvals).max()):
         raise InvalidInputError("circulant matrix has complex spectrum; not symmetric?")
-    eigvals = eigvals.real
-    basis = SpectralBasis(
-        eigvecs=u,
-        eigvals=eigvals,
-        distinct=_has_distinct_eigvals(eigvals, _gap_tolerance(matrix)),
-    )
+    basis = SpectralBasis(eigvecs=u, eigvals=eigvals.real)
     _check_basis(basis, matrix)
     return basis
 

@@ -49,7 +49,7 @@ class Subsampler:
     """Node-selection pattern: a Boolean vector with K ones.
 
     ``selected`` holds the chosen node indices sorted ascending, which
-    fixes the row order of the induced selection matrix.
+    fixes the order of the sampled rows and columns.
     """
 
     n_nodes: int
@@ -78,12 +78,6 @@ class Subsampler:
     @classmethod
     def full(cls, n_nodes: int) -> "Subsampler":
         return cls(n_nodes=n_nodes, selected=tuple(range(n_nodes)))
-
-    def selection_matrix(self) -> np.ndarray:
-        """K x N Boolean row-selection matrix."""
-        phi = np.zeros((self.k, self.n_nodes))
-        phi[np.arange(self.k), list(self.selected)] = 1.0
-        return phi
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n_nodes, "selected": list(self.selected)})
@@ -282,11 +276,6 @@ def build_psi_ma(shift: ShiftOperator, q: int) -> CovarianceModel:
         raise InvalidInputError(f"need 1 <= Q <= N; powers beyond N-1 are linearly dependent (Q={q}, N={shift.n})")
     basis = shift.basis()
     return CovarianceModel(basis.eigvecs, vandermonde(basis.eigvals, q))
-
-
-def default_ma_order(filt: GraphFilter, n: int) -> int:
-    """Covariance expansion order for an L-tap filter: min(2L-1, N)."""
-    return min(2 * filt.coeffs.size - 1, n)
 
 
 def ma_b_from_h(filt: GraphFilter) -> np.ndarray:

@@ -32,11 +32,11 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 def random_orthogonal_basis(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return gc.SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+    return gc.SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float))
 
 
 def dft_psi(n):
-    shift = gc.ShiftOperator(gc.build_shift(gc.cycle_graph(n), "adjacency").matrix, kind="circulant-dft")
+    shift = gc.build_shift(gc.cycle_graph(n), "adjacency")
     return shift, gc.build_psi_spectral(shift.basis())
 
 

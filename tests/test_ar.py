@@ -27,7 +27,6 @@ from graphcov import (
     true_ar_covariances,
 )
 from graphcov.ar import ar_transfer_matrix
-from graphcov.graphs import CIRCULANT_DFT
 
 
 def star_graph(n):
@@ -109,16 +108,26 @@ class TestScheme:
             lambda s: neighborhood(s, 1.5, 1),
             lambda s: neighborhood(s, 1, 1.5),
             lambda s: generate_ar_signals(s, [0.1], 5, seed=0, nodes=[1.5]),
-            lambda s: ARSamplingScheme(core=(1.5,), order=1, levels=(Subsampler(10, (1,)), Subsampler(10, (0, 2)))),
-            lambda s: ARSamplingScheme(core=(0,), order=True, levels=(Subsampler(10, (0,)), Subsampler(10, (1, 9)))),
+            lambda s: ARSamplingScheme(levels=(Subsampler(10, (1.5,)), Subsampler(10, (0, 2)))),
         ],
         ids=["fractional-core", "bool-core", "fractional-order", "bool-order", "fractional-node", "fractional-hop",
-             "fractional-signal-node", "scheme-fractional-core", "scheme-bool-order"],
+             "fractional-signal-node", "scheme-fractional-core"],
     )
     def test_non_integer_node_or_order_rejected(self, call):
         s = build_shift(cycle_graph(10), "adjacency")
         with pytest.raises(InvalidInputError, match="integer"):
             call(s)
+
+    def test_levels_fix_core_and_order(self):
+        levels = (Subsampler(10, (5, 0)), Subsampler(10, (1, 4, 6, 9)), Subsampler(10, (0, 2, 3, 5, 7, 8)))
+        scheme = ARSamplingScheme(levels)
+        assert scheme.core == (0, 5)
+        assert scheme.order == 2
+        assert scheme == build_ar_scheme(build_shift(cycle_graph(10), "adjacency"), (5, 0), 2)
+
+    def test_single_level_refused(self):
+        with pytest.raises(InvalidInputError, match="at least one hop level"):
+            ARSamplingScheme((Subsampler(10, (0,)),))
 
     def test_numpy_integer_core_accepted(self):
         s = build_shift(cycle_graph(10), "adjacency")
@@ -307,7 +316,7 @@ class TestSpectrum:
     def test_dft_transfer_matches_system_solve(self):
         # the complex DFT basis gives the same real transfer and covariance
         graph = cycle_graph(10)
-        s = ShiftOperator(build_shift(graph, "adjacency").matrix, kind=CIRCULANT_DFT)
+        s = build_shift(graph, "adjacency")
         a = np.array([0.2, 0.05])
         reference = np.linalg.inv(system_matrix(s, a))
         transfer = ar_transfer_matrix(s, a)

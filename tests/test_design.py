@@ -13,7 +13,6 @@ from graphcov import (
     DesignProblem,
     InvalidInputError,
     RepeatedEigenvaluesWarning,
-    ShiftOperator,
     SpectralBasis,
     Subsampler,
     build_psi_ma,
@@ -36,12 +35,12 @@ from graphcov import (
 def random_psi(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+    basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float))
     return build_psi_spectral(basis)
 
 
 def mobius_psi(n):
-    s = ShiftOperator(build_shift(mobius_ladder(n), "adjacency").matrix, kind="circulant-dft")
+    s = build_shift(mobius_ladder(n), "adjacency")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
         return build_psi_spectral(s.basis())
@@ -224,7 +223,7 @@ class TestSetObjective:
 
 class TestGreedy:
     def test_identity_basis_picks_lowest_indices(self):
-        basis = SpectralBasis(eigvecs=np.eye(5), eigvals=np.arange(5.0), distinct=True)
+        basis = SpectralBasis(eigvecs=np.eye(5), eigvals=np.arange(5.0))
         psi = build_psi_spectral(basis)
         result = greedy_design(DesignProblem(psi=psi, k=3))
         assert result.sampler.selected == (0, 1, 2)
@@ -383,7 +382,7 @@ class TestCheckValid:
     def test_asymmetric_model_counts_all_pairs(self):
         # the DFT model's rows (p,q) and (q,p) are conjugate, not equal:
         # K=4 gives K(K+1)/2 = 10 < M = 12 <= K^2 = 16
-        s = ShiftOperator(build_shift(cycle_graph(12), "adjacency").matrix, kind="circulant-dft")
+        s = build_shift(cycle_graph(12), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(s.basis())
@@ -403,7 +402,7 @@ class TestCheckValid:
     def test_moving_average_rows_are_real_on_a_dft_basis(self):
         # the map's rows depend on the frequency only, so the MA model on the
         # complex DFT basis has real rows: K(K+1)/2 equations and a real Gram
-        s = ShiftOperator(build_shift(mobius_ladder(36), "laplacian").matrix, kind="circulant-dft")
+        s = build_shift(mobius_ladder(36), "laplacian")
         assert np.iscomplexobj(s.basis().eigvecs)
         psi = build_psi_ma(s, 7)
         assert not psi.complex_rows
@@ -432,7 +431,7 @@ class TestCheckValid:
         assert report.min_singular > 0
 
     def test_cycle_ruler_valid(self):
-        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind="circulant-dft")
+        s = build_shift(cycle_graph(10), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(s.basis())
@@ -521,7 +520,7 @@ class TestSparseRulers:
 
     def test_rulers_give_valid_samplers_on_circulant_graphs(self):
         for n in range(6, 17):
-            s = ShiftOperator(build_shift(cycle_graph(n), "adjacency").matrix, kind="circulant-dft")
+            s = build_shift(cycle_graph(n), "adjacency")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
                 psi = build_psi_spectral(s.basis())
@@ -531,7 +530,7 @@ class TestSparseRulers:
 
 class TestMobiusLadder:
     def test_fifteen_node_designs_are_valid(self):
-        s = ShiftOperator(build_shift(mobius_ladder(80), "adjacency").matrix, kind="circulant-dft")
+        s = build_shift(mobius_ladder(80), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(s.basis())

@@ -38,7 +38,7 @@ from graphcov import (
 from graphcov import estimators
 from graphcov.cli import main
 from graphcov.estimators import nmse_db
-from graphcov.graphs import CIRCULANT_DFT, ShiftOperator, SpectralBasis
+from graphcov.graphs import SpectralBasis
 
 
 def mc_nmse(p_true, estimates):
@@ -55,7 +55,7 @@ def plain_model(matrix, kind="spectral"):
 
 def scalar_model():
     """The one-node spectral model: G = [[1]], the variance of a single sample."""
-    basis = SpectralBasis(eigvecs=np.eye(1), eigvals=np.zeros(1), distinct=True)
+    basis = SpectralBasis(eigvecs=np.eye(1), eigvals=np.zeros(1))
     return compress_model(build_psi_spectral(basis), Subsampler.full(1))
 
 
@@ -86,7 +86,7 @@ def k4_setup(request):
         s = build_shift(sensor_graph(9, seed=2), "laplacian")
         sampler = Subsampler(9, (1, 4, 7, 8))
     else:
-        s = ShiftOperator(build_shift(cycle_graph(7), "adjacency").matrix, kind=CIRCULANT_DFT)
+        s = build_shift(cycle_graph(7), "adjacency")
         sampler = Subsampler(7, (0, 1, 3, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)  # the cycle's DFT basis

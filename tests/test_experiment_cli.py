@@ -16,6 +16,7 @@ from graphcov import (
     RepeatedEigenvaluesWarning,
     Subsampler,
     build_psi_spectral,
+    build_shift,
     default_epsilon,
 )
 from graphcov.cli import main
@@ -23,7 +24,6 @@ from graphcov.experiment import (
     CSV_HEADER,
     ExperimentConfig,
     make_graph,
-    make_shift,
     rows_to_csv,
     run_experiment,
 )
@@ -101,7 +101,7 @@ class TestSamplerCommands:
         assert len(report["selected"]) == 5
         assert len(report["objective_trace"]) == 5
         assert report["min_singular"] > 0
-        cycle = make_shift(Graph.from_json(g.read_text()), "adjacency")
+        cycle = build_shift(Graph.from_json(g.read_text()), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(cycle.basis())
@@ -124,7 +124,7 @@ class TestSamplerCommands:
         assert report["valid"] is False
         assert report["rank"] == 7
         assert report["feasible"] is False
-        cycle = make_shift(Graph.from_json(g.read_text()), "adjacency")
+        cycle = build_shift(Graph.from_json(g.read_text()), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(cycle.basis())
@@ -237,7 +237,7 @@ class TestSignalAndEstimate:
         from graphcov import load_snapshots_csv, power_spectrum_from_cov, sample_covariance
 
         graph = Graph.from_json(open(sensor_graph_file).read())
-        shift = make_shift(graph, "laplacian")
+        shift = build_shift(graph, "laplacian")
         cov = sample_covariance(load_snapshots_csv(snaps))
         expected = power_spectrum_from_cov(shift.basis(), cov)
         npt.assert_allclose(report["power_spectrum"], expected, atol=1e-8)
@@ -496,6 +496,35 @@ class TestSignalAndEstimate:
         assert "moving-average" in capsys.readouterr().err
         assert not out.exists()
         assert run_cli(*common, "--method", "ls") == 0
+
+    def test_option_the_model_does_not_take_exit_code(self, sensor_graph_file, tmp_path, capsys):
+        # an option of another model is refused and named, not ignored
+        snaps = tmp_path / "snaps.csv"
+        run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--signal", "ma",
+            "--coeffs", "1,0.5", "--ns", "50", "--seed", "2", "--out", str(snaps),
+        )
+        sampler_path = tmp_path / "full.json"
+        sampler_path.write_text(Subsampler.full(16).to_json())
+        out = tmp_path / "o.json"
+        common = ["--graph", sensor_graph_file, "--out", str(out)]
+        estimate = ["estimate", "--snapshots", str(snaps)]
+        for argv, message in (
+            (["sampler", "design", "--model", "spectral", "--q", "99", "--k", "8"],
+             "model kind 'spectral' takes no key 'q'"),
+            ([*estimate, "--model", "spectral", "--sampler", str(sampler_path), "--p", "3", "--core", "1,2",
+              "--q", "7"], "model kind 'spectral' takes no key 'p'"),
+            ([*estimate, "--model", "spectral", "--sampler", str(sampler_path), "--core", "1,2"],
+             "takes --sampler, not --core"),
+            ([*estimate, "--model", "ma", "--q", "3", "--p", "1", "--sampler", str(sampler_path)],
+             "model kind 'ma' takes no key 'p'"),
+            ([*estimate, "--model", "ar", "--p", "1", "--sampler", str(sampler_path)],
+             "takes --core, not --sampler"),
+            ([*estimate, "--model", "ar", "--p", "1", "--q", "2"], "model kind 'ar' takes no key 'q'"),
+        ):
+            assert run_cli(*argv, *common) == 2, argv
+            assert message in capsys.readouterr().err, argv
+            assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -980,6 +1009,19 @@ class TestExperiment:
                  "methods": ["ls", "nnls"]},
                 "moving-average model's parameters are the coefficients b = h * h",
             ),
+            ({"model": {"kind": "spectral", "q": 5}}, "model kind 'spectral' takes no key 'q'"),
+            ({"model": {"kind": "ma", "q": 3, "p": 1}}, "model kind 'ma' takes no key 'p'"),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1, "q": 2},
+                 "samplers": [{"kind": "ar-core"}]},
+                "model kind 'ar' takes no key 'q'",
+            ),
+            ({"signal": {"kind": "ma", "h": [1, 0.5], "a": [0.3]}}, "signal kind 'ma' takes no key 'a'"),
+            (
+                {"signal": {"kind": "ar", "a": [0.2], "h": [1.0]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core"}]},
+                "signal kind 'ar' takes no key 'h'",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -991,7 +1033,8 @@ class TestExperiment:
              "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
              "output-not-string", "greedy-cost", "full-unknown-key", "sampler-name-not-string",
              "ar-core-misspelled-key",
-             "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls"],
+             "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls", "spectral-model-q",
+             "ma-model-p", "ar-model-q", "ma-signal-a", "ar-signal-h"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
@@ -1035,7 +1078,8 @@ class TestExperiment:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"methods": ["lsq"]}, {"n_snapshots": [0]}, {"model": {"kind": "ma", "q": 3}, "methods": ["nnls"]}],
+        [{"methods": ["lsq"]}, {"n_snapshots": [0]}, {"model": {"kind": "ma", "q": 3}, "methods": ["nnls"]},
+         {"model": {"kind": "spectral", "q": 5}}, {"signal": {"kind": "ma", "h": [1.0], "a": [0.3]}}],
     )
     def test_bad_method_and_snapshot_count_refused_at_construction(self, overrides):
         with pytest.raises(InvalidInputError):

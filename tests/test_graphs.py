@@ -6,8 +6,11 @@ from graphcov import (
     Graph,
     GraphFilter,
     InvalidInputError,
+    RepeatedEigenvaluesWarning,
     ShiftOperator,
+    SpectralBasis,
     apply_filter,
+    build_psi_spectral,
     build_shift,
     circulant_dft_basis,
     cycle_graph,
@@ -146,12 +149,70 @@ class TestCirculantDft:
         assert np.abs(off).max() < 1e-10
 
     def test_kind_dispatch(self):
-        s = ShiftOperator(build_shift(cycle_graph(6), "adjacency").matrix, kind="circulant-dft")
+        s = build_shift(cycle_graph(6), "adjacency")
         assert np.iscomplexobj(s.basis().eigvecs)
 
-    def test_kind_requires_circulant(self):
-        with pytest.raises(InvalidInputError):
-            ShiftOperator(build_shift(path_graph(3), "laplacian").matrix, kind="circulant-dft")
+
+def clusters(sorted_eigvals):
+    """Index runs of sorted eigenvalues closer than the distinctness gap."""
+    tol = 1e-8 * max(1.0, np.abs(sorted_eigvals).max())
+    cuts = np.flatnonzero(np.diff(sorted_eigvals) > tol) + 1
+    return np.split(np.arange(sorted_eigvals.size), cuts)
+
+
+CIRCULANT_GRAPHS = [cycle_graph(n) for n in range(5, 41)] + [mobius_ladder(n) for n in range(8, 37, 2)]
+
+
+class TestBasisFollowsMatrix:
+    @pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+    def test_circulant_shift_gets_the_dft_basis(self, kind):
+        # the DFT basis spans the same eigenspaces as eigh: equal sorted
+        # eigenvalues and equal spectral projectors per eigenvalue cluster
+        for graph in CIRCULANT_GRAPHS:
+            s = build_shift(graph, kind)
+            basis = s.basis()
+            dft = circulant_dft_basis(s)
+            npt.assert_array_equal(basis.eigvecs, dft.eigvecs)
+            npt.assert_array_equal(basis.eigvals, dft.eigvals)
+            ref = eigendecompose(s)
+            order = np.argsort(basis.eigvals, kind="stable")
+            u, lam = basis.eigvecs[:, order], basis.eigvals[order]
+            npt.assert_allclose(lam, ref.eigvals, rtol=0, atol=1e-12)
+            assert basis.distinct == ref.distinct
+            for idx in clusters(ref.eigvals):
+                proj = u[:, idx] @ u[:, idx].conj().T
+                ref_proj = ref.eigvecs[:, idx] @ ref.eigvecs[:, idx].T
+                npt.assert_allclose(proj, ref_proj, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+    def test_path_keeps_the_real_eigh_basis(self, kind):
+        s = build_shift(path_graph(7), kind)
+        assert not is_circulant(s.matrix)
+        basis = s.basis()
+        assert basis.eigvecs.dtype == float
+        npt.assert_array_equal(basis.eigvecs, eigendecompose(s).eigvecs)
+
+    def test_circulant_dft_basis_refuses_a_non_circulant_shift(self):
+        s = build_shift(path_graph(7), "adjacency")
+        with pytest.raises(InvalidInputError, match="not circulant"):
+            circulant_dft_basis(s)
+
+
+class TestDistinct:
+    def test_repeated_eigenvalue_is_not_distinct(self):
+        basis = SpectralBasis(np.eye(2), np.zeros(2))
+        assert not basis.distinct
+        with pytest.warns(RepeatedEigenvaluesWarning):
+            build_psi_spectral(basis)
+
+    @pytest.mark.parametrize("top", [0.5, 1.0, 40.0, -300.0])
+    def test_gap_rule_scales_with_the_largest_eigenvalue(self, top):
+        # distinct exactly when every gap exceeds 1e-8 * max(1, max|lam|)
+        tol = 1e-8 * max(1.0, abs(top))
+        for factor, expected in ((0.9, False), (1.1, True)):
+            eigvals = np.array([top, top + np.sign(top) * factor * tol, 0.1 * top])
+            basis = SpectralBasis(np.eye(3), eigvals)
+            assert basis.distinct is expected, (top, factor)
 
 
 class TestGft:

@@ -19,7 +19,6 @@ from graphcov import (
     build_shift,
     compress_model,
     cycle_graph,
-    default_ma_order,
     eigendecompose,
     ma_b_from_h,
     ls_estimate,
@@ -32,7 +31,6 @@ from graphcov import (
     vec,
 )
 from graphcov import models
-from graphcov.graphs import CIRCULANT_DFT
 
 
 def dense(psi):
@@ -43,7 +41,7 @@ def dense(psi):
 def random_orthogonal_basis(n, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+    return SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float))
 
 
 class TestSubsampler:
@@ -86,15 +84,10 @@ class TestSubsampler:
         assert s == Subsampler(5, (0, 3))
         assert Subsampler.from_json(s.to_json()) == s
 
-    def test_selection_matrix(self):
-        s = Subsampler(4, (1, 3))
-        phi = s.selection_matrix()
-        npt.assert_array_equal(phi, [[0, 1, 0, 0], [0, 0, 0, 1]])
-
 
 class TestPsiSpectral:
     def test_identity_basis(self):
-        basis = SpectralBasis(eigvecs=np.eye(2), eigvals=np.array([0.0, 1.0]), distinct=True)
+        basis = SpectralBasis(eigvecs=np.eye(2), eigvals=np.array([0.0, 1.0]))
         psi = build_psi_spectral(basis)
         expected = np.zeros((4, 2))
         expected[0, 0] = 1.0  # e1 kron e1
@@ -111,7 +104,7 @@ class TestPsiSpectral:
         for n in (3, 5, 8):
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             q, _ = np.linalg.qr(z)
-            basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+            basis = SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float))
             assert np.linalg.matrix_rank(dense(build_psi_spectral(basis))) == n
 
     def test_khatri_rao_identity(self):
@@ -133,7 +126,7 @@ class TestPsiSpectral:
         q, _ = np.linalg.qr(z)
         q[:, col] = q[:, 0]
         with pytest.raises(InvalidInputError, match="not orthonormal"):
-            SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float), distinct=True)
+            SpectralBasis(eigvecs=q, eigvals=np.arange(n, dtype=float))
 
     def test_warns_on_repeated_eigenvalues(self):
         basis = eigendecompose(ShiftOperator(np.eye(3)))
@@ -232,10 +225,6 @@ class TestMaCoefficients:
             h = rng.standard_normal(rng.integers(1, 6))
             npt.assert_allclose(ma_b_from_h(GraphFilter(h)), np.convolve(h, h), atol=1e-12)
 
-    def test_default_order(self):
-        assert default_ma_order(GraphFilter([1.0, 2.0, 3.0]), 100) == 5
-        assert default_ma_order(GraphFilter([1.0, 2.0, 3.0]), 4) == 4
-
 
 class TestCompressModel:
     def test_full_selection_is_identity_permutation(self):
@@ -253,7 +242,7 @@ class TestCompressModel:
         npt.assert_allclose(model.matrix[0], np.abs(basis.eigvecs[2, :]) ** 2, atol=1e-12)
 
     def test_cycle_ruler_full_rank(self):
-        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind="circulant-dft")
+        s = build_shift(cycle_graph(10), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             psi = build_psi_spectral(s.basis())
@@ -314,7 +303,7 @@ class TestCompressModel:
         if kind == "real":
             s = build_shift(sensor_graph(12, seed=4), "laplacian")
         else:
-            s = ShiftOperator(build_shift(cycle_graph(12), "adjacency").matrix, kind=CIRCULANT_DFT)
+            s = build_shift(cycle_graph(12), "adjacency")
         if kind == "ma":
             psi = build_psi_ma(s, 5)
             full = np.column_stack([vec(np.linalg.matrix_power(s.matrix, k)) for k in range(5)])
@@ -338,7 +327,7 @@ class TestCompressModel:
         if block_rows is not None:
             monkeypatch.setattr(models, "_BLOCK_ROWS", block_rows)
         if graph == "mobius36-dft":
-            s = ShiftOperator(build_shift(mobius_ladder(36), "laplacian").matrix, kind=CIRCULANT_DFT)
+            s = build_shift(mobius_ladder(36), "laplacian")
             assert np.iscomplexobj(s.basis().eigvecs)
         else:
             s = build_shift(sensor_graph(30, seed=7), "laplacian")
@@ -383,7 +372,7 @@ class TestObservationModel:
         npt.assert_allclose(ls_estimate(model, model.matrix @ theta).theta, theta, atol=1e-12)
 
     def test_diagnostics_match_real_stacked_svd(self):
-        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind=CIRCULANT_DFT)
+        s = build_shift(cycle_graph(10), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             model = compress_model(build_psi_spectral(s.basis()), Subsampler(10, (0, 1, 4, 7, 9)))
@@ -394,7 +383,7 @@ class TestObservationModel:
         npt.assert_allclose(model.pinv, np.linalg.pinv(stacked), atol=1e-12)
 
     def test_reduced_factor_and_stack(self):
-        s = ShiftOperator(build_shift(cycle_graph(10), "adjacency").matrix, kind=CIRCULANT_DFT)
+        s = build_shift(cycle_graph(10), "adjacency")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             model = compress_model(build_psi_spectral(s.basis()), Subsampler(10, (0, 1, 4, 7, 9)))
