@@ -64,8 +64,6 @@ from .graphs import (
     cycle_graph,
     eigendecompose,
     frequency_response,
-    gft,
-    igft,
     is_circulant,
     mobius_ladder,
     path_graph,
@@ -91,7 +89,6 @@ from .stationary import (
     power_spectrum_from_cov,
     sample_covariance,
     save_snapshots_csv,
-    stationarity_score,
     true_covariance,
 )
 

@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator, SpectralBasis, _is_int, _rng, vandermonde
+from .graphs import Graph, ShiftOperator, SpectralBasis, _check_ints, vandermonde
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
-from .stationary import CovarianceMatrix, SnapshotMatrix, sample_covariance
+from .stationary import CovarianceMatrix, SnapshotMatrix, _realise, sample_covariance
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ def _hop_sets(shift: ShiftOperator, nodes, order: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def _check_ints(values, low: int, high, what: str) -> None:
-    """Refuse any of ``values`` that is not an integer (``_is_int``, no bool or float) in ``[low, high)``."""
-    bad = [v for v in values if not (_is_int(v) and low <= v < high)]
-    if bad:
-        raise InvalidInputError(f"{what} must be an integer in [{low}, {high}), got {bad[0]!r}")
-
-
 def neighborhood(shift: ShiftOperator, node: int, p: int) -> tuple[int, ...]:
     """Nodes reachable in exactly-p applications of the shift pattern."""
     _check_ints((node,), 0, shift.n, "node")
@@ -145,12 +138,19 @@ def sample_ar_covariances(scheme: ARSamplingScheme, snapshots) -> CovarianceMatr
     """Sample covariance of the scheme's distinct nodes.
 
     ``snapshots`` is a SnapshotMatrix, whose rows are picked by node index,
-    or a full N x N_s array, whose rows are the nodes 0..N-1.
+    or a full N x N_s array, whose rows are the nodes 0..N-1; an array
+    with another row count is refused, since its rows name no nodes.
     """
     nodes = scheme.distinct_nodes
     if isinstance(snapshots, SnapshotMatrix):
         return sample_covariance(snapshots.rows(nodes))
     x = np.atleast_2d(np.asarray(snapshots, dtype=float))
+    n = scheme.levels[0].n_nodes
+    if x.shape[0] != n:
+        raise InvalidInputError(
+            f"a plain array must hold all {n} nodes, got {x.shape[0]} rows; "
+            "pass the rows of some nodes as a SnapshotMatrix"
+        )
     return sample_covariance(x[list(nodes)])
 
 
@@ -251,15 +251,12 @@ def generate_ar_signals(
 ) -> np.ndarray:
     """AR realizations ``H n`` on the nodes ``nodes`` (all by default), one column per snapshot.
 
-    The white noise ``n`` is always drawn on all N nodes, from
+    The white noise ``n`` is drawn on all N nodes, from
     ``numpy.random.default_rng(seed).standard_normal((N, N_s))``, and only
     the rows ``nodes`` of the transfer (:func:`ar_transfer_matrix`, from
-    the eigendecomposition) are applied to it. So for one seed the result
-    equals the rows ``nodes`` of the full realization, while a study that
-    observes few nodes pays for those rows only.
+    the eigendecomposition) are applied to it, by the same rule as
+    :func:`graphcov.stationary.generate_signals`. So for one seed the
+    result equals the rows ``nodes`` of the full realization, while a
+    study that observes few nodes pays for those rows only.
     """
-    if n_snapshots < 1:
-        raise InvalidInputError("n_snapshots must be >= 1")
-    transfer = ar_transfer_matrix(shift, coeffs, nodes)
-    noise = _rng(seed).standard_normal((shift.n, n_snapshots))
-    return transfer @ noise
+    return _realise(shift, ar_transfer_matrix(shift, coeffs, nodes), n_snapshots, seed)

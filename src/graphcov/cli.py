@@ -56,11 +56,12 @@ EXIT_CAPABILITY = 4
 
 
 def _write(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _load_graph(path: str) -> Graph:
@@ -144,18 +145,17 @@ def cmd_signal_gen(args) -> int:
     graph = _load_graph(args.graph)
     shift = build_shift(graph, args.shift)
     coeffs = _parse_floats(args.coeffs)
-    if args.signal == "ma":
-        data = generate_signals(shift, GraphFilter(coeffs), args.ns, args.seed)
-    else:
-        data = armod.generate_ar_signals(shift, coeffs, args.ns, args.seed)
     nodes = tuple(range(shift.n))
     if args.sampler:
         with open(args.sampler) as fh:
             sampler = Subsampler.from_json(fh.read())
         if sampler.n_nodes != shift.n:
             raise InvalidInputError(f"sampler has {sampler.n_nodes} nodes, the graph {shift.n}")
-        data = data[list(sampler.selected)]
         nodes = sampler.selected
+    if args.signal == "ma":
+        data = generate_signals(shift, GraphFilter(coeffs), args.ns, args.seed, nodes)
+    else:
+        data = armod.generate_ar_signals(shift, coeffs, args.ns, args.seed, nodes)
     save_snapshots_csv(args.out, SnapshotMatrix(data, nodes))
     return 0
 
@@ -302,10 +302,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except GraphCovError as exc:
+    except (GraphCovError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

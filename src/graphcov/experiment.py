@@ -379,18 +379,17 @@ class _Pipeline:
     # -- per-trial work ---------------------------------------------------
 
     def generate(self, n_snapshots: int, seed) -> SnapshotMatrix:
-        """One trial's realization: of ``observed_nodes`` for an AR signal, of all nodes otherwise.
+        """One trial's realization of ``observed_nodes``, the nodes some cell reads.
 
-        An AR realization is the transfer's rows applied to white noise, so
-        only the rows some cell reads are computed; a filtered (MA) signal
-        needs the noise shifted over the whole graph either way.
+        Both signal kinds draw the noise on all N nodes and apply only the
+        transfer rows of those nodes, so a trial holds only the rows its cells read.
         """
+        nodes = self.observed_nodes
         if self.ar_coeffs is not None:
-            nodes = self.observed_nodes
             data = armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed, nodes)
-            return SnapshotMatrix(data, nodes)
-        data = generate_signals(self.shift, self.filt, n_snapshots, seed)
-        return SnapshotMatrix(data, range(self.shift.n))
+        else:
+            data = generate_signals(self.shift, self.filt, n_snapshots, seed, nodes)
+        return SnapshotMatrix(data, nodes)
 
     def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
         """Fill ``sqerr[:, :, trial]`` for one trial; NaN stays where an estimate failed."""

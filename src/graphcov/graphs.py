@@ -29,6 +29,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_ints(values, low: int, high, what: str) -> None:
+    """Refuse any of ``values`` that is not an integer (``_is_int``, no bool or float) in ``[low, high)``."""
+    bad = [v for v in values if not (_is_int(v) and low <= v < high)]
+    if bad:
+        raise InvalidInputError(f"{what} must be an integer in [{low}, {high}), got {bad[0]!r}")
+
+
 def _rng(seed) -> np.random.Generator:
     """``numpy.random.default_rng(seed)``; a seed numpy refuses, such as -1, is invalid input."""
     try:
@@ -286,22 +293,6 @@ def _dft_basis(matrix: np.ndarray) -> SpectralBasis:
     basis = SpectralBasis(eigvecs=u, eigvals=eigvals.real)
     _check_basis(basis, matrix)
     return basis
-
-
-def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform ``U^H x``."""
-    x = np.asarray(x)
-    if x.shape[0] != basis.n:
-        raise InvalidInputError(f"signal length {x.shape[0]} != basis size {basis.n}")
-    return basis.eigvecs.conj().T @ x
-
-
-def igft(basis: SpectralBasis, x_f: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform ``U x_f``."""
-    x_f = np.asarray(x_f)
-    if x_f.shape[0] != basis.n:
-        raise InvalidInputError(f"spectrum length {x_f.shape[0]} != basis size {basis.n}")
-    return basis.eigvecs @ x_f
 
 
 def apply_filter(shift: ShiftOperator, filt: GraphFilter, x: np.ndarray) -> np.ndarray:

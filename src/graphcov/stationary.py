@@ -3,7 +3,11 @@
 A second-order stationary graph signal has a covariance matrix that is
 diagonal in the spectral basis of the shift operator; the diagonal is
 the graph power spectrum. Signals with a prescribed spectrum are
-generated by filtering white noise.
+generated by filtering white noise, ``x = H n``. Moving-average signals
+(:func:`generate_signals`) and autoregressive ones
+(:func:`graphcov.ar.generate_ar_signals`) follow one rule: the noise is
+drawn on all N nodes and only the rows of H for the requested nodes are
+applied to it, so a study's trial realises only the nodes its cells read.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _rng, apply_filter
+from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _check_ints, _rng, apply_filter
 
 TRUE = "true"
 SAMPLE = "sample"
@@ -100,23 +104,40 @@ def true_covariance(shift: ShiftOperator, filt: GraphFilter) -> CovarianceMatrix
     return CovarianceMatrix(h_mat @ h_mat.T, kind=TRUE)
 
 
+def _realise(shift: ShiftOperator, transfer: np.ndarray, n_snapshots: int, seed) -> np.ndarray:
+    """``transfer @ n`` for ``n = default_rng(seed).standard_normal((N, N_s))``, drawn on all N nodes.
+
+    ``transfer`` holds the rows of H for the requested nodes, so the
+    noise stream, and each node's realization, does not depend on which
+    nodes are requested. A snapshot count that is not an integer >= 1 is
+    refused.
+    """
+    _check_ints((n_snapshots,), 1, np.inf, "n_snapshots")
+    return transfer @ _rng(seed).standard_normal((shift.n, n_snapshots))
+
+
 def generate_signals(
     shift: ShiftOperator,
     filt: GraphFilter,
     n_snapshots: int,
     seed,
+    nodes=None,
 ) -> np.ndarray:
-    """Generate N x N_s realizations by filtering standard-normal noise.
+    """Realizations ``H n`` of the filtered noise on ``nodes`` (all by default), one column per snapshot.
 
     The noise comes from ``numpy.random.default_rng(seed)`` (PCG64), which
     is stable across platforms, so output is reproducible. ``seed`` may
-    be a non-negative int or a ``SeedSequence``.
+    be a non-negative int or a ``SeedSequence``. S is symmetric, so the
+    rows ``nodes`` of ``H = sum_k h_k S^k`` are the filter applied to the
+    identity's columns ``nodes``; only those rows are applied to the
+    noise. ``nodes`` may repeat and come in any order, and for one seed
+    the result equals those rows of the full realization, up to rounding.
     """
-    if n_snapshots < 1:
-        raise InvalidInputError("n_snapshots must be >= 1")
-    rng = _rng(seed)
-    noise = rng.standard_normal((shift.n, n_snapshots))
-    return apply_filter(shift, filt, noise)
+    identity = np.eye(shift.n)
+    if nodes is not None:
+        _check_ints(nodes, 0, shift.n, "node")
+        identity = identity[:, list(nodes)]
+    return _realise(shift, apply_filter(shift, filt, identity).T, n_snapshots, seed)
 
 
 def sample_covariance(snapshots, demean: bool = False) -> CovarianceMatrix:
@@ -147,23 +168,6 @@ def power_spectrum_from_cov(basis: SpectralBasis, cov: CovarianceMatrix) -> np.n
         raise InvalidInputError(f"covariance size {r.shape[0]} != basis size {basis.n}")
     u = basis.eigvecs
     return np.real(np.einsum("ni,nm,mi->i", u.conj(), r, u))
-
-
-def stationarity_score(basis: SpectralBasis, cov: CovarianceMatrix) -> float:
-    """Fraction of covariance energy on the diagonal of the spectral basis.
-
-    1.0 means exactly stationary (the covariance is diagonalized by the
-    basis); the zero matrix scores 1.0 by convention.
-    """
-    r = cov.matrix
-    if r.shape[0] != basis.n:
-        raise InvalidInputError(f"covariance size {r.shape[0]} != basis size {basis.n}")
-    spectral = basis.eigvecs.conj().T @ r @ basis.eigvecs
-    total = float(np.sum(np.abs(spectral) ** 2))
-    if total == 0.0:
-        return 1.0
-    diag = float(np.sum(np.abs(np.diag(spectral)) ** 2))
-    return diag / total
 
 
 # --- Snapshot CSV ---------------------------------------------------------

@@ -374,3 +374,14 @@ class TestSpectrum:
             )
         with pytest.raises(InvalidInputError, match="missing nodes"):
             sample_ar_covariances(schemes[0], SnapshotMatrix(x[:2], (0, 1)))
+
+    def test_plain_array_without_every_node_refused(self):
+        # a plain array's rows are read as nodes 0..N-1, so a shorter one would
+        # hand another node's data to the scheme's higher nodes
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        scheme = build_ar_scheme(s, (0,), 1)
+        assert scheme.distinct_nodes == (0, 2, 7, 8, 9, 13, 14)
+        x = generate_ar_signals(s, [0.1], 300, seed=4)
+        for rows in (list(range(15)), [*range(14), 19]):
+            with pytest.raises(InvalidInputError, match="SnapshotMatrix"):
+                sample_ar_covariances(scheme, x[rows])

@@ -297,6 +297,26 @@ class TestSignalAndEstimate:
         assert f"sampler has {sampler['n']} nodes, the graph 12" in capsys.readouterr().err
         assert not snaps.exists()
 
+    @pytest.mark.parametrize("signal, coeffs", [("ma", "1,0.5,0.2"), ("ar", "0.1")])
+    def test_signal_gen_sampler_keeps_columns_of_full_output(self, sensor_graph_file, tmp_path,
+                                                             signal, coeffs):
+        from graphcov import load_snapshots_csv
+
+        sampler_path = tmp_path / "s.json"
+        sampler_path.write_text(Subsampler(16, (1, 4, 9, 15)).to_json())
+        snaps = {}
+        for name, extra in (("full", []), ("sampled", ["--sampler", str(sampler_path)])):
+            path = tmp_path / f"{name}.csv"
+            assert run_cli(
+                "signal", "gen", "--graph", sensor_graph_file, "--shift", "adjacency",
+                "--signal", signal, "--coeffs", coeffs, "--ns", "50", "--seed", "3",
+                *extra, "--out", str(path),
+            ) == 0
+            snaps[name] = load_snapshots_csv(path)
+        assert snaps["sampled"].node_indices == (1, 4, 9, 15)
+        full = snaps["full"].rows((1, 4, 9, 15))
+        npt.assert_allclose(snaps["sampled"].data, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
     @pytest.mark.parametrize("signal, coeffs", [("ma", "1,0.5"), ("ar", "0.1")])
     def test_signal_gen_negative_seed_exit_code(self, sensor_graph_file, tmp_path, capsys,
                                                 signal, coeffs):
@@ -876,6 +896,44 @@ class TestExperiment:
         assert data.node_indices == tuple(union)
         full = generate_ar_signals(pipe.shift, [0.1], 50, np.random.SeedSequence((11, 0, 0)))
         npt.assert_allclose(data.data, full[union], rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"samplers": [{"kind": "full"}, {"kind": "greedy", "k": 8}]},
+            {
+                "graph": {"kind": "mobius", "n": 12},
+                "shift": "adjacency",
+                "samplers": [{"kind": "ruler"}, {"kind": "greedy", "k": 5}],
+            },
+            {
+                "graph": {"kind": "sensor", "n": 20, "seed": 7},
+                "shift": "adjacency",
+                "signal": {"kind": "ar", "a": [0.1]},
+                "model": {"kind": "ar", "p": 1},
+                "samplers": [{"kind": "ar-core", "k0": 1}, {"kind": "ar-core", "core": [5]}],
+            },
+        ],
+        ids=["ma-sensor-full-greedy", "ma-mobius-ruler-greedy", "ar-core"],
+    )
+    def test_trials_realise_only_observed_nodes(self, monkeypatch, overrides):
+        # every realization of a study holds the rows some cell reads, and no others
+        import graphcov.ar
+        import graphcov.experiment
+        from graphcov.experiment import _Pipeline
+
+        cfg = ExperimentConfig(**base_config(n_trials=2, **overrides))
+        observed = _Pipeline(cfg).observed_nodes
+        rows = []
+        for module, name in ((graphcov.experiment, "generate_signals"), (graphcov.ar, "generate_ar_signals")):
+            def traced(*args, _original=getattr(module, name), **kwargs):
+                data = _original(*args, **kwargs)
+                rows.append(data.shape[0])
+                return data
+
+            monkeypatch.setattr(module, name, traced)
+        run_experiment(cfg)
+        assert rows == [len(observed)] * 2
 
     def test_ar_model_threaded_determinism(self):
         cfg_dict = base_config(

@@ -10,15 +10,16 @@ from graphcov import (
     build_shift,
     cycle_graph,
     frequency_response,
+    generate_ar_signals,
     generate_signals,
     load_snapshots_csv,
     ma_b_from_h,
+    mobius_ladder,
     path_graph,
     power_spectrum_from_cov,
     sample_covariance,
     save_snapshots_csv,
     sensor_graph,
-    stationarity_score,
     true_covariance,
 )
 
@@ -102,6 +103,50 @@ class TestGenerateSignals:
         assert np.abs(r_hat - np.eye(20)).max() < 0.1
 
 
+# The two generators share one realisation rule; each case is (signal kind, shift, coefficients).
+GENERATORS = {
+    "ma": lambda shift, coeffs, *args: generate_signals(shift, GraphFilter(coeffs), *args),
+    "ar": generate_ar_signals,
+}
+REALISE_CASES = {
+    "ma-sensor30-laplacian": ("ma", lambda: build_shift(sensor_graph(30, seed=7), "laplacian"), [1.0, 0.5, -0.2]),
+    "ma-mobius36-adjacency": ("ma", lambda: build_shift(mobius_ladder(36), "adjacency"), [1.0, 0.5, -0.2]),
+    "ar-sensor60-adjacency": ("ar", lambda: build_shift(sensor_graph(60, seed=7), "adjacency"), [0.1]),
+}
+
+
+class TestRealise:
+    @pytest.mark.parametrize("case", list(REALISE_CASES))
+    def test_node_rows_equal_full_realization_rows(self, case):
+        kind, make_shift, coeffs = REALISE_CASES[case]
+        shift = make_shift()
+        nodes = [17, 3, 25, 3, 0, 11]  # unsorted, with a repeat
+        seed = np.random.SeedSequence((4, 1, 2))
+        full = GENERATORS[kind](shift, coeffs, 300, seed)
+        part = GENERATORS[kind](shift, coeffs, 300, seed, nodes)
+        assert full.shape == (shift.n, 300) and part.shape == (len(nodes), 300)
+        npt.assert_allclose(part, full[nodes], rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    @pytest.mark.parametrize("node", [1.5, True, -1, 10], ids=["fractional", "bool", "negative", "n"])
+    def test_bad_node_refused(self, kind, node):
+        shift = build_shift(cycle_graph(10), "adjacency")
+        with pytest.raises(InvalidInputError, match=r"node must be an integer in \[0, 10\)"):
+            GENERATORS[kind](shift, [0.1], 5, 0, [2, node])
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    @pytest.mark.parametrize("count", [2.5, True, "3", 0], ids=["fractional", "bool", "string", "zero"])
+    def test_bad_snapshot_count_refused(self, kind, count):
+        shift = build_shift(cycle_graph(10), "adjacency")
+        with pytest.raises(InvalidInputError, match="n_snapshots must be an integer"):
+            GENERATORS[kind](shift, [0.1], count, 0)
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_numpy_integer_count_accepted(self, kind):
+        shift = build_shift(cycle_graph(10), "adjacency")
+        assert GENERATORS[kind](shift, [0.1], np.int64(3), 0).shape == (10, 3)
+
+
 class TestSampleCovariance:
     def test_single_column(self):
         y = np.array([[1.0], [2.0]])
@@ -155,46 +200,6 @@ class TestPowerSpectrum:
         h = GraphFilter([1.0, -0.4, 0.2])
         p = power_spectrum_from_cov(basis, true_covariance(s, h))
         npt.assert_allclose(p, np.abs(frequency_response(basis.eigvals, h)) ** 2, atol=1e-8)
-
-
-class TestStationarityScore:
-    def test_stationary_is_one(self):
-        basis = build_shift(sensor_graph(8, seed=1), "laplacian").basis()
-        p = np.linspace(0.5, 2.0, 8)
-        cov = CovarianceMatrix((basis.eigvecs * p) @ basis.eigvecs.conj().T, kind="true")
-        assert stationarity_score(basis, cov) > 1 - 1e-10
-
-    def test_off_diagonal_energy_lowers_score(self):
-        basis = build_shift(sensor_graph(8, seed=1), "laplacian").basis()
-        u = basis.eigvecs
-        r = np.outer(u[:, 0], u[:, 1]) + np.outer(u[:, 1], u[:, 0]) + 2 * np.eye(8)
-        assert stationarity_score(basis, CovarianceMatrix(r, kind="true")) < 1.0
-
-    def test_all_ones_on_complete_graph(self):
-        # J = N u1 u1^T with u1 the constant vector of the complete-graph Laplacian
-        from graphcov import Graph
-
-        edges = tuple((i, j, 1.0) for i in range(4) for j in range(i + 1, 4))
-        basis = build_shift(Graph(4, edges), "laplacian").basis()
-        score = stationarity_score(basis, CovarianceMatrix(np.ones((4, 4)), kind="true"))
-        assert score > 1 - 1e-10
-
-    def test_zero_matrix(self):
-        basis = build_shift(path_graph(2), "laplacian").basis()
-        assert stationarity_score(basis, CovarianceMatrix(np.zeros((2, 2)), kind="true")) == 1.0
-
-    def test_filtering_preserves_stationarity(self):
-        rng = np.random.default_rng(11)
-        s = build_shift(sensor_graph(10, seed=8), "laplacian")
-        basis = s.basis()
-        p = rng.random(10) + 0.2
-        r = (basis.eigvecs * p) @ basis.eigvecs.conj().T
-        for _ in range(5):
-            h = rng.standard_normal(3)
-            h_mat = sum(hk * np.linalg.matrix_power(s.matrix, k) for k, hk in enumerate(h))
-            filtered = h_mat @ r @ h_mat.T
-            score = stationarity_score(basis, CovarianceMatrix(filtered, kind="true"))
-            assert score > 1 - 1e-8
 
 
 class TestSnapshotCsv:
