@@ -128,8 +128,15 @@ def core_by_degree(graph: Graph, k0: int = 1) -> tuple[int, ...]:
 
 
 def true_ar_covariances(scheme: ARSamplingScheme, cov) -> CovarianceMatrix:
-    """Covariance of the scheme's distinct nodes, cut from a full N x N covariance."""
+    """Covariance of the scheme's distinct nodes, cut from a full N x N covariance.
+
+    A matrix of any other shape is refused, since its rows and columns name
+    no nodes.
+    """
     matrix = cov.matrix if isinstance(cov, CovarianceMatrix) else np.asarray(cov)
+    n = scheme.levels[0].n_nodes
+    if matrix.shape != (n, n):
+        raise InvalidInputError(f"need the full {n} x {n} covariance, got shape {matrix.shape}")
     nodes = list(scheme.distinct_nodes)
     return CovarianceMatrix(matrix[np.ix_(nodes, nodes)], kind="true")
 

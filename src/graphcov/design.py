@@ -10,19 +10,22 @@ model matrix is never formed. The objective is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
 submodular maximization does not apply. Each greedy step still scores
-every candidate exactly. A candidate keeps its model rows raw, and a row
-once appended is never rewritten. On a spectral model it also keeps the
-small Gram of its rows against the inverse loaded Gram, and a pick, a
-rank-r update of the loaded Gram, downdates every such Gram by the
-Woodbury identity with one GEMM against a shared M x r factor: the
-incremental update of fast greedy MAP inference for determinantal point
-processes (Chen, Zhang & Zhou, NeurIPS 2018), in blocks. A step costs
-about 2 N r^2 M flops for r rows per candidate. A moving-average model,
-with its few parameters, whitens the rows against a fresh Cholesky
-factor each step instead (see :func:`greedy_design`). For circulant shift
-operators the problem has a closed combinatorial answer: node sets whose
-pairwise differences cover 0..N-1 (sparse rulers) are valid, and minimal
-rulers give the best compression.
+every candidate exactly. No candidate's rows are stored: row (j, s) of
+the model is ``conj(u_j) * u_s`` for basis rows u (times the map, for a
+mapped model), so every product of a candidate's rows with a matrix is a
+GEMM of the candidates' basis rows against a factor built from the
+picks' basis rows (:meth:`~graphcov.models.CovarianceModel.pair_products`).
+On a spectral model a candidate keeps the small Gram of its rows against
+the inverse loaded Gram, and a pick, a rank-r update of the loaded Gram,
+downdates every such Gram by the Woodbury identity with one such GEMM:
+the incremental update of fast greedy MAP inference for determinantal
+point processes (Chen, Zhang & Zhou, NeurIPS 2018), in blocks. A step
+costs about 2 N r^2 M flops for r rows per candidate. A moving-average
+model, with its few parameters, whitens the rows against a fresh
+Cholesky factor each step instead (see :func:`greedy_design`). For
+circulant shift operators the problem has a closed combinatorial answer:
+node sets whose pairwise differences cover 0..N-1 (sparse rulers) are
+valid, and minimal rulers give the best compression.
 """
 
 from __future__ import annotations
@@ -147,6 +150,28 @@ def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
     return int(tied[np.argmin(nodes[tied])])
 
 
+def _fold(pairs: np.ndarray, parts: int) -> np.ndarray:
+    """Folded real rows from pair rows, or from their products: ``sqrt(2)``
+    times the real part, and with two parts the imaginary part after it,
+    pick by pick along the second to last axis."""
+    if parts == 1:
+        return np.sqrt(2.0) * np.real(pairs)
+    folded = np.stack([pairs.real, pairs.imag], axis=-2)
+    return np.sqrt(2.0) * folded.reshape(*pairs.shape[:-2], -1, pairs.shape[-1])
+
+
+def _products(psi: CovarianceModel, parts: int, picks, nodes, diagonal, w) -> np.ndarray:
+    """``Z_s w`` for every node s, len(nodes) x r x c: the products of its
+    folded rows, its self-pair row ``diagonal`` and its rows with
+    ``picks``, with a real w, M x c or one per node. The picks go in
+    chunks of at most ``_BLOCK_ROWS / c``, which bounds a shared w's
+    factor by a block."""
+    head = (diagonal @ w)[:, None] if w.ndim == 2 else diagonal[:, None, :] @ w
+    per_chunk = max(1, _BLOCK_ROWS // w.shape[-1])
+    pairs = (psi.pair_products(picks[lo : lo + per_chunk], nodes, w) for lo in range(0, len(picks), per_chunk))
+    return np.concatenate([head, *(_fold(p, parts) for p in pairs)], axis=1)
+
+
 def greedy_design(problem: DesignProblem) -> DesignResult:
     """Greedy log-det sampler design: K augmentation steps, each of which
     scores every remaining candidate exactly.
@@ -159,104 +184,120 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     model are conjugate, so together they add ``2(a^T a + b^T b)`` to the
     Gram, with ``z = a + ib``. A candidate s therefore brings the real
     rows ``Re z_ss`` and, per selected j, ``sqrt(2) Re z_js`` and (complex
-    rows only) ``sqrt(2) Im z_js``. They are stored raw, as ``z[:, s]``,
-    and a row once appended is never rewritten. With T the Gram of the
-    selected rows, the gain of s is ``logdet(I + Z_s C Z_s^T)``, with
-    ``C = (eps I + T)^{-1}``.
+    rows only) ``sqrt(2) Im z_js``. With T the Gram of the selected rows,
+    the gain of s is ``logdet(I + Z_s C Z_s^T)``, with
+    ``C = (eps I + T)^{-1}``. No row is stored. A product ``Z_s w`` with a
+    real w is ``Re z_ss w`` and the parts of ``z_js w``, which
+    :meth:`~graphcov.models.CovarianceModel.pair_products` gives for every
+    live candidate as one GEMM of their basis rows against
+    ``[diag(conj(u_j)) w]_j``, an N x t c factor for t picks and a w of c
+    columns (one complex GEMM gives both parts on a complex basis).
 
-    On a spectral model, candidate s keeps its small Gram
-    ``G_s = Z_s C Z_s^T``, r x r for its r rows, and its gain comes from
-    one batched Cholesky. A pick with rows ``Z_p`` and ``L L^T = I + G_p``
-    adds ``Z_p^T Z_p`` to T, so by the Woodbury identity C loses
-    ``bw bw^T`` with ``bw = C Z_p^T L^{-T}`` (M x r), and every ``G_s``
-    loses ``(Z_s bw)(Z_s bw)^T``: r GEMMs of the live candidates' rows
-    against bw. The rows the pick adds to each candidate get the Gram
-    entries ``Z_s C z``, from ``C z`` and one rowwise product. A step costs
-    about ``2 N r^2 M`` flops for the downdate, ``N r^3`` for the small
-    Grams and ``2 N M^2`` per appended row. The spectral Gram is at most
-    the full one, the identity, so ``cond(eps I + T)`` stays below
+    On a spectral model, candidate s keeps ``I + G_s``, with its small
+    Gram ``G_s = Z_s C Z_s^T``, r x r for its r rows, and its gain comes
+    from one batched Cholesky. A pick with rows ``Z_p`` and
+    ``L L^T = I + G_p`` adds ``Z_p^T Z_p`` to T, so by the Woodbury
+    identity C loses ``bw bw^T`` with ``bw = C Z_p^T L^{-T}`` (M x r), and
+    every ``G_s`` loses ``(Z_s bw)(Z_s bw)^T``: one product with a shared
+    w. The rows z the pick adds to each candidate get the Gram entries
+    ``Z_s C z``: ``z C`` is one GEMM of the pick's rows with the
+    candidates, ``rows(pick, s)``, against C, and ``Z_s (z C)^T`` one
+    product with a per-node w. A step costs about ``2 N r^2 M`` flops for
+    the downdate (twice that on a complex basis, whose rows are formed
+    from two real parts each), ``N r^3`` for the small Grams and
+    ``2 N M^2`` per appended row. The spectral Gram is at most the full
+    one, the identity, so ``cond(eps I + T)`` stays below
     ``(1 + eps) / eps``, which bounds the digits the downdates lose.
 
     A mapped model's Gram has no such bound: its Vandermonde columns grow
     as powers of the eigenvalues, and downdated Grams lose digits in
     proportion to ``cond(eps I + T)``. Its M is small, so each step
     instead whitens every candidate's rows against a fresh Cholesky
-    factor, ``Y_s = Z_s F^{-T}`` with ``F F^T = eps I + T``, and scores
-    ``logdet(I + Y_s Y_s^T)``, or the equal ``logdet(I + Y_s^T Y_s)`` once
-    r exceeds M: about ``4 N r M^2`` flops a step.
+    factor, ``Y_s = Z_s F^{-T}`` with ``F F^T = eps I + T``, the product
+    with ``w = F^{-T}``, and scores ``logdet(I + Y_s Y_s^T)``, or the equal
+    ``logdet(I + Y_s^T Y_s)`` once r exceeds M: about ``4 N r M^2`` flops
+    a step.
 
-    Picks are swap-removed, and the passes over the candidates run in
-    blocks of at most ``_BLOCK_ROWS`` rows.
+    Picks are swap-removed. Each pass over the candidates runs in blocks,
+    whose working arrays hold at most ``_BLOCK_ROWS`` x N floats. Besides
+    them the greedy holds the Grams, N r^2 floats, C and the candidates'
+    self-pair rows, M^2 and N M floats, and no array grows with N K M.
     """
     psi = problem.psi
     n, m, k = problem.n_nodes, psi.n_params, problem.k
     eps = default_epsilon(psi)
-    parts = (np.real, np.imag) if psi.complex_rows else (np.real,)
+    parts = 2 if psi.complex_rows else 1  # real rows per pair: Re, and Im for complex rows
     spectral = psi.param_map is None
     candidates = np.arange(n)
-    z = np.empty((1 + len(parts) * (k - 1), n, m))
-    z[0] = np.real(psi.rows(candidates, candidates))
+    diagonals = np.empty((n, m))  # the self-pair rows Re z_ss, swap-removed with the candidates
+    for start in range(0, n, _BLOCK_ROWS):
+        nodes = candidates[start : start + _BLOCK_ROWS]
+        diagonals[start : start + _BLOCK_ROWS] = np.real(psi.rows(nodes, nodes))
     if spectral:
-        grams = np.empty((n, len(z), len(z)))
-        grams[:, 0, 0] = np.einsum("sm,sm->s", z[0], z[0]) / eps
+        width = 1 + parts * (k - 1)
+        grams = np.empty((n, width, width))  # I + G_s, loaded with the identity once
+        grams[:, 0, 0] = 1.0 + np.einsum("sm,sm->s", diagonals, diagonals) / eps
         c = np.eye(m) / eps  # (eps I + T)^{-1}
     else:
         loaded = eps * np.eye(m)  # eps I + T
-    selected: list[int] = []
+    order = np.empty(k, dtype=int)  # the picks, in the order made
     trace = []
     total = 0.0
     for step in range(k):
         live = n - step
-        r = 1 + len(parts) * step
-        per_block = max(1, _BLOCK_ROWS // r)
+        r = 1 + parts * step
+        picks = order[:step]  # before this step's pick
+        # candidates per pass: each pass's arrays hold at most _BLOCK_ROWS x N floats
+        per_block = max(1, _BLOCK_ROWS * n // max(n, r * (r if spectral else m)))
         if not spectral:
             white = np.linalg.inv(np.linalg.cholesky(loaded)).T  # F^{-T}
         gains = np.empty(live)
         for start in range(0, live, per_block):
             stop = min(start + per_block, live)
             if spectral:
-                small = grams[start:stop, :r, :r] + np.eye(r)
+                factors = np.linalg.cholesky(grams[start:stop, :r, :r])
             else:
-                y = np.matmul(z[:r, start:stop], white).transpose(1, 0, 2)
+                nodes = candidates[start:stop]
+                y = _products(psi, parts, picks, nodes, diagonals[start:stop], white)
                 small = y.transpose(0, 2, 1) @ y if r > m else y @ y.transpose(0, 2, 1)
-                small += np.eye(small.shape[-1])
-            diag = np.diagonal(np.linalg.cholesky(small), axis1=1, axis2=2)
-            gains[start:stop] = 2.0 * np.sum(np.log(diag), axis=1)
+                factors = np.linalg.cholesky(small + np.eye(small.shape[-1]))
+            gains[start:stop] = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
         best = _lowest_tied(gains, candidates[:live])
         pick = int(candidates[best])
-        selected.append(pick)
+        order[step] = pick
         total += float(gains[best])
         trace.append(total)
         if step == k - 1:
             break
-        if spectral:
-            root = np.linalg.cholesky(grams[best, :r, :r] + np.eye(r))  # L
-            bw = np.linalg.solve(root, z[:r, best] @ c).T  # C Z_p^T L^{-T}
-            for start in range(0, live, per_block):
-                stop = min(start + per_block, live)
-                zbw = np.matmul(z[:r, start:stop], bw).transpose(1, 0, 2)  # Z_s bw
-                grams[start:stop, :r, :r] -= zbw @ zbw.transpose(0, 2, 1)
-            c -= bw @ bw.T
-            grams[best, :r, :r] = grams[live - 1, :r, :r]
-        else:
-            loaded += z[:r, best].T @ z[:r, best]
+        # Z_p: the pick's r rows, its self-pair row and its rows with the earlier picks
+        rows = np.concatenate([diagonals[best][None], _fold(psi.rows(picks, pick), parts)])
         live -= 1
-        z[:r, best] = z[:r, live]
         candidates[best] = candidates[live]
-        grown = r + len(parts)
-        for start in range(0, live, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, live)
-            rows = psi.rows(pick, candidates[start:stop])  # entries (s, pick)
-            for offset, part in enumerate(parts):
-                np.multiply(part(rows), np.sqrt(2.0), out=z[r + offset, start:stop])
-            del rows  # freed before C z is formed, so the two blocks never coexist
-            if spectral:
-                cz = np.matmul(z[r:grown, start:stop], c).transpose(1, 2, 0)
-                entries = np.matmul(z[:grown, start:stop].transpose(1, 0, 2), cz)  # Z_s C z
-                grams[start:stop, :grown, r:grown] = entries
-                grams[start:stop, r:grown, :grown] = entries.transpose(0, 2, 1)
+        diagonals[best] = diagonals[live]
+        if not spectral:
+            loaded += rows.T @ rows
+            continue
+        # L, from the last block's factors when the pick lies in it
+        root = factors[best - start] if best >= start else np.linalg.cholesky(grams[best, :r, :r])
+        bw = (np.linalg.inv(root) @ (rows @ c)).T  # C Z_p^T L^{-T}
+        del factors, root  # freed before the pass over the candidates
+        c -= bw @ bw.T
+        grams[best, :r, :r] = grams[live, :r, :r]
+        grown = r + parts
+        for start in range(0, live, per_block):
+            stop = min(start + per_block, live)
+            nodes, diagonal = candidates[start:stop], diagonals[start:stop]
+            zbw = _products(psi, parts, picks, nodes, diagonal, bw)  # Z_s bw
+            grams[start:stop, :r, :r] -= zbw @ zbw.transpose(0, 2, 1)
+            zc = _fold(psi.rows(pick, nodes)[:, None], parts).reshape(-1, m) @ c  # z C, z the new rows
+            zc = zc.reshape(-1, parts, m).transpose(0, 2, 1)
+            entries = _products(psi, parts, order[: step + 1], nodes, diagonal, zc)  # Z_s C z
+            for q in range(parts):
+                entries[:, r + q, q] += 1.0  # the identity's entries on the new rows
+            grams[start:stop, :grown, r:grown] = entries
+            grams[start:stop, r:grown, :grown] = entries.transpose(0, 2, 1)
     return DesignResult(
-        sampler=Subsampler(n, tuple(selected)), objective_trace=tuple(trace)
+        sampler=Subsampler(n, tuple(order.tolist())), objective_trace=tuple(trace)
     )
 
 

@@ -189,12 +189,13 @@ class CovarianceModel:
     model times a real map T (N x M), the Vandermonde matrix of the graph
     frequencies: its spectrum is ``T theta`` and column i is ``vec(X_i)``,
     ``X_i = U diag(T[:, i]) U^H = S^i``. Psi itself is never formed:
-    :meth:`rows` computes any of its rows, and it is the only code that
-    knows the row layout. Every X_i is Hermitian, so rows (a, b) and
-    (b, a) are complex conjugates. A row of T depends on the frequency
-    only, and conjugate columns of a complex basis share one, so every
-    mapped X_i is real. ``kind`` follows from the map: spectral without
-    one, moving-average with one.
+    :meth:`rows` computes any of its rows and :meth:`pair_products` their
+    products with a matrix, and these two are the only code that knows
+    the row layout. Every X_i is Hermitian, so rows (a, b) and (b, a) are
+    complex conjugates. A row of T depends on the frequency only, and
+    conjugate columns of a complex basis share one, so every mapped X_i is
+    real. ``kind`` follows from the map: spectral without one,
+    moving-average with one.
     """
 
     basis: np.ndarray
@@ -240,6 +241,29 @@ class CovarianceModel:
         """
         rows = self.basis[a].conj() * self.basis[b]
         return rows if self.param_map is None else np.real(rows @ self.param_map)
+
+    def pair_products(self, picks, nodes, w) -> np.ndarray:
+        """Products ``rows(p, s) @ w`` of Psi's rows with a real matrix, for every pick p and node s.
+
+        ``w`` is M x c, shared by every node, or len(nodes) x M x c, one
+        per node; the products come back as len(nodes) x len(picks) x c.
+        No row is formed. Row (p, s) is ``conj(U[p]) * U[s]``, so a shared
+        w gives one GEMM of the nodes' basis rows against
+        ``[diag(conj(U[p])) T w]_p``, and a per-node w one GEMM of
+        ``U[s] * (T w_s)^T`` against the picks' basis rows. Mapped products
+        are real, and complex rows give complex products.
+        """
+        u, t = self.basis, self.param_map
+        conj_picks, rows = u[np.asarray(picks, dtype=int)].conj(), u[np.asarray(nodes, dtype=int)]
+        if t is not None:
+            w = t @ w  # rows(p, s) @ w = Re((conj(U[p]) * U[s]) @ T w)
+        if w.ndim == 2:
+            factor = conj_picks.T[:, :, None] * w[:, None, :]  # N x picks x c
+            products = (rows @ factor.reshape(len(u), -1)).reshape(len(rows), len(conj_picks), w.shape[1])
+        else:
+            weighted = (rows[:, None, :] * w.transpose(0, 2, 1)).reshape(-1, len(u))  # U[s] * (T w_s)^T
+            products = (weighted @ conj_picks.T).reshape(len(rows), -1, len(conj_picks)).transpose(0, 2, 1)
+        return products if t is None else np.real(products)
 
     def column_sq_norms(self) -> np.ndarray:
         """``||X_i||_F^2`` per column: ``sum_j |u_j|^4 T_ji^2``, or ``|u_i|^4`` with no map."""

@@ -72,6 +72,7 @@ class SnapshotMatrix:
 
     def __post_init__(self):
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        _check_ints(self.node_indices, 0, np.inf, "node")
         nodes = tuple(int(i) for i in self.node_indices)
         if data.shape[0] != len(nodes):
             raise InvalidInputError("row count must match node_indices")

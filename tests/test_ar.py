@@ -375,6 +375,19 @@ class TestSpectrum:
         with pytest.raises(InvalidInputError, match="missing nodes"):
             sample_ar_covariances(schemes[0], SnapshotMatrix(x[:2], (0, 1)))
 
+    def test_true_covariance_without_every_node_refused(self):
+        # a matrix other than N x N would be cut by position and name the wrong nodes
+        s = build_shift(sensor_graph(20, seed=7), "adjacency")
+        scheme = build_ar_scheme(s, (0,), 1)
+        cov = true_ar_covariance(s, [0.1])
+        for matrix in (cov.matrix[:15, :15], np.eye(25)):
+            with pytest.raises(InvalidInputError, match="full 20 x 20"):
+                true_ar_covariances(scheme, matrix)
+        npt.assert_array_equal(
+            true_ar_covariances(scheme, cov).matrix,
+            cov.matrix[np.ix_(scheme.distinct_nodes, scheme.distinct_nodes)],
+        )
+
     def test_plain_array_without_every_node_refused(self):
         # a plain array's rows are read as nodes 0..N-1, so a shorter one would
         # hand another node's data to the scheme's higher nodes

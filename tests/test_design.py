@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from graphcov import design
+from graphcov._blas import one_blas_thread
 from graphcov import (
     CapabilityError,
     DesignProblem,
@@ -275,6 +276,11 @@ GREEDY_CASES = {
     # Woodbury-downdated Grams drift 7e-12 relative from the reference here
     "ma20-q6": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 6), 6),
     "sensor100-real": (lambda: sensor_psi(100), 15),
+    # complex DFT basis past n = 36: every product takes both parts of one complex GEMM
+    "mobius64-complex": (lambda: mobius_psi(64), 12),
+    "ma100": (lambda: build_psi_ma(build_shift(sensor_graph(100, seed=7), "laplacian"), 5), 10),
+    # a candidate's r = 15 rows pass M = 12 at the last step of the complex path
+    "mobius12-rows-exceed-m": (lambda: mobius_psi(12), 8),
 }
 
 
@@ -309,21 +315,37 @@ class TestBlockedGreedy:
             DesignProblem(psi=np.ones((36, 12)), k=4)
 
     @pytest.mark.parametrize("block_rows", [None, 64])
-    def test_peak_memory_is_the_raw_rows_grams_and_two_blocks(self, block_rows, monkeypatch):
+    def test_peak_memory_is_the_grams_and_two_blocks(self, block_rows, monkeypatch):
+        # no candidate's rows are stored: besides the Grams, C and the
+        # self-pair rows, every working array lives in one pass over a block
+        # of candidates, and no term grows with N K M
         if block_rows is not None:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         n, k = 100, 15
         psi = sensor_psi(n)
         m = psi.n_params
-        raw_rows = n * k * m * 8  # one real row per selected node and the diagonal
-        grams = n * k * k * 8  # each candidate's k x k Gram of those rows
+        grams = n * k * k * 8  # each candidate's k x k Gram of its rows
+        inverse = 2 * m * m * 8  # C = (eps I + T)^{-1} and its downdate
+        self_rows = n * m * 8  # each candidate's self-pair row
+        block = design._BLOCK_ROWS * m * 8
         tracemalloc.start()
         try:
             greedy_design(DesignProblem(psi=psi, k=k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= raw_rows + grams + 2 * design._BLOCK_ROWS * m * 8 + 2**19
+        assert peak <= grams + inverse + self_rows + 2 * block + 2**18
+
+    def test_design_sensor250_picks(self):
+        # the sampler of the design-sensor250 benchmark workload; a changed
+        # pick moves every estimate the study makes with it
+        with one_blas_thread():
+            psi = sensor_psi(250)
+            result = greedy_design(DesignProblem(psi=psi, k=25))
+        assert result.sampler.selected == (
+            7, 23, 30, 56, 61, 62, 69, 70, 72, 79, 90, 95, 127,
+            136, 149, 167, 170, 187, 189, 196, 203, 222, 227, 234, 249,
+        )
 
     def test_model_and_design_stay_far_below_the_dense_model(self):
         n = 200

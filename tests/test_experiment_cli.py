@@ -260,6 +260,21 @@ class TestSignalAndEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("column", ["node_-1", "node_1.5"])
+    def test_estimate_snapshot_column_that_names_no_node_exit_code(self, sensor_graph_file, tmp_path, capsys, column):
+        snaps = tmp_path / "snaps.csv"
+        # the sampler's nodes 0 and 1 are present; only the third column is bad
+        snaps.write_text(f"node_0,node_1,{column}\n1,2,0\n3,4,1\n5,7,2\n")
+        sampler = tmp_path / "s.json"
+        sampler.write_text(Subsampler(16, (0, 1)).to_json())
+        code = run_cli(
+            "estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+            "--sampler", str(sampler), "--model", "spectral", "--method", "ls",
+            "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "node" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "sampler",
         [{"n": 16, "selected": [0, 1.5, 2.7]}, {"n": 16, "selected": [True, 2]}, {"n": 16.5, "selected": [0, 1]}],

@@ -226,6 +226,13 @@ class TestSnapshotCsv:
         with pytest.raises(InvalidInputError):
             load_snapshots_csv(path)
 
+    @pytest.mark.parametrize("column", ["node_-1", "node_1.5"])
+    def test_column_that_names_no_node_refused(self, tmp_path, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"node_0,{column}\n1,2\n3,4\n")
+        with pytest.raises(InvalidInputError):
+            load_snapshots_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = tmp_path / "bad.csv"
@@ -242,6 +249,17 @@ class TestSnapshotRows:
         snaps = SnapshotMatrix(data, (7, 2, 5, 9))
         npt.assert_array_equal(snaps.rows((2, 9, 7)), data[[1, 3, 0]])
         npt.assert_array_equal(snaps.rows((5, 5)), data[[2, 2]])
+
+    @pytest.mark.parametrize("nodes", [(1.5, True, -4), (1.5, 2), (True, 2), (0, -1)], ids=str)
+    def test_node_index_that_is_not_a_node_refused(self, nodes):
+        # int() would truncate a fractional or bool index, and a negative
+        # index names no node
+        with pytest.raises(InvalidInputError, match="node must be an integer"):
+            SnapshotMatrix(np.zeros((len(nodes), 3)), nodes)
+
+    def test_numpy_node_indices_accepted(self):
+        snaps = SnapshotMatrix(np.zeros((2, 3)), tuple(np.array([4, 1])))
+        assert snaps.node_indices == (4, 1)
 
     def test_absent_node_refused(self):
         snaps = SnapshotMatrix(np.zeros((2, 3)), (1, 4))
