@@ -60,7 +60,6 @@ from .graphs import (
     SpectralBasis,
     apply_filter,
     build_shift,
-    circulant_dft_basis,
     cycle_graph,
     eigendecompose,
     frequency_response,
@@ -78,6 +77,7 @@ from .models import (
     build_psi_spectral,
     compress_model,
     ma_b_from_h,
+    pair_gram,
     unvec,
     vec,
 )

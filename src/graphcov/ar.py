@@ -7,8 +7,9 @@ the shift's eigenvectors: ``H = U diag(1/d) U^H`` with
 of it from the shift's cached spectral basis instead of factoring the
 N x N system. ``generate_ar_signals`` applies only the requested rows to
 the white noise, so a Monte-Carlo trial realises only the nodes its
-schemes observe. One pole rule (``|d| < 1e-12`` at some graph frequency
-raises SingularityError) serves the transfer, the true covariance and
+schemes observe. One coefficient rule (an empty or non-finite vector is
+refused) and one pole rule (``|d| < 1e-12`` at some graph frequency
+raises SingularityError) serve the transfer, the true covariance and
 the spectrum.
 
 Observing a small core node set together with the p-hop neighborhoods
@@ -206,9 +207,14 @@ def estimate_ar(model: ObservationModel, r_y) -> EstimationResult:
 
 
 def _ar_denominator(eigvals: np.ndarray, coeffs) -> np.ndarray:
-    """``1 - sum_k a_k lam^k`` per graph frequency; a zero (a pole) raises SingularityError."""
+    """``1 - sum_k a_k lam^k`` per graph frequency; a zero (a pole) raises SingularityError.
+
+    An empty or non-finite coefficient vector is refused before any arithmetic.
+    """
     lam = np.asarray(eigvals, dtype=float)
     a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if a.size == 0 or not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"AR coefficients {a.tolist()} must be a non-empty vector of finite numbers")
     denom = 1.0 - vandermonde(lam, a.size + 1)[:, 1:] @ a
     bad = np.abs(denom) < 1e-12
     if np.any(bad):

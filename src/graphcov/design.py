@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
 from .graphs import _is_int
-from .models import _BLOCK_ROWS, CovarianceModel, Subsampler, compress_model
+from .models import _BLOCK_ROWS, CovarianceModel, Subsampler, compress_model, pair_gram
 
 # Greedy scores within this fraction of the best are tied, and the lowest
 # node index wins; rounding differences between equal scores stay far below.
@@ -104,24 +104,17 @@ def default_epsilon(psi: CovarianceModel) -> float:
 def gram(psi: CovarianceModel, w) -> np.ndarray:
     """Gram matrix of the model rows a selection keeps.
 
-    Sums the outer products of all selected-pair rows; equivalent to
-    ``Psi^H (diag[w] kron diag[w]) Psi`` without forming either factor.
-    The rows are computed and summed in blocks of at most ``_BLOCK_ROWS``
-    (or one node's K rows). Hermitian PSD; empty selections give the
+    ``Psi^H (diag[w] kron diag[w]) Psi``, for a Subsampler or a Boolean
+    mask w, is :func:`~graphcov.models.pair_gram` of the selected basis
+    rows and the model's map, the rule the weighted estimators use: no
+    model row is formed. Real symmetric PSD; empty selections give the
     zero matrix.
     """
     if isinstance(w, Subsampler):
         selected = w.selected
     else:
         selected = np.flatnonzero(np.asarray(w, dtype=bool))
-    sel = np.asarray(selected, dtype=int)
-    m = psi.n_params
-    t = np.zeros((m, m), dtype=complex if psi.complex_rows else float)
-    per_block = max(1, _BLOCK_ROWS // max(1, sel.size))
-    for start in range(0, sel.size, per_block):
-        z = psi.rows(sel[start : start + per_block, None], sel[None, :]).reshape(-1, m)
-        t += z.conj().T @ z
-    return 0.5 * (t + t.conj().T)
+    return pair_gram(psi.basis[np.asarray(selected, dtype=int)], psi.param_map)
 
 
 def set_objective(psi: CovarianceModel, selected, epsilon: float) -> float:

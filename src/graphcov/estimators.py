@@ -27,7 +27,9 @@ A parametric model is the spectral model times its real map T, such as
 the Vandermonde matrix of a moving-average model, so its Gram is
 ``T^T |B^H B|^2 T`` and its right-hand side ``T^T`` times the spectral
 one: every weighted estimate takes this one path, and a model without
-sampled basis rows (autoregressive) is refused.
+sampled basis rows (autoregressive) is refused. The Gram is
+:func:`~graphcov.models.pair_gram`, the rule the design's unweighted
+Gram uses too.
 
 Every estimator, the Fisher information and the WLS stationarity check
 run on numpy alone: their linear algebra runs in numpy's BLAS, which
@@ -48,7 +50,7 @@ from .errors import (
     RankDeficiencyError,
     SingularityError,
 )
-from .models import ObservationModel, numerical_rank, unvec
+from .models import ObservationModel, numerical_rank, pair_gram, unvec
 from .stationary import CovarianceMatrix
 
 LS = "ls"
@@ -220,29 +222,22 @@ def _weighted_system(model: ObservationModel, chol: np.ndarray, r=None):
     ``Re tr(R^{-1} X_i R^{-1} X_j^H)`` for the model columns ``vec(X_i)``.
     Spectral columns are ``u_j u_j^H``, which gives ``|B^H B|^2``
     (elementwise) and ``Re diag(B^H L^{-1} R_hat L^{-H} B)``; a parameter
-    map T maps both by T. The mapped normal matrix ``T^T |B^H B|^2 T`` is
-    formed without its N x N middle factor, as the Q x Q matrix of
-    ``tr(Y_k Y_l)`` with ``Y_k = B diag(T[:, k]) B^H`` (K x K), at a cost
-    of Q K^2 N rather than K N^2. The normal matrix is symmetrised. A
-    model without sampled basis rows is refused.
+    map T maps both by T. The normal matrix ``T^T |B^H B|^2 T`` is
+    :func:`~graphcov.models.pair_gram` of B and T, the rule the design's
+    unweighted Gram uses too. A model without sampled basis rows is
+    refused.
     """
     if model.sampled_basis is None:
         raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
     l_inv = np.linalg.inv(chol)
     b = l_inv @ model.sampled_basis
     t = model.param_map
-    if t is None:
-        gram = np.abs(b.conj().T @ b) ** 2
-    else:  # tr(Y_k Y_l) is the inner product of vec(Y_k) and vec(Y_l), as each Y_k is Hermitian
-        b_h = b.conj().T
-        y = np.stack([(b * column) @ b_h for column in t.T]).reshape(t.shape[1], -1)
-        gram = np.real(y @ y.conj().T)
     rhs = None
     if r is not None:
         r_w = l_inv @ unvec(r, chol.shape[0]) @ l_inv.conj().T
         rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=0))
         rhs = rhs if t is None else t.T @ rhs
-    return 0.5 * (gram + gram.T), rhs
+    return pair_gram(b, t), rhs
 
 
 def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> EstimationResult:

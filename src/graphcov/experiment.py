@@ -110,6 +110,15 @@ def _floats(value) -> np.ndarray:
     return values
 
 
+def _refuse_repeat(values, what: str) -> None:
+    """Refuse a value that repeats: a CSV row is keyed by (n_snapshots, method, sampler)."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise InvalidInputError(f"{what} {value!r} is given twice; the rows of the two could not be told apart")
+        seen.add(value)
+
+
 def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
     """``convert(spec[key])``, or ``default`` when the value is missing or null.
 
@@ -273,6 +282,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+        for what, values in (("method", self.methods), ("snapshot count", self.n_snapshots)):
+            _refuse_repeat(values, what)
         if ar_model and any(m != LS for m in self.methods):
             raise InvalidInputError("the autoregressive estimator is least squares only")
         if self.model.get("kind") == "ma" and NNLS in self.methods:
@@ -374,6 +385,7 @@ class _Pipeline:
                 compression = 1.0 - sampler.k / n
                 name = entry.get("name", f"k{sampler.k}")
                 self.cells.append((name, compression, (sampler, compressed)))
+        _refuse_repeat([cell[0] for cell in self.cells], "sampler name")
         self.observed_nodes = tuple(sorted(observed))
 
     # -- per-trial work ---------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, NumericalError
 
 # Shift operator kinds.
 LAPLACIAN = "laplacian"
@@ -121,8 +121,9 @@ class SpectralBasis:
     eigenvalues lie within ``1e-8 * max(1, max|lam|)`` of each other; the
     scale ``max|lam|`` is the operator's spectral norm, the bound in
     Weyl's perturbation inequality. A basis that is not N x N with N
-    eigenvalues, or whose ``U^H U`` deviates from the identity by 1e-10
-    or more in any entry, is refused.
+    eigenvalues, that has a non-finite eigenvalue, or whose ``U^H U``
+    does not lie within 1e-10 of the identity in every entry (a NaN
+    deviation included), is refused.
     """
 
     eigvecs: np.ndarray
@@ -134,8 +135,10 @@ class SpectralBasis:
             raise InvalidInputError(
                 f"basis must be N x N with N eigenvalues, got {u.shape} and {lam.shape}"
             )
+        if not np.all(np.isfinite(lam)):
+            raise InvalidInputError("basis has a non-finite eigenvalue")
         gram_err = np.abs(u.conj().T @ u - np.eye(lam.size)).max()
-        if gram_err >= 1e-10:
+        if not gram_err < 1e-10:
             raise InvalidInputError(f"basis not orthonormal (max deviation {gram_err:.2e})")
 
     @property
@@ -147,12 +150,16 @@ class SpectralBasis:
         lam = np.sort(np.asarray(self.eigvals, dtype=float))
         if lam.size < 2:
             return True
-        return bool(np.diff(lam).min() > 1e-8 * max(1.0, np.abs(lam).max()))
+        with np.errstate(over="ignore"):  # a gap that overflows to inf is distinct
+            return bool(np.diff(lam).min() > 1e-8 * max(1.0, np.abs(lam).max()))
 
 
 @dataclass(frozen=True)
 class GraphFilter:
-    """Polynomial filter with coefficients ``h[0] + h[1] S + ... + h[L-1] S^{L-1}``."""
+    """Polynomial filter with coefficients ``h[0] + h[1] S + ... + h[L-1] S^{L-1}``.
+
+    The coefficients must be a non-empty vector of finite numbers.
+    """
 
     coeffs: np.ndarray
 
@@ -160,6 +167,8 @@ class GraphFilter:
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidInputError("filter coefficients must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidInputError(f"filter coefficients {coeffs.tolist()} are not all finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -171,7 +180,8 @@ class ShiftOperator:
     circulant (:func:`is_circulant`), the numerical ``eigh`` basis
     otherwise. Instances are immutable and hold only the matrix and the
     basis, which is cached on first use under a lock, so sharing across
-    parallel readers is safe. No power of the matrix is stored.
+    parallel readers is safe. No power of the matrix is stored. A matrix
+    with a non-finite entry is refused before any arithmetic on it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -180,10 +190,14 @@ class ShiftOperator:
             raise InvalidInputError("shift operator must be a square matrix")
         if matrix.shape[0] == 0:
             raise InvalidInputError("shift operator must be non-empty")
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidInputError("shift operator has a non-finite entry")
         scale = max(np.abs(matrix).max(), 1.0)
-        if np.abs(matrix - matrix.T).max() > _SYMMETRY_RTOL * scale:
+        with np.errstate(over="ignore"):  # an asymmetry that overflows to inf is refused
+            asymmetry = np.abs(matrix - matrix.T).max()
+        if asymmetry > _SYMMETRY_RTOL * scale:
             raise InvalidInputError("shift operator must be symmetric")
-        matrix = 0.5 * (matrix + matrix.T)
+        matrix = 0.5 * matrix + 0.5 * matrix.T  # halved first: entries near the float maximum do not overflow
         matrix.setflags(write=False)
         self.matrix = matrix
         self._lock = threading.Lock()
@@ -212,13 +226,15 @@ def build_shift(graph: Graph, kind: str) -> ShiftOperator:
     """Build the shift operator of a graph.
 
     ``laplacian`` gives D - W (weighted degree matrix minus weights),
-    ``adjacency`` gives W itself.
+    ``adjacency`` gives W itself. A degree that overflows to inf makes a
+    non-finite Laplacian, which :class:`ShiftOperator` refuses.
     """
     if kind not in (LAPLACIAN, ADJACENCY):
         raise InvalidInputError(f"build_shift supports 'laplacian' or 'adjacency', got {kind!r}")
     w = graph.weight_matrix()
     if kind == LAPLACIAN:
-        matrix = np.diag(w.sum(axis=1)) - w
+        with np.errstate(over="ignore"):
+            matrix = np.diag(w.sum(axis=1)) - w
     else:
         matrix = w
     return ShiftOperator(matrix)
@@ -233,27 +249,37 @@ def _fix_signs(eigvecs: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def _check_basis(basis: SpectralBasis, matrix: np.ndarray) -> None:
-    """Refuse a basis whose ``U diag(lam) U^H`` is not the operator."""
-    u = basis.eigvecs
-    recon = (u * basis.eigvals) @ u.conj().T
+def _checked_basis(eigvecs: np.ndarray, eigvals: np.ndarray, matrix: np.ndarray) -> SpectralBasis:
+    """The basis of computed eigenpairs of the operator ``matrix``.
+
+    Non-finite eigenvalues, which an operator near the float maximum
+    overflows to, raise NumericalError; a basis whose ``U diag(lam) U^H``
+    is not the operator is refused.
+    """
+    if not np.all(np.isfinite(eigvals)):
+        raise NumericalError("the shift operator's eigenvalues overflow")
+    basis = SpectralBasis(eigvecs=eigvecs, eigvals=eigvals)
+    recon = (eigvecs * eigvals) @ eigvecs.conj().T
     scale = max(np.abs(matrix).max(), 1e-300)
     recon_err = np.abs(matrix - recon).max()
-    if recon_err >= 1e-8 * scale:
+    if not recon_err < 1e-8 * scale:
         raise InvalidInputError(f"basis does not reconstruct the operator ({recon_err:.2e})")
+    return basis
 
 
 def eigendecompose(shift: ShiftOperator) -> SpectralBasis:
     """Numerically diagonalize a shift operator, symmetric by construction.
 
     Eigenvalues are returned ascending; eigenvector signs follow a fixed
-    convention so downstream model matrices are reproducible.
+    convention so downstream model matrices are reproducible. An ``eigh``
+    that does not converge raises ConvergenceError.
     """
     matrix = np.asarray(shift.matrix, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    basis = SpectralBasis(eigvecs=_fix_signs(eigvecs), eigvals=eigvals)
-    _check_basis(basis, matrix)
-    return basis
+    try:
+        eigvals, eigvecs = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition of the shift operator failed: {exc}") from None
+    return _checked_basis(_fix_signs(eigvecs), eigvals, matrix)
 
 
 def is_circulant(matrix: np.ndarray) -> bool:
@@ -268,31 +294,21 @@ def is_circulant(matrix: np.ndarray) -> bool:
     return np.array_equal(matrix[1:], matrix[0][(np.arange(cols) - shifts) % cols])
 
 
-def circulant_dft_basis(shift: ShiftOperator) -> SpectralBasis:
-    """Closed-form DFT basis of a circulant shift operator.
+def _dft_basis(matrix: np.ndarray) -> SpectralBasis:
+    """Closed-form DFT basis of a matrix already known to be circulant.
 
     Column n of the basis is ``exp(-2*pi*1j*n*m/N)/sqrt(N)`` over entries
     m, and the eigenvalues are the DFT of the first row (real, since the
     matrix is symmetric). No numerical eigendecomposition is involved.
-    A non-circulant shift is refused. :meth:`ShiftOperator.basis` returns
-    this basis exactly when the shift is circulant.
     """
-    if not is_circulant(shift.matrix):
-        raise InvalidInputError("matrix is not circulant")
-    return _dft_basis(shift.matrix)
-
-
-def _dft_basis(matrix: np.ndarray) -> SpectralBasis:
-    """:func:`circulant_dft_basis` of a matrix already known to be circulant."""
     n = matrix.shape[0]
     m = np.arange(n)
     u = np.exp(-2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
-    eigvals = np.fft.fft(matrix[0])
+    with np.errstate(over="ignore"):  # _checked_basis refuses an eigenvalue that overflows
+        eigvals = np.fft.fft(matrix[0])
     if np.abs(eigvals.imag).max() > 1e-9 * max(1.0, np.abs(eigvals).max()):
         raise InvalidInputError("circulant matrix has complex spectrum; not symmetric?")
-    basis = SpectralBasis(eigvecs=u, eigvals=eigvals.real)
-    _check_basis(basis, matrix)
-    return basis
+    return _checked_basis(u, eigvals.real, matrix)
 
 
 def apply_filter(shift: ShiftOperator, filt: GraphFilter, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ The uncompressed N^2 x M model is never stored: a
 :class:`CovarianceModel` holds the basis U and, for the moving-average
 model, the Vandermonde map T from its parameters to the spectrum, and
 computes any of its rows on demand. A sampler's compressed model is the
-K^2 rows of its selected node pairs.
+K^2 rows of its selected node pairs. Their Gram, and the weighted Gram
+of WLS and the Fisher information, come from the sampled basis rows
+alone (:func:`pair_gram`), without forming a row.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix).ravel(order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    cols = rows if cols is None else cols
-    return np.asarray(v).reshape(rows, cols, order="F")
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a square matrix of ``rows`` rows."""
+    return np.asarray(v).reshape(rows, rows, order="F")
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,10 @@ class CovarianceModel:
     model times a real map T (N x M), the Vandermonde matrix of the graph
     frequencies: its spectrum is ``T theta`` and column i is ``vec(X_i)``,
     ``X_i = U diag(T[:, i]) U^H = S^i``. Psi itself is never formed:
-    :meth:`rows` computes any of its rows and :meth:`pair_products` their
-    products with a matrix, and these two are the only code that knows
-    the row layout. Every X_i is Hermitian, so rows (a, b) and (b, a) are
+    :meth:`rows` computes any of its rows, :meth:`pair_products` their
+    products with a matrix and :func:`pair_gram` the Gram of the rows of
+    some nodes' pairs, and these three are the only code that knows the
+    row layout. Every X_i is Hermitian, so rows (a, b) and (b, a) are
     complex conjugates. A row of T depends on the frequency only, and
     conjugate columns of a complex basis share one, so every mapped X_i is
     real. ``kind`` follows from the map: spectral without one,
@@ -269,6 +271,31 @@ class CovarianceModel:
         """``||X_i||_F^2`` per column: ``sum_j |u_j|^4 T_ji^2``, or ``|u_i|^4`` with no map."""
         norms = np.sum(np.abs(self.basis) ** 2, axis=0) ** 2
         return norms if self.param_map is None else norms @ self.param_map**2
+
+
+def pair_gram(b: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Gram ``T^T |B^H B|^2 T`` (elementwise square) of the pair rows of basis rows B.
+
+    B is K x N and T a real N x M map (None for the identity). Row (a, c)
+    is ``(conj(B[a]) * B[c]) @ T``, so column i of the K^2 rows is
+    ``vec(Y_i)`` with ``Y_i = B diag(T[:, i]) B^H``, and the Gram of all
+    K^2 rows is ``T^T |B^H B|^2 T`` with no row formed. With rows of the
+    sampled basis, B = U_S, it is the Gram of a compressed model; with
+    ``B = L^{-1} U_S`` it is the weighted Gram of WLS and the Fisher
+    information. The mapped Gram is formed without its N x N middle
+    factor, as the M x M matrix of ``tr(Y_k Y_l)`` (each Y_k K x K), at a
+    cost of M K^2 N rather than K N^2. It is also the Gram of the real
+    rows :meth:`CovarianceModel.rows` keeps for a mapped model, since
+    every mapped X_i is real. The result is real and symmetrised; K = 0
+    gives the zero matrix.
+    """
+    if t is None:
+        gram = np.abs(b.conj().T @ b) ** 2
+    else:  # tr(Y_k Y_l) is the inner product of vec(Y_k) and vec(Y_l), as each Y_k is Hermitian
+        b_h = b.conj().T
+        y = np.stack([(b * column) @ b_h for column in t.T]).reshape(t.shape[1], -1)
+        gram = np.real(y @ y.conj().T)
+    return 0.5 * (gram + gram.T)
 
 
 def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:

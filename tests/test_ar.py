@@ -278,6 +278,19 @@ class TestSpectrum:
         with pytest.raises(SingularityError):
             ar_power_spectrum(np.array([2.0]), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "coeffs", [[], [np.nan], [np.inf], [0.1, -np.inf]], ids=["empty", "nan", "inf", "neg-inf"]
+    )
+    def test_empty_or_non_finite_coefficients_rejected(self, coeffs):
+        s = build_shift(sensor_graph(12, seed=0), "adjacency")
+        for call in (
+            lambda: ar_power_spectrum(s.basis().eigvals, coeffs),
+            lambda: true_ar_covariance(s, coeffs),
+            lambda: generate_ar_signals(s, coeffs, 5, seed=0),
+        ):
+            with pytest.raises(InvalidInputError, match="AR coefficients"):
+                call()
+
     def test_generation_matches_spectrum(self):
         s = build_shift(cycle_graph(12), "adjacency")
         a = np.array([0.2])

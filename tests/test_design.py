@@ -176,6 +176,21 @@ class TestGram:
         npt.assert_allclose(gram(psi, w.astype(bool)), expected, atol=1e-12)
 
 
+    def test_peak_memory_is_a_few_n_by_n_arrays(self):
+        # the Gram comes from the K x N selected basis rows: no K^2 x M
+        # block of pair rows, so no term grows with K^2
+        n, k = 1000, 100
+        psi = random_psi(n, 8)
+        sampler = Subsampler(n, tuple(range(0, n, n // k)))
+        tracemalloc.start()
+        try:
+            gram(psi, sampler)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8 + 2**20
+
+
 class TestSetObjective:
     def test_empty_is_exactly_zero(self):
         psi = random_psi(5, 4)

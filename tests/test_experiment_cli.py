@@ -188,6 +188,28 @@ class TestSamplerCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edges, shift, code, message",
+        [
+            ([[0, 1, 1.5e308], [0, 2, 1.5e308]], "laplacian", 2, "shift operator has a non-finite entry"),
+            ([[0, 1, 1.5e308], [0, 2, 1.5e308]], "adjacency", 3, "eigenvalues overflow"),
+            ([[0, 1, 1.5e308], [1, 2, 1.5e308], [2, 3, 1.5e308], [3, 0, 1.5e308]], "laplacian", 2,
+             "shift operator has a non-finite entry"),
+            ([[0, 1, 1.5e308], [1, 2, 1.5e308], [2, 3, 1.5e308], [3, 0, 1.5e308]], "adjacency", 3,
+             "eigenvalues overflow"),
+        ],
+        ids=["star-laplacian", "star-adjacency", "cycle-laplacian", "cycle-adjacency"],
+    )
+    def test_design_overflowing_graph_exit_code(self, tmp_path, capsys, edges, shift, code, message):
+        # finite weights whose degrees or eigenvalues overflow the float range
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 1 + max(max(e[:2]) for e in edges), "edges": edges}))
+        out = tmp_path / "s.json"
+        code_seen = run_cli("sampler", "design", "--graph", str(g), "--k", "2", "--shift", shift, "--out", str(out))
+        assert code_seen == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ruler_minimal(self, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli("sampler", "ruler", "--n", "10", "--out", str(out)) == 0
@@ -331,6 +353,26 @@ class TestSignalAndEstimate:
         assert snaps["sampled"].node_indices == (1, 4, 9, 15)
         full = snaps["full"].rows((1, 4, 9, 15))
         npt.assert_allclose(snaps["sampled"].data, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+    @pytest.mark.parametrize(
+        "signal, coeffs, message",
+        [
+            ("ar", "inf", "AR coefficients [inf]"),
+            ("ar", "", "AR coefficients []"),
+            ("ar", "nan", "AR coefficients [nan]"),
+            ("ma", "nan", "filter coefficients [nan]"),
+            ("ma", "1,-inf", "filter coefficients [1.0, -inf]"),
+        ],
+        ids=["ar-inf", "ar-empty", "ar-nan", "ma-nan", "ma-inf"],
+    )
+    def test_signal_gen_bad_coefficients_exit_code(self, sensor_graph_file, tmp_path, capsys,
+                                                   signal, coeffs, message):
+        out = tmp_path / "x.csv"
+        code = run_cli("signal", "gen", "--graph", sensor_graph_file, "--signal", signal,
+                       "--coeffs", coeffs, "--ns", "10", "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("signal, coeffs", [("ma", "1,0.5"), ("ar", "0.1")])
     def test_signal_gen_negative_seed_exit_code(self, sensor_graph_file, tmp_path, capsys,
@@ -900,7 +942,10 @@ class TestExperiment:
                 shift="adjacency",
                 signal={"kind": "ar", "a": [0.1]},
                 model={"kind": "ar", "p": 1},
-                samplers=[{"kind": "ar-core", "k0": 1}, {"kind": "ar-core", "core": [5]}],
+                samplers=[
+                    {"kind": "ar-core", "k0": 1, "name": "top"},
+                    {"kind": "ar-core", "core": [5], "name": "node5"},
+                ],
             )
         )
         pipe = _Pipeline(cfg)
@@ -926,7 +971,10 @@ class TestExperiment:
                 "shift": "adjacency",
                 "signal": {"kind": "ar", "a": [0.1]},
                 "model": {"kind": "ar", "p": 1},
-                "samplers": [{"kind": "ar-core", "k0": 1}, {"kind": "ar-core", "core": [5]}],
+                "samplers": [
+                    {"kind": "ar-core", "k0": 1, "name": "top"},
+                    {"kind": "ar-core", "core": [5], "name": "node5"},
+                ],
             },
         ],
         ids=["ma-sensor-full-greedy", "ma-mobius-ruler-greedy", "ar-core"],
@@ -1040,6 +1088,24 @@ class TestExperiment:
                  "samplers": [{"kind": "ar-core"}]},
                 "bad signal.a [nan]",
             ),
+            (
+                {"signal": {"kind": "ar", "a": []}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core"}]},
+                "AR coefficients [] must be a non-empty vector",
+            ),
+            # a row is keyed by (n_snapshots, method, sampler): a repeat of any is refused
+            ({"samplers": [{"kind": "greedy", "k": 8}, {"kind": "greedy", "k": 8}]},
+             "sampler name 'k8' is given twice"),
+            ({"samplers": [{"name": "a", "kind": "full"}, {"name": "a", "kind": "greedy", "k": 8}]},
+             "sampler name 'a' is given twice"),
+            ({"methods": ["ls", "ls"]}, "method 'ls' is given twice"),
+            ({"n_snapshots": [50, 50]}, "snapshot count 50 is given twice"),
+            (
+                {"graph": {"kind": "sensor", "n": 20, "seed": 7}, "shift": "adjacency",
+                 "signal": {"kind": "ar", "a": [0.1]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core", "k0": 1}, {"kind": "ar-core", "core": [5]}]},
+                "sampler name 'ar-core-1' is given twice",
+            ),
             ({"n_trials": 2.5}, "n_trials must be"),
             ({"n_trials": float("nan")}, "n_trials must be"),
             ({"n_trials": True}, "n_trials must be"),
@@ -1100,7 +1166,9 @@ class TestExperiment:
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
              "model-not-object", "sampler-not-object", "greedy-k-not-int", "signal-h-not-numbers",
              "sensor-n-not-int", "seed-not-int", "zero-spectrum", "signal-h-nan", "signal-h-inf",
-             "signal-a-nan", "trials-fraction", "trials-nan", "trials-bool", "snapshots-fraction",
+             "signal-a-nan", "signal-a-empty", "repeated-default-sampler-name", "repeated-sampler-name",
+             "repeated-method", "repeated-snapshot-count", "repeated-ar-core-default-name",
+             "trials-fraction", "trials-nan", "trials-bool", "snapshots-fraction",
              "snapshots-nan", "greedy-epsilon-nan", "greedy-k-fraction", "seed-bool",
              "greedy-k-string", "greedy-k-float", "sensor-n-string", "graph-seed-negative",
              "greedy-k-above-n", "exact-covariance-string", "exact-covariance-number",
@@ -1115,6 +1183,21 @@ class TestExperiment:
         out = tmp_path / "o.csv"
         code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out))
         assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "shift, code, message", [("laplacian", 2, "non-finite entry"), ("adjacency", 3, "eigenvalues overflow")]
+    )
+    def test_overflowing_graph_file_exit_code(self, tmp_path, capsys, shift, code, message):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.5e308], [0, 2, 1.5e308]]}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            graph={"kind": "file", "path": str(g)}, shift=shift, samplers=[{"kind": "full"}]
+        )))
+        out = tmp_path / "o.csv"
+        assert run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out)) == code
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -1152,7 +1235,8 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "overrides",
         [{"methods": ["lsq"]}, {"n_snapshots": [0]}, {"model": {"kind": "ma", "q": 3}, "methods": ["nnls"]},
-         {"model": {"kind": "spectral", "q": 5}}, {"signal": {"kind": "ma", "h": [1.0], "a": [0.3]}}],
+         {"model": {"kind": "spectral", "q": 5}}, {"signal": {"kind": "ma", "h": [1.0], "a": [0.3]}},
+         {"methods": ["wls", "ls", "wls"]}, {"n_snapshots": [10, 20, 10]}],
     )
     def test_bad_method_and_snapshot_count_refused_at_construction(self, overrides):
         with pytest.raises(InvalidInputError):

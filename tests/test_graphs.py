@@ -3,16 +3,17 @@ import numpy.testing as npt
 import pytest
 
 from graphcov import (
+    ConvergenceError,
     Graph,
     GraphFilter,
     InvalidInputError,
+    NumericalError,
     RepeatedEigenvaluesWarning,
     ShiftOperator,
     SpectralBasis,
     apply_filter,
     build_psi_spectral,
     build_shift,
-    circulant_dft_basis,
     cycle_graph,
     eigendecompose,
     frequency_response,
@@ -21,6 +22,12 @@ from graphcov import (
     path_graph,
     sensor_graph,
 )
+
+
+# weights near the float maximum: degrees of 3e308 and eigenvalues of
+# +-sqrt(2) * 1.5e308 (star) and 3e308 (cycle, circulant) overflow to inf
+HUGE_STAR = Graph(3, ((0, 1, 1.5e308), (0, 2, 1.5e308)))
+HUGE_CYCLE = Graph(4, tuple((i, (i + 1) % 4, 1.5e308) for i in range(4)))
 
 
 def path2_laplacian():
@@ -85,6 +92,24 @@ class TestBuildShift:
         with pytest.raises(InvalidInputError):
             ShiftOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_asymmetry_near_the_float_maximum_rejected(self):
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            ShiftOperator(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ShiftOperator(np.full((3, 3), value))
+
+    @pytest.mark.parametrize("graph", [HUGE_STAR, HUGE_CYCLE], ids=["star", "cycle"])
+    def test_overflowing_degree_rejected(self, graph):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            build_shift(graph, "laplacian")
+
+    def test_weights_near_the_float_maximum_keep_their_values(self):
+        s = build_shift(HUGE_STAR, "adjacency")
+        assert s.matrix[0, 1] == s.matrix[1, 0] == 1.5e308
+
 
 class TestEigendecompose:
     def test_path2(self):
@@ -98,6 +123,19 @@ class TestEigendecompose:
         basis = eigendecompose(ShiftOperator(np.eye(3)))
         npt.assert_allclose(basis.eigvals, [1, 1, 1])
         assert not basis.distinct
+
+    @pytest.mark.parametrize("graph", [HUGE_STAR, HUGE_CYCLE], ids=["star-eigh", "cycle-dft"])
+    def test_overflowing_eigenvalues_are_a_numerical_error(self, graph):
+        with pytest.raises(NumericalError, match="overflow"):
+            build_shift(graph, "adjacency").basis()
+
+    def test_eigh_that_does_not_converge_is_a_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigendecompose(path2_laplacian())
 
     def test_cycle4_adjacency(self):
         # circulant spectrum 2 cos(2 pi k / 4), verified numerically
@@ -125,23 +163,19 @@ class TestEigendecompose:
 class TestCirculantDft:
     def test_two_node_cycle(self):
         s = ShiftOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        basis = circulant_dft_basis(s)
+        basis = s.basis()
         npt.assert_allclose(basis.eigvecs, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-14)
         npt.assert_allclose(basis.eigvals, [1, -1], atol=1e-14)
 
     def test_cycle4_dft_order(self):
         s = build_shift(cycle_graph(4), "adjacency")
-        basis = circulant_dft_basis(s)
+        basis = s.basis()
         npt.assert_allclose(basis.eigvals, [2, 0, -2, 0], atol=1e-12)
-
-    def test_non_circulant_rejected(self):
-        with pytest.raises(InvalidInputError):
-            circulant_dft_basis(build_shift(path_graph(3), "laplacian"))
 
     def test_diagonalizes(self):
         s = build_shift(mobius_ladder(12), "adjacency")
         assert is_circulant(s.matrix)
-        basis = circulant_dft_basis(s)
+        basis = s.basis()
         u = basis.eigvecs
         off = u.conj().T @ s.matrix @ u - np.diag(basis.eigvals)
         assert np.abs(off).max() < 1e-10
@@ -169,9 +203,9 @@ class TestBasisFollowsMatrix:
         for graph in CIRCULANT_GRAPHS:
             s = build_shift(graph, kind)
             basis = s.basis()
-            dft = circulant_dft_basis(s)
-            npt.assert_array_equal(basis.eigvecs, dft.eigvecs)
-            npt.assert_array_equal(basis.eigvals, dft.eigvals)
+            m = np.arange(s.n)
+            npt.assert_array_equal(basis.eigvecs, np.exp(-2j * np.pi * np.outer(m, m) / s.n) / np.sqrt(s.n))
+            npt.assert_array_equal(basis.eigvals, np.fft.fft(s.matrix[0]).real)
             ref = eigendecompose(s)
             order = np.argsort(basis.eigvals, kind="stable")
             u, lam = basis.eigvecs[:, order], basis.eigvals[order]
@@ -190,10 +224,16 @@ class TestBasisFollowsMatrix:
         assert basis.eigvecs.dtype == float
         npt.assert_array_equal(basis.eigvecs, eigendecompose(s).eigvecs)
 
-    def test_circulant_dft_basis_refuses_a_non_circulant_shift(self):
-        s = build_shift(path_graph(7), "adjacency")
-        with pytest.raises(InvalidInputError, match="not circulant"):
-            circulant_dft_basis(s)
+
+class TestSpectralBasisChecks:
+    def test_nan_vectors_rejected(self):
+        with pytest.raises(InvalidInputError, match="not orthonormal"):
+            SpectralBasis(np.full((2, 2), np.nan), np.zeros(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_eigenvalue_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="non-finite eigenvalue"):
+            SpectralBasis(np.eye(2), np.array([0.0, value]))
 
 
 class TestDistinct:
@@ -211,6 +251,13 @@ class TestDistinct:
             eigvals = np.array([top, top + np.sign(top) * factor * tol, 0.1 * top])
             basis = SpectralBasis(np.eye(3), eigvals)
             assert basis.distinct is expected, (top, factor)
+
+
+class TestGraphFilter:
+    @pytest.mark.parametrize("coeffs", [[np.nan], [1.0, np.inf], [-np.inf]])
+    def test_non_finite_taps_rejected(self, coeffs):
+        with pytest.raises(InvalidInputError, match="not all finite"):
+            GraphFilter(coeffs)
 
 
 class TestApplyFilter:

@@ -20,9 +20,12 @@ from graphcov import (
     compress_model,
     cycle_graph,
     eigendecompose,
+    fisher_info,
+    gram,
     ma_b_from_h,
     ls_estimate,
     mobius_ladder,
+    pair_gram,
     path_graph,
     sensor_graph,
     true_covariance,
@@ -339,6 +342,51 @@ class TestCompressModel:
         reference = powers[:, sel][:, :, sel]  # reference[k, p, q] = S^k[sel_p, sel_q]
         rows = model.matrix.reshape(sel.size, sel.size, q).transpose(2, 1, 0)
         npt.assert_allclose(rows, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+
+def pair_gram_psi(kind):
+    """Spectral and moving-average (Q=5) models on a real basis and on a DFT basis."""
+    if kind.endswith("real"):
+        s = build_shift(sensor_graph(24, seed=4), "laplacian")
+    else:
+        s = build_shift(mobius_ladder(24), "adjacency")
+    if kind.startswith("ma"):
+        return build_psi_ma(s, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+        return build_psi_spectral(s.basis())
+
+
+class TestPairGram:
+    @pytest.mark.parametrize("kind", ["spectral-real", "spectral-dft", "ma-real", "ma-dft"])
+    @pytest.mark.parametrize("selected", [(), (5,), (0, 3, 4, 9, 17, 22)], ids=["empty", "k1", "k6"])
+    def test_equals_the_gram_of_the_formed_pair_rows(self, kind, selected):
+        psi = pair_gram_psi(kind)
+        m = psi.n_params
+        sel = np.array(selected, dtype=int)
+        rows = psi.rows(sel[:, None], sel[None, :]).reshape(-1, m)
+        reference = rows.conj().T @ rows
+        closed = pair_gram(psi.basis[sel], psi.param_map)
+        assert closed.dtype == float and closed.shape == (m, m)
+        npt.assert_array_equal(closed, closed.T)
+        if sel.size:
+            assert np.linalg.norm(closed - reference) <= 1e-13 * np.linalg.norm(reference)
+        else:
+            npt.assert_array_equal(closed, np.zeros((m, m)))
+
+    @pytest.mark.parametrize("kind", ["spectral-real", "spectral-dft", "ma-real", "ma-dft"])
+    def test_design_and_fisher_information_read_it(self, kind):
+        # the design's Gram takes the sampled basis rows U_S, the Fisher
+        # information B = L^{-1} U_S for the Cholesky factor L of R
+        psi = pair_gram_psi(kind)
+        sampler = Subsampler(24, (0, 2, 3, 7, 11, 12, 18, 23))
+        u_s = psi.basis[list(sampler.selected)]
+        npt.assert_array_equal(gram(psi, sampler), pair_gram(u_s, psi.param_map))
+        cov = np.real(u_s @ np.diag(np.linspace(1.0, 2.0, psi.n_nodes)) @ u_s.conj().T)
+        cov = 0.5 * (cov + cov.T)
+        info = fisher_info(compress_model(psi, sampler), CovarianceMatrix(cov, kind="true"), 1)
+        b = np.linalg.inv(np.linalg.cholesky(cov)) @ u_s
+        npt.assert_array_equal(info.matrix, 0.5 * pair_gram(b, psi.param_map))
 
 
 class TestVectorize:
