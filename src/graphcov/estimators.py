@@ -29,7 +29,8 @@ the Vandermonde matrix of a moving-average model, so its Gram is
 one: every weighted estimate takes this one path, and a model without
 sampled basis rows (autoregressive) is refused. The Gram is
 :func:`~graphcov.models.pair_gram`, the rule the design's unweighted
-Gram uses too.
+Gram uses too. WLS solves a stack of trials with the same arrays given a
+leading trial axis, and a single trial is a stack of one.
 
 Every estimator, the Fisher information and the WLS stationarity check
 run on numpy alone: their linear algebra runs in numpy's BLAS, which
@@ -40,17 +41,19 @@ pool never load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
     InvalidInputError,
+    NumericalError,
     RankDeficiencyError,
     SingularityError,
 )
-from .models import ObservationModel, numerical_rank, pair_gram, unvec
+from .models import _BLOCK_ROWS, ObservationModel, numerical_rank, pair_gram, unvec
 from .stationary import CovarianceMatrix
 
 LS = "ls"
@@ -66,10 +69,46 @@ NNLS_CAP = 10
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """Parameter estimate of one trial, or one row per trial for a stacked call.
+
+    ``residual_norm`` is ``||G theta - r||`` and ``condition_number`` the
+    condition number of the system solved: the model's for LS and NNLS,
+    the whitened system's for WLS (from ``normal``, its weighted normal
+    matrix). Neither is computed until it is read, since a study reads
+    neither; for a stack each is one value per trial, NaN for a trial
+    whose solve failed.
+    """
+
     theta: np.ndarray
-    residual_norm: float
     method: str
-    condition_number: float
+    model: ObservationModel = field(repr=False, compare=False)
+    r: np.ndarray = field(repr=False, compare=False)
+    normal: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual_norm(self) -> float | np.ndarray:
+        def norm(theta, r):
+            return float(np.linalg.norm(self.model.matrix @ theta - r))
+
+        if self.theta.ndim == 1:
+            return norm(self.theta, self.r)
+        return np.array([norm(theta, r) for theta, r in zip(self.theta, self.r)])
+
+    @cached_property
+    def condition_number(self) -> float | np.ndarray:
+        if self.normal is None:
+            return self.model.condition_number
+        if self.normal.ndim == 2:
+            return _whitened_condition(self.normal)
+        return np.array([_whitened_condition(normal) for normal in self.normal])
+
+
+def _whitened_condition(normal: np.ndarray) -> float:
+    """``sqrt(lambda_max / lambda_min)`` of a weighted normal matrix; NaN for a failed trial's."""
+    if not np.all(np.isfinite(normal)):
+        return np.nan
+    eigs = np.linalg.eigvalsh(normal)
+    return float(np.sqrt(eigs[-1] / eigs[0])) if eigs[0] > 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -93,12 +132,23 @@ def _require_full_rank(model: ObservationModel) -> None:
         )
 
 
-def _require_vector(model: ObservationModel, r_y) -> np.ndarray:
-    """The observation as a finite vector of the model's length; the model itself is finite."""
-    r = np.asarray(r_y).ravel()
-    if r.size != model.matrix.shape[0]:
+def _require_one(cov: CovarianceMatrix) -> CovarianceMatrix:
+    """The covariance, refused when it is a stack of them."""
+    if cov.matrix.ndim != 2:
+        raise InvalidInputError(f"expected one covariance, got a stack of shape {cov.matrix.shape}")
+    return cov
+
+
+def _require_vector(model: ObservationModel, r_y, stack: bool = False) -> np.ndarray:
+    """The observation as a finite vector of the model's length; the model itself is finite.
+
+    With ``stack``, a T x K^2 array is kept as T observations, one per row.
+    """
+    r = np.asarray(r_y)
+    r = r if stack and r.ndim == 2 else r.ravel()
+    if r.shape[-1] != model.matrix.shape[0]:
         raise InvalidInputError(
-            f"observation vector has length {r.size}, model expects {model.matrix.shape[0]}"
+            f"observation vector has length {r.shape[-1]}, model expects {model.matrix.shape[0]}"
         )
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("non-finite values in estimation input")
@@ -115,9 +165,7 @@ def ls_estimate(model: ObservationModel, r_y) -> EstimationResult:
     """
     r = _require_vector(model, r_y)
     _require_full_rank(model)
-    theta = model.pinv @ model.stack(r)
-    residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, LS, model.condition_number)
+    return EstimationResult(model.pinv @ model.stack(r), LS, model, r)
 
 
 def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
@@ -157,8 +205,7 @@ def nnls_estimate(model: ObservationModel, r_y) -> EstimationResult:
         theta = theta_ls
     else:
         theta = _lawson_hanson(model.reduced, model.reduced @ theta_ls, theta_ls)
-    residual = float(np.linalg.norm(model.matrix @ theta - r))
-    return EstimationResult(theta, residual, NNLS, model.condition_number)
+    return EstimationResult(theta, NNLS, model, r)
 
 
 def _lawson_hanson(reduced: np.ndarray, target: np.ndarray, theta_ls: np.ndarray) -> np.ndarray:
@@ -199,17 +246,40 @@ def _lawson_hanson(reduced: np.ndarray, target: np.ndarray, theta_ls: np.ndarray
     return np.maximum(theta, 0.0)
 
 
-def _regularized_cholesky(cov: CovarianceMatrix) -> np.ndarray:
-    """Lower Cholesky factor of the covariance, diagonally loaded if near-singular."""
-    r = np.asarray(cov.matrix)
-    k = r.shape[0]
-    delta = 1e-8 * float(np.real(np.trace(r))) / k
-    if delta <= 0.0:
+def trial_blocks(n_trials: int, n: int) -> list[range]:
+    """The trials ``0 .. n_trials - 1`` in blocks of ``max(1, _BLOCK_ROWS // n)``.
+
+    A block's stacked arrays of N-wide rows, such as the whitened basis
+    rows of WLS (K x N per trial, K <= N), then hold at most
+    ``_BLOCK_ROWS`` x N floats: the rule the greedy design and
+    ``compress_model`` follow.
+    """
+    per_block = max(1, _BLOCK_ROWS // n)
+    return [range(start, min(start + per_block, n_trials)) for start in range(0, n_trials, per_block)]
+
+
+def _sampled_basis(model: ObservationModel) -> np.ndarray:
+    """The model's sampled basis rows U_S; a model without them is refused."""
+    if model.sampled_basis is None:
+        raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
+    return model.sampled_basis
+
+
+def _regularized_cholesky(matrix: np.ndarray, min_eigenvalue) -> np.ndarray:
+    """Lower Cholesky factor of each covariance of a stack, diagonally loaded where near-singular.
+
+    ``min_eigenvalue`` holds each matrix's smallest eigenvalue. A matrix
+    whose eigenvalue is below ``delta = 1e-8 tr(R) / K`` is loaded by delta.
+    """
+    k = matrix.shape[-1]
+    delta = 1e-8 * np.real(np.trace(matrix, axis1=-2, axis2=-1)) / k
+    if np.any(delta <= 0.0):
         raise SingularityError("covariance has nonpositive trace; cannot regularize")
-    if cov.min_eigenvalue < delta:
-        r = r + delta * np.eye(k)
+    loaded = np.asarray(min_eigenvalue) < delta
+    if np.any(loaded):
+        matrix = matrix + (delta * loaded)[..., None, None] * np.eye(k)
     try:
-        return np.linalg.cholesky(r)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("covariance not positive definite") from exc
 
@@ -224,20 +294,30 @@ def _weighted_system(model: ObservationModel, chol: np.ndarray, r=None):
     (elementwise) and ``Re diag(B^H L^{-1} R_hat L^{-H} B)``; a parameter
     map T maps both by T. The normal matrix ``T^T |B^H B|^2 T`` is
     :func:`~graphcov.models.pair_gram` of B and T, the rule the design's
-    unweighted Gram uses too. A model without sampled basis rows is
-    refused.
+    unweighted Gram uses too. ``chol`` may be a stack of factors, with r
+    one observation per factor; each gets its own system. A model without
+    sampled basis rows is refused.
     """
-    if model.sampled_basis is None:
-        raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
     l_inv = np.linalg.inv(chol)
-    b = l_inv @ model.sampled_basis
+    b = l_inv @ _sampled_basis(model)
     t = model.param_map
     rhs = None
     if r is not None:
-        r_w = l_inv @ unvec(r, chol.shape[0]) @ l_inv.conj().T
-        rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=0))
-        rhs = rhs if t is None else t.T @ rhs
+        r_w = l_inv @ unvec(r, chol.shape[-1]) @ np.swapaxes(l_inv.conj(), -2, -1)
+        rhs = np.real(np.sum(b.conj() * (r_w @ b), axis=-2))
+        rhs = rhs if t is None else rhs @ t
     return pair_gram(b, t), rhs
+
+
+def _wls_solve(model: ObservationModel, r: np.ndarray, matrix: np.ndarray, min_eigenvalue):
+    """Theta and weighted normal matrix of each trial of a stack, or the error of the first that fails."""
+    normal, rhs = _weighted_system(model, _regularized_cholesky(matrix, min_eigenvalue), r)
+    try:
+        factor = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("weighted normal matrix is not positive definite") from exc
+    half = np.linalg.solve(factor, rhs[..., None])
+    return np.linalg.solve(np.swapaxes(factor, -2, -1), half)[..., 0], normal
 
 
 def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> EstimationResult:
@@ -258,27 +338,48 @@ def wls_estimate(model: ObservationModel, r_hat, cov_hat: CovarianceMatrix) -> E
     matrix that is not positive definite raises RankDeficiencyError, and
     a model without sampled basis rows (autoregressive) InvalidInputError.
     ``condition_number`` is ``sqrt(lambda_max / lambda_min)`` of the
-    normal matrix, the condition number of the whitened system. With
-    fewer snapshots than observed nodes (N_s < K) the sample covariance
-    is singular; its loading ``delta = 1e-8 tr(R) / K`` puts a weight of
-    about ``1/delta`` on its null space, which drives the estimate toward
-    theta = 0.
+    normal matrix, the condition number of the whitened system, computed
+    when read. With fewer snapshots than observed nodes (N_s < K) the
+    sample covariance is singular; its loading ``delta = 1e-8 tr(R) / K``
+    puts a weight of about ``1/delta`` on its null space, which drives the
+    estimate toward theta = 0.
+
+    A stack of T trials, ``r_hat`` T x K^2 and ``cov_hat`` a stack of T
+    covariances, is solved with the same arrays given a leading trial
+    axis, in the blocks of :func:`trial_blocks`; a single trial is a stack
+    of one. Where a block's factorization or loading fails, its trials are
+    solved one at a time, and a trial that fails alone gets a NaN row of
+    ``theta``, where a single-trial call raises.
     """
-    r = _require_vector(model, r_hat)
+    stack = np.ndim(cov_hat.matrix) == 3
+    r = _require_vector(model, r_hat, stack)
     k = cov_hat.k
-    if k * k != r.size:
-        raise InvalidInputError(f"weight covariance is {k}x{k} but observation has {r.size} entries")
+    if k * k != r.shape[-1] or r.shape[:-1] != cov_hat.matrix.shape[:-2]:
+        raise InvalidInputError(
+            f"weight covariances {cov_hat.matrix.shape} do not match observations {r.shape}"
+        )
     _require_full_rank(model)
-    normal, rhs = _weighted_system(model, _regularized_cholesky(cov_hat), r)
-    try:
-        factor = np.linalg.cholesky(normal)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("weighted normal matrix is not positive definite") from exc
-    theta = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
-    residual = float(np.linalg.norm(model.matrix @ theta - r))
-    eigs = np.linalg.eigvalsh(normal)
-    condition = float(np.sqrt(eigs[-1] / eigs[0])) if eigs[0] > 0.0 else np.inf
-    return EstimationResult(theta, residual, WLS, condition)
+    n = _sampled_basis(model).shape[1]
+    matrix, min_eig = cov_hat.matrix, np.atleast_1d(cov_hat.min_eigenvalue)
+    if not stack:
+        theta, normal = _wls_solve(model, r[None], matrix[None], min_eig)
+        return EstimationResult(theta[0], WLS, model, r, normal[0])
+    m = model.n_params
+    theta, normal = np.full((len(r), m), np.nan), np.full((len(r), m, m), np.nan)
+
+    def solve(trials: slice) -> None:
+        theta[trials], normal[trials] = _wls_solve(model, r[trials], matrix[trials], min_eig[trials])
+
+    for block in trial_blocks(len(r), n):
+        try:
+            solve(slice(block.start, block.stop))
+        except (NumericalError, np.linalg.LinAlgError):  # find the failing trials: each alone
+            for t in block:
+                try:
+                    solve(slice(t, t + 1))
+                except (NumericalError, np.linalg.LinAlgError):
+                    pass  # its row stays NaN
+    return EstimationResult(theta, WLS, model, r, normal)
 
 
 def wls_stationarity_residual(
@@ -293,8 +394,8 @@ def wls_stationarity_residual(
     solution should drive this to numerical zero.
     """
     r = _require_vector(model, r_hat)
-    k = cov_hat.k
-    chol = _regularized_cholesky(cov_hat)
+    k = _require_one(cov_hat).k
+    chol = _regularized_cholesky(cov_hat.matrix, cov_hat.min_eigenvalue)
     misfit = unvec(model.matrix @ np.asarray(theta) - r, k)
 
     def solve(x):  # R^{-1} x, for R = L L^H
@@ -324,7 +425,7 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
-    k = cov.k
+    k = _require_one(cov).k
     if k * k != model.matrix.shape[0]:
         raise InvalidInputError(f"covariance is {k}x{k} but model has {model.matrix.shape[0]} rows")
     if cov.min_eigenvalue <= 0.0:

@@ -2,11 +2,17 @@
 
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
-Per-trial seeds are derived from the master seed by counter, and one
-data realization is shared by every cell of a trial and one covariance
-and linear system by every method of a cell (paired comparisons). Trials
-run one after another, with numpy's BLAS pinned to one thread, so output
-is byte-identical for a fixed config at any thread setting.
+Per-trial seeds are derived from the master seed by counter. A trial
+realises the nodes some cell reads once and forms one sample covariance
+of them; every spectral or moving-average cell reads its principal
+submatrix, and every method of a cell reads that (paired comparisons).
+LS and NNLS run per trial. WLS runs once per cell on the stacked
+covariances of a block of trials (all of a snapshot count's trials,
+unless they are more than :func:`~graphcov.estimators.trial_blocks`
+allows at once). An autoregressive trial builds its own system from its
+data and runs per trial. Trials run one after another, with numpy's BLAS
+pinned to one thread, so output is byte-identical for a fixed config at
+any thread setting.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .estimators import (
     ls_estimate,
     nmse_db,
     nnls_estimate,
+    trial_blocks,
     wls_estimate,
 )
 from .graphs import (
@@ -387,6 +394,12 @@ class _Pipeline:
                 self.cells.append((name, compression, (sampler, compressed)))
         _refuse_repeat([cell[0] for cell in self.cells], "sampler name")
         self.observed_nodes = tuple(sorted(observed))
+        # each node cell's rows of the trial covariance of observed_nodes
+        where = {node: idx for idx, node in enumerate(self.observed_nodes)}
+        self.positions = [
+            None if self.model_kind == "ar" else np.array([where[node] for node in cell[2][0].selected])
+            for cell in self.cells
+        ]
 
     # -- per-trial work ---------------------------------------------------
 
@@ -403,48 +416,93 @@ class _Pipeline:
             data = generate_signals(self.shift, self.filt, n_snapshots, seed, nodes)
         return SnapshotMatrix(data, nodes)
 
-    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
-        """Fill ``sqerr[:, :, trial]`` for one trial; NaN stays where an estimate failed."""
+    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> CovarianceMatrix | None:
+        """Fill ``sqerr[:, :, trial]`` for the methods that run per trial; NaN stays where an estimate failed.
+
+        Returns the trial's sample covariance of ``observed_nodes``, whose
+        principal submatrices :meth:`weigh_trials` stacks for WLS; None in
+        exact mode (where WLS is LS and runs here), for an autoregressive
+        model, and when the covariance is refused, which fails every cell
+        of the trial.
+        """
         if self.config.exact_covariance:
             data = None
         else:
             data = self.generate(ns, np.random.SeedSequence((self.config.seed, ns_idx, trial)))
+        cov = None
+        if data is not None and self.model_kind != "ar":
+            try:
+                cov = sample_covariance(data)
+            except GraphCovError:
+                return None
         for c_idx, cell in enumerate(self.cells):
-            self.estimate_cell(cell, data, sqerr[c_idx, :, trial])
+            self.estimate_cell(cell, self.positions[c_idx], data, cov, sqerr[c_idx, :, trial])
+        return cov
 
-    def estimate_cell(self, cell, data: SnapshotMatrix | None, out: np.ndarray) -> None:
-        """Squared spectrum error of each method of one cell into ``out``; data=None for exact mode.
+    def estimate_cell(
+        self, cell, positions, data: SnapshotMatrix | None, cov: CovarianceMatrix | None, out: np.ndarray
+    ) -> None:
+        """Squared spectrum error of each per-trial method of one cell into ``out``; data=None for exact mode.
 
-        The cell's covariance and its linear system ``(model, r_y)`` are
-        built once and shared by all methods: the compressed covariance of
-        the sampled nodes, or an AR scheme's covariance and the system built
-        from it. An entry of ``out`` stays NaN where its estimate failed.
+        The cell's linear system ``(model, r_y)`` is built once and shared
+        by its methods: from the principal submatrix on ``positions`` of the
+        trial covariance ``cov``, from the true covariance in exact mode, or
+        from an AR scheme's covariance of the data. WLS of sampled data is
+        left to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
+        estimate failed.
         """
         _, _, payload = cell
         try:
             if self.model_kind == "ar":
                 scheme = payload
                 if data is None:
-                    cov = armod.true_ar_covariances(scheme, self.true_cov)
+                    ar_cov = armod.true_ar_covariances(scheme, self.true_cov)
                 else:
-                    cov = armod.sample_ar_covariances(scheme, data)
-                model, r_y = armod.build_ar_model(self.shift, scheme, cov)
+                    ar_cov = armod.sample_ar_covariances(scheme, data)
+                model, r_y = armod.build_ar_model(self.shift, scheme, ar_cov)
             else:
                 sampler, model = payload
                 if data is None:
-                    cov, r_y = None, vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)])
+                    r_y = vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)])
                 else:
-                    cov = sample_covariance(data.rows(sampler.selected))
-                    r_y = vec(cov.matrix)
+                    r_y = vec(cov.matrix[np.ix_(positions, positions)])
         except (GraphCovError, np.linalg.LinAlgError):
             return  # every method of the cell fails
         for m_idx, method in enumerate(self.config.methods):
+            if method == WLS and data is not None:
+                continue
             try:
-                theta = estimate(model, method, r_y, cov).theta
-                err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
+                theta = estimate(model, method, r_y, None).theta  # no weight: exact-mode WLS is LS
+                out[m_idx] = self.squared_error(model, theta)
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
-            out[m_idx] = float(err @ err)
+
+    def weigh_trials(self, trials, covs: list, sqerr: np.ndarray) -> None:
+        """WLS of every node cell for ``trials``, one stacked call per cell, into ``sqerr``.
+
+        ``covs`` are the trials' covariances from :meth:`run_trial`; a
+        trial whose covariance is None is skipped. Each cell weighs with the
+        principal submatrices on its positions, and a trial whose solve
+        fails alone stays NaN.
+        """
+        kept = [(trial, cov) for trial, cov in zip(trials, covs) if cov is not None]
+        if WLS not in self.config.methods or not kept:
+            return
+        m_idx = self.config.methods.index(WLS)
+        for c_idx, (_, _, (_, model)) in enumerate(self.cells):
+            weights = CovarianceMatrix.principal([cov for _, cov in kept], self.positions[c_idx])
+            r_y = np.swapaxes(weights.matrix, -2, -1).reshape(len(kept), -1)  # vec of each trial's
+            try:
+                thetas = wls_estimate(model, r_y, weights).theta
+            except (GraphCovError, np.linalg.LinAlgError):
+                continue
+            for (trial, _), theta in zip(kept, thetas):
+                if not np.isnan(theta).any():
+                    sqerr[c_idx, m_idx, trial] = self.squared_error(model, theta)
+
+    def squared_error(self, model: ObservationModel, theta: np.ndarray) -> float:
+        err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
+        return float(err @ err)
 
     def crb_sse(self, cell) -> float | None:
         """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
@@ -475,6 +533,12 @@ class _Pipeline:
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run all cells and return one result row per (n_snapshots, sampler, method).
 
+    For each snapshot count the trials run in the blocks of
+    :func:`~graphcov.estimators.trial_blocks` (one block unless there are
+    more than ``_BLOCK_ROWS // N``): each trial of a block realises its
+    data, forms one covariance and runs LS and NNLS per cell
+    (:meth:`_Pipeline.run_trial`); then WLS runs once per cell on the
+    block's stacked covariances (:meth:`_Pipeline.weigh_trials`).
     numpy's OpenBLAS runs on one thread for the whole call, whatever
     ``OPENBLAS_NUM_THREADS`` says (see :mod:`graphcov._blas`), so the rows
     are byte-identical for a fixed config at any thread setting. The
@@ -490,8 +554,9 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             # sqerr[cell][method][trial]; NaN marks a failed estimation
             sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
 
-            for trial in range(config.n_trials):
-                pipe.run_trial(trial, ns, ns_idx, sqerr)
+            for trials in trial_blocks(config.n_trials, pipe.shift.n):
+                covs = [pipe.run_trial(trial, ns, ns_idx, sqerr) for trial in trials]
+                pipe.weigh_trials(trials, covs, sqerr)
 
             for c_idx, cell in enumerate(pipe.cells):
                 crb = pipe.crb_db(crb_sse[c_idx], ns)

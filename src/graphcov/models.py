@@ -41,8 +41,9 @@ def vec(matrix: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, rows: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a square matrix of ``rows`` rows."""
-    return np.asarray(v).reshape(rows, rows, order="F")
+    """Inverse of :func:`vec` for a square matrix of ``rows`` rows, along the last axis of a stack."""
+    v = np.asarray(v)
+    return np.swapaxes(v.reshape(*v.shape[:-1], rows, rows), -2, -1)
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,8 @@ class CovarianceModel:
 def pair_gram(b: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """Gram ``T^T |B^H B|^2 T`` (elementwise square) of the pair rows of basis rows B.
 
-    B is K x N and T a real N x M map (None for the identity). Row (a, c)
+    B is K x N, or a stack of them (one Gram each), and T a real N x M
+    map (None for the identity). Row (a, c)
     is ``(conj(B[a]) * B[c]) @ T``, so column i of the K^2 rows is
     ``vec(Y_i)`` with ``Y_i = B diag(T[:, i]) B^H``, and the Gram of all
     K^2 rows is ``T^T |B^H B|^2 T`` with no row formed. With rows of the
@@ -289,13 +291,14 @@ def pair_gram(b: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     every mapped X_i is real. The result is real and symmetrised; K = 0
     gives the zero matrix.
     """
+    b_h = np.swapaxes(b.conj(), -2, -1)
     if t is None:
-        gram = np.abs(b.conj().T @ b) ** 2
+        gram = np.abs(b_h @ b) ** 2
     else:  # tr(Y_k Y_l) is the inner product of vec(Y_k) and vec(Y_l), as each Y_k is Hermitian
-        b_h = b.conj().T
-        y = np.stack([(b * column) @ b_h for column in t.T]).reshape(t.shape[1], -1)
-        gram = np.real(y @ y.conj().T)
-    return 0.5 * (gram + gram.T)
+        y = np.stack([(b * column) @ b_h for column in t.T], axis=-3)
+        y = y.reshape(*y.shape[:-2], -1)
+        gram = np.real(y @ np.swapaxes(y.conj(), -2, -1))
+    return 0.5 * (gram + np.swapaxes(gram, -2, -1))
 
 
 def build_psi_spectral(basis: SpectralBasis) -> CovarianceModel:

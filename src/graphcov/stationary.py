@@ -28,39 +28,72 @@ SAMPLE = "sample"
 class CovarianceMatrix:
     """Hermitian PSD covariance, either exact ('true') or estimated ('sample').
 
-    An empty or non-finite matrix is refused. ``min_eigenvalue`` is the
-    smallest eigenvalue, computed once for the PSD check and read by every
-    consumer that needs it.
+    ``matrix`` is one K x K matrix or a stack of them, ``(..., K, K)``,
+    such as one sample covariance per trial; every check runs on each
+    matrix of a stack, and one that fails refuses the stack. An empty or
+    non-finite matrix is refused. ``min_eigenvalue`` is the smallest
+    eigenvalue (one per matrix of a stack), computed once for the PSD
+    check and read by every consumer that needs it.
     """
 
     matrix: np.ndarray
     kind: str
     n_snapshots: int | None = None
-    min_eigenvalue: float = field(init=False, repr=False, compare=False)
+    min_eigenvalue: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.size == 0:
             raise InvalidInputError(f"covariance must be a non-empty square matrix, got shape {m.shape}")
-        largest = np.abs(m).max()
-        if not np.isfinite(largest):
+        largest = np.abs(m).max(axis=(-2, -1))
+        if not np.isfinite(largest).all():
             raise InvalidInputError("non-finite values in covariance")
-        if np.abs(m - m.conj().T).max() > 1e-12 * max(largest, 1.0):
+        m_h = m.conj().swapaxes(-2, -1)
+        if (np.abs(m - m_h).max(axis=(-2, -1)) > 1e-12 * np.maximum(largest, 1.0)).any():
             raise InvalidInputError("covariance must be Hermitian")
-        m = 0.5 * (m + m.conj().T)
-        trace = float(np.real(np.trace(m)))
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -1e-10 * max(trace, 1e-300):
-            raise InvalidInputError(f"covariance not PSD (min eigenvalue {min_eig:.2e})")
+        m = 0.5 * (m + m_h)
+        trace = m.trace(axis1=-2, axis2=-1).real
+        min_eig = np.linalg.eigvalsh(m)[..., 0]  # ascending
+        bad = min_eig < -1e-10 * np.maximum(trace, 1e-300)
+        if bad.any():
+            raise InvalidInputError(f"covariance not PSD (min eigenvalue {min_eig[bad].min():.2e})")
         if self.kind not in (TRUE, SAMPLE):
             raise InvalidInputError(f"unknown covariance kind {self.kind!r}")
+        self._freeze(m, float(min_eig) if m.ndim == 2 else min_eig)
+
+    def _freeze(self, m: np.ndarray, min_eig) -> None:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "min_eigenvalue", min_eig)
 
+    @classmethod
+    def principal(cls, covs, positions) -> "CovarianceMatrix":
+        """Stack of the principal submatrices on ``positions`` of the K x K covariances ``covs``.
+
+        Member t is the covariance of the rows ``positions`` of ``covs[t]``,
+        such as one trial's covariance of a sampler's nodes cut from the
+        trial's covariance of every observed node. A principal submatrix of
+        a finite Hermitian PSD matrix is one, so the members are not
+        checked again: only their smallest eigenvalues are computed, in one
+        call, or taken from ``covs`` when ``positions`` keeps every row in
+        order. The stack takes the kind and snapshot count of ``covs[0]``.
+        """
+        idx = np.asarray(positions, dtype=np.intp)
+        stack = np.stack([cov.matrix for cov in covs])
+        if np.array_equal(idx, np.arange(stack.shape[-1])):
+            min_eig = np.array([cov.min_eigenvalue for cov in covs])
+        else:
+            stack = stack[:, idx[:, None], idx]
+            min_eig = np.linalg.eigvalsh(stack)[:, 0]
+        out = object.__new__(cls)
+        object.__setattr__(out, "kind", covs[0].kind)
+        object.__setattr__(out, "n_snapshots", covs[0].n_snapshots)
+        out._freeze(stack, min_eig)
+        return out
+
     @property
     def k(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -111,10 +144,13 @@ def _realise(shift: ShiftOperator, transfer: np.ndarray, n_snapshots: int, seed)
     ``transfer`` holds the rows of H for the requested nodes, so the
     noise stream, and each node's realization, does not depend on which
     nodes are requested. A snapshot count that is not an integer >= 1 is
-    refused.
+    refused. A product that overflows gives inf or nan with no
+    floating-point warning; :class:`SnapshotMatrix` refuses it.
     """
     _check_ints((n_snapshots,), 1, np.inf, "n_snapshots")
-    return transfer @ _rng(seed).standard_normal((shift.n, n_snapshots))
+    noise = _rng(seed).standard_normal((shift.n, n_snapshots))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return transfer @ noise
 
 
 def generate_signals(
@@ -145,7 +181,10 @@ def sample_covariance(snapshots, demean: bool = False) -> CovarianceMatrix:
     """Sample covariance ``Y Y^H / N_s`` of a snapshot matrix.
 
     Accepts a SnapshotMatrix or a plain K x N_s array. With ``demean``
-    the per-node sample mean is subtracted first.
+    the per-node sample mean is subtracted first. Snapshots large enough
+    for the product to overflow give a non-finite matrix, which
+    :class:`CovarianceMatrix` refuses (InvalidInputError), with no
+    floating-point warning on the way.
     """
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.atleast_2d(
         np.asarray(snapshots, dtype=float)
@@ -153,9 +192,11 @@ def sample_covariance(snapshots, demean: bool = False) -> CovarianceMatrix:
     n_s = data.shape[1]
     if n_s < 1:
         raise InvalidInputError("need at least one snapshot")
-    if demean:
-        data = data - data.mean(axis=1, keepdims=True)
-    return CovarianceMatrix(data @ data.conj().T / n_s, kind=SAMPLE, n_snapshots=n_s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, as inf or nan
+        if demean:
+            data = data - data.mean(axis=1, keepdims=True)
+        product = data @ data.conj().T / n_s
+    return CovarianceMatrix(product, kind=SAMPLE, n_snapshots=n_s)
 
 
 def power_spectrum_from_cov(basis: SpectralBasis, cov: CovarianceMatrix) -> np.ndarray:
@@ -165,8 +206,8 @@ def power_spectrum_from_cov(basis: SpectralBasis, cov: CovarianceMatrix) -> np.n
     it needs the full N x N covariance.
     """
     r = cov.matrix
-    if r.shape[0] != basis.n:
-        raise InvalidInputError(f"covariance size {r.shape[0]} != basis size {basis.n}")
+    if r.shape != (basis.n, basis.n):
+        raise InvalidInputError(f"covariance of shape {r.shape} is not {basis.n} x {basis.n}, the basis size")
     u = basis.eigvecs
     return np.real(np.einsum("ni,nm,mi->i", u.conj(), r, u))
 

@@ -414,6 +414,86 @@ class TestWls:
         assert np.all(np.isfinite(res.theta))
 
 
+def stacked_case(kind, n_snapshots, trials=5):
+    """A compressed model and ``trials`` sample covariances of its nodes, from independent seeds."""
+    if kind == "dft":
+        shift, sel = build_shift(cycle_graph(7), "adjacency"), (0, 1, 3, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)  # the cycle's DFT basis
+            psi = build_psi_spectral(shift.basis())
+    else:
+        shift, sel = build_shift(sensor_graph(12, seed=2), "laplacian"), (0, 2, 3, 5, 8, 10)
+        psi = build_psi_ma(shift, 3) if kind == "ma" else build_psi_spectral(shift.basis())
+    model = compress_model(psi, Subsampler(shift.n, sel))
+    covs = [
+        sample_covariance(generate_signals(shift, GraphFilter([1.0, -0.3]), n_snapshots, seed=seed)[list(sel)])
+        for seed in range(trials)
+    ]
+    return model, covs
+
+
+class TestStackedWls:
+    @pytest.mark.parametrize("n_snapshots", [3, 200], ids=["loaded", "full-rank"])
+    @pytest.mark.parametrize("kind", ["sensor", "dft", "ma"])
+    def test_rows_equal_single_calls(self, kind, n_snapshots):
+        model, covs = stacked_case(kind, n_snapshots)
+        stack = CovarianceMatrix(np.stack([c.matrix for c in covs]), kind="sample", n_snapshots=n_snapshots)
+        r = np.stack([vec(c.matrix) for c in covs])
+        res = wls_estimate(model, r, stack)
+        assert res.theta.shape == (len(covs), model.n_params)
+        for t, cov in enumerate(covs):
+            one = wls_estimate(model, r[t], cov)
+            scale = np.linalg.norm(one.theta)
+            npt.assert_allclose(res.theta[t], one.theta, rtol=0, atol=1e-12 * scale)
+            assert res.residual_norm[t] == pytest.approx(one.residual_norm, rel=1e-12)
+            assert res.condition_number[t] == pytest.approx(one.condition_number, rel=1e-12)
+
+    def test_failed_trial_alone_is_nan_across_a_block_boundary(self, monkeypatch):
+        model, covs = stacked_case("sensor", 200)
+        mats = np.stack([c.matrix for c in covs])
+        mats[2] = 0.0  # zero trace: the loading has nothing to scale
+        r = np.stack([vec(m) for m in mats])
+        monkeypatch.setattr(estimators, "_BLOCK_ROWS", 2 * model.sampled_basis.shape[1])
+        assert [list(b) for b in estimators.trial_blocks(5, 12)] == [[0, 1], [2, 3], [4]]
+        res = wls_estimate(model, r, CovarianceMatrix(mats, kind="sample", n_snapshots=200))
+        assert np.isnan(res.theta[2]).all()
+        assert np.isnan(res.residual_norm[2]) and np.isnan(res.condition_number[2])
+        for t in (0, 1, 3, 4):
+            one = wls_estimate(model, r[t], covs[t]).theta
+            npt.assert_allclose(res.theta[t], one, rtol=0, atol=1e-12 * np.linalg.norm(one))
+        with pytest.raises(SingularityError):
+            wls_estimate(model, r[2], CovarianceMatrix(mats[2], kind="sample", n_snapshots=200))
+
+    def test_stack_shapes_must_match(self):
+        model, covs = stacked_case("sensor", 200, trials=3)
+        stack = CovarianceMatrix(np.stack([c.matrix for c in covs]), kind="sample", n_snapshots=200)
+        r = np.stack([vec(c.matrix) for c in covs])
+        with pytest.raises(InvalidInputError, match="do not match"):
+            wls_estimate(model, r[:2], stack)
+        with pytest.raises(InvalidInputError, match="length 108"):  # one covariance: r is one vector
+            wls_estimate(model, r, covs[0])
+
+    def test_single_covariance_functions_refuse_a_stack(self):
+        model, covs = stacked_case("sensor", 200, trials=2)
+        stack = CovarianceMatrix(np.stack([c.matrix for c in covs]), kind="sample", n_snapshots=200)
+        with pytest.raises(InvalidInputError, match="stack"):
+            fisher_info(model, stack, 200)
+        with pytest.raises(InvalidInputError, match="stack"):
+            wls_stationarity_residual(model, np.ones(model.n_params), vec(covs[0].matrix), stack)
+
+    def test_diagnostics_are_computed_when_read(self, monkeypatch):
+        model, covs = stacked_case("sensor", 200, trials=1)
+        r = vec(covs[0].matrix)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        res = wls_estimate(model, r, covs[0])
+        assert calls == []
+        assert res.condition_number >= 1.0 and len(calls) == 1
+        assert res.condition_number >= 1.0 and len(calls) == 1  # computed once
+        assert res.residual_norm == pytest.approx(np.linalg.norm(model.matrix @ res.theta - r))
+
+
 class TestFisher:
     def test_matches_dense_weight(self, k4_setup):
         model, cov, _ = k4_setup

@@ -264,6 +264,29 @@ class TestSignalAndEstimate:
         expected = power_spectrum_from_cov(shift.basis(), cov)
         npt.assert_allclose(report["power_spectrum"], expected, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "seed, command, message",
+        [(0, "estimate", "non-finite values in covariance"),
+         (2, "signal gen", "non-finite values in snapshot data")],
+    )
+    def test_overflowing_snapshots_exit_code(self, tmp_path, capsys, seed, command, message):
+        # one edge of weight 1.5e308 passes every shift and basis check; with seed 0 the
+        # snapshots are finite (about 1e307) and their covariance overflows, with seed 2
+        # the filtered noise itself overflows; either is refused, with no overflow warning
+        graph, sampler, snaps = (tmp_path / name for name in ("g.json", "s.json", "snaps.csv"))
+        graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.5e308]]}))
+        sampler.write_text(Subsampler.full(2).to_json())
+        gen = run_cli("signal", "gen", "--graph", str(graph), "--shift", "adjacency", "--coeffs", "1,0.5",
+                      "--ns", "3", "--seed", str(seed), "--out", str(snaps))
+        if command == "estimate":
+            assert gen == 0
+            code = run_cli("estimate", "--graph", str(graph), "--shift", "adjacency", "--snapshots", str(snaps),
+                           "--sampler", str(sampler), "--method", "wls", "--out", str(tmp_path / "e.json"))
+        else:
+            code = gen
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_estimate_missing_nodes_exit_code(self, sensor_graph_file, tmp_path):
         snaps = tmp_path / "snaps.csv"
         partial = tmp_path / "partial.json"
@@ -667,10 +690,13 @@ class TestExperiment:
             )
 
     def test_thread_env_does_not_change_results(self, tmp_path):
-        # One study on a real sensor basis, one on a complex DFT basis and
-        # one AR study, and a greedy design of 12 of 60 sensor nodes on the
-        # spectral and the moving-average model, each run in a fresh process
-        # at one and at two BLAS threads.
+        # One study on a real sensor basis, one on a complex DFT basis, one
+        # AR study and one whose WLS stack spans two trial blocks, and a
+        # greedy design of 12 of 60 sensor nodes on the spectral and the
+        # moving-average model, each run in a fresh process at one and at
+        # two BLAS threads.
+        from graphcov.estimators import trial_blocks
+
         graph = tmp_path / "g60.json"
         assert run_cli("graph", "gen", "--kind", "sensor", "--n", "60", "--seed", "7",
                        "--out", str(graph)) == 0
@@ -695,7 +721,14 @@ class TestExperiment:
                 samplers=[{"name": "core1", "kind": "ar-core", "k0": 1},
                           {"name": "core2", "kind": "ar-core", "k0": 2}],
             ),
+            base_config(
+                graph={"kind": "sensor", "n": 60, "seed": 7},
+                methods=["wls"],
+                samplers=[{"name": "full", "kind": "full"}],
+                n_trials=40,
+            ),
         ]
+        assert len(trial_blocks(40, 60)) >= 2
         paths = []
         for idx, cfg in enumerate(configs):
             path = tmp_path / f"cfg{idx}.json"
@@ -733,8 +766,9 @@ class TestExperiment:
         header = b"n_snapshots,method,sampler,compression,nmse_db,crb_db,failures\n"
         studies = outputs[0].split(header)
         assert studies[0] == b""
-        assert [study.count(b"\n") for study in studies[1:]] == [2 * 3, 1 * 3, 2 * 1]  # rows
-        assert b",," not in studies[1] + studies[2]  # every spectral cell has an NMSE and a CRB
+        assert [study.count(b"\n") for study in studies[1:]] == [2 * 3, 1 * 3, 2 * 1, 1 * 1]  # rows
+        assert b",," not in studies[1] + studies[2] + studies[4]  # every spectral cell has an NMSE and a CRB
+        assert studies[4].endswith(b",0\n")  # no failed WLS trial in either block
         for row in studies[3].splitlines():  # every AR cell has an NMSE; AR has no CRB
             fields = row.split(b",")
             assert fields[4] != b"" and fields[5] == b"" and fields[6] == b"0"
@@ -883,6 +917,53 @@ class TestExperiment:
             assert out["csv"]["nnls"] == rows_to_csv(run_experiment(ExperimentConfig(**studies["nnls"])))
         assert out["csv"]["nnls"].count("\n") == 1 + 2  # header and the nnls row of each sampler
         assert (tmp_path / "nnls.csv").read_text() == out["csv"]["nnls"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"methods": ["ls", "nnls", "wls"],
+             "samplers": [{"name": "full", "kind": "full"},
+                          {"name": "part", "kind": "explicit", "selected": [0, 2, 3, 5, 7, 8, 11, 12, 14]}]},
+            {"graph": {"kind": "cycle", "n": 10}, "shift": "adjacency", "methods": ["ls", "nnls", "wls"],
+             "samplers": [{"name": "ruler", "kind": "ruler"}]},
+            {"graph": {"kind": "sensor", "n": 20, "seed": 7}, "model": {"kind": "ma", "q": 3},
+             "methods": ["ls", "wls"],
+             "samplers": [{"name": "full", "kind": "full"},
+                          {"name": "part", "kind": "explicit", "selected": [1, 4, 6, 9, 12, 15, 18]}]},
+        ],
+        ids=["sensor", "cycle-ruler", "ma"],
+    )
+    def test_rows_equal_a_per_trial_reference_loop(self, overrides):
+        # every cell and method estimated trial by trial from its own sample covariance;
+        # N_s = 5 is below every sampler's K, so WLS takes its loaded branch there
+        from graphcov import experiment, sample_covariance, vec
+        from graphcov.estimators import nmse_db
+        from graphcov.experiment import _Pipeline
+
+        cfg = ExperimentConfig(**base_config(n_snapshots=[5, 200], n_trials=6, **overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            rows = run_experiment(cfg)
+            pipe = _Pipeline(cfg)
+        expected = []
+        for ns_idx, ns in enumerate(cfg.n_snapshots):
+            sse = {}
+            for trial in range(cfg.n_trials):
+                data = pipe.generate(ns, np.random.SeedSequence((cfg.seed, ns_idx, trial)))
+                for name, _, (sampler, model) in pipe.cells:
+                    cov = sample_covariance(data.rows(sampler.selected))
+                    for method in cfg.methods:
+                        theta = experiment.estimate(model, method, vec(cov.matrix), cov).theta
+                        err = experiment.model_spectrum(model, pipe.basis.eigvals, theta) - pipe.true_p
+                        sse[name, method] = sse.get((name, method), 0.0) + float(err @ err)
+            for name, _, _ in pipe.cells:
+                for method in cfg.methods:
+                    expected.append((ns, method, name, nmse_db(sse[name, method], cfg.n_trials, pipe.p_norm)))
+        assert len(rows) == len(expected)
+        for row, (ns, method, name, nmse) in zip(rows, expected):
+            assert (row["n_snapshots"], row["method"], row["sampler"]) == (ns, method, name)
+            assert row["failures"] == 0
+            assert abs(row["nmse_db"] - nmse) <= 1e-9
 
     def test_crb_column_matches_per_snapshot_fisher(self):
         from graphcov import CovarianceMatrix, fisher_info

@@ -64,6 +64,45 @@ class TestCovarianceType:
             sample_covariance(np.zeros((0, 5)))
 
 
+class TestCovarianceStack:
+    @staticmethod
+    def matrices(count=4, k=5, seed=0):
+        x = np.random.default_rng(seed).standard_normal((count, k, 3))  # 3 < k: singular members
+        return x @ np.swapaxes(x, 1, 2) / 3
+
+    def test_members_match_single_matrices(self):
+        mats = self.matrices()
+        stack = CovarianceMatrix(mats, kind="sample", n_snapshots=3)
+        assert stack.k == 5 and stack.min_eigenvalue.shape == (4,)
+        for t, m in enumerate(mats):
+            one = CovarianceMatrix(m, kind="sample", n_snapshots=3)
+            npt.assert_array_equal(stack.matrix[t], one.matrix)
+            assert stack.min_eigenvalue[t] == one.min_eigenvalue
+            assert isinstance(one.min_eigenvalue, float)
+
+    @pytest.mark.parametrize("bad", ["nan", "indefinite", "non-hermitian"])
+    def test_one_bad_member_refuses_the_stack(self, bad):
+        mats = self.matrices()
+        mats[2] = {
+            "nan": np.full((5, 5), np.nan),
+            "indefinite": -np.eye(5),
+            "non-hermitian": np.triu(np.ones((5, 5))),
+        }[bad]
+        with pytest.raises(InvalidInputError):
+            CovarianceMatrix(mats, kind="sample", n_snapshots=3)
+
+    @pytest.mark.parametrize("positions", [[4, 0, 2], [0, 1, 2, 3, 4]], ids=["subset", "every-row"])
+    def test_principal_submatrices(self, positions):
+        covs = [CovarianceMatrix(m, kind="sample", n_snapshots=3) for m in self.matrices()]
+        stack = CovarianceMatrix.principal(covs, positions)
+        assert stack.kind == "sample" and stack.n_snapshots == 3
+        assert not stack.matrix.flags.writeable
+        for t, cov in enumerate(covs):
+            sub = CovarianceMatrix(cov.matrix[np.ix_(positions, positions)], kind="sample")
+            npt.assert_array_equal(stack.matrix[t], sub.matrix)
+            assert stack.min_eigenvalue[t] == sub.min_eigenvalue
+
+
 class TestTrueCovariance:
     def test_identity_filter(self, path2):
         npt.assert_allclose(true_covariance(path2, GraphFilter([1.0])).matrix, np.eye(2))
@@ -165,6 +204,14 @@ class TestSampleCovariance:
         cov = sample_covariance(y, demean=True)
         npt.assert_allclose(cov.matrix, [[1, 0], [0, 0]])
         assert cov.n_snapshots == 2
+
+    @pytest.mark.parametrize("demean", [False, True])
+    def test_overflowing_product_refused_without_a_warning(self, demean):
+        # the suite turns RuntimeWarnings into errors, so an overflow warning would fail here
+        y = np.full((2, 3), 1e307)
+        y[1, 0] = -1e307
+        with pytest.raises(InvalidInputError, match="non-finite values in covariance"):
+            sample_covariance(y, demean=demean)
 
     def test_consistency_rate(self):
         # squared covariance error shrinks like 1/N_s (within a factor of 2)
