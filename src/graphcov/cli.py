@@ -28,11 +28,11 @@ from .errors import (
     NumericalError,
 )
 from .experiment import (
+    KINDS,
     METHODS,
-    SECTION_KEYS,
     ExperimentConfig,
-    check_keys,
     estimate,
+    fields,
     make_graph,
     make_model,
     model_spectrum,
@@ -40,7 +40,7 @@ from .experiment import (
     ruler_sampler,
     run_experiment,
 )
-from .graphs import Graph, GraphFilter, build_shift
+from .graphs import SHIFTS, Graph, GraphFilter, build_shift
 from .models import Subsampler, compress_model, vec
 from .stationary import (
     SnapshotMatrix,
@@ -82,25 +82,23 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InvalidInputError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _model_spec(args) -> dict:
-    """``--model`` with the model options given; one its kind does not take is refused."""
-    spec = {"kind": args.model}
-    spec.update((key, getattr(args, key)) for key in ("q", "p") if getattr(args, key, None) is not None)
-    check_keys(spec, SECTION_KEYS["model"], "model")
+def _spec(section: str, kind: str, args) -> dict:
+    """``kind`` with the options given of the keys in ``KINDS[section]``, checked by :func:`fields`."""
+    keys = {key for entry in KINDS[section].values() for key in entry.keys}
+    spec = {"kind": kind, **{key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}}
+    fields(spec, section)
     return spec
 
 
 def cmd_graph_gen(args) -> int:
-    spec = {"kind": args.kind, "n": args.n, "seed": args.seed, "knn": args.knn}
-    graph = make_graph(spec)
-    _write(args.out, graph.to_json())
+    _write(args.out, make_graph(_spec("graph", args.kind, args)).to_json())
     return 0
 
 
 def cmd_sampler_design(args) -> int:
     graph = _load_graph(args.graph)
     shift = build_shift(graph, args.shift)
-    psi = make_model(shift, _model_spec(args))
+    psi = make_model(shift, _spec("model", args.model, args))
     result = greedy_design(DesignProblem(psi=psi, k=args.k))
     report = check_valid(psi, result.sampler)
     _write(args.out, result.sampler.to_json())
@@ -164,11 +162,9 @@ def cmd_estimate(args) -> int:
     graph = _load_graph(args.graph)
     shift = build_shift(graph, args.shift)
     snapshots = load_snapshots_csv(args.snapshots)
-    spec = _model_spec(args)
+    spec = _spec("model", args.model, args)
 
     if args.model == "ar":
-        if args.p is None:
-            raise InvalidInputError("--p is required for the autoregressive model")
         if args.sampler is not None:
             raise InvalidInputError("the autoregressive model takes --core, not --sampler")
         core = armod.core_by_degree(graph) if args.core is None else _parse_ints(args.core)
@@ -225,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="subcommand", required=True
     )
     gen = graph.add_parser("gen", help="generate a graph JSON file")
-    gen.add_argument("--kind", required=True, choices=["sensor", "cycle", "mobius", "path"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--knn", type=int, default=6, help="sensor graph neighbors")
+    generated = {kind: entry.keys for kind, entry in KINDS["graph"].items() if entry.build}
+    gen.add_argument("--kind", required=True, choices=list(generated))
+    for key in dict.fromkeys(key for keys in generated.values() for key in keys):
+        gen.add_argument(f"--{key}", type=int, help="/".join(k for k in generated if key in generated[k]) + " only")
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_graph_gen)
 
@@ -237,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     design = sampler.add_parser("design", help="greedy log-det design")
     design.add_argument("--graph", required=True)
-    design.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
-    design.add_argument("--model", default="spectral", choices=["spectral", "ma"])
+    design.add_argument("--shift", default="laplacian", choices=SHIFTS)
+    design.add_argument("--model", default="spectral", choices=[kind for kind in KINDS["model"] if kind != "ar"])
     design.add_argument("--k", type=int, required=True)
     design.add_argument("--q", type=int)
     design.add_argument("--out", default="-")
@@ -256,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sgen = signal.add_parser("gen", help="generate stationary snapshots as CSV")
     sgen.add_argument("--graph", required=True)
-    sgen.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
-    sgen.add_argument("--signal", default="ma", choices=["ma", "ar"])
+    sgen.add_argument("--shift", default="laplacian", choices=SHIFTS)
+    sgen.add_argument("--signal", default="ma", choices=list(KINDS["signal"]))
     sgen.add_argument("--coeffs", required=True, help="filter (ma) or AR coefficients")
     sgen.add_argument("--ns", type=int, required=True)
     sgen.add_argument("--seed", type=int, default=0)
@@ -267,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = top.add_parser("estimate", help="estimate the power spectrum from snapshots")
     est.add_argument("--graph", required=True)
-    est.add_argument("--shift", default="laplacian", choices=["laplacian", "adjacency"])
+    est.add_argument("--shift", default="laplacian", choices=SHIFTS)
     est.add_argument("--snapshots", required=True)
     est.add_argument("--sampler", help="sampler JSON (spectral/ma models)")
-    est.add_argument("--model", default="spectral", choices=["spectral", "ma", "ar"])
+    est.add_argument("--model", default="spectral", choices=list(KINDS["model"]))
     est.add_argument("--q", type=int)
     est.add_argument("--p", type=int)
     est.add_argument("--core", help="comma-separated AR core nodes")

@@ -22,6 +22,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,26 +75,6 @@ from .stationary import (
 
 CSV_HEADER = "n_snapshots,method,sampler,compression,nmse_db,crb_db,failures"
 METHODS = (LS, NNLS, WLS)
-MA_NNLS_REFUSED = (
-    "nnls constrains the parameters to be nonnegative, but a moving-average model's "
-    "parameters are the coefficients b = h * h, which may be negative; use ls or wls"
-)
-# The keys each sampler kind takes besides "kind"; any other key is refused.
-SAMPLER_KEYS = {
-    "full": ("name",),
-    "explicit": ("name", "selected"),
-    "greedy": ("name", "k"),
-    "ruler": ("name", "marks"),
-    "ar-core": ("name", "core", "k0"),
-}
-# The keys each model and signal kind takes besides "kind", by config section.
-SECTION_KEYS = {
-    "model": {"spectral": (), "ma": ("q",), "ar": ("p",)},
-    "signal": {"ma": ("h",), "ar": ("a",)},
-}
-
-
-_REQUIRED = object()
 
 
 def _int(value) -> int:
@@ -117,6 +98,45 @@ def _floats(value) -> np.ndarray:
     return values
 
 
+class Kind(NamedTuple):
+    """One kind of a config section."""
+
+    keys: dict = {}  # besides "kind": key: (convert,) when required, key: (convert, default) when not
+    build: Callable | None = None  # a generated graph's builder; it defaults a key left out or None
+    refuses: dict = {}  # the methods a model kind refuses: method: why
+
+
+_NAME = {"name": (str, None)}
+# Every kind of every config section; a key its kind does not list is refused.
+KINDS = {
+    "graph": {
+        "sensor": Kind({"n": (_int,), "seed": (_int, None), "knn": (_int, None)}, sensor_graph),
+        "cycle": Kind({"n": (_int,)}, cycle_graph),
+        "mobius": Kind({"n": (_int,)}, mobius_ladder),
+        "path": Kind({"n": (_int,)}, path_graph),
+        "file": Kind({"path": (str,)}),
+    },
+    "signal": {"ma": Kind({"h": (_floats,)}), "ar": Kind({"a": (_floats,)})},
+    "model": {
+        "spectral": Kind(),
+        "ma": Kind({"q": (_int,)}, refuses={NNLS: (
+            "nnls constrains the parameters to be nonnegative, but a moving-average model's "
+            "parameters are the coefficients b = h * h, which may be negative; use ls or wls"
+        )}),
+        "ar": Kind(
+            {"p": (_int,)}, refuses=dict.fromkeys((NNLS, WLS), "the autoregressive estimator is least squares only")
+        ),
+    },
+    "sampler": {
+        "full": Kind(_NAME),
+        "explicit": Kind({**_NAME, "selected": (_ints,)}),
+        "greedy": Kind({**_NAME, "k": (_int,)}),
+        "ruler": Kind({**_NAME, "marks": (_ints, None)}),
+        "ar-core": Kind({**_NAME, "core": (_ints, None), "k0": (_int, 1)}),
+    },
+}
+
+
 def _refuse_repeat(values, what: str) -> None:
     """Refuse a value that repeats: a CSV row is keyed by (n_snapshots, method, sampler)."""
     seen = set()
@@ -126,73 +146,67 @@ def _refuse_repeat(values, what: str) -> None:
         seen.add(value)
 
 
-def _field(spec: dict, key: str, where: str, convert, default=_REQUIRED):
-    """``convert(spec[key])``, or ``default`` when the value is missing or null.
+def fields(spec: dict, section: str) -> dict:
+    """Every key of ``spec``'s kind in ``KINDS[section]``, converted, or its default when missing or null.
 
-    A missing value without a default, or one ``convert`` (``_int``,
-    ``_ints`` or ``_floats``) cannot take, is refused by the name
-    ``where.key``. Numbers must be finite, and integers JSON integers.
+    Refused: an unknown kind, a key the kind does not take, a missing key
+    without a default and a value its converter cannot take, each key by
+    its name ``section.key``. Numbers must be finite, integers JSON integers.
     """
-    value = spec.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise InvalidInputError(
-                f"{where}.{key} is required for {where} kind {spec.get('kind')!r}"
-            )
-        return default
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad {where}.{key} {value!r}: {exc}") from None
+    kind = KINDS[section].get(spec.get("kind")) if isinstance(spec.get("kind"), str) else None
+    if kind is None:
+        raise InvalidInputError(f"unknown {section} kind {spec.get('kind')!r}")
+    unknown = sorted(set(spec) - {"kind", *kind.keys})
+    if unknown:
+        raise InvalidInputError(
+            f"{section} kind {spec['kind']!r} takes no key {unknown[0]!r}; its keys are {['kind', *kind.keys]}"
+        )
+    out = {}
+    for key, (convert, *default) in kind.keys.items():
+        value = spec.get(key)
+        if value is None and not default:
+            raise InvalidInputError(f"{section}.{key} is required for {section} kind {spec['kind']!r}")
+        try:
+            out[key] = default[0] if value is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad {section}.{key} {value!r}: {exc}") from None
+    return out
 
 
 def make_graph(spec: dict) -> Graph:
-    kind = spec.get("kind")
-    if kind == "sensor":
-        return sensor_graph(
-            _field(spec, "n", "graph", _int),
-            _field(spec, "seed", "graph", _int, 0),
-            _field(spec, "knn", "graph", _int, 6),
-        )
-    if kind == "cycle":
-        return cycle_graph(_field(spec, "n", "graph", _int))
-    if kind == "mobius":
-        return mobius_ladder(_field(spec, "n", "graph", _int))
-    if kind == "path":
-        return path_graph(_field(spec, "n", "graph", _int))
-    if kind == "file":
-        path = _field(spec, "path", "graph", str)
-        if not os.path.exists(path):
-            raise InvalidInputError(f"graph file not found: {path}")
-        with open(path) as fh:
-            return Graph.from_json(fh.read())
-    raise InvalidInputError(f"unknown graph kind {kind!r}")
+    """The graph of a config's graph section, by its kind in ``KINDS["graph"]``; other keys are refused.
 
-
-def check_keys(spec: dict, keys: dict, where: str) -> None:
-    """Refuse a key of ``spec`` that its kind does not take, by ``keys[kind]``.
-
-    ``keys`` is ``SAMPLER_KEYS`` or a table of ``SECTION_KEYS``. A kind
-    the table does not know passes: it is refused where it is built.
+    A generated kind's builder gets the keys given and defaults the rest; a
+    ``file`` graph is read from its ``path``, which must exist.
     """
-    kind = spec.get("kind")
-    if not (isinstance(kind, str) and kind in keys):
-        return
-    unknown = sorted(set(spec) - {"kind", *keys[kind]})
+    keys = {key: value for key, value in fields(spec, "graph").items() if value is not None}
+    build = KINDS["graph"][spec["kind"]].build
+    if build is not None:
+        return build(**keys)
+    if not os.path.exists(keys["path"]):
+        raise InvalidInputError(f"graph file not found: {keys['path']}")
+    with open(keys["path"]) as fh:
+        return Graph.from_json(fh.read())
+
+
+def _check_methods(kind: Kind, methods) -> None:
+    """Refuse an unknown method, and one the model kind ``kind`` refuses, for its reason."""
+    unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise InvalidInputError(
-            f"{where} kind {kind!r} takes no key {unknown[0]!r}; its keys are {['kind', *keys[kind]]}"
-        )
+        raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+    refused = [kind.refuses[m] for m in methods if m in kind.refuses]
+    if refused:
+        raise InvalidInputError(refused[0])
 
 
 def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
     """Uncompressed model of ``spec``: ``{"kind": "spectral"}`` or ``{"kind": "ma", "q": Q}``."""
-    kind = spec.get("kind")
-    if kind == "spectral":
+    keys = fields(spec, "model")
+    if spec["kind"] == "spectral":
         return build_psi_spectral(shift.basis())
-    if kind == "ma":
-        return build_psi_ma(shift, _field(spec, "q", "model", _int))
-    raise InvalidInputError(f"unknown model kind {kind!r}")
+    if spec["kind"] == "ma":
+        return build_psi_ma(shift, keys["q"])
+    raise InvalidInputError(f"unknown model kind {spec['kind']!r}")
 
 
 def ruler_sampler(n: int, marks=None) -> Subsampler:
@@ -210,22 +224,19 @@ def estimate(
     """Parameters of ``model`` from the observed ``r_y`` by ``method`` (ls, nnls or wls).
 
     ``cov`` is the sample covariance WLS weights with; without one (exact
-    covariances) WLS is plain LS. Autoregressive models are fitted by
+    covariances) WLS is plain LS. A method the model's kind refuses in
+    ``KINDS["model"]`` is refused: autoregressive models are fitted by
     least squares only, and moving-average models refuse nnls.
     """
+    kind = {MOVING_AVERAGE: "ma", AUTOREGRESSIVE: "ar"}.get(model.param_kind, model.param_kind)
+    _check_methods(KINDS["model"][kind], [method])
     if model.param_kind == AUTOREGRESSIVE:
-        if method != LS:
-            raise InvalidInputError("the autoregressive estimator is least squares only")
         return armod.estimate_ar(model, r_y)
-    if model.param_kind == MOVING_AVERAGE and method == NNLS:
-        raise InvalidInputError(MA_NNLS_REFUSED)
     if method == LS or (method == WLS and cov is None):
         return ls_estimate(model, r_y)
     if method == NNLS:
         return nnls_estimate(model, r_y)
-    if method == WLS:
-        return wls_estimate(model, r_y, cov)
-    raise InvalidInputError(f"unknown method {method!r}")
+    return wls_estimate(model, r_y, cov)
 
 
 def model_spectrum(model: ObservationModel, eigvals: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -241,8 +252,8 @@ class ExperimentConfig:
 
     graph: dict
     shift: str
-    signal: dict  # {"kind": "ma", "h": [...]} or {"kind": "ar", "a": [...]}
-    model: dict  # {"kind": "spectral"} | {"kind": "ma", "q": Q} | {"kind": "ar", "p": P}
+    signal: dict  # graph, signal, model and each sampler: a kind in KINDS and its keys
+    model: dict
     samplers: list
     methods: list
     n_snapshots: list
@@ -255,17 +266,16 @@ class ExperimentConfig:
         for section in ("graph", "signal", "model"):
             if not isinstance(getattr(self, section), dict):
                 raise InvalidInputError(f"config section {section!r} must be an object")
+            fields(getattr(self, section), section)
         if not isinstance(self.samplers, (list, tuple)) or not all(
             isinstance(entry, dict) for entry in self.samplers
         ):
             raise InvalidInputError("samplers must be a list of objects")
-        for section, keys in SECTION_KEYS.items():
-            check_keys(getattr(self, section), keys, section)
         ar_model = self.model.get("kind") == "ar"
         for entry in self.samplers:
             if not isinstance(entry.get("name", ""), str):
                 raise InvalidInputError(f"bad sampler.name {entry['name']!r}: expected a string")
-            check_keys({"kind": "ar-core", **entry} if ar_model else entry, SAMPLER_KEYS, "sampler")
+            fields({"kind": "ar-core", **entry} if ar_model else entry, "sampler")
         if not isinstance(self.exact_covariance, bool):
             raise InvalidInputError(
                 f"exact_covariance must be true or false, got {self.exact_covariance!r}"
@@ -284,17 +294,11 @@ class ExperimentConfig:
             raise InvalidInputError(f"n_trials must be a whole number >= 1, got {self.n_trials!r}")
         if not self.samplers:
             raise InvalidInputError("need at least one sampler")
-        if not self.methods:
-            raise InvalidInputError("need at least one method")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise InvalidInputError(f"unknown methods {unknown}; choose from {list(METHODS)}")
+        if not isinstance(self.methods, (list, tuple)) or not self.methods:
+            raise InvalidInputError(f"methods must be a non-empty list of method names, got {self.methods!r}")
+        _check_methods(KINDS["model"][self.model["kind"]], self.methods)
         for what, values in (("method", self.methods), ("snapshot count", self.n_snapshots)):
             _refuse_repeat(values, what)
-        if ar_model and any(m != LS for m in self.methods):
-            raise InvalidInputError("the autoregressive estimator is least squares only")
-        if self.model.get("kind") == "ma" and NNLS in self.methods:
-            raise InvalidInputError(MA_NNLS_REFUSED)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -314,16 +318,15 @@ def n_workers() -> int:
 
 
 def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
-    kind = entry.get("kind")
+    keys, kind = fields(entry, "sampler"), entry["kind"]
     if kind == "full":
         return Subsampler.full(n)
     if kind == "explicit":
-        return Subsampler(n, _field(entry, "selected", "sampler", _ints))
+        return Subsampler(n, keys["selected"])
     if kind == "greedy":
-        problem = DesignProblem(psi=psi, k=_field(entry, "k", "sampler", _int))
-        return greedy_design(problem).sampler
+        return greedy_design(DesignProblem(psi=psi, k=keys["k"])).sampler
     if kind == "ruler":
-        return ruler_sampler(n, _field(entry, "marks", "sampler", _ints, None))
+        return ruler_sampler(n, keys["marks"])
     raise InvalidInputError(f"unknown sampler kind {kind!r}")
 
 
@@ -337,19 +340,17 @@ class _Pipeline:
         self.basis = self.shift.basis()
         n = self.shift.n
 
-        sig = config.signal
-        if sig.get("kind") == "ma":
-            self.filt = GraphFilter(_field(sig, "h", "signal", _floats))
+        sig, keys = config.signal, fields(config.signal, "signal")
+        if sig["kind"] == "ma":
+            self.filt = GraphFilter(keys["h"])
             self.ar_coeffs = None
             self.true_p = np.abs(frequency_response(self.basis.eigvals, self.filt)) ** 2
             self.true_cov = true_covariance(self.shift, self.filt).matrix
-        elif sig.get("kind") == "ar":
+        else:
             self.filt = None
-            self.ar_coeffs = _field(sig, "a", "signal", _floats)
+            self.ar_coeffs = keys["a"]
             self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.ar_coeffs)
             self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
-        else:
-            raise InvalidInputError("signal kind must be 'ma' or 'ar'")
         self.p_norm = float(np.linalg.norm(self.true_p))
         if not (np.isfinite(self.p_norm) and self.p_norm > 0.0):
             raise InvalidInputError(f"signal {sig!r} has a zero or non-finite power spectrum")
@@ -357,7 +358,7 @@ class _Pipeline:
         self.model_kind = config.model.get("kind")
         if self.model_kind == "ar":
             self.psi = None
-            self.p_order = _field(config.model, "p", "model", _int)
+            self.p_order = fields(config.model, "model")["p"]
         else:
             self.psi = make_model(self.shift, config.model)
 
@@ -370,10 +371,8 @@ class _Pipeline:
                         "the autoregressive model samples cores plus neighborhoods; "
                         f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
                     )
-                core = _field(entry, "core", "sampler", _ints, None)
-                if core is None:
-                    k0 = _field(entry, "k0", "sampler", _int, 1)
-                    core = armod.core_by_degree(self.graph, k0)
+                keys = fields({"kind": "ar-core", **entry}, "sampler")
+                core = armod.core_by_degree(self.graph, keys["k0"]) if keys["core"] is None else keys["core"]
                 scheme = armod.build_ar_scheme(self.shift, core, self.p_order)
                 observed.update(scheme.distinct_nodes)
                 compression = 1.0 - len(scheme.distinct_nodes) / n
@@ -491,7 +490,7 @@ class _Pipeline:
         m_idx = self.config.methods.index(WLS)
         for c_idx, (_, _, (_, model)) in enumerate(self.cells):
             weights = CovarianceMatrix.principal([cov for _, cov in kept], self.positions[c_idx])
-            r_y = np.swapaxes(weights.matrix, -2, -1).reshape(len(kept), -1)  # vec of each trial's
+            r_y = vec(weights.matrix)
             try:
                 thetas = wls_estimate(model, r_y, weights).theta
             except (GraphCovError, np.linalg.LinAlgError):

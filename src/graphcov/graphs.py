@@ -20,6 +20,7 @@ from .errors import ConvergenceError, InvalidInputError, NumericalError
 # Shift operator kinds.
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
+SHIFTS = (LAPLACIAN, ADJACENCY)
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -229,7 +230,7 @@ def build_shift(graph: Graph, kind: str) -> ShiftOperator:
     ``adjacency`` gives W itself. A degree that overflows to inf makes a
     non-finite Laplacian, which :class:`ShiftOperator` refuses.
     """
-    if kind not in (LAPLACIAN, ADJACENCY):
+    if kind not in SHIFTS:
         raise InvalidInputError(f"build_shift supports 'laplacian' or 'adjacency', got {kind!r}")
     w = graph.weight_matrix()
     if kind == LAPLACIAN:
@@ -376,8 +377,8 @@ def mobius_ladder(n: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def sensor_graph(n: int, seed: int, k: int = 6) -> Graph:
-    """Random sensor graph: uniform points in the unit square, k-NN edges.
+def sensor_graph(n: int, seed: int = 0, knn: int = 6) -> Graph:
+    """Random sensor graph: uniform points in the unit square, k-NN edges with k = knn.
 
     Edges carry Gaussian-kernel weights exp(-d^2 / (2 sigma^2)) with
     sigma the mean k-NN distance; the k-NN relation is symmetrized.
@@ -385,14 +386,14 @@ def sensor_graph(n: int, seed: int, k: int = 6) -> Graph:
     """
     if n < 2:
         raise InvalidInputError("sensor graph needs n >= 2")
-    if not (1 <= k < n):
-        raise InvalidInputError("need 1 <= k < n")
+    if not (1 <= knn < n):
+        raise InvalidInputError("need 1 <= knn < n")
     rng = _rng(seed)
     pts = rng.random((n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    nn = np.argsort(dist, axis=1)[:, :k]
+    nn = np.argsort(dist, axis=1)[:, :knn]
     sigma = float(np.mean(np.take_along_axis(dist, nn, axis=1)))
     pairs = set()
     for i in range(n):

@@ -36,8 +36,8 @@ _BLOCK_ROWS = 2048
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-major (Fortran) vectorization."""
-    return np.asarray(matrix).ravel(order="F")
+    """Column-major (Fortran) vectorization of a matrix, or of each matrix of a stack (the last two axes)."""
+    return np.swapaxes(matrix, -2, -1).reshape(*np.shape(matrix)[:-2], -1)
 
 
 def unvec(v: np.ndarray, rows: int) -> np.ndarray:

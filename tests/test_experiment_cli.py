@@ -84,6 +84,28 @@ class TestGraphGen:
         assert "bad seed -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--kind", "cycle", "--n", "5", "--seed", "3"], "graph kind 'cycle' takes no key 'seed'"),
+         (["--kind", "mobius", "--n", "6", "--knn", "2"], "graph kind 'mobius' takes no key 'knn'"),
+         (["--kind", "path"], "graph.n is required for graph kind 'path'")],
+        ids=["cycle-seed", "mobius-knn", "path-no-n"],
+    )
+    def test_option_the_kind_does_not_take_exit_code(self, tmp_path, capsys, argv, message):
+        # an option of another graph kind is refused and named, not ignored
+        out = tmp_path / "g.json"
+        assert run_cli("graph", "gen", *argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sensor_defaults(self, tmp_path):
+        # a sensor graph without --seed and --knn is the one of seed 0 and knn 6
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "20", "--out", str(a)) == 0
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "20", "--seed", "0", "--knn", "6",
+                       "--out", str(b)) == 0
+        assert a.read_text() == b.read_text()
+
 
 class TestSamplerCommands:
     def test_design_spectral_cycle(self, tmp_path):
@@ -656,6 +678,65 @@ def test_unreadable_path_exit_code(sensor_graph_file, tmp_path, capsys, command)
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+README_STUDY = {
+    "graph": {"kind": "sensor", "n": 30, "seed": 7},
+    "shift": "laplacian",
+    "signal": {"kind": "ma", "h": [1.0, 0.5, 0.2]},
+    "model": {"kind": "spectral"},
+    "samplers": [{"name": "full", "kind": "full"}, {"name": "greedy15", "kind": "greedy", "k": 15}],
+    "methods": ["ls", "nnls", "wls"],
+    "n_snapshots": [100, 1000],
+    "n_trials": 10,
+    "seed": 0,
+}
+
+
+class TestFailedEstimates:
+    """A failed estimate, a refused covariance and a missing CRB leave their rows empty, not the study."""
+
+    def test_capped_nnls_fails_only_its_own_rows(self, monkeypatch):
+        from graphcov import estimators
+
+        plain = run_experiment(ExperimentConfig(**README_STUDY))
+        monkeypatch.setattr(estimators, "NNLS_CAP", 0)
+        capped = run_experiment(ExperimentConfig(**README_STUDY))
+        changed = [(row["n_snapshots"], row["method"], row["sampler"], row["failures"])
+                   for row, before in zip(capped, plain) if row != before]
+        assert changed == [(100, "nnls", "greedy15", 10), (1000, "nnls", "greedy15", 7)]
+        by_key = {(row["n_snapshots"], row["method"], row["sampler"]): row for row in capped}
+        assert by_key[100, "nnls", "greedy15"]["nmse_db"] is None
+
+    def test_refused_covariance_fails_its_trial_in_every_cell(self, monkeypatch):
+        from graphcov import experiment
+
+        plain = run_experiment(ExperimentConfig(**README_STUDY))
+        calls = []
+
+        def refuse_third(data, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise InvalidInputError("refused")
+            return graphcov.sample_covariance(data, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "sample_covariance", refuse_third)
+        refused = run_experiment(ExperimentConfig(**README_STUDY))
+        assert [row["failures"] for row in refused if row["n_snapshots"] == 100] == [1] * 6
+        assert [row for row in refused if row["n_snapshots"] == 1000] == [
+            row for row in plain if row["n_snapshots"] == 1000
+        ]
+
+    def test_zero_in_the_spectrum_leaves_only_the_crb_empty(self):
+        # h = [0, 1] on the Laplacian gives p(0) = 0: the full sampler's true
+        # covariance is singular and its Fisher information has no inverse
+        rows = run_experiment(ExperimentConfig(**dict(
+            README_STUDY, graph={"kind": "sensor", "n": 12, "seed": 7}, signal={"kind": "ma", "h": [0, 1]},
+            samplers=[{"name": "full", "kind": "full"}, {"name": "greedy8", "kind": "greedy", "k": 8}],
+        )))
+        assert {row["crb_db"] for row in rows if row["sampler"] == "full"} == {None}
+        assert all(np.isfinite(row["crb_db"]) for row in rows if row["sampler"] == "greedy8")
+        assert all(row["failures"] == 0 and np.isfinite(row["nmse_db"]) for row in rows)
 
 
 class TestExperiment:
@@ -1242,6 +1323,11 @@ class TestExperiment:
                  "samplers": [{"kind": "ar-core"}]},
                 "signal kind 'ar' takes no key 'h'",
             ),
+            ({"graph": {"kind": "sensor", "n": 12, "sed": 7}},
+             "graph kind 'sensor' takes no key 'sed'; its keys are ['kind', 'n', 'seed', 'knn']"),
+            ({"graph": {"kind": "cycle", "n": 12, "seed": 7}}, "graph kind 'cycle' takes no key 'seed'"),
+            ({"graph": {"kind": "file", "path": "g.json", "n": 12}}, "graph kind 'file' takes no key 'n'"),
+            ({"methods": "wls"}, "methods must be a non-empty list of method names, got 'wls'"),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -1256,7 +1342,8 @@ class TestExperiment:
              "output-not-string", "greedy-cost", "full-unknown-key", "sampler-name-not-string",
              "ar-core-misspelled-key",
              "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls", "spectral-model-q",
-             "ma-model-p", "ar-model-q", "ma-signal-a", "ar-signal-h"],
+             "ma-model-p", "ar-model-q", "ma-signal-a", "ar-signal-h", "sensor-graph-typo",
+             "cycle-graph-seed", "file-graph-n", "methods-string"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"

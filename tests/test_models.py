@@ -403,6 +403,15 @@ class TestVectorize:
         npt.assert_array_equal(v.reshape(2, 2, order="F"), cov.matrix)
         npt.assert_array_equal(unvec(v, 2), cov.matrix)
 
+    def test_stack_round_trip(self):
+        # vec takes each matrix of a stack, as unvec gives them back
+        stack = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
+        v = vec(stack)
+        assert v.shape == (2, 9)
+        for matrix, row in zip(stack, v):
+            npt.assert_array_equal(row, vec(matrix))
+        npt.assert_array_equal(unvec(v, 3), stack)
+
 
 class TestObservationModel:
     def test_rank_is_over_real_parameters(self):
