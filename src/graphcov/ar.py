@@ -7,7 +7,8 @@ the shift's eigenvectors: ``H = U diag(1/d) U^H`` with
 of it from the shift's cached spectral basis instead of factoring the
 N x N system. ``generate_ar_signals`` applies only the requested rows to
 the white noise, so a Monte-Carlo trial realises only the nodes its
-schemes observe. One coefficient rule (an empty or non-finite vector is
+schemes observe; the shift keeps those rows, so every trial after the
+first costs one draw and one product. One coefficient rule (an empty or non-finite vector is
 refused) and one pole rule (``|d| < 1e-12`` at some graph frequency
 raises SingularityError) serve the transfer, the true covariance and
 the spectrum.
@@ -119,8 +120,12 @@ def build_ar_scheme(shift: ShiftOperator, core, order: int) -> ARSamplingScheme:
     return ARSamplingScheme(tuple(levels))
 
 
-def core_by_degree(graph: Graph, k0: int = 1) -> tuple[int, ...]:
-    """Default core: the k0 highest-degree nodes, ties to the lowest index."""
+def core_by_degree(graph: Graph, k0: int) -> tuple[int, ...]:
+    """The k0 highest-degree nodes, ties to the lowest index.
+
+    An ``ar-core`` sampler without a ``core`` uses it, with the ``k0``
+    default that ``graphcov.experiment.KINDS`` states.
+    """
     if not (1 <= k0 <= graph.n_nodes):
         raise InvalidInputError("need 1 <= k0 <= N")
     degrees = graph.degrees()
@@ -270,6 +275,13 @@ def generate_ar_signals(
     the eigendecomposition) are applied to it, by the same rule as
     :func:`graphcov.stationary.generate_signals`. So for one seed the
     result equals the rows ``nodes`` of the full realization, while a
-    study that observes few nodes pays for those rows only.
+    study that observes few nodes pays for those rows only. The shift
+    keeps the rows (:meth:`~graphcov.graphs.ShiftOperator.transfer_rows`),
+    so a second call with the same coefficients and nodes costs the draw
+    and one product.
     """
-    return _realise(shift, ar_transfer_matrix(shift, coeffs, nodes), n_snapshots, seed)
+    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    rows = shift.transfer_rows(
+        ("ar", a.shape, a.tobytes()), nodes, lambda nodes: ar_transfer_matrix(shift, coeffs, nodes)
+    )
+    return _realise(shift, rows, n_snapshots, seed)

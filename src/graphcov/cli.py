@@ -31,6 +31,7 @@ from .experiment import (
     KINDS,
     METHODS,
     ExperimentConfig,
+    ar_core,
     estimate,
     fields,
     make_graph,
@@ -167,7 +168,7 @@ def cmd_estimate(args) -> int:
     if args.model == "ar":
         if args.sampler is not None:
             raise InvalidInputError("the autoregressive model takes --core, not --sampler")
-        core = armod.core_by_degree(graph) if args.core is None else _parse_ints(args.core)
+        core = ar_core(graph, {} if args.core is None else {"core": _parse_ints(args.core)})
         scheme = armod.build_ar_scheme(shift, core, args.p)
         nodes = scheme.distinct_nodes
     else:

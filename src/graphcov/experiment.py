@@ -2,14 +2,18 @@
 
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
-Per-trial seeds are derived from the master seed by counter. A trial
-realises the nodes some cell reads once and forms one sample covariance
-of them; every spectral or moving-average cell reads its principal
-submatrix, and every method of a cell reads that (paired comparisons).
-LS and NNLS run per trial. WLS runs once per cell on the stacked
-covariances of a block of trials (all of a snapshot count's trials,
-unless they are more than :func:`~graphcov.estimators.trial_blocks`
-allows at once). An autoregressive trial builds its own system from its
+Per-trial seeds are derived from the master seed by counter. Set-up
+resolves what every trial shares: each cell's model, the indices that
+gather its vectorised covariance, its CRB, and the estimator of each
+method; the shift keeps the transfer rows of the nodes some cell reads.
+A trial realises those nodes once (one noise draw and one product) and
+forms one sample covariance of them; the covariances of a block of
+trials (all of a snapshot count's trials, unless they are more than
+:func:`~graphcov.estimators.trial_blocks` allows at once) are checked
+once, as a stack. Every spectral or moving-average cell reads its
+principal submatrix, and every method of a cell reads that (paired
+comparisons). LS and NNLS run per trial; WLS runs once per cell on the
+block's stack. An autoregressive trial builds its own system from its
 data and runs per trial. Trials run one after another, with numpy's BLAS
 pinned to one thread, so output is byte-identical for a fixed config at
 any thread setting.
@@ -63,9 +67,9 @@ from .models import (
     build_psi_ma,
     build_psi_spectral,
     compress_model,
-    vec,
 )
 from .stationary import (
+    SAMPLE,
     CovarianceMatrix,
     SnapshotMatrix,
     generate_signals,
@@ -230,13 +234,19 @@ def estimate(
     """
     kind = {MOVING_AVERAGE: "ma", AUTOREGRESSIVE: "ar"}.get(model.param_kind, model.param_kind)
     _check_methods(KINDS["model"][kind], [method])
-    if model.param_kind == AUTOREGRESSIVE:
-        return armod.estimate_ar(model, r_y)
-    if method == LS or (method == WLS and cov is None):
-        return ls_estimate(model, r_y)
-    if method == NNLS:
-        return nnls_estimate(model, r_y)
-    return wls_estimate(model, r_y, cov)
+    if method == WLS and cov is not None:
+        return wls_estimate(model, r_y, cov)
+    return _solver(kind, LS if method == WLS else method)(model, r_y)
+
+
+def _solver(kind: str, method: str) -> Callable:
+    """The unweighted estimator ``f(model, r_y)`` of ``method`` (ls or nnls) for a model of ``kind``.
+
+    The method must be one the kind does not refuse (:func:`_check_methods`).
+    """
+    if kind == "ar":
+        return armod.estimate_ar
+    return ls_estimate if method == LS else nnls_estimate
 
 
 def model_spectrum(model: ObservationModel, eigvals: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -275,7 +285,10 @@ class ExperimentConfig:
         for entry in self.samplers:
             if not isinstance(entry.get("name", ""), str):
                 raise InvalidInputError(f"bad sampler.name {entry['name']!r}: expected a string")
-            fields({"kind": "ar-core", **entry} if ar_model else entry, "sampler")
+            if ar_model:
+                _ar_core_keys(entry)
+            else:
+                fields(entry, "sampler")
         if not isinstance(self.exact_covariance, bool):
             raise InvalidInputError(
                 f"exact_covariance must be true or false, got {self.exact_covariance!r}"
@@ -312,6 +325,30 @@ class ExperimentConfig:
             raise InvalidInputError(f"bad experiment config fields: {exc}") from exc
 
 
+def _ar_core_keys(entry: dict) -> dict:
+    """The keys of an autoregressive model's sampler entry, whose kind defaults to ``ar-core``.
+
+    ``core`` and ``k0`` each choose the core, so an entry giving both is
+    refused, naming both.
+    """
+    keys = fields({"kind": "ar-core", **entry}, "sampler")
+    if entry.get("core") is not None and entry.get("k0") is not None:
+        raise InvalidInputError(
+            f"sampler.core {entry['core']!r} and sampler.k0 {entry['k0']!r} both choose the core; give one"
+        )
+    return keys
+
+
+def ar_core(graph: Graph, entry: dict) -> tuple[int, ...]:
+    """Core of an ``ar-core`` sampler entry: its ``core``, or else the ``k0`` highest-degree nodes.
+
+    ``k0`` defaults as ``KINDS["sampler"]["ar-core"]`` says; an entry
+    giving both keys is refused.
+    """
+    keys = _ar_core_keys(entry)
+    return armod.core_by_degree(graph, keys["k0"]) if keys["core"] is None else keys["core"]
+
+
 def n_workers() -> int:
     """Trials run one at a time in the calling thread."""
     return 1
@@ -330,6 +367,17 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
     raise InvalidInputError(f"unknown sampler kind {kind!r}")
 
 
+class _Cell(NamedTuple):
+    """One sampler of a study, with what its trials read, resolved at set-up."""
+
+    name: str
+    compression: float
+    payload: tuple | armod.ARSamplingScheme  # (sampler, compressed model), or an AR scheme
+    positions: np.ndarray | None = None  # a node cell's rows of the covariance of observed_nodes
+    gather: np.ndarray | None = None  # flat indices of vec(its principal submatrix) in that covariance
+    crb_sse: float | None = None  # squared spectrum error at the CRB for one snapshot
+
+
 class _Pipeline:
     """Precomputed, immutable state shared by all trials of one experiment."""
 
@@ -345,12 +393,10 @@ class _Pipeline:
             self.filt = GraphFilter(keys["h"])
             self.ar_coeffs = None
             self.true_p = np.abs(frequency_response(self.basis.eigvals, self.filt)) ** 2
-            self.true_cov = true_covariance(self.shift, self.filt).matrix
         else:
             self.filt = None
             self.ar_coeffs = keys["a"]
             self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.ar_coeffs)
-            self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
         self.p_norm = float(np.linalg.norm(self.true_p))
         if not (np.isfinite(self.p_norm) and self.p_norm > 0.0):
             raise InvalidInputError(f"signal {sig!r} has a zero or non-finite power spectrum")
@@ -362,7 +408,7 @@ class _Pipeline:
         else:
             self.psi = make_model(self.shift, config.model)
 
-        self.cells = []  # (name, compression, compressed model or AR scheme)
+        resolved = []  # (name, compression, compressed model or AR scheme)
         observed = set()  # the nodes some cell reads
         for entry in config.samplers:
             if self.model_kind == "ar":
@@ -371,13 +417,10 @@ class _Pipeline:
                         "the autoregressive model samples cores plus neighborhoods; "
                         f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
                     )
-                keys = fields({"kind": "ar-core", **entry}, "sampler")
-                core = armod.core_by_degree(self.graph, keys["k0"]) if keys["core"] is None else keys["core"]
-                scheme = armod.build_ar_scheme(self.shift, core, self.p_order)
+                scheme = armod.build_ar_scheme(self.shift, ar_core(self.graph, entry), self.p_order)
                 observed.update(scheme.distinct_nodes)
                 compression = 1.0 - len(scheme.distinct_nodes) / n
-                name = entry.get("name", f"ar-core-{len(scheme.core)}")
-                self.cells.append((name, compression, scheme))
+                resolved.append((entry.get("name", f"ar-core-{len(scheme.core)}"), compression, scheme))
             else:
                 sampler = _resolve_sampler(entry, self.psi, n)
                 compressed = compress_model(self.psi, sampler)
@@ -389,130 +432,177 @@ class _Pipeline:
                     )
                 observed.update(sampler.selected)
                 compression = 1.0 - sampler.k / n
-                name = entry.get("name", f"k{sampler.k}")
-                self.cells.append((name, compression, (sampler, compressed)))
-        _refuse_repeat([cell[0] for cell in self.cells], "sampler name")
+                resolved.append((entry.get("name", f"k{sampler.k}"), compression, (sampler, compressed)))
+        _refuse_repeat([name for name, _, _ in resolved], "sampler name")
         self.observed_nodes = tuple(sorted(observed))
-        # each node cell's rows of the trial covariance of observed_nodes
-        where = {node: idx for idx, node in enumerate(self.observed_nodes)}
-        self.positions = [
-            None if self.model_kind == "ar" else np.array([where[node] for node in cell[2][0].selected])
-            for cell in self.cells
+        if self.ar_coeffs is None:
+            # H_O H_O^T of the observed nodes O; the shift keeps H_O for the trials' realisations
+            self.true_cov = true_covariance(self.shift, self.filt, self.observed_nodes).matrix
+        else:
+            self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
+
+        # the estimator of each method that runs per trial: sampled WLS runs per block, exact WLS is LS
+        self.solvers = [
+            (m_idx, method, _solver(self.model_kind, LS if method == WLS else method))
+            for m_idx, method in enumerate(config.methods)
+            if method != WLS or config.exact_covariance
         ]
+        self.wls_index = config.methods.index(WLS) if WLS in config.methods else None
+        where = {node: idx for idx, node in enumerate(self.observed_nodes)}
+        self.cells = []
+        # the loop keeps ``entry``, unread here: bench/tracing.py names the cell of a Fisher call by it
+        for entry, (name, compression, payload) in zip(config.samplers, resolved):
+            if self.model_kind == "ar":
+                self.cells.append(_Cell(name, compression, payload))
+                continue
+            positions = np.array([where[node] for node in payload[0].selected])
+            # element i + j k of vec(R[positions][:, positions]) is R[positions[i], positions[j]]
+            gather = (positions * len(where) + positions[:, None]).ravel()
+            crb_sse = self.crb_sse(payload[1], positions)
+            self.cells.append(_Cell(name, compression, payload, positions, gather, crb_sse))
 
     # -- per-trial work ---------------------------------------------------
 
-    def generate(self, n_snapshots: int, seed) -> SnapshotMatrix:
-        """One trial's realization of ``observed_nodes``, the nodes some cell reads.
+    def seed(self, ns_idx: int, trial: int) -> np.random.SeedSequence:
+        """Seed of one trial: the master seed, the snapshot count's index and the trial, by counter."""
+        return np.random.SeedSequence((self.config.seed, ns_idx, trial))
+
+    def generate(self, n_snapshots: int, seed) -> np.ndarray:
+        """One trial's realization of ``observed_nodes``, the nodes some cell reads, one row per node.
 
         Both signal kinds draw the noise on all N nodes and apply only the
-        transfer rows of those nodes, so a trial holds only the rows its cells read.
+        transfer rows of those nodes, which the shift keeps after the first
+        trial, so a trial costs one draw and one product.
         """
-        nodes = self.observed_nodes
         if self.ar_coeffs is not None:
-            data = armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed, nodes)
-        else:
-            data = generate_signals(self.shift, self.filt, n_snapshots, seed, nodes)
-        return SnapshotMatrix(data, nodes)
+            return armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed, self.observed_nodes)
+        return generate_signals(self.shift, self.filt, n_snapshots, seed, self.observed_nodes)
 
-    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray) -> CovarianceMatrix | None:
+    def run_block(self, trials: range, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
+        """Every estimate of the trials ``trials`` at ``ns`` snapshots into ``sqerr``.
+
+        Sampled spectral or moving-average trials form their covariances as
+        one checked stack (:meth:`sample_block`); each trial then runs its
+        per-trial methods on its member of the stack (:meth:`run_trial`),
+        and WLS runs once per cell on the stack (:meth:`weigh_trials`).
+        Exact-covariance and autoregressive trials run one by one.
+        """
+        if self.model_kind == "ar" or self.config.exact_covariance:
+            for trial in trials:
+                self.run_trial(trial, ns, ns_idx, sqerr)
+            return
+        kept, covs = self.sample_block(trials, ns, ns_idx)
+        if covs is None:
+            return
+        for trial, cov in zip(kept, covs.matrix):
+            self.run_trial(trial, ns, ns_idx, sqerr, cov)
+        self.weigh_trials(kept, covs, sqerr)
+
+    def sample_block(self, trials, ns: int, ns_idx: int) -> tuple[list, CovarianceMatrix | None]:
+        """The trials of ``trials`` whose sample covariance is accepted, and those covariances as one stack.
+
+        Each trial realises ``observed_nodes`` and its product is formed as
+        it comes (:func:`sample_covariance` of a generator), so one trial's
+        data is held at a time; the stack is checked once. When the stack
+        is refused the block is redone one trial at a time, so only a trial
+        whose own covariance is refused, such as one with a non-finite
+        realization, is left out. With none accepted the stack is None.
+        """
+
+        def realise(block):
+            for trial in block:
+                yield self.generate(ns, self.seed(ns_idx, trial))
+
+        try:
+            return list(trials), sample_covariance(realise(trials))
+        except GraphCovError:
+            pass
+        kept, members = [], []
+        for trial in trials:
+            try:
+                members.append(sample_covariance(realise([trial])).matrix)
+            except GraphCovError:
+                continue
+            kept.append(trial)
+        return kept, CovarianceMatrix(np.concatenate(members), kind=SAMPLE, n_snapshots=ns) if kept else None
+
+    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray, cov: np.ndarray | None = None) -> None:
         """Fill ``sqerr[:, :, trial]`` for the methods that run per trial; NaN stays where an estimate failed.
 
-        Returns the trial's sample covariance of ``observed_nodes``, whose
-        principal submatrices :meth:`weigh_trials` stacks for WLS; None in
-        exact mode (where WLS is LS and runs here), for an autoregressive
-        model, and when the covariance is refused, which fails every cell
-        of the trial.
+        ``cov`` is the trial's sample covariance of ``observed_nodes``, its
+        member of the block's stack (:meth:`sample_block`). Without one a
+        node cell reads the true covariance (exact mode), and an
+        autoregressive trial realises its own data, unless in exact mode.
         """
-        if self.config.exact_covariance:
-            data = None
-        else:
-            data = self.generate(ns, np.random.SeedSequence((self.config.seed, ns_idx, trial)))
-        cov = None
-        if data is not None and self.model_kind != "ar":
-            try:
-                cov = sample_covariance(data)
-            except GraphCovError:
-                return None
+        data = cov
+        if self.model_kind == "ar" and not self.config.exact_covariance:
+            data = SnapshotMatrix(self.generate(ns, self.seed(ns_idx, trial)), self.observed_nodes)
         for c_idx, cell in enumerate(self.cells):
-            self.estimate_cell(cell, self.positions[c_idx], data, cov, sqerr[c_idx, :, trial])
-        return cov
+            self.estimate_cell(cell, data, sqerr[c_idx, :, trial])
 
-    def estimate_cell(
-        self, cell, positions, data: SnapshotMatrix | None, cov: CovarianceMatrix | None, out: np.ndarray
-    ) -> None:
+    def estimate_cell(self, cell: _Cell, data, out: np.ndarray) -> None:
         """Squared spectrum error of each per-trial method of one cell into ``out``; data=None for exact mode.
 
         The cell's linear system ``(model, r_y)`` is built once and shared
-        by its methods: from the principal submatrix on ``positions`` of the
-        trial covariance ``cov``, from the true covariance in exact mode, or
-        from an AR scheme's covariance of the data. WLS of sampled data is
-        left to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
+        by its methods: a node cell gathers ``r_y`` from ``data``, the
+        trial's covariance of ``observed_nodes``, or from the true one in
+        exact mode; an AR cell builds its system from the scheme's
+        covariance of the snapshots ``data``. WLS of sampled data is left
+        to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
         estimate failed.
         """
-        _, _, payload = cell
         try:
             if self.model_kind == "ar":
-                scheme = payload
+                scheme = cell.payload
                 if data is None:
                     ar_cov = armod.true_ar_covariances(scheme, self.true_cov)
                 else:
                     ar_cov = armod.sample_ar_covariances(scheme, data)
                 model, r_y = armod.build_ar_model(self.shift, scheme, ar_cov)
             else:
-                sampler, model = payload
-                if data is None:
-                    r_y = vec(self.true_cov[np.ix_(sampler.selected, sampler.selected)])
-                else:
-                    r_y = vec(cov.matrix[np.ix_(positions, positions)])
+                model = cell.payload[1]
+                r_y = (self.true_cov if data is None else data).take(cell.gather)
         except (GraphCovError, np.linalg.LinAlgError):
             return  # every method of the cell fails
-        for m_idx, method in enumerate(self.config.methods):
-            if method == WLS and data is not None:
-                continue
+        for m_idx, method, solve in self.solvers:
             try:
-                theta = estimate(model, method, r_y, None).theta  # no weight: exact-mode WLS is LS
-                out[m_idx] = self.squared_error(model, theta)
+                out[m_idx] = self.squared_error(model, solve(model, r_y).theta)
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
 
-    def weigh_trials(self, trials, covs: list, sqerr: np.ndarray) -> None:
+    def weigh_trials(self, trials: list, covs: CovarianceMatrix, sqerr: np.ndarray) -> None:
         """WLS of every node cell for ``trials``, one stacked call per cell, into ``sqerr``.
 
-        ``covs`` are the trials' covariances from :meth:`run_trial`; a
-        trial whose covariance is None is skipped. Each cell weighs with the
-        principal submatrices on its positions, and a trial whose solve
-        fails alone stays NaN.
+        ``covs`` is the trials' stack from :meth:`sample_block`. Each cell
+        weighs with its principal submatrices and gathers its observations
+        from the stack; a trial whose solve fails alone stays NaN.
         """
-        kept = [(trial, cov) for trial, cov in zip(trials, covs) if cov is not None]
-        if WLS not in self.config.methods or not kept:
+        if self.wls_index is None:
             return
-        m_idx = self.config.methods.index(WLS)
-        for c_idx, (_, _, (_, model)) in enumerate(self.cells):
-            weights = CovarianceMatrix.principal([cov for _, cov in kept], self.positions[c_idx])
-            r_y = vec(weights.matrix)
+        rows = covs.matrix.reshape(len(trials), -1)
+        for c_idx, cell in enumerate(self.cells):
+            model = cell.payload[1]
+            weights = CovarianceMatrix.principal(covs, cell.positions)
             try:
-                thetas = wls_estimate(model, r_y, weights).theta
+                thetas = wls_estimate(model, rows[:, cell.gather], weights).theta
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
-            for (trial, _), theta in zip(kept, thetas):
+            for trial, theta in zip(trials, thetas):
                 if not np.isnan(theta).any():
-                    sqerr[c_idx, m_idx, trial] = self.squared_error(model, theta)
+                    sqerr[c_idx, self.wls_index, trial] = self.squared_error(model, theta)
 
     def squared_error(self, model: ObservationModel, theta: np.ndarray) -> float:
         err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
         return float(err @ err)
 
-    def crb_sse(self, cell) -> float | None:
+    def crb_sse(self, model: ObservationModel, positions: np.ndarray) -> float | None:
         """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
 
-        The Fisher information grows as N_s, so the CRB at N_s snapshots is
-        this value divided by N_s.
+        The true covariance is that of the rows ``positions`` of the
+        observed nodes'. The Fisher information grows as N_s, so the CRB at
+        N_s snapshots is this value divided by N_s.
         """
-        if self.model_kind == "ar":
-            return None
-        sampler, model = cell[2]
-        r_true = self.true_cov[np.ix_(sampler.selected, sampler.selected)]
+        r_true = self.true_cov[np.ix_(positions, positions)]
         try:
             info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1)
         except NumericalError:
@@ -522,22 +612,25 @@ class _Pipeline:
             cov_p = t @ cov_p @ t.T
         return float(np.trace(cov_p))
 
-    def crb_db(self, crb_sse: float | None, n_snapshots: int) -> float | None:
-        """CRB at N_s snapshots on the NMSE scale, from :meth:`crb_sse`."""
-        if crb_sse is None:
+    def crb_db(self, cell: _Cell, n_snapshots: int) -> float | None:
+        """CRB of ``cell`` at N_s snapshots on the NMSE scale, from its :meth:`crb_sse`; None without one."""
+        if cell.crb_sse is None:
             return None
-        return nmse_db(crb_sse / n_snapshots, 1, self.p_norm)
+        return nmse_db(cell.crb_sse / n_snapshots, 1, self.p_norm)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run all cells and return one result row per (n_snapshots, sampler, method).
 
-    For each snapshot count the trials run in the blocks of
-    :func:`~graphcov.estimators.trial_blocks` (one block unless there are
-    more than ``_BLOCK_ROWS // N``): each trial of a block realises its
-    data, forms one covariance and runs LS and NNLS per cell
-    (:meth:`_Pipeline.run_trial`); then WLS runs once per cell on the
-    block's stacked covariances (:meth:`_Pipeline.weigh_trials`).
+    Set-up (:class:`_Pipeline`) resolves each cell's model, gather
+    indices and CRB, and the estimator of each method; the shift keeps
+    the transfer rows of the observed nodes. For each snapshot count the
+    trials run in the blocks of :func:`~graphcov.estimators.trial_blocks`
+    (one block unless there are more than ``_BLOCK_ROWS // N``): each
+    trial of a block realises its data and forms its covariance, and the
+    block's covariances are checked once, as a stack; then each trial
+    runs LS and NNLS per cell on its member (:meth:`_Pipeline.run_trial`),
+    and WLS runs once per cell on the stack (:meth:`_Pipeline.weigh_trials`).
     numpy's OpenBLAS runs on one thread for the whole call, whatever
     ``OPENBLAS_NUM_THREADS`` says (see :mod:`graphcov._blas`), so the rows
     are byte-identical for a fixed config at any thread setting. The
@@ -547,18 +640,15 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         pipe = _Pipeline(config)
         n_cells = len(pipe.cells)
         n_methods = len(config.methods)
-        crb_sse = [pipe.crb_sse(cell) for cell in pipe.cells]
         rows = []
         for ns_idx, ns in enumerate(config.n_snapshots):
             # sqerr[cell][method][trial]; NaN marks a failed estimation
             sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
-
             for trials in trial_blocks(config.n_trials, pipe.shift.n):
-                covs = [pipe.run_trial(trial, ns, ns_idx, sqerr) for trial in trials]
-                pipe.weigh_trials(trials, covs, sqerr)
+                pipe.run_block(trials, ns, ns_idx, sqerr)
 
             for c_idx, cell in enumerate(pipe.cells):
-                crb = pipe.crb_db(crb_sse[c_idx], ns)
+                crb = pipe.crb_db(cell, ns)
                 for m_idx, method in enumerate(config.methods):
                     values = sqerr[c_idx, m_idx]
                     good = values[~np.isnan(values)]
@@ -568,8 +658,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                         {
                             "n_snapshots": ns,
                             "method": method,
-                            "sampler": cell[0],
-                            "compression": cell[1],
+                            "sampler": cell.name,
+                            "compression": cell.compression,
                             "nmse_db": nmse,
                             "crb_db": crb,
                             "failures": failures,

@@ -12,6 +12,7 @@ import json
 import numbers
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -179,10 +180,13 @@ class ShiftOperator:
 
     The matrix chooses the basis: the closed-form DFT basis when it is
     circulant (:func:`is_circulant`), the numerical ``eigh`` basis
-    otherwise. Instances are immutable and hold only the matrix and the
-    basis, which is cached on first use under a lock, so sharing across
-    parallel readers is safe. No power of the matrix is stored. A matrix
-    with a non-finite entry is refused before any arithmetic on it.
+    otherwise. The matrix is immutable. Two things derived from it are
+    kept once computed: the basis, cached on first use under a lock, and
+    the transfer rows of the last (signal, nodes) pair realised on the
+    shift (:meth:`transfer_rows`), read-only, so that the trials of a
+    study build them once. Sharing across parallel readers is safe. No
+    power of the matrix is stored. A matrix with a non-finite entry is
+    refused before any arithmetic on it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -203,6 +207,7 @@ class ShiftOperator:
         self.matrix = matrix
         self._lock = threading.Lock()
         self._basis: SpectralBasis | None = None
+        self._transfer: tuple | None = None  # (signal, nodes, rows) of the last transfer_rows call
 
     @property
     def n(self) -> int:
@@ -218,6 +223,29 @@ class ShiftOperator:
                     else:
                         self._basis = eigendecompose(self)
         return self._basis
+
+    def transfer_rows(self, signal: tuple, nodes, build: Callable) -> np.ndarray:
+        """Rows ``nodes`` (all when None) of the transfer matrix of ``signal``, read-only.
+
+        ``signal`` is a hashable key that fixes the transfer, such as the
+        signal kind and its coefficients' bytes; ``build(nodes)`` computes
+        the rows. The shift keeps the rows of the last (signal, nodes)
+        pair and returns them while the pair repeats. ``nodes`` are
+        checked as node indices unless they are the very tuple kept, which
+        was checked when it was kept.
+        """
+        kept = self._transfer
+        if kept is not None and kept[1] is nodes and kept[0] == signal:
+            return kept[2]
+        if nodes is not None:
+            _check_ints(nodes, 0, self.n, "node")
+            nodes = tuple(nodes)
+        if kept is not None and kept[0] == signal and kept[1] == nodes:
+            return kept[2]
+        rows = build(nodes)
+        rows.setflags(write=False)
+        self._transfer = (signal, nodes, rows)  # one assignment: a parallel reader sees the old or the new pair
+        return rows
 
     def __repr__(self):
         return f"ShiftOperator(n={self.n})"

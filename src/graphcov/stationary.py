@@ -8,11 +8,15 @@ generated by filtering white noise, ``x = H n``. Moving-average signals
 (:func:`graphcov.ar.generate_ar_signals`) follow one rule: the noise is
 drawn on all N nodes and only the rows of H for the requested nodes are
 applied to it, so a study's trial realises only the nodes its cells read.
+The shift keeps those rows (:meth:`~graphcov.graphs.ShiftOperator.transfer_rows`),
+so repeated realisations of one signal on one node set cost one draw
+and one product each.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,28 +71,28 @@ class CovarianceMatrix:
         object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @classmethod
-    def principal(cls, covs, positions) -> "CovarianceMatrix":
-        """Stack of the principal submatrices on ``positions`` of the K x K covariances ``covs``.
+    def principal(cls, covs: "CovarianceMatrix", positions) -> "CovarianceMatrix":
+        """Stack of the principal submatrices on ``positions`` of the stacked K x K covariances ``covs``.
 
-        Member t is the covariance of the rows ``positions`` of ``covs[t]``,
-        such as one trial's covariance of a sampler's nodes cut from the
-        trial's covariance of every observed node. A principal submatrix of
-        a finite Hermitian PSD matrix is one, so the members are not
-        checked again: only their smallest eigenvalues are computed, in one
-        call, or taken from ``covs`` when ``positions`` keeps every row in
-        order. The stack takes the kind and snapshot count of ``covs[0]``.
+        Member t is the covariance of the rows ``positions`` of member t of
+        ``covs``, such as one trial's covariance of a sampler's nodes cut
+        from the trial's covariance of every observed node. A principal
+        submatrix of a finite Hermitian PSD matrix is one, so the members
+        are not checked again: only their smallest eigenvalues are
+        computed, in one call. When ``positions`` keeps every row in order
+        the stack is ``covs`` itself. The stack takes the kind and snapshot
+        count of ``covs``.
         """
         idx = np.asarray(positions, dtype=np.intp)
-        stack = np.stack([cov.matrix for cov in covs])
-        if np.array_equal(idx, np.arange(stack.shape[-1])):
-            min_eig = np.array([cov.min_eigenvalue for cov in covs])
-        else:
-            stack = stack[:, idx[:, None], idx]
-            min_eig = np.linalg.eigvalsh(stack)[:, 0]
+        if covs.matrix.ndim != 3:
+            raise InvalidInputError(f"expected a stack of covariances, got shape {covs.matrix.shape}")
+        if np.array_equal(idx, np.arange(covs.k)):
+            return covs
+        stack = covs.matrix[:, idx[:, None], idx]
         out = object.__new__(cls)
-        object.__setattr__(out, "kind", covs[0].kind)
-        object.__setattr__(out, "n_snapshots", covs[0].n_snapshots)
-        out._freeze(stack, min_eig)
+        object.__setattr__(out, "kind", covs.kind)
+        object.__setattr__(out, "n_snapshots", covs.n_snapshots)
+        out._freeze(stack, np.linalg.eigvalsh(stack)[:, 0])
         return out
 
     @property
@@ -132,10 +136,31 @@ class SnapshotMatrix:
         return self.data[[position[node] for node in nodes]]
 
 
-def true_covariance(shift: ShiftOperator, filt: GraphFilter) -> CovarianceMatrix:
-    """Exact covariance ``H H^T`` of a filtered unit-variance white signal, H the filter of I."""
-    h_mat = apply_filter(shift, filt, np.eye(shift.n))
-    return CovarianceMatrix(h_mat @ h_mat.T, kind=TRUE)
+def _filter_rows(shift: ShiftOperator, filt: GraphFilter, nodes) -> np.ndarray:
+    """Rows ``nodes`` (all when None) of ``H = sum_k h_k S^k``, as the shift keeps them.
+
+    S is symmetric, so they are the filter applied to the identity's
+    columns ``nodes``, transposed.
+    """
+
+    def build(nodes):
+        identity = np.eye(shift.n)
+        if nodes is not None:
+            identity = identity[:, list(nodes)]
+        return apply_filter(shift, filt, identity).T
+
+    return shift.transfer_rows(("ma", filt.coeffs.tobytes()), nodes, build)
+
+
+def true_covariance(shift: ShiftOperator, filt: GraphFilter, nodes=None) -> CovarianceMatrix:
+    """Exact covariance ``H_O H_O^T`` of a filtered unit-variance white signal on the nodes O.
+
+    O is ``nodes`` (all by default) and ``H_O`` the rows of the filter
+    matrix H that :func:`generate_signals` applies, so the covariance of
+    a study's observed nodes costs O(|O| N) rows, not the N x N ``H H^T``.
+    """
+    rows = _filter_rows(shift, filt, nodes)
+    return CovarianceMatrix(rows @ rows.T, kind=TRUE)
 
 
 def _realise(shift: ShiftOperator, transfer: np.ndarray, n_snapshots: int, seed) -> np.ndarray:
@@ -167,36 +192,53 @@ def generate_signals(
     be a non-negative int or a ``SeedSequence``. S is symmetric, so the
     rows ``nodes`` of ``H = sum_k h_k S^k`` are the filter applied to the
     identity's columns ``nodes``; only those rows are applied to the
-    noise. ``nodes`` may repeat and come in any order, and for one seed
-    the result equals those rows of the full realization, up to rounding.
+    noise. The shift keeps them, so a second call with the same filter
+    and nodes costs the draw and one product. ``nodes`` may repeat and
+    come in any order, and for one seed the result equals those rows of
+    the full realization, up to rounding.
     """
-    identity = np.eye(shift.n)
-    if nodes is not None:
-        _check_ints(nodes, 0, shift.n, "node")
-        identity = identity[:, list(nodes)]
-    return _realise(shift, apply_filter(shift, filt, identity).T, n_snapshots, seed)
+    return _realise(shift, _filter_rows(shift, filt, nodes), n_snapshots, seed)
 
 
-def sample_covariance(snapshots, demean: bool = False) -> CovarianceMatrix:
-    """Sample covariance ``Y Y^H / N_s`` of a snapshot matrix.
-
-    Accepts a SnapshotMatrix or a plain K x N_s array. With ``demean``
-    the per-node sample mean is subtracted first. Snapshots large enough
-    for the product to overflow give a non-finite matrix, which
-    :class:`CovarianceMatrix` refuses (InvalidInputError), with no
-    floating-point warning on the way.
-    """
+def _product(snapshots, demean: bool) -> tuple[np.ndarray, int]:
+    """``Y Y^H / N_s``, unchecked, and N_s, of one snapshot matrix or plain K x N_s array."""
     data = snapshots.data if isinstance(snapshots, SnapshotMatrix) else np.atleast_2d(
         np.asarray(snapshots, dtype=float)
     )
     n_s = data.shape[1]
     if n_s < 1:
         raise InvalidInputError("need at least one snapshot")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by CovarianceMatrix, as inf or nan
         if demean:
             data = data - data.mean(axis=1, keepdims=True)
-        product = data @ data.conj().T / n_s
-    return CovarianceMatrix(product, kind=SAMPLE, n_snapshots=n_s)
+        return data @ data.conj().T / n_s, n_s
+
+
+def sample_covariance(snapshots, demean: bool = False) -> CovarianceMatrix:
+    """Sample covariance ``Y Y^H / N_s`` of a snapshot matrix, or of each of a block of them.
+
+    Accepts a SnapshotMatrix or a plain K x N_s array. An iterator (not a
+    list) of K x N_s arrays of one shape, such as one realisation per
+    Monte-Carlo trial from a generator, gives one covariance per member,
+    as a stack: each member's product is formed as it is read, so a
+    generator holds one member at a time, and the stack is checked once
+    (a bad member refuses the whole stack). With ``demean`` the per-node
+    sample mean is subtracted first. Snapshots large enough for the
+    product to overflow give a non-finite matrix, which
+    :class:`CovarianceMatrix` refuses (InvalidInputError), with no
+    floating-point warning on the way.
+    """
+    if not isinstance(snapshots, Iterator):
+        product, n_s = _product(snapshots, demean)
+        return CovarianceMatrix(product, kind=SAMPLE, n_snapshots=n_s)
+    shapes, products = set(), []
+    for member in snapshots:
+        member = np.atleast_2d(np.asarray(member, dtype=float))
+        shapes.add(member.shape)
+        products.append(_product(member, demean)[0])
+    if len(shapes) != 1:
+        raise InvalidInputError(f"a block of snapshots needs members of one shape, got {sorted(shapes)}")
+    return CovarianceMatrix(np.stack(products), kind=SAMPLE, n_snapshots=shapes.pop()[1])
 
 
 def power_spectrum_from_cov(basis: SpectralBasis, cov: CovarianceMatrix) -> np.ndarray:

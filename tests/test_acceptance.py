@@ -241,7 +241,7 @@ def test_crb_ordering_and_wls_stationarity():
 def test_ar_pipeline():
     shift = gc.build_shift(gc.cycle_graph(20), "adjacency")
     a_true = 0.2
-    core = gc.core_by_degree(gc.cycle_graph(20))
+    core = gc.core_by_degree(gc.cycle_graph(20), 1)
     scheme = gc.build_ar_scheme(shift, core, 1)
     cov = gc.true_ar_covariance(shift, [a_true])
     model, r_y = gc.build_ar_model(shift, scheme, gc.true_ar_covariances(scheme, cov))

@@ -135,8 +135,8 @@ class TestScheme:
         assert scheme.core == (0, 5)
 
     def test_core_by_degree_prefers_max_degree_then_lowest_index(self):
-        assert core_by_degree(star_graph(5)) == (0,)
-        assert core_by_degree(cycle_graph(6)) == (0,)  # all tied, lowest index
+        assert core_by_degree(star_graph(5), 1) == (0,)
+        assert core_by_degree(cycle_graph(6), 1) == (0,)  # all tied, lowest index
         assert core_by_degree(star_graph(5), k0=2) == (0, 1)
 
 

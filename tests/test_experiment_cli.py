@@ -474,6 +474,36 @@ class TestSignalAndEstimate:
         ) == 2
         assert "core set must be non-empty" in capsys.readouterr().err
 
+    def test_cli_and_a_bare_config_choose_the_same_default_core(self, tmp_path, monkeypatch):
+        # the k0 default lives in KINDS alone: with it changed, both pick that many nodes
+        from graphcov import ar
+        from graphcov.experiment import KINDS, _Pipeline
+
+        convert, _ = KINDS["sampler"]["ar-core"].keys["k0"]
+        monkeypatch.setitem(KINDS["sampler"]["ar-core"].keys, "k0", (convert, 3))
+        cores, build = [], ar.build_ar_scheme
+
+        def recorded(shift, core, order):
+            cores.append(tuple(core))
+            return build(shift, core, order)
+
+        monkeypatch.setattr(ar, "build_ar_scheme", recorded)
+        _Pipeline(ExperimentConfig(**base_config(
+            graph={"kind": "sensor", "n": 20, "seed": 7}, shift="adjacency", signal={"kind": "ar", "a": [0.1]},
+            model={"kind": "ar", "p": 1}, samplers=[{"kind": "ar-core"}],
+        )))
+        g, snaps = tmp_path / "g.json", tmp_path / "snaps.csv"
+        assert run_cli("graph", "gen", "--kind", "sensor", "--n", "20", "--seed", "7", "--out", str(g)) == 0
+        assert run_cli(
+            "signal", "gen", "--graph", str(g), "--shift", "adjacency", "--signal", "ar",
+            "--coeffs", "0.1", "--ns", "200", "--seed", "4", "--out", str(snaps),
+        ) == 0
+        assert run_cli(
+            "estimate", "--graph", str(g), "--shift", "adjacency", "--snapshots", str(snaps),
+            "--model", "ar", "--p", "1", "--out", str(tmp_path / "ar.json"),
+        ) == 0
+        assert len(cores) == 2 and cores[0] == cores[1] and len(cores[0]) == 3
+
     def test_circulant_ruler_pipeline(self, tmp_path):
         # cycle graph: sampler ruler -> subsampled snapshots -> estimate uses
         # the closed-form DFT basis and the real-stacked complex model
@@ -709,18 +739,19 @@ class TestFailedEstimates:
         assert by_key[100, "nnls", "greedy15"]["nmse_db"] is None
 
     def test_refused_covariance_fails_its_trial_in_every_cell(self, monkeypatch):
+        # the third realisation of the first snapshot count is non-finite, so its
+        # covariance, and with it the block's stack, is refused
         from graphcov import experiment
 
         plain = run_experiment(ExperimentConfig(**README_STUDY))
-        calls = []
 
-        def refuse_third(data, *args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
-                raise InvalidInputError("refused")
-            return graphcov.sample_covariance(data, *args, **kwargs)
+        def non_finite_third(shift, filt, n_snapshots, seed, nodes):
+            data = graphcov.generate_signals(shift, filt, n_snapshots, seed, nodes)
+            if seed.entropy == (README_STUDY["seed"], 0, 2):
+                data[0, 0] = np.nan
+            return data
 
-        monkeypatch.setattr(experiment, "sample_covariance", refuse_third)
+        monkeypatch.setattr(experiment, "generate_signals", non_finite_third)
         refused = run_experiment(ExperimentConfig(**README_STUDY))
         assert [row["failures"] for row in refused if row["n_snapshots"] == 100] == [1] * 6
         assert [row for row in refused if row["n_snapshots"] == 1000] == [
@@ -737,6 +768,18 @@ class TestFailedEstimates:
         assert {row["crb_db"] for row in rows if row["sampler"] == "full"} == {None}
         assert all(np.isfinite(row["crb_db"]) for row in rows if row["sampler"] == "greedy8")
         assert all(row["failures"] == 0 and np.isfinite(row["nmse_db"]) for row in rows)
+
+
+REFERENCE_SENSOR = {
+    "methods": ["ls", "nnls", "wls"],
+    "samplers": [{"name": "full", "kind": "full"},
+                 {"name": "part", "kind": "explicit", "selected": [0, 2, 3, 5, 7, 8, 11, 12, 14]}],
+}
+REFERENCE_MA = {
+    "graph": {"kind": "sensor", "n": 20, "seed": 7}, "model": {"kind": "ma", "q": 3}, "methods": ["ls", "wls"],
+    "samplers": [{"name": "full", "kind": "full"},
+                 {"name": "part", "kind": "explicit", "selected": [1, 4, 6, 9, 12, 15, 18]}],
+}
 
 
 class TestExperiment:
@@ -1000,46 +1043,64 @@ class TestExperiment:
         assert (tmp_path / "nnls.csv").read_text() == out["csv"]["nnls"]
 
     @pytest.mark.parametrize(
-        "overrides",
+        ("overrides", "blocks"),
         [
-            {"methods": ["ls", "nnls", "wls"],
-             "samplers": [{"name": "full", "kind": "full"},
-                          {"name": "part", "kind": "explicit", "selected": [0, 2, 3, 5, 7, 8, 11, 12, 14]}]},
-            {"graph": {"kind": "cycle", "n": 10}, "shift": "adjacency", "methods": ["ls", "nnls", "wls"],
-             "samplers": [{"name": "ruler", "kind": "ruler"}]},
-            {"graph": {"kind": "sensor", "n": 20, "seed": 7}, "model": {"kind": "ma", "q": 3},
-             "methods": ["ls", "wls"],
-             "samplers": [{"name": "full", "kind": "full"},
-                          {"name": "part", "kind": "explicit", "selected": [1, 4, 6, 9, 12, 15, 18]}]},
+            (REFERENCE_SENSOR, 1),
+            ({"graph": {"kind": "cycle", "n": 10}, "shift": "adjacency", "methods": ["ls", "nnls", "wls"],
+              "samplers": [{"name": "ruler", "kind": "ruler"}]}, 1),
+            (REFERENCE_MA, 1),
+            (REFERENCE_SENSOR, 3),
+            (REFERENCE_MA, 3),
         ],
-        ids=["sensor", "cycle-ruler", "ma"],
+        ids=["sensor", "cycle-ruler", "ma", "sensor-three-blocks", "ma-three-blocks"],
     )
-    def test_rows_equal_a_per_trial_reference_loop(self, overrides):
-        # every cell and method estimated trial by trial from its own sample covariance;
-        # N_s = 5 is below every sampler's K, so WLS takes its loaded branch there
-        from graphcov import experiment, sample_covariance, vec
-        from graphcov.estimators import nmse_db
-        from graphcov.experiment import _Pipeline
+    def test_rows_equal_a_per_trial_reference_loop(self, monkeypatch, overrides, blocks):
+        # every cell and method estimated trial by trial from its own sample covariance,
+        # with public functions only; N_s = 5 is below every sampler's K, so WLS takes its
+        # loaded branch there. With blocks=3 the trials span three blocks of two.
+        from graphcov import (
+            GraphFilter, build_shift, compress_model, experiment, frequency_response, generate_signals,
+            sample_covariance, vec,
+        )
+        from graphcov import estimators
+        from graphcov.estimators import nmse_db, trial_blocks
 
         cfg = ExperimentConfig(**base_config(n_snapshots=[5, 200], n_trials=6, **overrides))
+        shift = build_shift(experiment.make_graph(cfg.graph), cfg.shift)
+        if blocks == 3:
+            monkeypatch.setattr(estimators, "_BLOCK_ROWS", 2 * shift.n)
+        assert len(trial_blocks(cfg.n_trials, shift.n)) == blocks
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
             rows = run_experiment(cfg)
-            pipe = _Pipeline(cfg)
+            psi = experiment.make_model(shift, cfg.model)
+        filt = GraphFilter(cfg.signal["h"])
+        eigvals = shift.basis().eigvals
+        true_p = np.abs(frequency_response(eigvals, filt)) ** 2
+        p_norm = float(np.linalg.norm(true_p))
+        cells = []
+        for entry in cfg.samplers:
+            if entry["kind"] == "full":
+                sampler = Subsampler.full(shift.n)
+            elif entry["kind"] == "ruler":
+                sampler = experiment.ruler_sampler(shift.n)
+            else:
+                sampler = Subsampler(shift.n, entry["selected"])
+            cells.append((entry["name"], sampler, compress_model(psi, sampler)))
         expected = []
         for ns_idx, ns in enumerate(cfg.n_snapshots):
             sse = {}
             for trial in range(cfg.n_trials):
-                data = pipe.generate(ns, np.random.SeedSequence((cfg.seed, ns_idx, trial)))
-                for name, _, (sampler, model) in pipe.cells:
-                    cov = sample_covariance(data.rows(sampler.selected))
+                seed = np.random.SeedSequence((cfg.seed, ns_idx, trial))
+                for name, sampler, model in cells:
+                    cov = sample_covariance(generate_signals(shift, filt, ns, seed, sampler.selected))
                     for method in cfg.methods:
                         theta = experiment.estimate(model, method, vec(cov.matrix), cov).theta
-                        err = experiment.model_spectrum(model, pipe.basis.eigvals, theta) - pipe.true_p
+                        err = experiment.model_spectrum(model, eigvals, theta) - true_p
                         sse[name, method] = sse.get((name, method), 0.0) + float(err @ err)
-            for name, _, _ in pipe.cells:
+            for name, _, _ in cells:
                 for method in cfg.methods:
-                    expected.append((ns, method, name, nmse_db(sse[name, method], cfg.n_trials, pipe.p_norm)))
+                    expected.append((ns, method, name, nmse_db(sse[name, method], cfg.n_trials, p_norm)))
         assert len(rows) == len(expected)
         for row, (ns, method, name, nmse) in zip(rows, expected):
             assert (row["n_snapshots"], row["method"], row["sampler"]) == (ns, method, name)
@@ -1056,7 +1117,9 @@ class TestExperiment:
         pipe = _Pipeline(cfg)
         for row in rows:
             sampler, model = next(c[2] for c in pipe.cells if c[0] == row["sampler"])
-            r_true = pipe.true_cov[np.ix_(sampler.selected, sampler.selected)]
+            # the pipeline keeps the true covariance of the observed nodes only
+            positions = [pipe.observed_nodes.index(node) for node in sampler.selected]
+            r_true = pipe.true_cov[np.ix_(positions, positions)]
             info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), row["n_snapshots"])
             expected = nmse_db(float(np.trace(info.crb)), 1, pipe.p_norm)
             assert row["crb_db"] == pytest.approx(expected, rel=1e-12)
@@ -1115,9 +1178,9 @@ class TestExperiment:
         union = sorted(set(schemes[0].distinct_nodes) | set(schemes[1].distinct_nodes))
         assert pipe.observed_nodes == tuple(union) and len(union) < 20
         data = pipe.generate(50, np.random.SeedSequence((11, 0, 0)))
-        assert data.node_indices == tuple(union)
+        assert data.shape == (len(union), 50)  # one row per observed node, in pipe.observed_nodes order
         full = generate_ar_signals(pipe.shift, [0.1], 50, np.random.SeedSequence((11, 0, 0)))
-        npt.assert_allclose(data.data, full[union], rtol=1e-12, atol=1e-12 * np.abs(full).max())
+        npt.assert_allclose(data, full[union], rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1159,6 +1222,44 @@ class TestExperiment:
             monkeypatch.setattr(module, name, traced)
         run_experiment(cfg)
         assert rows == [len(observed)] * 2
+
+    @pytest.mark.parametrize(("n_trials", "n_snapshots"), [(1, [50]), (7, [20, 50, 100])], ids=["one", "many"])
+    @pytest.mark.parametrize("model", [{"kind": "spectral"}, {"kind": "ma", "q": 3}], ids=["spectral", "ma"])
+    def test_ma_study_builds_its_transfer_rows_once(self, monkeypatch, n_trials, n_snapshots, model):
+        # set-up builds H_O for the true covariance, and every trial reads the rows the shift keeps
+        import graphcov.stationary
+
+        calls, original = [], graphcov.stationary.apply_filter
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(graphcov.stationary, "apply_filter", counted)
+        rows = run_experiment(ExperimentConfig(**base_config(
+            model=model, methods=["ls", "wls"], n_trials=n_trials, n_snapshots=n_snapshots,
+        )))
+        assert all(row["failures"] == 0 for row in rows)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(("n_trials", "n_snapshots"), [(1, [50]), (7, [20, 50, 100])], ids=["one", "many"])
+    def test_ar_study_builds_its_transfer_rows_once(self, monkeypatch, n_trials, n_snapshots):
+        import graphcov.ar
+
+        calls, original = [], graphcov.ar.ar_transfer_matrix
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(graphcov.ar, "ar_transfer_matrix", counted)
+        rows = run_experiment(ExperimentConfig(**base_config(
+            graph={"kind": "sensor", "n": 20, "seed": 7}, shift="adjacency", signal={"kind": "ar", "a": [0.1]},
+            model={"kind": "ar", "p": 1}, n_trials=n_trials, n_snapshots=n_snapshots,
+            samplers=[{"kind": "ar-core", "k0": 1, "name": "top"}, {"kind": "ar-core", "core": [5], "name": "node5"}],
+        )))
+        assert all(row["failures"] == 0 for row in rows)
+        assert len(calls) == 1
 
     def test_ar_model_threaded_determinism(self):
         cfg_dict = base_config(
@@ -1328,6 +1429,16 @@ class TestExperiment:
             ({"graph": {"kind": "cycle", "n": 12, "seed": 7}}, "graph kind 'cycle' takes no key 'seed'"),
             ({"graph": {"kind": "file", "path": "g.json", "n": 12}}, "graph kind 'file' takes no key 'n'"),
             ({"methods": "wls"}, "methods must be a non-empty list of method names, got 'wls'"),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "ar-core", "core": [0], "k0": 5}]},
+                "sampler.core [0] and sampler.k0 5 both choose the core",
+            ),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"core": [0], "k0": 1}]},
+                "sampler.core [0] and sampler.k0 1 both choose the core",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -1343,7 +1454,8 @@ class TestExperiment:
              "ar-core-misspelled-key",
              "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls", "spectral-model-q",
              "ma-model-p", "ar-model-q", "ma-signal-a", "ar-signal-h", "sensor-graph-typo",
-             "cycle-graph-seed", "file-graph-n", "methods-string"],
+             "cycle-graph-seed", "file-graph-n", "methods-string", "ar-core-core-and-k0",
+             "ar-core-default-kind-core-and-k0"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"

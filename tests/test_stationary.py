@@ -94,7 +94,7 @@ class TestCovarianceStack:
     @pytest.mark.parametrize("positions", [[4, 0, 2], [0, 1, 2, 3, 4]], ids=["subset", "every-row"])
     def test_principal_submatrices(self, positions):
         covs = [CovarianceMatrix(m, kind="sample", n_snapshots=3) for m in self.matrices()]
-        stack = CovarianceMatrix.principal(covs, positions)
+        stack = CovarianceMatrix.principal(CovarianceMatrix(self.matrices(), kind="sample", n_snapshots=3), positions)
         assert stack.kind == "sample" and stack.n_snapshots == 3
         assert not stack.matrix.flags.writeable
         for t, cov in enumerate(covs):
@@ -122,6 +122,14 @@ class TestTrueCovariance:
         b = ma_b_from_h(h)
         expected = sum(bk * np.linalg.matrix_power(s.matrix, k) for k, bk in enumerate(b))
         npt.assert_allclose(true_covariance(s, h).matrix, expected, atol=1e-8)
+
+
+    def test_node_rows_equal_the_full_covariance_block(self):
+        s = build_shift(sensor_graph(20, seed=7), "laplacian")
+        h = GraphFilter([1.0, 0.5, 0.2])
+        nodes = [3, 7, 8, 15]
+        full = true_covariance(s, h).matrix
+        npt.assert_allclose(true_covariance(s, h, nodes).matrix, full[np.ix_(nodes, nodes)], rtol=1e-13, atol=0)
 
 
 class TestGenerateSignals:
@@ -186,6 +194,54 @@ class TestRealise:
         assert GENERATORS[kind](shift, [0.1], np.int64(3), 0).shape == (10, 3)
 
 
+class TestKeptTransfer:
+    """The shift keeps the transfer rows of the last (signal, nodes) pair it realised."""
+
+    def test_realisations_match_a_fresh_shift_after_other_signals(self):
+        graph = sensor_graph(20, seed=7)
+        shift = build_shift(graph, "adjacency")
+        seed = np.random.SeedSequence((3, 0, 1))
+        sequence = [
+            ("ma", [1.0, 0.5, 0.2], (0, 4, 9)),
+            ("ma", [1.0, -0.3], (0, 4, 9)),  # another filter
+            ("ma", [1.0, -0.3], [2, 4]),  # another node set, as a list
+            ("ar", [0.1], [2, 4]),  # another signal kind on the same nodes
+            ("ar", [0.05, 0.02], (2, 4)),  # other AR coefficients
+            ("ar", [0.05, 0.02], None),  # every node
+            ("ma", [1.0, 0.5, 0.2], (0, 4, 9)),  # back to the first pair
+        ]
+        for kind, coeffs, nodes in sequence:
+            fresh = GENERATORS[kind](build_shift(graph, "adjacency"), coeffs, 40, seed, nodes)
+            for _ in range(2):  # the pair's first call builds the rows, the second reads them
+                npt.assert_array_equal(GENERATORS[kind](shift, coeffs, 40, seed, nodes), fresh)
+
+    def test_kept_rows_are_read_only_and_built_once_per_pair(self):
+        shift = build_shift(cycle_graph(6), "adjacency")
+        built = []
+
+        def build(nodes):
+            built.append(nodes)
+            return np.ones((len(nodes), 6))
+
+        rows = shift.transfer_rows(("signal", 1), (1, 2), build)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2.0
+        assert shift.transfer_rows(("signal", 1), [1, 2], build) is rows  # the same nodes, as a list
+        shift.transfer_rows(("signal", 2), (1, 2), build)
+        shift.transfer_rows(("signal", 2), (1, 3), build)
+        assert built == [(1, 2), (1, 2), (1, 3)]
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    @pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (1, 10)], ids=["float", "bool", "n"])
+    def test_nodes_equal_to_the_kept_ones_are_still_checked(self, kind, bad):
+        # 1.0 == 1 and True == 1, so only the check tells them from the kept node 1
+        shift = build_shift(cycle_graph(10), "adjacency")
+        GENERATORS[kind](shift, [0.1], 5, 0, (1, 2))
+        with pytest.raises(InvalidInputError, match=r"node must be an integer in \[0, 10\)"):
+            GENERATORS[kind](shift, [0.1], 5, 0, bad)
+
+
 class TestSampleCovariance:
     def test_single_column(self):
         y = np.array([[1.0], [2.0]])
@@ -212,6 +268,34 @@ class TestSampleCovariance:
         y[1, 0] = -1e307
         with pytest.raises(InvalidInputError, match="non-finite values in covariance"):
             sample_covariance(y, demean=demean)
+
+    @pytest.mark.parametrize("demean", [False, True])
+    def test_iterator_gives_the_stack_of_each_members_covariance(self, demean):
+        rng = np.random.default_rng(5)
+        members = [rng.standard_normal((4, 30)) for _ in range(3)]
+        stack = sample_covariance((x for x in members), demean=demean)
+        assert stack.matrix.shape == (3, 4, 4) and stack.kind == "sample" and stack.n_snapshots == 30
+        for t, x in enumerate(members):
+            one = sample_covariance(x, demean=demean)
+            npt.assert_array_equal(stack.matrix[t], one.matrix)
+            assert stack.min_eigenvalue[t] == one.min_eigenvalue
+
+    def test_a_list_is_one_snapshot_matrix(self):
+        assert sample_covariance([[1.0, 3.0], [2.0, 2.0]]).matrix.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        ("members", "match"),
+        [
+            ([np.ones((2, 3)), np.ones((2, 4))], "one shape"),
+            ([np.ones((2, 3)), np.ones((3, 3))], "one shape"),
+            ([], "one shape"),
+            ([np.ones((2, 3)), np.full((2, 3), np.nan)], "non-finite"),
+        ],
+        ids=["snapshot-counts", "node-counts", "empty", "non-finite"],
+    )
+    def test_bad_block_refused(self, members, match):
+        with pytest.raises(InvalidInputError, match=match):
+            sample_covariance(iter(members))
 
     def test_consistency_rate(self):
         # squared covariance error shrinks like 1/N_s (within a factor of 2)
