@@ -8,17 +8,18 @@ of it from the shift's cached spectral basis instead of factoring the
 N x N system. ``generate_ar_signals`` applies only the requested rows to
 the white noise, so a Monte-Carlo trial realises only the nodes its
 schemes observe; the shift keeps those rows, so every trial after the
-first costs one draw and one product. One coefficient rule (an empty or non-finite vector is
-refused) and one pole rule (``|d| < 1e-12`` at some graph frequency
-raises SingularityError) serve the transfer, the true covariance and
-the spectrum.
+first costs one draw and one product; ``true_ar_covariance`` is
+``H_O H_O^T`` of the kept rows, with no N x N product. One coefficient
+rule (an empty or non-finite vector is refused) and one pole rule
+(``|d| < 1e-12`` at some graph frequency raises SingularityError) serve
+the transfer, the true covariance and the spectrum.
 
 Observing a small core node set together with the p-hop neighborhoods
 of the core (one selection per lag) lets the covariance equations be
 written linearly in the AR coefficients, so plain least squares applies.
 What is observed is one covariance, of the scheme's distinct nodes in
-ascending order (``true_ar_covariances``, ``sample_ar_covariances``);
-``build_ar_model`` cuts each level-pair block ``R_{k,q}`` from it by
+ascending order (``true_ar_covariances`` of the N x N covariance,
+``sample_ar_covariances``); ``build_ar_model`` cuts each level-pair block ``R_{k,q}`` from it by
 position, so the cross-level fit of rows ``R[core, level_q]`` reads the
 same matrix. The white-noise cross term is dropped, which biases the
 estimate even from exact covariances, and not by a small amount: on a
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularityError
 from .estimators import EstimationResult, ls_estimate
-from .graphs import Graph, ShiftOperator, SpectralBasis, _check_ints, vandermonde
+from .graphs import Graph, ShiftOperator, _check_ints, vandermonde
 from .models import AUTOREGRESSIVE, ObservationModel, Subsampler, vec
 from .stationary import CovarianceMatrix, SnapshotMatrix, _realise, sample_covariance
 
@@ -233,14 +234,6 @@ def ar_power_spectrum(eigvals: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return 1.0 / np.abs(_ar_denominator(eigvals, coeffs)) ** 2
 
 
-def _spectral_matrix(basis: SpectralBasis, response: np.ndarray, nodes=None) -> np.ndarray:
-    """Rows ``nodes`` (all by default) of ``U diag(response) U^H``, real for a real response."""
-    u = basis.eigvecs
-    rows = u if nodes is None else u[list(nodes)]
-    matrix = (rows * response) @ u.conj().T
-    return matrix.real if np.iscomplexobj(matrix) else matrix
-
-
 def ar_transfer_matrix(shift: ShiftOperator, coeffs: np.ndarray, nodes=None) -> np.ndarray:
     """Rows ``nodes`` of the transfer ``H = (I - sum_k a_k S^k)^{-1}`` from noise to signal.
 
@@ -253,15 +246,29 @@ def ar_transfer_matrix(shift: ShiftOperator, coeffs: np.ndarray, nodes=None) -> 
     if nodes is not None:
         _check_ints(nodes, 0, shift.n, "node")
     basis = shift.basis()
-    return _spectral_matrix(basis, 1.0 / _ar_denominator(basis.eigvals, coeffs), nodes)
+    u = basis.eigvecs
+    rows = u if nodes is None else u[list(nodes)]
+    matrix = (rows * (1.0 / _ar_denominator(basis.eigvals, coeffs))) @ u.conj().T
+    return matrix.real if np.iscomplexobj(matrix) else matrix
 
 
-def true_ar_covariance(shift: ShiftOperator, coeffs: np.ndarray) -> CovarianceMatrix:
-    """Exact covariance ``H H^T = U diag(1/|d|^2) U^H`` of the AR signal (see the transfer)."""
-    basis = shift.basis()
-    return CovarianceMatrix(
-        _spectral_matrix(basis, ar_power_spectrum(basis.eigvals, coeffs)), kind="true"
+def _transfer_rows(shift: ShiftOperator, coeffs, nodes) -> np.ndarray:
+    """Rows ``nodes`` (all when None) of the AR transfer, as the shift keeps them."""
+    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    return shift.transfer_rows(
+        ("ar", a.shape, a.tobytes()), nodes, lambda nodes: ar_transfer_matrix(shift, coeffs, nodes)
     )
+
+
+def true_ar_covariance(shift: ShiftOperator, coeffs: np.ndarray, nodes=None) -> CovarianceMatrix:
+    """Exact covariance ``H_O H_O^T`` of the AR signal on the nodes O, ``nodes`` (all by default).
+
+    ``H_O`` holds the transfer rows :func:`generate_ar_signals` applies,
+    which the shift keeps, so a study's observed nodes cost O(|O| N), not
+    the N x N ``U diag(1/|d|^2) U^H``. ``nodes`` may repeat and come in any order.
+    """
+    rows = _transfer_rows(shift, coeffs, nodes)
+    return CovarianceMatrix(rows @ rows.T, kind="true")
 
 
 def generate_ar_signals(
@@ -277,11 +284,7 @@ def generate_ar_signals(
     result equals the rows ``nodes`` of the full realization, while a
     study that observes few nodes pays for those rows only. The shift
     keeps the rows (:meth:`~graphcov.graphs.ShiftOperator.transfer_rows`),
-    so a second call with the same coefficients and nodes costs the draw
-    and one product.
+    so a second call with the same coefficients and nodes, or a call after
+    :func:`true_ar_covariance` of them, costs the draw and one product.
     """
-    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    rows = shift.transfer_rows(
-        ("ar", a.shape, a.tobytes()), nodes, lambda nodes: ar_transfer_matrix(shift, coeffs, nodes)
-    )
-    return _realise(shift, rows, n_snapshots, seed)
+    return _realise(shift, _transfer_rows(shift, coeffs, nodes), n_snapshots, seed)

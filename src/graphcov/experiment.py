@@ -3,20 +3,21 @@
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
 Per-trial seeds are derived from the master seed by counter. Set-up
-resolves what every trial shares: each cell's model, the indices that
-gather its vectorised covariance, its CRB, and the estimator of each
-method; the shift keeps the transfer rows of the nodes some cell reads.
-A trial realises those nodes once (one noise draw and one product) and
-forms one sample covariance of them; the covariances of a block of
-trials (all of a snapshot count's trials, unless they are more than
+resolves what every trial shares: the true covariance ``H_O H_O^T`` of
+the observed nodes O, the nodes some cell reads, for either signal kind;
+each cell's model, the positions of its nodes in that covariance, its
+CRB, and the estimator of each method. The shift keeps the transfer rows
+``H_O``. A trial realises O once (one noise draw and one product) and
+forms one sample covariance of it; the covariances of a block of trials
+(all of a snapshot count's trials, unless they are more than
 :func:`~graphcov.estimators.trial_blocks` allows at once) are checked
-once, as a stack. Every spectral or moving-average cell reads its
-principal submatrix, and every method of a cell reads that (paired
-comparisons). LS and NNLS run per trial; WLS runs once per cell on the
-block's stack. An autoregressive trial builds its own system from its
-data and runs per trial. Trials run one after another, with numpy's BLAS
-pinned to one thread, so output is byte-identical for a fixed config at
-any thread setting.
+once, as a stack. Every read of a covariance, true or sampled, cuts the
+cell's principal block by its positions, and every method of a cell
+reads that (paired comparisons). LS and NNLS run per trial; WLS runs
+once per cell on the block's stack. An autoregressive trial builds its
+own system from its data and runs per trial. Trials run one after
+another, with numpy's BLAS pinned to one thread, so output is
+byte-identical for a fixed config at any thread setting.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .models import (
     build_psi_ma,
     build_psi_spectral,
     compress_model,
+    vec,
 )
 from .stationary import (
     SAMPLE,
@@ -210,7 +212,7 @@ def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
         return build_psi_spectral(shift.basis())
     if spec["kind"] == "ma":
         return build_psi_ma(shift, keys["q"])
-    raise InvalidInputError(f"unknown model kind {spec['kind']!r}")
+    raise InvalidInputError("the autoregressive model has no uncompressed model; ar.build_ar_model builds its system")
 
 
 def ruler_sampler(n: int, marks=None) -> Subsampler:
@@ -281,14 +283,10 @@ class ExperimentConfig:
             isinstance(entry, dict) for entry in self.samplers
         ):
             raise InvalidInputError("samplers must be a list of objects")
-        ar_model = self.model.get("kind") == "ar"
         for entry in self.samplers:
             if not isinstance(entry.get("name", ""), str):
                 raise InvalidInputError(f"bad sampler.name {entry['name']!r}: expected a string")
-            if ar_model:
-                _ar_core_keys(entry)
-            else:
-                fields(entry, "sampler")
+            _sampler_keys(self.model["kind"], entry)
         if not isinstance(self.exact_covariance, bool):
             raise InvalidInputError(
                 f"exact_covariance must be true or false, got {self.exact_covariance!r}"
@@ -325,12 +323,24 @@ class ExperimentConfig:
             raise InvalidInputError(f"bad experiment config fields: {exc}") from exc
 
 
-def _ar_core_keys(entry: dict) -> dict:
-    """The keys of an autoregressive model's sampler entry, whose kind defaults to ``ar-core``.
+def _sampler_keys(model_kind: str, entry: dict) -> dict:
+    """The keys of a sampler entry under a model of kind ``model_kind``; a kind the model does not take is refused.
 
-    ``core`` and ``k0`` each choose the core, so an entry giving both is
-    refused, naming both.
+    Only the autoregressive model takes ``ar-core``, the kind its entries
+    default to, and it takes no other. ``core`` and ``k0`` each choose the
+    core, so an entry giving both is refused, naming both.
     """
+    if model_kind != "ar":
+        if entry.get("kind") == "ar-core":
+            raise InvalidInputError(
+                f"model kind {model_kind!r} samples nodes; sampler kind 'ar-core' is for model kind 'ar'"
+            )
+        return fields(entry, "sampler")
+    kind = entry.get("kind", "ar-core")
+    if kind != "ar-core":
+        raise InvalidInputError(
+            f"the autoregressive model samples cores plus neighborhoods; use sampler kind 'ar-core', not {kind!r}"
+        )
     keys = fields({"kind": "ar-core", **entry}, "sampler")
     if entry.get("core") is not None and entry.get("k0") is not None:
         raise InvalidInputError(
@@ -345,7 +355,7 @@ def ar_core(graph: Graph, entry: dict) -> tuple[int, ...]:
     ``k0`` defaults as ``KINDS["sampler"]["ar-core"]`` says; an entry
     giving both keys is refused.
     """
-    keys = _ar_core_keys(entry)
+    keys = _sampler_keys("ar", entry)
     return armod.core_by_degree(graph, keys["k0"]) if keys["core"] is None else keys["core"]
 
 
@@ -362,20 +372,20 @@ def _resolve_sampler(entry: dict, psi: CovarianceModel, n: int) -> Subsampler:
         return Subsampler(n, keys["selected"])
     if kind == "greedy":
         return greedy_design(DesignProblem(psi=psi, k=keys["k"])).sampler
-    if kind == "ruler":
-        return ruler_sampler(n, keys["marks"])
-    raise InvalidInputError(f"unknown sampler kind {kind!r}")
+    return ruler_sampler(n, keys["marks"])
 
 
 class _Cell(NamedTuple):
-    """One sampler of a study, with what its trials read, resolved at set-up."""
+    """One sampler of a study, with what its trials read, resolved at set-up.
+
+    Its nodes are a sampler's selected nodes or an AR scheme's distinct nodes.
+    """
 
     name: str
-    compression: float
+    compression: float  # 1 - |nodes| / N
     payload: tuple | armod.ARSamplingScheme  # (sampler, compressed model), or an AR scheme
-    positions: np.ndarray | None = None  # a node cell's rows of the covariance of observed_nodes
-    gather: np.ndarray | None = None  # flat indices of vec(its principal submatrix) in that covariance
-    crb_sse: float | None = None  # squared spectrum error at the CRB for one snapshot
+    positions: np.ndarray  # its nodes' rows of the covariance of observed_nodes; every read cuts by them
+    crb_sse: float | None = None  # squared spectrum error at the CRB for one snapshot; None for an AR cell
 
 
 class _Pipeline:
@@ -408,19 +418,11 @@ class _Pipeline:
         else:
             self.psi = make_model(self.shift, config.model)
 
-        resolved = []  # (name, compression, compressed model or AR scheme)
-        observed = set()  # the nodes some cell reads
+        resolved = []  # (name, nodes, compressed model or AR scheme)
         for entry in config.samplers:
             if self.model_kind == "ar":
-                if entry.get("kind", "ar-core") != "ar-core":
-                    raise InvalidInputError(
-                        "the autoregressive model samples cores plus neighborhoods; "
-                        f"use sampler kind 'ar-core', not {entry.get('kind')!r}"
-                    )
                 scheme = armod.build_ar_scheme(self.shift, ar_core(self.graph, entry), self.p_order)
-                observed.update(scheme.distinct_nodes)
-                compression = 1.0 - len(scheme.distinct_nodes) / n
-                resolved.append((entry.get("name", f"ar-core-{len(scheme.core)}"), compression, scheme))
+                resolved.append((entry.get("name", f"ar-core-{len(scheme.core)}"), scheme.distinct_nodes, scheme))
             else:
                 sampler = _resolve_sampler(entry, self.psi, n)
                 compressed = compress_model(self.psi, sampler)
@@ -430,16 +432,14 @@ class _Pipeline:
                         f"(rank {compressed.rank} of {compressed.n_params})",
                         rank=compressed.rank,
                     )
-                observed.update(sampler.selected)
-                compression = 1.0 - sampler.k / n
-                resolved.append((entry.get("name", f"k{sampler.k}"), compression, (sampler, compressed)))
+                resolved.append((entry.get("name", f"k{sampler.k}"), sampler.selected, (sampler, compressed)))
         _refuse_repeat([name for name, _, _ in resolved], "sampler name")
-        self.observed_nodes = tuple(sorted(observed))
+        self.observed_nodes = tuple(sorted(set().union(*(nodes for _, nodes, _ in resolved))))
+        # H_O H_O^T of the observed nodes O; the shift keeps H_O for the trials' realisations
         if self.ar_coeffs is None:
-            # H_O H_O^T of the observed nodes O; the shift keeps H_O for the trials' realisations
             self.true_cov = true_covariance(self.shift, self.filt, self.observed_nodes).matrix
         else:
-            self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs).matrix
+            self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs, self.observed_nodes).matrix
 
         # the estimator of each method that runs per trial: sampled WLS runs per block, exact WLS is LS
         self.solvers = [
@@ -448,18 +448,12 @@ class _Pipeline:
             if method != WLS or config.exact_covariance
         ]
         self.wls_index = config.methods.index(WLS) if WLS in config.methods else None
-        where = {node: idx for idx, node in enumerate(self.observed_nodes)}
         self.cells = []
         # the loop keeps ``entry``, unread here: bench/tracing.py names the cell of a Fisher call by it
-        for entry, (name, compression, payload) in zip(config.samplers, resolved):
-            if self.model_kind == "ar":
-                self.cells.append(_Cell(name, compression, payload))
-                continue
-            positions = np.array([where[node] for node in payload[0].selected])
-            # element i + j k of vec(R[positions][:, positions]) is R[positions[i], positions[j]]
-            gather = (positions * len(where) + positions[:, None]).ravel()
-            crb_sse = self.crb_sse(payload[1], positions)
-            self.cells.append(_Cell(name, compression, payload, positions, gather, crb_sse))
+        for entry, (name, nodes, payload) in zip(config.samplers, resolved):
+            positions = np.searchsorted(self.observed_nodes, nodes)
+            crb_sse = None if self.model_kind == "ar" else self.crb_sse(payload[1], positions)
+            self.cells.append(_Cell(name, 1.0 - len(nodes) / n, payload, positions, crb_sse))
 
     # -- per-trial work ---------------------------------------------------
 
@@ -530,9 +524,9 @@ class _Pipeline:
         """Fill ``sqerr[:, :, trial]`` for the methods that run per trial; NaN stays where an estimate failed.
 
         ``cov`` is the trial's sample covariance of ``observed_nodes``, its
-        member of the block's stack (:meth:`sample_block`). Without one a
-        node cell reads the true covariance (exact mode), and an
-        autoregressive trial realises its own data, unless in exact mode.
+        member of the block's stack (:meth:`sample_block`). Without one
+        (exact mode) every cell reads the true covariance; a sampled
+        autoregressive trial realises its own data.
         """
         data = cov
         if self.model_kind == "ar" and not self.config.exact_covariance:
@@ -544,24 +538,22 @@ class _Pipeline:
         """Squared spectrum error of each per-trial method of one cell into ``out``; data=None for exact mode.
 
         The cell's linear system ``(model, r_y)`` is built once and shared
-        by its methods: a node cell gathers ``r_y`` from ``data``, the
-        trial's covariance of ``observed_nodes``, or from the true one in
-        exact mode; an AR cell builds its system from the scheme's
-        covariance of the snapshots ``data``. WLS of sampled data is left
-        to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
-        estimate failed.
+        by its methods: a node cell's ``r_y`` is ``vec`` of its block
+        (:meth:`block`) of ``data``, the trial's covariance of
+        ``observed_nodes``, or of the true one in exact mode; an AR cell
+        builds its system from its block of the true covariance in exact
+        mode, and else from the scheme's covariance of the snapshots
+        ``data``. WLS of sampled data is left to :meth:`weigh_trials`. An
+        entry of ``out`` stays NaN where its estimate failed.
         """
         try:
             if self.model_kind == "ar":
                 scheme = cell.payload
-                if data is None:
-                    ar_cov = armod.true_ar_covariances(scheme, self.true_cov)
-                else:
-                    ar_cov = armod.sample_ar_covariances(scheme, data)
-                model, r_y = armod.build_ar_model(self.shift, scheme, ar_cov)
+                cov = self.block(cell.positions) if data is None else armod.sample_ar_covariances(scheme, data)
+                model, r_y = armod.build_ar_model(self.shift, scheme, cov)
             else:
                 model = cell.payload[1]
-                r_y = (self.true_cov if data is None else data).take(cell.gather)
+                r_y = vec(self.block(cell.positions, data))
         except (GraphCovError, np.linalg.LinAlgError):
             return  # every method of the cell fails
         for m_idx, method, solve in self.solvers:
@@ -574,22 +566,26 @@ class _Pipeline:
         """WLS of every node cell for ``trials``, one stacked call per cell, into ``sqerr``.
 
         ``covs`` is the trials' stack from :meth:`sample_block`. Each cell
-        weighs with its principal submatrices and gathers its observations
-        from the stack; a trial whose solve fails alone stays NaN.
+        weighs with the stack of its principal blocks
+        (:meth:`CovarianceMatrix.principal` on its positions) and observes
+        ``vec`` of that stack; a trial whose solve fails alone stays NaN.
         """
         if self.wls_index is None:
             return
-        rows = covs.matrix.reshape(len(trials), -1)
         for c_idx, cell in enumerate(self.cells):
             model = cell.payload[1]
             weights = CovarianceMatrix.principal(covs, cell.positions)
             try:
-                thetas = wls_estimate(model, rows[:, cell.gather], weights).theta
+                thetas = wls_estimate(model, vec(weights.matrix), weights).theta
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
             for trial, theta in zip(trials, thetas):
                 if not np.isnan(theta).any():
                     sqerr[c_idx, self.wls_index, trial] = self.squared_error(model, theta)
+
+    def block(self, positions: np.ndarray, cov: np.ndarray | None = None) -> np.ndarray:
+        """The block on ``positions`` of ``cov``, a covariance of ``observed_nodes`` (by default the true one)."""
+        return (self.true_cov if cov is None else cov)[np.ix_(positions, positions)]
 
     def squared_error(self, model: ObservationModel, theta: np.ndarray) -> float:
         err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
@@ -598,13 +594,12 @@ class _Pipeline:
     def crb_sse(self, model: ObservationModel, positions: np.ndarray) -> float | None:
         """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
 
-        The true covariance is that of the rows ``positions`` of the
-        observed nodes'. The Fisher information grows as N_s, so the CRB at
-        N_s snapshots is this value divided by N_s.
+        The true covariance is the :meth:`block` on ``positions``. The
+        Fisher information grows as N_s, so the CRB at N_s snapshots is
+        this value divided by N_s.
         """
-        r_true = self.true_cov[np.ix_(positions, positions)]
         try:
-            info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), 1)
+            info = fisher_info(model, CovarianceMatrix(self.block(positions), kind="true"), 1)
         except NumericalError:
             return None
         cov_p, t = info.crb, model.param_map
@@ -622,9 +617,10 @@ class _Pipeline:
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run all cells and return one result row per (n_snapshots, sampler, method).
 
-    Set-up (:class:`_Pipeline`) resolves each cell's model, gather
-    indices and CRB, and the estimator of each method; the shift keeps
-    the transfer rows of the observed nodes. For each snapshot count the
+    Set-up (:class:`_Pipeline`) forms the true covariance of the
+    observed nodes, whose transfer rows the shift keeps, and resolves
+    each cell's model, its positions in that covariance, its CRB, and the
+    estimator of each method. For each snapshot count the
     trials run in the blocks of :func:`~graphcov.estimators.trial_blocks`
     (one block unless there are more than ``_BLOCK_ROWS // N``): each
     trial of a block realises its data and forms its covariance, and the

@@ -19,6 +19,7 @@ from graphcov import (
     cycle_graph,
     estimate_ar,
     generate_ar_signals,
+    mobius_ladder,
     neighborhood,
     path_graph,
     sample_ar_covariances,
@@ -373,6 +374,26 @@ class TestSpectrum:
         )
         with pytest.raises(InvalidInputError):
             ar_transfer_matrix(s, a, nodes=(0, 20))
+
+    @pytest.mark.parametrize(
+        "graph, a",
+        [(sensor_graph(20, seed=7), [0.1, -0.02]), (mobius_ladder(12), [0.2, 0.05])],
+        ids=["sensor", "mobius-dft"],
+    )
+    def test_true_covariance_of_nodes_is_the_full_block(self, graph, a):
+        # H_O H_O^T of the kept rows equals the block of U diag(1/|d|^2) U^H, for any node order
+        s = build_shift(graph, "adjacency")
+        basis = s.basis()
+        u = basis.eigvecs
+        spectral = ((u * ar_power_spectrum(basis.eigvals, a)) @ u.conj().T).real
+        full = true_ar_covariance(build_shift(graph, "adjacency"), a).matrix
+        npt.assert_allclose(full, spectral, rtol=0, atol=1e-13)
+        for nodes in ((3, 4, 11), (11, 0, 3, 0), (5,)):
+            block = true_ar_covariance(s, a, nodes).matrix
+            npt.assert_allclose(block, full[np.ix_(nodes, nodes)], rtol=0, atol=1e-13)
+        for nodes in ((0, s.n), (-1,), (1.5,), (True, 2)):
+            with pytest.raises(InvalidInputError):
+                true_ar_covariance(s, a, nodes)
 
     def test_sample_covariance_from_observed_rows_matches_full_array(self):
         s = build_shift(sensor_graph(20, seed=7), "adjacency")

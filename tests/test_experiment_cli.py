@@ -40,6 +40,16 @@ def sensor_graph_file(tmp_path):
     return str(path)
 
 
+# an AR study on the 20-node sensor graph whose two cells observe fewer than N nodes
+AR_STUDY = {
+    "graph": {"kind": "sensor", "n": 20, "seed": 7},
+    "shift": "adjacency",
+    "signal": {"kind": "ar", "a": [0.1]},
+    "model": {"kind": "ar", "p": 1},
+    "samplers": [{"kind": "ar-core", "k0": 1, "name": "top"}, {"kind": "ar-core", "core": [5], "name": "node5"}],
+}
+
+
 def base_config(**overrides):
     cfg = {
         "graph": {"kind": "sensor", "n": 16, "seed": 3},
@@ -1242,8 +1252,13 @@ class TestExperiment:
         assert all(row["failures"] == 0 for row in rows)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize(("n_trials", "n_snapshots"), [(1, [50]), (7, [20, 50, 100])], ids=["one", "many"])
-    def test_ar_study_builds_its_transfer_rows_once(self, monkeypatch, n_trials, n_snapshots):
+    @pytest.mark.parametrize(
+        ("n_trials", "n_snapshots", "exact"),
+        [(1, [50], False), (7, [20, 50, 100], False), (1, [50], True), (7, [20, 50, 100], True)],
+        ids=["one", "many", "one-exact", "many-exact"],
+    )
+    def test_ar_study_builds_its_transfer_rows_once(self, monkeypatch, n_trials, n_snapshots, exact):
+        # set-up builds H_O for the true covariance, and every trial reads the rows the shift keeps
         import graphcov.ar
 
         calls, original = [], graphcov.ar.ar_transfer_matrix
@@ -1253,13 +1268,62 @@ class TestExperiment:
             return original(*args)
 
         monkeypatch.setattr(graphcov.ar, "ar_transfer_matrix", counted)
-        rows = run_experiment(ExperimentConfig(**base_config(
-            graph={"kind": "sensor", "n": 20, "seed": 7}, shift="adjacency", signal={"kind": "ar", "a": [0.1]},
-            model={"kind": "ar", "p": 1}, n_trials=n_trials, n_snapshots=n_snapshots,
-            samplers=[{"kind": "ar-core", "k0": 1, "name": "top"}, {"kind": "ar-core", "core": [5], "name": "node5"}],
-        )))
+        rows = run_experiment(ExperimentConfig(**base_config(**AR_STUDY, n_trials=n_trials, n_snapshots=n_snapshots,
+                                                             exact_covariance=exact)))
         assert all(row["failures"] == 0 for row in rows)
         assert len(calls) == 1
+
+    def test_ar_pipeline_holds_the_covariance_of_its_observed_nodes(self):
+        from graphcov.ar import true_ar_covariance
+        from graphcov.experiment import _Pipeline
+
+        pipe = _Pipeline(ExperimentConfig(**base_config(**AR_STUDY)))
+        k = len(pipe.observed_nodes)
+        assert k < pipe.shift.n and pipe.true_cov.shape == (k, k)
+        full = true_ar_covariance(pipe.shift, [0.1]).matrix
+        npt.assert_allclose(pipe.true_cov, full[np.ix_(pipe.observed_nodes, pipe.observed_nodes)], rtol=0, atol=1e-13)
+        for cell in pipe.cells:
+            # each cell's positions name its scheme's distinct nodes in the observed covariance
+            assert tuple(pipe.observed_nodes[i] for i in cell.positions) == cell.payload.distinct_nodes
+            assert cell.compression == 1.0 - len(cell.payload.distinct_nodes) / pipe.shift.n
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_exact_ar_rows_equal_a_reference_loop(self, p):
+        # the N x N true covariance, cut per scheme by the public functions, gives the rows
+        # the pipeline reads from its covariance of the observed nodes
+        from graphcov import ar
+        from graphcov.estimators import nmse_db
+
+        cfg = ExperimentConfig(**base_config(**{**AR_STUDY, "model": {"kind": "ar", "p": p}},
+                                             n_trials=2, n_snapshots=[10, 100], exact_covariance=True))
+        rows = run_experiment(cfg)
+        graph = make_graph(cfg.graph)
+        shift = build_shift(graph, cfg.shift)
+        eigvals = shift.basis().eigvals
+        true_p = ar.ar_power_spectrum(eigvals, [0.1])
+        full = ar.true_ar_covariance(shift, [0.1])
+        expected = {}
+        for entry in cfg.samplers:
+            core = ar.core_by_degree(graph, entry["k0"]) if "k0" in entry else entry["core"]
+            scheme = ar.build_ar_scheme(shift, core, p)
+            theta = ar.estimate_ar(*ar.build_ar_model(shift, scheme, ar.true_ar_covariances(scheme, full))).theta
+            err = ar.ar_power_spectrum(eigvals, theta) - true_p
+            expected[entry["name"]] = nmse_db(float(err @ err), 1, float(np.linalg.norm(true_p)))
+        assert len(rows) == 2 * len(cfg.samplers)
+        for row in rows:
+            assert row["failures"] == 0
+            assert abs(row["nmse_db"] - expected[row["sampler"]]) <= 1e-9
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_ar_study_cuts_no_full_covariance(self, monkeypatch, exact):
+        import graphcov.ar
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a study cut its AR blocks from an N x N covariance")
+
+        monkeypatch.setattr(graphcov.ar, "true_ar_covariances", forbidden)
+        rows = run_experiment(ExperimentConfig(**base_config(**AR_STUDY, exact_covariance=exact)))
+        assert rows and all(row["failures"] == 0 for row in rows)
 
     def test_ar_model_threaded_determinism(self):
         cfg_dict = base_config(
@@ -1278,17 +1342,17 @@ class TestExperiment:
     def test_ar_rejects_node_sampler_kinds(self):
         from graphcov import InvalidInputError
 
-        cfg = ExperimentConfig(
-            **base_config(
-                graph={"kind": "cycle", "n": 12},
-                shift="adjacency",
-                signal={"kind": "ar", "a": [0.2]},
-                model={"kind": "ar", "p": 1},
-                samplers=[{"kind": "greedy", "k": 4}],
+        # refused when the config is read, before any set-up
+        with pytest.raises(InvalidInputError, match="use sampler kind 'ar-core', not 'greedy'"):
+            ExperimentConfig(
+                **base_config(
+                    graph={"kind": "cycle", "n": 12},
+                    shift="adjacency",
+                    signal={"kind": "ar", "a": [0.2]},
+                    model={"kind": "ar", "p": 1},
+                    samplers=[{"kind": "greedy", "k": 4}],
+                )
             )
-        )
-        with pytest.raises(InvalidInputError):
-            run_experiment(cfg)
 
     def test_rejects_wls_for_ar(self):
         from graphcov import InvalidInputError
@@ -1439,6 +1503,15 @@ class TestExperiment:
                  "samplers": [{"core": [0], "k0": 1}]},
                 "sampler.core [0] and sampler.k0 1 both choose the core",
             ),
+            ({"samplers": [{"kind": "ar-core", "k0": 1}]},
+             "model kind 'spectral' samples nodes; sampler kind 'ar-core' is for model kind 'ar'"),
+            ({"model": {"kind": "ma", "q": 3}, "samplers": [{"kind": "ar-core"}]},
+             "model kind 'ma' samples nodes; sampler kind 'ar-core' is for model kind 'ar'"),
+            (
+                {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
+                 "samplers": [{"kind": "greedy", "k": 4}]},
+                "the autoregressive model samples cores plus neighborhoods; use sampler kind 'ar-core', not 'greedy'",
+            ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",
              "ar-p", "unknown-method", "zero-snapshots", "graph-not-object", "signal-not-object",
@@ -1455,7 +1528,7 @@ class TestExperiment:
              "ar-core-default-kind-unknown-key", "ar-core-empty", "ma-nnls", "spectral-model-q",
              "ma-model-p", "ar-model-q", "ma-signal-a", "ar-signal-h", "sensor-graph-typo",
              "cycle-graph-seed", "file-graph-n", "methods-string", "ar-core-core-and-k0",
-             "ar-core-default-kind-core-and-k0"],
+             "ar-core-default-kind-core-and-k0", "spectral-ar-core", "ma-ar-core", "ar-greedy"],
     )
     def test_bad_config_exit_code(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "cfg.json"
@@ -1511,6 +1584,14 @@ class TestExperiment:
         npt.assert_allclose(estimate(model, "ls", r_y, None).theta, [1.0, -0.6, 0.09], atol=1e-9)
         with pytest.raises(InvalidInputError, match="moving-average"):
             estimate(model, "nnls", r_y, None)
+
+    def test_make_model_refuses_the_ar_model(self):
+        # the AR system is built per scheme from its observed covariance; there is no psi to build
+        from graphcov.experiment import make_model
+
+        shift = build_shift(make_graph({"kind": "cycle", "n": 12}), "adjacency")
+        with pytest.raises(InvalidInputError, match="the autoregressive model has no uncompressed model"):
+            make_model(shift, {"kind": "ar", "p": 1})
 
     @pytest.mark.parametrize(
         "overrides",

@@ -7,16 +7,22 @@ each target the way the tracer does, without changing the tracer. The
 tracer also names each call's cell, snapshot count, trial and method
 from the locals of the study's frames (``_CAUSE_LOCALS``); the bench's
 LS and AR checks read them, so each of those functions must keep them.
+Each per-layer row but the known-dead one must also read at least one
+call when every workload's shrunk study runs under the tracer.
 """
 
 import importlib.util
 import inspect
 import sys
+import warnings
 from pathlib import Path
 
-from graphcov import experiment
+from graphcov import RepeatedEigenvaluesWarning, experiment
+from graphcov.experiment import ExperimentConfig, run_experiment
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
 
 # experiment.py reads compress_model's rank and never calls check_valid,
 # so this target reads zero calls until the benchmark drops or retargets it
@@ -68,3 +74,27 @@ def test_cause_frames_keep_their_locals():
         assert any(set(wanted) <= names for names in local_sets), (
             f"no function {name!r} of graphcov.experiment has the locals {sorted(wanted)}"
         )
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("graphcov_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_row_is_live():
+    # a study that bypasses a wrapped call site, such as graphcov.experiment.wls_estimate or
+    # sample_covariance, would zero its per-layer row, which no bench check reads
+    tracing = load_tracing()
+    workloads = load_workloads()
+    dead = {f"{layer}.{fn}" for layer, fn, _, _ in KNOWN_DEAD}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)  # mc-circulant36's ladder
+        with tracing.Tracer() as tracer:
+            for workload in workloads.WORKLOADS.values():
+                run_experiment(ExperimentConfig(**workload.shrunk().study_config(1)))
+    table = tracing.layer_table(tracer.spans, 0.0)
+    silent = [key for key in tracing.LAYER_FUNCTIONS if key not in dead and table[f"{key}_calls"] == 0]
+    assert not silent, f"per-layer rows with no span: {silent}"
