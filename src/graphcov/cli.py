@@ -3,7 +3,9 @@
 Subcommands: ``graph gen``, ``sampler design``, ``sampler ruler``,
 ``signal gen``, ``estimate``, ``experiment nmse``. Exit codes: 0 ok,
 2 invalid input (an unreadable or unwritable path and a non-UTF-8 file
-included), 3 numerical failure, 4 capability limit.
+included), 3 numerical failure, 4 capability limit (an array numpy cannot
+allocate included, such as the dense N x N matrices of a graph too large
+for memory).
 
 Every command runs with numpy's OpenBLAS pinned to one thread
 (:func:`graphcov._blas.one_blas_thread`), whatever ``OPENBLAS_NUM_THREADS``
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_CAPABILITY
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -421,7 +421,9 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
     eigenvalues, and the CRB ``V_r diag(1/lam_r) V_r^T`` over the r kept
     eigenpairs. That is ``F^{-1}`` at full rank; a singular F sets
     ``crb_is_pinv``, and every eigenvalue the rank counts as zero is
-    zeroed, not inverted.
+    zeroed, not inverted. A covariance that is not positive definite, by
+    its smallest eigenvalue or by a failed Cholesky factorisation (a
+    barely positive one), is refused with :class:`SingularityError`.
     """
     if n_snapshots < 1:
         raise InvalidInputError("n_snapshots must be >= 1")
@@ -430,7 +432,14 @@ def fisher_info(model: ObservationModel, cov: CovarianceMatrix, n_snapshots: int
         raise InvalidInputError(f"covariance is {k}x{k} but model has {model.matrix.shape[0]} rows")
     if cov.min_eigenvalue <= 0.0:
         raise SingularityError("covariance must be positive definite for the Fisher information")
-    fim, _ = _weighted_system(model, np.linalg.cholesky(cov.matrix))
+    try:
+        factor = np.linalg.cholesky(cov.matrix)
+    except np.linalg.LinAlgError:
+        raise SingularityError(
+            f"covariance is too close to singular for the Fisher information: its Cholesky factorisation "
+            f"failed (smallest eigenvalue {cov.min_eigenvalue:.3g})"
+        ) from None
+    fim, _ = _weighted_system(model, factor)
     fim *= NU_REAL * n_snapshots
     lam, vecs = np.linalg.eigh(fim)  # ascending
     rank = numerical_rank(lam[::-1], fim.shape)

@@ -3,19 +3,22 @@
 Runs generate -> subsample -> estimate trials over a grid of snapshot
 counts, samplers, and estimation methods, and writes a plot-ready CSV.
 Per-trial seeds are derived from the master seed by counter. Set-up
-resolves what every trial shares: the true covariance ``H_O H_O^T`` of
-the observed nodes O, the nodes some cell reads, for either signal kind;
-each cell's model, the positions of its nodes in that covariance, its
-CRB, and the estimator of each method. The shift keeps the transfer rows
-``H_O``. A trial realises O once (one noise draw and one product) and
-forms one sample covariance of it; the covariances of a block of trials
-(all of a snapshot count's trials, unless they are more than
-:func:`~graphcov.estimators.trial_blocks` allows at once) are checked
-once, as a stack. Every read of a covariance, true or sampled, cuts the
-cell's principal block by its positions, and every method of a cell
-reads that (paired comparisons). LS and NNLS run per trial; WLS runs
-once per cell on the block's stack. An autoregressive trial builds its
-own system from its data and runs per trial. Trials run one after
+resolves what every trial shares: the signal and its kind, the true
+covariance ``H_O H_O^T`` of the observed nodes O (the nodes some cell
+reads), and each cell's model, the positions of its nodes in that
+covariance, its CRB, and the estimator of each method. The shift keeps
+the transfer rows ``H_O``. An exact-covariance study is estimated at
+set-up: each cell once, on its block of the true covariance, with WLS as
+LS, and every trial of every snapshot count repeats that estimate, so it
+runs no trials. A sampled trial realises O once (one noise draw and one
+product) and forms one sample covariance of it; the covariances of a
+block of trials (all of a snapshot count's trials, unless they are more
+than :func:`~graphcov.estimators.trial_blocks` allows at once) are
+checked once, as a stack. Every read of a covariance, true or sampled,
+cuts the cell's principal block by its positions, and every method of a
+cell reads that (paired comparisons). LS and NNLS run per trial; WLS
+runs once per cell on the block's stack. An autoregressive trial builds
+its own system from its data and runs per trial. Trials run one after
 another, with numpy's BLAS pinned to one thread, so output is
 byte-identical for a fixed config at any thread setting.
 """
@@ -383,13 +386,19 @@ class _Cell(NamedTuple):
 
     name: str
     compression: float  # 1 - |nodes| / N
-    payload: tuple | armod.ARSamplingScheme  # (sampler, compressed model), or an AR scheme
+    payload: ObservationModel | armod.ARSamplingScheme  # compressed model, or an AR scheme
     positions: np.ndarray  # its nodes' rows of the covariance of observed_nodes; every read cuts by them
-    crb_sse: float | None = None  # squared spectrum error at the CRB for one snapshot; None for an AR cell
+    crb_sse: float | None  # squared spectrum error at the CRB for one snapshot; None for an AR cell
+    exact_sse: np.ndarray  # each method's squared error on the true covariance; NaN if it failed or not exact
 
 
 class _Pipeline:
-    """Precomputed, immutable state shared by all trials of one experiment."""
+    """Precomputed, immutable state shared by all trials of one experiment.
+
+    Set-up decides each mode once: the signal's kind picks the true
+    spectrum, covariance and generator, the model's kind the cells, and an
+    exact-covariance study estimates every cell here (:attr:`_Cell.exact_sse`).
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -398,18 +407,16 @@ class _Pipeline:
         self.basis = self.shift.basis()
         n = self.shift.n
 
-        sig, keys = config.signal, fields(config.signal, "signal")
-        if sig["kind"] == "ma":
-            self.filt = GraphFilter(keys["h"])
-            self.ar_coeffs = None
-            self.true_p = np.abs(frequency_response(self.basis.eigvals, self.filt)) ** 2
+        self.signal_kind, keys = config.signal["kind"], fields(config.signal, "signal")
+        if self.signal_kind == "ma":
+            self.signal = GraphFilter(keys["h"])
+            self.true_p = np.abs(frequency_response(self.basis.eigvals, self.signal)) ** 2
         else:
-            self.filt = None
-            self.ar_coeffs = keys["a"]
-            self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.ar_coeffs)
+            self.signal = keys["a"]
+            self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.signal)
         self.p_norm = float(np.linalg.norm(self.true_p))
         if not (np.isfinite(self.p_norm) and self.p_norm > 0.0):
-            raise InvalidInputError(f"signal {sig!r} has a zero or non-finite power spectrum")
+            raise InvalidInputError(f"signal {config.signal!r} has a zero or non-finite power spectrum")
 
         self.model_kind = config.model.get("kind")
         if self.model_kind == "ar":
@@ -432,16 +439,14 @@ class _Pipeline:
                         f"(rank {compressed.rank} of {compressed.n_params})",
                         rank=compressed.rank,
                     )
-                resolved.append((entry.get("name", f"k{sampler.k}"), sampler.selected, (sampler, compressed)))
+                resolved.append((entry.get("name", f"k{sampler.k}"), sampler.selected, compressed))
         _refuse_repeat([name for name, _, _ in resolved], "sampler name")
         self.observed_nodes = tuple(sorted(set().union(*(nodes for _, nodes, _ in resolved))))
         # H_O H_O^T of the observed nodes O; the shift keeps H_O for the trials' realisations
-        if self.ar_coeffs is None:
-            self.true_cov = true_covariance(self.shift, self.filt, self.observed_nodes).matrix
-        else:
-            self.true_cov = armod.true_ar_covariance(self.shift, self.ar_coeffs, self.observed_nodes).matrix
+        true_cov = true_covariance if self.signal_kind == "ma" else armod.true_ar_covariance
+        self.true_cov = true_cov(self.shift, self.signal, self.observed_nodes).matrix
 
-        # the estimator of each method that runs per trial: sampled WLS runs per block, exact WLS is LS
+        # the estimator of each method that estimate_cell runs: sampled WLS runs per block, exact WLS is LS
         self.solvers = [
             (m_idx, method, _solver(self.model_kind, LS if method == WLS else method))
             for m_idx, method in enumerate(config.methods)
@@ -452,8 +457,11 @@ class _Pipeline:
         # the loop keeps ``entry``, unread here: bench/tracing.py names the cell of a Fisher call by it
         for entry, (name, nodes, payload) in zip(config.samplers, resolved):
             positions = np.searchsorted(self.observed_nodes, nodes)
-            crb_sse = None if self.model_kind == "ar" else self.crb_sse(payload[1], positions)
-            self.cells.append(_Cell(name, 1.0 - len(nodes) / n, payload, positions, crb_sse))
+            crb_sse = None if self.model_kind == "ar" else self.crb_sse(payload, positions)
+            cell = _Cell(name, 1.0 - len(nodes) / n, payload, positions, crb_sse, np.full(len(config.methods), np.nan))
+            if config.exact_covariance:  # every trial of every snapshot count repeats this estimate
+                self.estimate_cell(cell, self.true_cov, cell.exact_sse)
+            self.cells.append(cell)
 
     # -- per-trial work ---------------------------------------------------
 
@@ -464,32 +472,34 @@ class _Pipeline:
     def generate(self, n_snapshots: int, seed) -> np.ndarray:
         """One trial's realization of ``observed_nodes``, the nodes some cell reads, one row per node.
 
-        Both signal kinds draw the noise on all N nodes and apply only the
-        transfer rows of those nodes, which the shift keeps after the first
-        trial, so a trial costs one draw and one product.
+        The signal's kind picks the generator. Both kinds draw the noise on
+        all N nodes and apply only the transfer rows of those nodes, which
+        the shift keeps after the first use, so a trial costs one draw and
+        one product.
         """
-        if self.ar_coeffs is not None:
-            return armod.generate_ar_signals(self.shift, self.ar_coeffs, n_snapshots, seed, self.observed_nodes)
-        return generate_signals(self.shift, self.filt, n_snapshots, seed, self.observed_nodes)
+        generate = generate_signals if self.signal_kind == "ma" else armod.generate_ar_signals
+        return generate(self.shift, self.signal, n_snapshots, seed, self.observed_nodes)
 
     def run_block(self, trials: range, ns: int, ns_idx: int, sqerr: np.ndarray) -> None:
-        """Every estimate of the trials ``trials`` at ``ns`` snapshots into ``sqerr``.
+        """Every estimate of the sampled trials ``trials`` at ``ns`` snapshots into ``sqerr``.
 
-        Sampled spectral or moving-average trials form their covariances as
-        one checked stack (:meth:`sample_block`); each trial then runs its
+        Spectral or moving-average trials form their covariances as one
+        checked stack (:meth:`sample_block`); each trial then runs its
         per-trial methods on its member of the stack (:meth:`run_trial`),
         and WLS runs once per cell on the stack (:meth:`weigh_trials`).
-        Exact-covariance and autoregressive trials run one by one.
+        Autoregressive trials realise their snapshots and run one by one.
         """
-        if self.model_kind == "ar" or self.config.exact_covariance:
-            for trial in trials:
-                self.run_trial(trial, ns, ns_idx, sqerr)
+        if self.model_kind == "ar":
+            for trial in trials:  # passed, not held: a trial's snapshots are freed before the next is drawn
+                self.run_trial(
+                    trial, ns, SnapshotMatrix(self.generate(ns, self.seed(ns_idx, trial)), self.observed_nodes), sqerr
+                )
             return
         kept, covs = self.sample_block(trials, ns, ns_idx)
         if covs is None:
             return
         for trial, cov in zip(kept, covs.matrix):
-            self.run_trial(trial, ns, ns_idx, sqerr, cov)
+            self.run_trial(trial, ns, cov, sqerr)
         self.weigh_trials(kept, covs, sqerr)
 
     def sample_block(self, trials, ns: int, ns_idx: int) -> tuple[list, CovarianceMatrix | None]:
@@ -520,40 +530,39 @@ class _Pipeline:
             kept.append(trial)
         return kept, CovarianceMatrix(np.concatenate(members), kind=SAMPLE, n_snapshots=ns) if kept else None
 
-    def run_trial(self, trial: int, ns: int, ns_idx: int, sqerr: np.ndarray, cov: np.ndarray | None = None) -> None:
+    def run_trial(self, trial: int, ns: int, data: np.ndarray | SnapshotMatrix, sqerr: np.ndarray) -> None:
         """Fill ``sqerr[:, :, trial]`` for the methods that run per trial; NaN stays where an estimate failed.
 
-        ``cov`` is the trial's sample covariance of ``observed_nodes``, its
-        member of the block's stack (:meth:`sample_block`). Without one
-        (exact mode) every cell reads the true covariance; a sampled
-        autoregressive trial realises its own data.
+        ``data`` is the trial's sample covariance of ``observed_nodes``, its
+        member of the block's stack (:meth:`sample_block`), or an
+        autoregressive trial's snapshots. ``ns`` is unread here:
+        bench/tracing.py names the snapshot count of a call by it.
         """
-        data = cov
-        if self.model_kind == "ar" and not self.config.exact_covariance:
-            data = SnapshotMatrix(self.generate(ns, self.seed(ns_idx, trial)), self.observed_nodes)
         for c_idx, cell in enumerate(self.cells):
             self.estimate_cell(cell, data, sqerr[c_idx, :, trial])
 
-    def estimate_cell(self, cell: _Cell, data, out: np.ndarray) -> None:
-        """Squared spectrum error of each per-trial method of one cell into ``out``; data=None for exact mode.
+    def estimate_cell(self, cell: _Cell, data: np.ndarray | SnapshotMatrix, out: np.ndarray) -> None:
+        """Squared spectrum error of one cell by each method in ``solvers`` into ``out``.
 
-        The cell's linear system ``(model, r_y)`` is built once and shared
-        by its methods: a node cell's ``r_y`` is ``vec`` of its block
-        (:meth:`block`) of ``data``, the trial's covariance of
-        ``observed_nodes``, or of the true one in exact mode; an AR cell
-        builds its system from its block of the true covariance in exact
-        mode, and else from the scheme's covariance of the snapshots
-        ``data``. WLS of sampled data is left to :meth:`weigh_trials`. An
-        entry of ``out`` stays NaN where its estimate failed.
+        ``data`` is a covariance of ``observed_nodes`` (a trial's, or the
+        true one at set-up of an exact study), or a sampled autoregressive
+        trial's :class:`SnapshotMatrix`. The cell's linear system
+        ``(model, r_y)`` is built once and shared by its methods: a node
+        cell's ``r_y`` is ``vec`` of its :meth:`block` of ``data``; an AR
+        cell builds its system from its block of a covariance, or from the
+        scheme's covariances of the snapshots. WLS of sampled data is left
+        to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
+        estimate failed.
         """
         try:
             if self.model_kind == "ar":
-                scheme = cell.payload
-                cov = self.block(cell.positions) if data is None else armod.sample_ar_covariances(scheme, data)
-                model, r_y = armod.build_ar_model(self.shift, scheme, cov)
+                if isinstance(data, SnapshotMatrix):
+                    cov = armod.sample_ar_covariances(cell.payload, data)
+                else:
+                    cov = self.block(cell.positions, data)
+                model, r_y = armod.build_ar_model(self.shift, cell.payload, cov)
             else:
-                model = cell.payload[1]
-                r_y = vec(self.block(cell.positions, data))
+                model, r_y = cell.payload, vec(self.block(cell.positions, data))
         except (GraphCovError, np.linalg.LinAlgError):
             return  # every method of the cell fails
         for m_idx, method, solve in self.solvers:
@@ -573,7 +582,7 @@ class _Pipeline:
         if self.wls_index is None:
             return
         for c_idx, cell in enumerate(self.cells):
-            model = cell.payload[1]
+            model = cell.payload
             weights = CovarianceMatrix.principal(covs, cell.positions)
             try:
                 thetas = wls_estimate(model, vec(weights.matrix), weights).theta
@@ -583,9 +592,9 @@ class _Pipeline:
                 if not np.isnan(theta).any():
                     sqerr[c_idx, self.wls_index, trial] = self.squared_error(model, theta)
 
-    def block(self, positions: np.ndarray, cov: np.ndarray | None = None) -> np.ndarray:
-        """The block on ``positions`` of ``cov``, a covariance of ``observed_nodes`` (by default the true one)."""
-        return (self.true_cov if cov is None else cov)[np.ix_(positions, positions)]
+    def block(self, positions: np.ndarray, cov: np.ndarray) -> np.ndarray:
+        """The block on ``positions`` of ``cov``, a covariance of ``observed_nodes``."""
+        return cov[np.ix_(positions, positions)]
 
     def squared_error(self, model: ObservationModel, theta: np.ndarray) -> float:
         err = model_spectrum(model, self.basis.eigvals, theta) - self.true_p
@@ -594,12 +603,12 @@ class _Pipeline:
     def crb_sse(self, model: ObservationModel, positions: np.ndarray) -> float | None:
         """Expected squared spectrum error at the CRB for one snapshot; None when unavailable.
 
-        The true covariance is the :meth:`block` on ``positions``. The
-        Fisher information grows as N_s, so the CRB at N_s snapshots is
-        this value divided by N_s.
+        The true covariance is the :meth:`block` on ``positions`` of
+        ``true_cov``. The Fisher information grows as N_s, so the CRB at
+        N_s snapshots is this value divided by N_s.
         """
         try:
-            info = fisher_info(model, CovarianceMatrix(self.block(positions), kind="true"), 1)
+            info = fisher_info(model, CovarianceMatrix(self.block(positions, self.true_cov), kind="true"), 1)
         except NumericalError:
             return None
         cov_p, t = info.crb, model.param_map
@@ -620,17 +629,22 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     Set-up (:class:`_Pipeline`) forms the true covariance of the
     observed nodes, whose transfer rows the shift keeps, and resolves
     each cell's model, its positions in that covariance, its CRB, and the
-    estimator of each method. For each snapshot count the
-    trials run in the blocks of :func:`~graphcov.estimators.trial_blocks`
-    (one block unless there are more than ``_BLOCK_ROWS // N``): each
-    trial of a block realises its data and forms its covariance, and the
-    block's covariances are checked once, as a stack; then each trial
-    runs LS and NNLS per cell on its member (:meth:`_Pipeline.run_trial`),
-    and WLS runs once per cell on the stack (:meth:`_Pipeline.weigh_trials`).
-    numpy's OpenBLAS runs on one thread for the whole call, whatever
-    ``OPENBLAS_NUM_THREADS`` says (see :mod:`graphcov._blas`), so the rows
-    are byte-identical for a fixed config at any thread setting. The
-    caller's thread count is restored on return and on an exception.
+    estimator of each method. An exact-covariance study runs no trials:
+    set-up estimated each cell once on its block of the true covariance,
+    and every trial of every snapshot count repeats that estimate, so a
+    method's ``failures`` is 0 or ``n_trials``. For a sampled study, each
+    snapshot count's trials run in the blocks of
+    :func:`~graphcov.estimators.trial_blocks` (one block unless there
+    are more than ``_BLOCK_ROWS // N``): each trial of a block realises
+    its data and forms its covariance, and the block's covariances are
+    checked once, as a stack; then each trial runs LS and NNLS per cell
+    on its member (:meth:`_Pipeline.run_trial`), and WLS runs once per
+    cell on the stack (:meth:`_Pipeline.weigh_trials`). The CRB column
+    follows N_s in both. numpy's OpenBLAS runs on one thread for the
+    whole call, whatever ``OPENBLAS_NUM_THREADS`` says (see
+    :mod:`graphcov._blas`), so the rows are byte-identical for a fixed
+    config at any thread setting. The caller's thread count is restored
+    on return and on an exception.
     """
     with one_blas_thread():
         pipe = _Pipeline(config)
@@ -640,8 +654,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for ns_idx, ns in enumerate(config.n_snapshots):
             # sqerr[cell][method][trial]; NaN marks a failed estimation
             sqerr = np.full((n_cells, n_methods, config.n_trials), np.nan)
-            for trials in trial_blocks(config.n_trials, pipe.shift.n):
-                pipe.run_block(trials, ns, ns_idx, sqerr)
+            if config.exact_covariance:
+                sqerr[:] = np.array([cell.exact_sse for cell in pipe.cells])[:, :, None]
+            else:
+                for trials in trial_blocks(config.n_trials, pipe.shift.n):
+                    pipe.run_block(trials, ns, ns_idx, sqerr)
 
             for c_idx, cell in enumerate(pipe.cells):
                 crb = pipe.crb_db(cell, ns)

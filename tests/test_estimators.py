@@ -549,6 +549,16 @@ class TestFisher:
         with pytest.raises(SingularityError):
             fisher_info(model, cov, 10)
 
+    def test_barely_positive_definite_covariance_rejected(self):
+        # h = [0, 1] on the Laplacian puts a zero in the spectrum: the full sampler's true
+        # covariance keeps a smallest eigenvalue of a few 1e-15, which Cholesky refuses
+        shift = build_shift(sensor_graph(8, seed=17), "laplacian")
+        model = compress_model(build_psi_spectral(shift.basis()), Subsampler.full(8))
+        cov = CovarianceMatrix(true_covariance(shift, GraphFilter([0.0, 1.0])).matrix, kind="true")
+        assert 0.0 < cov.min_eigenvalue < 1e-12 * np.trace(cov.matrix)
+        with pytest.raises(SingularityError, match="Cholesky"):
+            fisher_info(model, cov, 1)
+
     def test_singular_fisher_falls_back_to_pinv(self):
         model = two_node_model(selected=(0,))  # one row |u_0|^2 = [1/2, 1/2]: duplicate columns
         npt.assert_allclose(model.matrix, [[0.5, 0.5]], atol=1e-15)

@@ -720,6 +720,24 @@ def test_unreadable_path_exit_code(sensor_graph_file, tmp_path, capsys, command)
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["sampler-design", "experiment-nmse"])
+def test_graph_too_large_for_memory_exit_code(tmp_path, capsys, command):
+    """A graph whose dense N x N matrix numpy refuses to allocate (7.28 TiB at N = 10^6) exits 4 in one line."""
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps({"n": 1_000_000, "edges": [[0, 1]]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base_config(graph={"kind": "file", "path": str(graph)}, samplers=[{"kind": "full"}])))
+    out = tmp_path / "out"
+    argv = {
+        "sampler-design": ["sampler", "design", "--graph", str(graph), "--k", "4", "--out", str(out)],
+        "experiment-nmse": ["experiment", "nmse", "--config", str(cfg), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 README_STUDY = {
     "graph": {"kind": "sensor", "n": 30, "seed": 7},
     "shift": "laplacian",
@@ -778,6 +796,22 @@ class TestFailedEstimates:
         assert {row["crb_db"] for row in rows if row["sampler"] == "full"} == {None}
         assert all(np.isfinite(row["crb_db"]) for row in rows if row["sampler"] == "greedy8")
         assert all(row["failures"] == 0 and np.isfinite(row["nmse_db"]) for row in rows)
+
+    def test_barely_positive_definite_covariance_leaves_only_the_crb_empty(self, tmp_path, capsys):
+        # the same zero on N=8 (seed 17) leaves the full sampler's true covariance a smallest
+        # eigenvalue of about 4e-15: positive, but its Cholesky factorisation fails
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps(dict(
+            README_STUDY, graph={"kind": "sensor", "n": 8, "seed": 17}, signal={"kind": "ma", "h": [0, 1]},
+            samplers=[{"name": "full", "kind": "full"}],
+        )))
+        assert run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + 2 * 3
+        for line in lines[1:]:
+            *_, nmse, crb, failures = line.split(",")
+            assert np.isfinite(float(nmse)) and crb == "" and failures == "0"
 
 
 REFERENCE_SENSOR = {
@@ -1126,10 +1160,10 @@ class TestExperiment:
         rows = run_experiment(cfg)
         pipe = _Pipeline(cfg)
         for row in rows:
-            sampler, model = next(c[2] for c in pipe.cells if c[0] == row["sampler"])
-            # the pipeline keeps the true covariance of the observed nodes only
-            positions = [pipe.observed_nodes.index(node) for node in sampler.selected]
-            r_true = pipe.true_cov[np.ix_(positions, positions)]
+            cell = next(c for c in pipe.cells if c.name == row["sampler"])
+            model = cell.payload
+            # the pipeline keeps the true covariance of the observed nodes only; a cell's positions cut its block
+            r_true = pipe.true_cov[np.ix_(cell.positions, cell.positions)]
             info = fisher_info(model, CovarianceMatrix(r_true, kind="true"), row["n_snapshots"])
             expected = nmse_db(float(np.trace(info.crb)), 1, pipe.p_norm)
             assert row["crb_db"] == pytest.approx(expected, rel=1e-12)
@@ -1313,6 +1347,125 @@ class TestExperiment:
         for row in rows:
             assert row["failures"] == 0
             assert abs(row["nmse_db"] - expected[row["sampler"]]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        ("overrides", "expected"),
+        [
+            ({"methods": ["ls", "nnls", "wls"]}, {"ls_estimate": 4, "nnls_estimate": 2}),
+            ({"model": {"kind": "ma", "q": 3}, "methods": ["ls", "wls"]}, {"ls_estimate": 4}),
+            (AR_STUDY, {"build_ar_model": 2, "estimate_ar": 2}),
+        ],
+        ids=["spectral", "ma", "ar"],
+    )
+    def test_exact_study_estimates_each_cell_once(self, monkeypatch, overrides, expected):
+        # set-up estimates each cell once, WLS as LS; no trial or snapshot count adds an
+        # estimate, and nothing is drawn or sampled
+        import collections
+
+        import graphcov.ar
+        from graphcov import experiment
+
+        calls = collections.Counter()
+        for module, name in ((experiment, "ls_estimate"), (experiment, "nnls_estimate"),
+                             (graphcov.ar, "build_ar_model"), (graphcov.ar, "estimate_ar")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        for module, name in ((experiment, "generate_signals"), (graphcov.ar, "generate_ar_signals"),
+                             (experiment, "sample_covariance")):
+            def forbidden(*args, _name=name, **kwargs):
+                raise AssertionError(f"an exact study called {_name}")
+
+            monkeypatch.setattr(module, name, forbidden)
+        for n_trials in (1, 7):
+            for n_snapshots in ([50], [10, 50, 100]):
+                calls.clear()
+                rows = run_experiment(ExperimentConfig(**base_config(
+                    **overrides, n_trials=n_trials, n_snapshots=n_snapshots, exact_covariance=True,
+                )))
+                assert len(rows) == 2 * len(n_snapshots) * len(overrides.get("methods", ["ls"]))
+                assert all(row["failures"] == 0 for row in rows)
+                assert dict(calls) == expected, (n_trials, n_snapshots)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            README_STUDY,
+            {"graph": {"kind": "cycle", "n": 10}, "shift": "adjacency", "methods": ["ls", "nnls", "wls"],
+             "samplers": [{"name": "ruler", "kind": "ruler"}]},
+            REFERENCE_MA,
+        ],
+        ids=["readme-full-greedy15", "cycle-ruler", "ma"],
+    )
+    def test_exact_rows_equal_a_reference_loop(self, overrides):
+        # each sampler estimated once from the true covariance by public functions, WLS as LS
+        # (no weights); every trial and snapshot count repeats that estimate. The reference
+        # cuts each sampler's block from the true covariance of the union of the samplers'
+        # nodes, as the pipeline does: the covariance of a sampler's own nodes differs in its
+        # last bits, which moves an exact recovery's roundoff-level NMSE (about -266 dB) by 0.1 dB
+        from graphcov import (
+            DesignProblem, GraphFilter, compress_model, experiment, frequency_response, greedy_design,
+            true_covariance, vec,
+        )
+        from graphcov.estimators import nmse_db
+
+        cfg = ExperimentConfig(**base_config(**{**overrides, "n_trials": 3, "n_snapshots": [10, 100],
+                                                "exact_covariance": True}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            rows = run_experiment(cfg)
+            shift = build_shift(make_graph(cfg.graph), cfg.shift)
+            psi = experiment.make_model(shift, cfg.model)
+        n, filt = shift.n, GraphFilter(cfg.signal["h"])
+        eigvals = shift.basis().eigvals
+        true_p = np.abs(frequency_response(eigvals, filt)) ** 2
+        samplers = {}
+        for entry in cfg.samplers:
+            if entry["kind"] == "full":
+                samplers[entry["name"]] = Subsampler.full(n)
+            elif entry["kind"] == "ruler":
+                samplers[entry["name"]] = experiment.ruler_sampler(n)
+            elif entry["kind"] == "greedy":
+                samplers[entry["name"]] = greedy_design(DesignProblem(psi=psi, k=entry["k"])).sampler
+            else:
+                samplers[entry["name"]] = Subsampler(n, entry["selected"])
+        union = sorted(set().union(*(sampler.selected for sampler in samplers.values())))
+        r_union = true_covariance(shift, filt, union).matrix
+        expected = {}
+        for name, sampler in samplers.items():
+            model = compress_model(psi, sampler)
+            at = [union.index(node) for node in sampler.selected]
+            r_y = vec(r_union[np.ix_(at, at)])
+            for method in cfg.methods:
+                theta = experiment.estimate(model, method, r_y, None).theta
+                err = experiment.model_spectrum(model, eigvals, theta) - true_p
+                expected[name, method] = nmse_db(float(err @ err), 1, float(np.linalg.norm(true_p)))
+        assert len(rows) == 2 * len(expected)
+        for row in rows:
+            assert row["failures"] == 0
+            assert abs(row["nmse_db"] - expected[row["sampler"], row["method"]]) <= 1e-9
+
+    def test_exact_study_fails_a_method_in_every_trial(self, monkeypatch):
+        # an exact estimate is made once per cell, so a method that fails there fails every
+        # trial of every snapshot count, and leaves every other row as it was
+        from graphcov import ConvergenceError, experiment
+
+        cfg = ExperimentConfig(**dict(README_STUDY, n_trials=3, exact_covariance=True))
+        plain = run_experiment(cfg)
+
+        def diverged(*args, **kwargs):
+            raise ConvergenceError("nnls did not converge")
+
+        monkeypatch.setattr(experiment, "nnls_estimate", diverged)
+        failed = run_experiment(cfg)
+        assert len(failed) == len(plain) == 2 * 2 * 3
+        for row, before in zip(failed, plain):
+            if row["method"] == "nnls":
+                assert row == {**before, "nmse_db": None, "failures": 3}
+            else:
+                assert row == before
 
     @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
     def test_ar_study_cuts_no_full_covariance(self, monkeypatch, exact):
