@@ -9,9 +9,12 @@ eigenvalues the graph frequencies. Filters are polynomials in the shift.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import threading
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -26,9 +29,43 @@ SHIFTS = (LAPLACIAN, ADJACENCY)
 _SYMMETRY_RTOL = 1e-12
 
 
+def _is_int_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are JSON integers: Python or numpy ints, not bools."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_real_type(kind: type) -> bool:
+    """Whether values of type ``kind`` are real numbers other than bools."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is a JSON integer: a Python or numpy int, not a bool, float or string."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _first_refused(values: tuple | list, accept: Callable, key: Callable = type) -> int:
+    """Index of the first of ``values`` whose ``key`` ``accept`` refuses, or their count.
+
+    ``accept`` is asked once per distinct key.
+    """
+    refused = {kind for kind in set(map(key, values)) if not accept(kind)}
+    if not refused:
+        return len(values)
+    return next(k for k, value in enumerate(values) if key(value) in refused)
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Python or numpy ints as int64, or as Python ints when one lies outside int64."""
+    try:
+        return np.fromiter(values, np.int64, len(values))
+    except OverflowError:
+        return np.array(list(map(int, values)), dtype=object)
+
+
+def _first(bad: np.ndarray) -> int:
+    """Index of the first True in ``bad``, or its length when there is none."""
+    return int(np.argmax(bad)) if bad.any() else bad.size
 
 
 def _check_ints(values, low: int, high, what: str) -> None:
@@ -51,49 +88,82 @@ class Graph:
     """Undirected weighted graph with 0-based node indices.
 
     Each edge is given as ``(i, j)`` or ``(i, j, weight)`` and stored once
-    as ``(i, j, weight)`` with ``i < j``. The node count and endpoints
-    must be integers (not bools), and weights finite positive numbers.
-    Self-loops and duplicate pairs are rejected.
+    as ``(i, j, weight)`` with ``i < j``, in the order given. The node
+    count and endpoints must be integers (not bools), and weights finite
+    positive numbers. Self-loops and duplicate pairs are rejected.
+
+    The edges are checked as arrays, one check over all of them at a
+    time. A refusal still names the first offending edge and the first
+    check it fails, with the message a check of one edge after another
+    gives. The graph keeps its checked edges as read-only arrays too,
+    which :meth:`weight_matrix` scatters.
     """
 
     n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if not (_is_int(self.n_nodes) and self.n_nodes >= 1):
-            raise InvalidInputError(f"graph must have an integer n >= 1, got {self.n_nodes!r}")
-        seen = set()
-        canonical = []
-        for edge in self.edges:
-            if len(edge) not in (2, 3):
-                raise InvalidInputError(f"edge {list(edge)} must be [i, j] or [i, j, weight]")
-            i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
-            if not (_is_int(i) and _is_int(j)):
-                raise InvalidInputError(f"edge {list(edge)} has a non-integer endpoint")
-            i, j = int(i), int(j)
-            if i == j:
-                raise InvalidInputError(f"self-loop at node {i}")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise InvalidInputError(f"edge ({i},{j}) out of range for n={self.n_nodes}")
-            if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 < w < np.inf:
-                raise InvalidInputError(f"edge ({i},{j}) weight {w!r} is not finite and positive")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise InvalidInputError(f"duplicate edge {pair}")
-            seen.add(pair)
-            canonical.append((pair[0], pair[1], float(w)))
-        object.__setattr__(self, "edges", tuple(canonical))
+        n = self.n_nodes
+        if not (_is_int(n) and n >= 1):
+            raise InvalidInputError(f"graph must have an integer n >= 1, got {n!r}")
+        edges = tuple(map(tuple, self.edges))
+        # Each check reads only the edges before the first one refused so far, so
+        # the last refusal found is the first offending edge's first failed check.
+        fault = None
+        k = _first_refused(edges, (2, 3).__contains__, len)
+        if k < len(edges):
+            fault = f"edge {list(edges[k])} must be [i, j] or [i, j, weight]"
+        edges = edges[:k]
+        first, second = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
+        k = min(_first_refused(first, _is_int_type), _first_refused(second, _is_int_type))
+        if k < len(edges):
+            fault = f"edge {list(edges[k])} has a non-integer endpoint"
+        i, j = _int_array(first[:k]), _int_array(second[:k])
+        k = _first(i == j)
+        if k < i.size:
+            fault = f"self-loop at node {int(i[k])}"
+        i, j = i[:k], j[:k]
+        k = _first((i < 0) | (i >= n) | (j < 0) | (j >= n))
+        if k < i.size:
+            fault = f"edge ({int(i[k])},{int(j[k])}) out of range for n={n}"
+        given = [edge[2] if len(edge) == 3 else 1.0 for edge in edges[:k]]
+        typed = _first_refused(given, _is_real_type)
+        weights = np.fromiter(given[:typed], float, typed)
+        k = _first(~((weights > 0) & (weights < np.inf)))
+        if k < len(given):
+            fault = f"edge ({int(i[k])},{int(j[k])}) weight {given[k]!r} is not finite and positive"
+        i, j = i[:k], j[:k]
+        low, high = np.minimum(i, j), np.maximum(i, j)
+        order = np.lexsort((high, low))  # stable: a pair's first edge leads its run
+        low_run, high_run = low[order], high[order]
+        again = (low_run[1:] == low_run[:-1]) & (high_run[1:] == high_run[:-1])
+        if again.any():
+            k = int(order[1:][again].min())
+            fault = f"duplicate edge {(int(low[k]), int(high[k]))}"
+        if fault is not None:
+            raise InvalidInputError(fault)
+        for array in (low, high, weights):
+            array.setflags(write=False)
+        object.__setattr__(self, "edges", tuple(zip(low.tolist(), high.tolist(), weights.tolist())))
+        object.__setattr__(self, "_arrays", (low, high, weights))
 
     def weight_matrix(self) -> np.ndarray:
-        """Symmetric N x N weight matrix W."""
+        """Symmetric N x N weight matrix W.
+
+        The edge arrays are scattered into zeros at once, so each entry
+        is its edge's weight, bit for bit, and every other entry is 0.
+        """
+        low, high, weights = self._arrays
         w = np.zeros((self.n_nodes, self.n_nodes))
-        for i, j, wt in self.edges:
-            w[i, j] = wt
-            w[j, i] = wt
+        w[low, high] = w[high, low] = weights
         return w
 
     def degrees(self) -> np.ndarray:
-        """Weighted node degrees (row sums of W)."""
+        """Weighted node degrees: the row sums of :meth:`weight_matrix`.
+
+        They are summed over the rows of W, not over the edges, so they
+        keep the bits that the core choice of ``ar.core_by_degree`` reads.
+        """
         return self.weight_matrix().sum(axis=1)
 
     def to_json(self) -> str:
@@ -314,11 +384,16 @@ def eigendecompose(shift: ShiftOperator) -> SpectralBasis:
 def is_circulant(matrix: np.ndarray) -> bool:
     """True when every row is the one-step cyclic shift of the previous (exactly).
 
-    Row i must equal row 0 rotated by i, so entry (i, j) of rows 1 onward
-    is compared with entry ``(j - i) mod N`` of row 0, in one comparison.
+    Row i must equal row 0 rotated by i. Row 1 is compared first, which
+    refuses most matrices that are not circulant, such as a sensor
+    graph's, before the rotation index of every row is built; then entry
+    (i, j) of rows 1 onward is compared with entry ``(j - i) mod N`` of
+    row 0, in one comparison.
     """
     matrix = np.asarray(matrix)
     rows, cols = matrix.shape
+    if rows > 1 and not np.array_equal(matrix[1], np.roll(matrix[0], 1)):
+        return False
     shifts = np.arange(1, rows)[:, None]
     return np.array_equal(matrix[1:], matrix[0][(np.arange(cols) - shifts) % cols])
 
@@ -374,11 +449,14 @@ def frequency_response(eigvals: np.ndarray, filt: GraphFilter) -> np.ndarray:
 
 # --- Graph families -------------------------------------------------------
 
+# Distances held at once by the k-NN search of sensor_graph, which sorts
+# max(1, _KNN_BLOCK // n) rows of the N x N distance matrix at a time.
+_KNN_BLOCK = 1 << 17
+
 
 def cycle_graph(n: int) -> Graph:
     """Ring of n nodes with unit weights."""
-    if n < 2:
-        raise InvalidInputError("cycle graph needs n >= 2")
+    _check_ints((n,), 2, np.inf, "cycle graph n")
     if n == 2:
         return Graph(n, ((0, 1, 1.0),))
     edges = tuple((i, (i + 1) % n, 1.0) for i in range(n))
@@ -387,8 +465,7 @@ def cycle_graph(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """Chain of n nodes with unit weights."""
-    if n < 2:
-        raise InvalidInputError("path graph needs n >= 2")
+    _check_ints((n,), 2, np.inf, "path graph n")
     return Graph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
@@ -398,7 +475,8 @@ def mobius_ladder(n: int) -> Graph:
     The adjacency matrix of this graph is circulant, so the DFT basis
     applies.
     """
-    if n < 4 or n % 2 != 0:
+    _check_ints((n,), 4, np.inf, "Moebius ladder n")
+    if n % 2 != 0:
         raise InvalidInputError("Moebius ladder needs an even n >= 4")
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
     edges += [(i, i + n // 2, 1.0) for i in range(n // 2)]
@@ -410,24 +488,38 @@ def sensor_graph(n: int, seed: int = 0, knn: int = 6) -> Graph:
 
     Edges carry Gaussian-kernel weights exp(-d^2 / (2 sigma^2)) with
     sigma the mean k-NN distance; the k-NN relation is symmetrized.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; ``n`` and ``knn`` must be integers
+    (not bools) with 1 <= knn < n.
+
+    The neighbours are found in blocks of rows of the distance matrix,
+    ``max(1, _KNN_BLOCK // n)`` rows at a time, so the search holds a few
+    arrays of about 2**17 distances (1 MB each) and the N x knn neighbour
+    table, never the N x N matrix: its traced peak is about 5 MB at
+    N = 1000 and at N = 2000. The edges keep the bytes the whole matrix
+    gives them. Each row's distances and sort are the matrix's own, and
+    sigma is one mean over the same N x knn table. Each distance is
+    squared by libm's ``pow``, as a numpy scalar's ``d ** 2`` is; an
+    array's ``d ** 2`` multiplies, which can differ in the last bit.
     """
-    if n < 2:
-        raise InvalidInputError("sensor graph needs n >= 2")
-    if not (1 <= knn < n):
-        raise InvalidInputError("need 1 <= knn < n")
+    _check_ints((n,), 2, np.inf, "sensor graph n")
+    _check_ints((knn,), 1, n, "knn")
     rng = _rng(seed)
     pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    nn = np.argsort(dist, axis=1)[:, :knn]
-    sigma = float(np.mean(np.take_along_axis(dist, nn, axis=1)))
-    pairs = set()
-    for i in range(n):
-        for j in nn[i]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    edges = tuple(
-        (i, j, float(np.exp(-(dist[i, j] ** 2) / (2.0 * sigma**2)))) for i, j in sorted(pairs)
-    )
-    return Graph(n, edges)
+    nn = np.empty((n, knn), dtype=np.intp)
+    nn_dist = np.empty((n, knn))
+    step = max(1, _KNN_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        dx = pts[rows, 0, None] - pts[:, 0]
+        dy = pts[rows, 1, None] - pts[:, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        dist.ravel()[start :: n + 1] = np.inf  # entry (r, start + r): the row's own point
+        nn[rows] = np.argsort(dist, axis=1)[:, :knn]
+        nn_dist[rows] = np.take_along_axis(dist, nn[rows], axis=1)
+    sigma = float(np.mean(nn_dist))
+    node = np.repeat(np.arange(n), knn)
+    low, high = np.minimum(node, nn.ravel()), np.maximum(node, nn.ravel())
+    _, first = np.unique(low * n + high, return_index=True)  # sorted pairs, each at its first entry
+    squared = np.fromiter(map(math.pow, nn_dist.ravel()[first].tolist(), repeat(2.0)), float, first.size)
+    weights = np.exp(-squared / (2.0 * sigma**2))
+    return Graph(n, tuple(zip(low[first].tolist(), high[first].tolist(), weights.tolist())))

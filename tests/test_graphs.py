@@ -1,3 +1,8 @@
+import json
+import numbers
+import re
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -347,3 +352,190 @@ class TestFamilies:
         assert all(0 < w <= 1 for w in weights)
         degrees = (g.weight_matrix() != 0).sum(axis=1)
         assert degrees.min() >= 6
+
+
+# --- The graph layer against the per-edge loops it replaced -----------------
+#
+# These are the loops that built and checked graphs before the graph layer
+# worked on arrays, kept as the reference: graphs, weight matrices, shift
+# matrices and refusals must equal theirs, byte for byte.
+
+
+def reference_edges(n, edges):
+    """The canonical edges of ``Graph(n, edges)``, one edge after another."""
+    seen = set()
+    canonical = []
+    for edge in edges:
+        if len(edge) not in (2, 3):
+            raise InvalidInputError(f"edge {list(edge)} must be [i, j] or [i, j, weight]")
+        i, j, w = (*edge, 1.0) if len(edge) == 2 else edge
+        if not (isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                and isinstance(j, (int, np.integer)) and not isinstance(j, bool)):
+            raise InvalidInputError(f"edge {list(edge)} has a non-integer endpoint")
+        i, j = int(i), int(j)
+        if i == j:
+            raise InvalidInputError(f"self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 < w < np.inf:
+            raise InvalidInputError(f"edge ({i},{j}) weight {w!r} is not finite and positive")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise InvalidInputError(f"duplicate edge {pair}")
+        seen.add(pair)
+        canonical.append((pair[0], pair[1], float(w)))
+    return tuple(canonical)
+
+
+def reference_weight_matrix(n, edges):
+    w = np.zeros((n, n))
+    for i, j, wt in edges:
+        w[i, j] = wt
+        w[j, i] = wt
+    return w
+
+
+def reference_distances(n, seed):
+    """The N x N distances of the sensor graph's points, inf on the diagonal."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def reference_sensor_edges(dist, knn):
+    nn = np.argsort(dist, axis=1)[:, :knn]
+    sigma = float(np.mean(np.take_along_axis(dist, nn, axis=1)))
+    pairs = set()
+    for i in range(dist.shape[0]):
+        for j in nn[i]:
+            pairs.add((min(i, int(j)), max(i, int(j))))
+    return tuple(
+        (i, j, float(np.exp(-(dist[i, j] ** 2) / (2.0 * sigma**2)))) for i, j in sorted(pairs)
+    )
+
+
+def assert_graph_matches_reference(graph, n, edges):
+    ref = reference_edges(n, edges)
+    assert graph.to_json() == json.dumps({"n": n, "edges": [list(e) for e in ref]})
+    w = reference_weight_matrix(n, ref)
+    assert graph.weight_matrix().tobytes() == w.tobytes()
+    assert graph.degrees().tobytes() == w.sum(axis=1).tobytes()
+    with np.errstate(over="ignore"):
+        laplacian = np.diag(w.sum(axis=1)) - w
+    assert build_shift(graph, "laplacian").matrix.tobytes() == ShiftOperator(laplacian).matrix.tobytes()
+    assert build_shift(graph, "adjacency").matrix.tobytes() == ShiftOperator(w).matrix.tobytes()
+
+
+class TestGraphLayerKeepsItsBytes:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 60, 250, 1000])
+    def test_sensor_graph(self, n, seed):
+        dist = reference_distances(n, seed)
+        for knn in (k for k in (1, 3, 6, 10) if k < n):
+            ref = reference_sensor_edges(dist, knn)
+            assert_graph_matches_reference(sensor_graph(n, seed=seed, knn=knn), n, ref)
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(cycle_graph, n) for n in (2, 3, 4, 9, 36)]
+        + [(path_graph, n) for n in (2, 3, 7)]
+        + [(mobius_ladder, n) for n in (4, 6, 12, 36)],
+    )
+    def test_families(self, build, n):
+        graph = build(n)
+        assert_graph_matches_reference(graph, n, graph.edges)
+
+    def test_edges_keep_the_order_given(self):
+        edges = ((3, 1, 0.5), (0, 2), (np.int64(1), 0, 2))
+        assert_graph_matches_reference(Graph(4, edges), 4, edges)
+
+    def test_sensor_search_holds_no_n_by_n_array(self):
+        # the N x N search of the loops held 160 MB at N = 2000
+        tracemalloc.start()
+        try:
+            sensor_graph(2000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
+
+NAN = float("nan")
+# 174 edges of a 60-node path, drawn with repeats, some reversed: a sort of
+# the pairs that is not stable reorders their runs and can name a later pair
+_draw = np.random.default_rng(1)
+REPEATED_PATH_EDGES = [
+    (int(i), int(i) + 1)[::step] for i, step in zip(_draw.integers(0, 59, 174), _draw.choice([1, -1], 174))
+]
+
+
+class TestGraphRefusals:
+    # each list holds faults at several edges; the refusal is the first edge's first failed check
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, 1), (0,), (0, 0)]),
+            (3, [(0, 1), (1, 2, 1.0, 4)]),
+            (3, [(0, 1.0), (0, 5)]),
+            (3, [(0, 1), (True, 2), (1, 1)]),
+            (3, [(0, 1), (np.float64(1), 2)]),
+            (3, [(0, 1), ("0", 2)]),
+            (3, [(0, 1), (2, 2), (1, 2, "x")]),
+            (3, [(1, 1, "x"), (0, 5)]),
+            (3, [(0, 5), (1, 1)]),
+            (3, [(0, 1), (-1, 2)]),
+            (3, [(0, 10**30)]),
+            (3, [(0, 1), (2**64, 0)]),
+            (3, [(0, 1), (0, np.uint64(2**64 - 1))]),
+            (3, [(0, 1, "x"), (1, 0)]),
+            (3, [(0, 1), (0, 1, "x")]),
+            (3, [(0, 1, NAN)]),
+            (3, [(0, 1, np.float64(NAN))]),
+            (3, [(0, 1, 0.0)]),
+            (3, [(0, 1, -1)]),
+            (3, [(0, 1, np.inf)]),
+            (3, [(0, 1, True)]),
+            (3, [(0, 1, None)]),
+            (4, [(0, 1), (1, 2), (2, 1, 0.5), (3, 3)]),
+            (4, [(0, 1), (2, 3), (3, 2), (1, 0)]),
+            (4, [(np.int64(2), np.int32(3)), (np.uint8(3), 2)]),
+            (60, REPEATED_PATH_EDGES),
+        ],
+    )
+    def test_message_of_the_first_offending_edge(self, n, edges):
+        with pytest.raises(InvalidInputError) as want:
+            reference_edges(n, edges)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
+            Graph(n, edges)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (1, []),
+            (3, [[2, 0], (1, 2, 3)]),
+            (3, [(0, 1, 2**70), (1, 2, np.float32(0.1))]),
+            (10**20, [(0, 10**19)]),
+        ],
+    )
+    def test_accepted_edges_equal_the_loop(self, n, edges):
+        assert Graph(n, edges).edges == reference_edges(n, edges)
+
+
+class TestBuilderSizes:
+    @pytest.mark.parametrize(
+        "build, arg, value",
+        [
+            (lambda v: sensor_graph(30, knn=v), "knn", True),
+            (lambda v: sensor_graph(30, knn=v), "knn", 2.5),
+            (lambda v: sensor_graph(v), "n", True),
+            (cycle_graph, "n", 4.0),
+            (path_graph, "n", 3.5),
+            (mobius_ladder, "n", 6.0),
+        ],
+        ids=["sensor-knn-bool", "sensor-knn-float", "sensor-n-bool", "cycle-float", "path-float", "mobius-float"],
+    )
+    def test_non_integer_size_refused(self, build, arg, value):
+        with pytest.raises(InvalidInputError, match=rf"\b{arg} must be an integer .*, got {re.escape(repr(value))}$"):
+            build(value)
