@@ -49,6 +49,7 @@ from .stationary import (
     SnapshotMatrix,
     generate_signals,
     load_snapshots_csv,
+    parse_number,
     sample_covariance,
     save_snapshots_csv,
 )
@@ -71,18 +72,25 @@ def _load_graph(path: str) -> Graph:
     return make_graph({"kind": "file", "path": path})
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_list(text: str, convert, what: str) -> list:
+    """The comma-separated values of ``text`` by ``convert`` (:func:`parse_number`)."""
     try:
-        return np.asarray([float(v) for v in text.split(",") if v != ""], dtype=float)
+        return [parse_number(v, convert) for v in text.split(",") if v != ""]
     except ValueError:
-        raise InvalidInputError(f"expected comma-separated numbers, got {text!r}") from None
+        raise InvalidInputError(f"expected comma-separated {what}, got {text!r}") from None
+
+
+def integer(text: str) -> int:
+    """The value of an integer option (:func:`parse_number`); argparse names the type in its message."""
+    return parse_number(text, int)
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    return np.asarray(_parse_list(text, float, "numbers"), dtype=float)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise InvalidInputError(f"expected comma-separated integers, got {text!r}") from None
+    return tuple(_parse_list(text, int, "integers"))
 
 
 def _spec(section: str, kind: str, args) -> dict:
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     generated = {kind: entry.keys for kind, entry in KINDS["graph"].items() if entry.build}
     gen.add_argument("--kind", required=True, choices=list(generated))
     for key in dict.fromkeys(key for keys in generated.values() for key in keys):
-        gen.add_argument(f"--{key}", type=int, help="/".join(k for k in generated if key in generated[k]) + " only")
+        gen.add_argument(f"--{key}", type=integer, help="/".join(k for k in generated if key in generated[k]) + " only")
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_graph_gen)
 
@@ -237,14 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
     design = sampler.add_parser("design", help="greedy log-det design")
     design.add_argument("--graph", required=True)
     design.add_argument("--shift", default="laplacian", choices=SHIFTS)
-    design.add_argument("--model", default="spectral", choices=[kind for kind in KINDS["model"] if kind != "ar"])
-    design.add_argument("--k", type=int, required=True)
-    design.add_argument("--q", type=int)
+    greedy_models = [kind for kind, row in KINDS["model"].items() if "greedy" in row.samplers]
+    design.add_argument("--model", default="spectral", choices=greedy_models)
+    design.add_argument("--k", type=integer, required=True)
+    design.add_argument("--q", type=integer)
     design.add_argument("--out", default="-")
     design.add_argument("--report")
     design.set_defaults(func=cmd_sampler_design)
     ruler = sampler.add_parser("ruler", help="sparse-ruler sampler for circulant graphs")
-    ruler.add_argument("--n", type=int, required=True)
+    ruler.add_argument("--n", type=integer, required=True)
     ruler.add_argument("--marks", help="comma-separated marks; omit to search the minimal ruler")
     ruler.add_argument("--out", default="-")
     ruler.add_argument("--report")
@@ -258,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sgen.add_argument("--shift", default="laplacian", choices=SHIFTS)
     sgen.add_argument("--signal", default="ma", choices=list(KINDS["signal"]))
     sgen.add_argument("--coeffs", required=True, help="filter (ma) or AR coefficients")
-    sgen.add_argument("--ns", type=int, required=True)
-    sgen.add_argument("--seed", type=int, default=0)
+    sgen.add_argument("--ns", type=integer, required=True)
+    sgen.add_argument("--seed", type=integer, default=0)
     sgen.add_argument("--sampler", help="store only the nodes this sampler selects")
     sgen.add_argument("--out", required=True)
     sgen.set_defaults(func=cmd_signal_gen)
@@ -270,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--snapshots", required=True)
     est.add_argument("--sampler", help="sampler JSON (spectral/ma models)")
     est.add_argument("--model", default="spectral", choices=list(KINDS["model"]))
-    est.add_argument("--q", type=int)
-    est.add_argument("--p", type=int)
+    est.add_argument("--q", type=integer)
+    est.add_argument("--p", type=integer)
     est.add_argument("--core", help="comma-separated AR core nodes")
     est.add_argument("--method", default="ls", choices=METHODS)
     est.add_argument("--demean", action="store_true")

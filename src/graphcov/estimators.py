@@ -261,7 +261,9 @@ def trial_blocks(n_trials: int, n: int) -> list[range]:
 def _sampled_basis(model: ObservationModel) -> np.ndarray:
     """The model's sampled basis rows U_S; a model without them is refused."""
     if model.sampled_basis is None:
-        raise InvalidInputError(f"weighted estimators need sampled basis rows; a {model.param_kind} model has none")
+        raise InvalidInputError(
+            f"weighted estimators need sampled basis rows; a model of kind {model.param_kind!r} has none"
+        )
     return model.sampled_basis
 
 

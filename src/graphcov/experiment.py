@@ -65,6 +65,7 @@ from .graphs import (
 from .models import (
     AUTOREGRESSIVE,
     MOVING_AVERAGE,
+    SPECTRAL,
     CovarianceModel,
     ObservationModel,
     Subsampler,
@@ -113,9 +114,11 @@ class Kind(NamedTuple):
     keys: dict = {}  # besides "kind": key: (convert,) when required, key: (convert, default) when not
     build: Callable | None = None  # a generated graph's builder; it defaults a key left out or None
     refuses: dict = {}  # the methods a model kind refuses: method: why
+    samplers: tuple = ()  # the sampler kinds a model kind takes; the only one is an entry's default
 
 
 _NAME = {"name": (str, None)}
+_NODE_SAMPLERS = ("full", "explicit", "greedy", "ruler")
 # Every kind of every config section; a key its kind does not list is refused.
 KINDS = {
     "graph": {
@@ -127,14 +130,14 @@ KINDS = {
     },
     "signal": {"ma": Kind({"h": (_floats,)}), "ar": Kind({"a": (_floats,)})},
     "model": {
-        "spectral": Kind(),
-        "ma": Kind({"q": (_int,)}, refuses={NNLS: (
+        SPECTRAL: Kind(samplers=_NODE_SAMPLERS),
+        MOVING_AVERAGE: Kind({"q": (_int,)}, refuses={NNLS: (
             "nnls constrains the parameters to be nonnegative, but a moving-average model's "
             "parameters are the coefficients b = h * h, which may be negative; use ls or wls"
-        )}),
-        "ar": Kind(
-            {"p": (_int,)}, refuses=dict.fromkeys((NNLS, WLS), "the autoregressive estimator is least squares only")
-        ),
+        )}, samplers=_NODE_SAMPLERS),
+        AUTOREGRESSIVE: Kind({"p": (_int,)}, samplers=("ar-core",), refuses=dict.fromkeys(
+            (NNLS, WLS), "the autoregressive estimator is least squares only"
+        )),
     },
     "sampler": {
         "full": Kind(_NAME),
@@ -211,9 +214,9 @@ def _check_methods(kind: Kind, methods) -> None:
 def make_model(shift: ShiftOperator, spec: dict) -> CovarianceModel:
     """Uncompressed model of ``spec``: ``{"kind": "spectral"}`` or ``{"kind": "ma", "q": Q}``."""
     keys = fields(spec, "model")
-    if spec["kind"] == "spectral":
+    if spec["kind"] == SPECTRAL:
         return build_psi_spectral(shift.basis())
-    if spec["kind"] == "ma":
+    if spec["kind"] == MOVING_AVERAGE:
         return build_psi_ma(shift, keys["q"])
     raise InvalidInputError("the autoregressive model has no uncompressed model; ar.build_ar_model builds its system")
 
@@ -237,11 +240,10 @@ def estimate(
     ``KINDS["model"]`` is refused: autoregressive models are fitted by
     least squares only, and moving-average models refuse nnls.
     """
-    kind = {MOVING_AVERAGE: "ma", AUTOREGRESSIVE: "ar"}.get(model.param_kind, model.param_kind)
-    _check_methods(KINDS["model"][kind], [method])
+    _check_methods(KINDS["model"][model.param_kind], [method])
     if method == WLS and cov is not None:
         return wls_estimate(model, r_y, cov)
-    return _solver(kind, LS if method == WLS else method)(model, r_y)
+    return _solver(model.param_kind, LS if method == WLS else method)(model, r_y)
 
 
 def _solver(kind: str, method: str) -> Callable:
@@ -249,7 +251,7 @@ def _solver(kind: str, method: str) -> Callable:
 
     The method must be one the kind does not refuse (:func:`_check_methods`).
     """
-    if kind == "ar":
+    if kind == AUTOREGRESSIVE:
         return armod.estimate_ar
     return ls_estimate if method == LS else nnls_estimate
 
@@ -320,6 +322,8 @@ class ExperimentConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"malformed experiment config: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InvalidInputError("experiment config must be a JSON object")
         try:
             return cls(**obj)
         except TypeError as exc:
@@ -329,22 +333,16 @@ class ExperimentConfig:
 def _sampler_keys(model_kind: str, entry: dict) -> dict:
     """The keys of a sampler entry under a model of kind ``model_kind``; a kind the model does not take is refused.
 
-    Only the autoregressive model takes ``ar-core``, the kind its entries
-    default to, and it takes no other. ``core`` and ``k0`` each choose the
-    core, so an entry giving both is refused, naming both.
+    The model's row of ``KINDS["model"]`` lists the sampler kinds it
+    takes; an entry without a kind defaults to the only one, if the model
+    takes one only (``ar-core`` under ``ar``). ``core`` and ``k0`` each
+    choose the core, so an entry giving both is refused, naming both.
     """
-    if model_kind != "ar":
-        if entry.get("kind") == "ar-core":
-            raise InvalidInputError(
-                f"model kind {model_kind!r} samples nodes; sampler kind 'ar-core' is for model kind 'ar'"
-            )
-        return fields(entry, "sampler")
-    kind = entry.get("kind", "ar-core")
-    if kind != "ar-core":
-        raise InvalidInputError(
-            f"the autoregressive model samples cores plus neighborhoods; use sampler kind 'ar-core', not {kind!r}"
-        )
-    keys = fields({"kind": "ar-core", **entry}, "sampler")
+    kinds = KINDS["model"][model_kind].samplers
+    entry = {"kind": kinds[0], **entry} if len(kinds) == 1 else entry
+    if entry.get("kind") not in kinds:
+        raise InvalidInputError(f"model kind {model_kind!r} takes sampler kinds {[*kinds]}, not {entry.get('kind')!r}")
+    keys = fields(entry, "sampler")
     if entry.get("core") is not None and entry.get("k0") is not None:
         raise InvalidInputError(
             f"sampler.core {entry['core']!r} and sampler.k0 {entry['k0']!r} both choose the core; give one"
@@ -358,7 +356,7 @@ def ar_core(graph: Graph, entry: dict) -> tuple[int, ...]:
     ``k0`` defaults as ``KINDS["sampler"]["ar-core"]`` says; an entry
     giving both keys is refused.
     """
-    keys = _sampler_keys("ar", entry)
+    keys = _sampler_keys(AUTOREGRESSIVE, entry)
     return armod.core_by_degree(graph, keys["k0"]) if keys["core"] is None else keys["core"]
 
 

@@ -163,8 +163,22 @@ class Graph:
 
         They are summed over the rows of W, not over the edges, so they
         keep the bits that the core choice of ``ar.core_by_degree`` reads.
+        W is never formed whole: its rows are scattered from the edge
+        arrays ``max(1, _KNN_BLOCK // n)`` at a time, each row with its
+        values at its positions, so it sums to the bits of ``W.sum(axis=1)``.
         """
-        return self.weight_matrix().sum(axis=1)
+        low, high, weights = self._arrays
+        n = self.n_nodes
+        step = max(1, _KNN_BLOCK // n)
+        out = np.empty(n)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            rows = np.zeros((stop - start, n))
+            for here, there in ((low, high), (high, low)):
+                mine = (here >= start) & (here < stop)
+                rows[here[mine] - start, there[mine]] = weights[mine]
+            out[start:stop] = rows.sum(axis=1)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(
@@ -450,7 +464,8 @@ def frequency_response(eigvals: np.ndarray, filt: GraphFilter) -> np.ndarray:
 # --- Graph families -------------------------------------------------------
 
 # Distances held at once by the k-NN search of sensor_graph, which sorts
-# max(1, _KNN_BLOCK // n) rows of the N x N distance matrix at a time.
+# max(1, _KNN_BLOCK // n) rows of the N x N distance matrix at a time, and
+# weights held at once by Graph.degrees, which sums as many rows of W.
 _KNN_BLOCK = 1 << 17
 
 

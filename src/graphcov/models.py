@@ -27,9 +27,10 @@ import numpy as np
 from .errors import InvalidInputError, RepeatedEigenvaluesWarning
 from .graphs import GraphFilter, ShiftOperator, SpectralBasis, _is_int, vandermonde
 
+# The model kinds, named as a config's model section names them (experiment.KINDS["model"])
 SPECTRAL = "spectral"
-MOVING_AVERAGE = "moving_average"
-AUTOREGRESSIVE = "autoregressive"
+MOVING_AVERAGE = "ma"
+AUTOREGRESSIVE = "ar"
 
 # Rows per working block wherever model rows are computed; it bounds their memory.
 _BLOCK_ROWS = 2048
@@ -197,8 +198,8 @@ class CovarianceModel:
     row layout. Every X_i is Hermitian, so rows (a, b) and (b, a) are
     complex conjugates. A row of T depends on the frequency only, and
     conjugate columns of a complex basis share one, so every mapped X_i is
-    real. ``kind`` follows from the map: spectral without one,
-    moving-average with one.
+    real. ``kind`` follows from the map: ``spectral`` without one,
+    ``ma`` (moving average) with one.
     """
 
     basis: np.ndarray
@@ -215,7 +216,7 @@ class CovarianceModel:
 
     @property
     def kind(self) -> str:
-        """``spectral`` without a parameter map, ``moving_average`` with one."""
+        """``spectral`` without a parameter map, ``ma`` (moving average) with one."""
         return SPECTRAL if self.param_map is None else MOVING_AVERAGE
 
     @property

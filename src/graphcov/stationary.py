@@ -16,6 +16,7 @@ and one product each.
 from __future__ import annotations
 
 import csv
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -267,6 +268,13 @@ def save_snapshots_csv(path, snapshots: SnapshotMatrix) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def parse_number(text: str, convert=float):
+    """``convert(text)``; a ``_`` digit separator, which ``int`` and ``float`` read (``1_0`` as 10), is refused."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return convert(text)
+
+
 def load_snapshots_csv(path) -> SnapshotMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -274,12 +282,11 @@ def load_snapshots_csv(path) -> SnapshotMatrix:
             header = next(reader)
         except StopIteration:
             raise InvalidInputError(f"{path}: empty snapshot file") from None
+        if not all(re.fullmatch("node_[0-9]+", name) for name in header):
+            raise InvalidInputError(f"{path}: header must be node_<i> columns")
+        nodes = tuple(int(name.removeprefix("node_")) for name in header)
         try:
-            nodes = tuple(int(name.removeprefix("node_")) for name in header)
-        except ValueError:
-            raise InvalidInputError(f"{path}: header must be node_<i> columns") from None
-        try:
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = [[parse_number(v) for v in row] for row in reader if row]
         except ValueError as exc:
             raise InvalidInputError(f"{path}: non-numeric snapshot value: {exc}") from exc
     for number, row in enumerate(rows, start=1):

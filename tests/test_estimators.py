@@ -575,13 +575,13 @@ class TestFisher:
         assert 1e-15 < sigma[-1] < 6 * np.finfo(float).eps
         t = np.diag(np.sqrt(sigma))
         columns = [np.sqrt(s_i) * vec(np.diag(np.eye(6)[i])) for i, s_i in enumerate(sigma)]
-        model = ObservationModel(np.column_stack(columns), "moving_average", np.eye(6), t)
+        model = ObservationModel(np.column_stack(columns), "ma", np.eye(6), t)
         info = fisher_info(model, CovarianceMatrix(np.eye(6), kind="true"), 2)
         npt.assert_allclose(info.matrix, np.diag(sigma), rtol=1e-15, atol=0)
         assert info.crb_is_pinv
         npt.assert_array_equal(info.crb, np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
 
-@pytest.mark.parametrize("kind", ["autoregressive", "spectral"])
+@pytest.mark.parametrize("kind", ["ar", "spectral"], ids=["autoregressive", "spectral"])
 def test_weighted_estimators_refuse_a_model_without_sampled_basis(kind):
     model = plain_model(np.eye(4), kind=kind)
     cov = CovarianceMatrix(np.eye(2), kind="sample", n_snapshots=10)

@@ -353,6 +353,53 @@ class TestSignalAndEstimate:
         assert "node" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv", [["graph", "gen", "--kind", "cycle", "--n", "1_0"], ["sampler", "ruler", "--n", "1_0"]],
+        ids=["graph-n", "ruler-n"],
+    )
+    def test_digit_separator_in_an_integer_option_exit_code(self, capsys, argv):
+        # int("1_0") reads 10
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv)
+        assert exit_.value.code == 2
+        assert "argument --n: invalid integer value: '1_0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["node_1_0", "node_+2", "node_3 "], ids=["separator", "sign", "space"])
+    def test_snapshot_header_is_node_and_ascii_digits(self, sensor_graph_file, tmp_path, capsys, column):
+        # int() reads these as nodes 10, 2 and 3
+        snaps = tmp_path / "snaps.csv"
+        snaps.write_text(f"node_0,{column}\n1,2\n3,4\n")
+        sampler = tmp_path / "s.json"
+        sampler.write_text(Subsampler(16, (0,)).to_json())
+        code = run_cli(
+            "estimate", "--graph", sensor_graph_file, "--snapshots", str(snaps),
+            "--sampler", str(sampler), "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "header must be node_<i> columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--shift", "adjacency", "--model", "ar", "--p", "1", "--core", "1_0"],
+             "expected comma-separated integers, got '1_0'"),
+            (["signal", "gen", "--coeffs", "1_0", "--ns", "5"], "expected comma-separated numbers, got '1_0'"),
+        ],
+        ids=["estimate-core", "signal-coeffs"],
+    )
+    def test_digit_separator_in_a_list_exit_code(self, sensor_graph_file, tmp_path, capsys, argv, message):
+        # int("1_0") and float("1_0") both read 10
+        snaps = tmp_path / "snaps.csv"
+        assert run_cli(
+            "signal", "gen", "--graph", sensor_graph_file, "--shift", "adjacency", "--signal", "ar",
+            "--coeffs", "0.1", "--ns", "20", "--out", str(snaps),
+        ) == 0
+        out = tmp_path / "out"
+        files = ["--snapshots", str(snaps)] if argv[0] == "estimate" else []
+        assert run_cli(*argv, "--graph", sensor_graph_file, *files, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "sampler",
         [{"n": 16, "selected": [0, 1.5, 2.7]}, {"n": 16, "selected": [True, 2]}, {"n": 16.5, "selected": [0, 1]}],
         ids=["fractional-index", "bool-index", "fractional-n"],
@@ -445,8 +492,11 @@ class TestSignalAndEstimate:
         [
             ("node_0,node_1,node_2\n1.0,2.0,3.0\n1.0,2.0\n", "snapshot 2 has 2 values for 3 node columns"),
             ("node_3,node_3,node_5\n1.0,2.0,3.0\n", "repeated node in node_indices [3, 3, 5]"),
+            # float("1_0") reads 10.0
+            ("node_0,node_1,node_2\n1_0,2.0,3.0\n",
+             "non-numeric snapshot value: digit separator in '1_0'"),
         ],
-        ids=["short-row", "repeated-node"],
+        ids=["short-row", "repeated-node", "digit-separator"],
     )
     def test_estimate_malformed_snapshots_exit_code(self, sensor_graph_file, tmp_path, capsys,
                                                     csv_text, message):
@@ -736,6 +786,108 @@ def test_graph_too_large_for_memory_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+class TestOneKindVocabulary:
+    """A model kind has one name, its row of ``KINDS["model"]``, and the row lists the sampler kinds it takes."""
+
+    def test_every_built_model_names_its_kinds_row(self):
+        from graphcov import ar
+        from graphcov.experiment import KINDS, make_model
+        from graphcov.models import compress_model
+
+        shift = build_shift(make_graph({"kind": "sensor", "n": 12, "seed": 3}), "adjacency")
+        for spec in ({"kind": "spectral"}, {"kind": "ma", "q": 3}):
+            psi = make_model(shift, spec)
+            assert psi.kind == spec["kind"]
+            assert compress_model(psi, Subsampler.full(12)).param_kind == spec["kind"]
+        scheme = ar.build_ar_scheme(shift, (0,), 1)
+        cov = ar.true_ar_covariance(shift, np.array([0.1]), scheme.distinct_nodes)
+        model, _ = ar.build_ar_model(shift, scheme, cov)
+        assert model.param_kind == "ar"
+        assert {psi.kind, model.param_kind} <= set(KINDS["model"])
+
+    def test_sampler_kinds_follow_the_rows(self, monkeypatch, sensor_graph_file, tmp_path, capsys):
+        from graphcov.experiment import KINDS
+
+        spectral, ma = KINDS["model"]["spectral"], KINDS["model"]["ma"]
+        monkeypatch.setitem(KINDS["model"], "spectral", spectral._replace(samplers=("full", "explicit", "greedy")))
+        refusal = r"model kind 'spectral' takes sampler kinds \['full', 'explicit', 'greedy'\], not 'ruler'"
+        with pytest.raises(InvalidInputError, match=refusal):
+            ExperimentConfig(**base_config(samplers=[{"kind": "ruler"}]))
+        ExperimentConfig(**base_config())  # full and greedy stay
+        # sampler design offers the models whose row takes greedy
+        design = ["sampler", "design", "--graph", sensor_graph_file, "--k", "8", "--q", "3",
+                  "--out", str(tmp_path / "s")]
+        assert run_cli(*design, "--model", "ma") == 0
+        monkeypatch.setitem(KINDS["model"], "ma", ma._replace(samplers=("full",)))
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*design, "--model", "ma")
+        assert exit_.value.code == 2
+        assert "invalid choice: 'ma'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def malformed_inputs(tmp_path):
+    """The files of the malformed invocations: a 12-node graph, snapshots of it, and bad samplers, CSVs and configs."""
+    paths = {"graph": tmp_path / "g.json", "snaps": tmp_path / "snaps.csv", "out": tmp_path / "out"}
+    assert run_cli("graph", "gen", "--kind", "sensor", "--n", "12", "--seed", "3", "--out", str(paths["graph"])) == 0
+    assert run_cli(
+        "signal", "gen", "--graph", str(paths["graph"]), "--shift", "adjacency", "--signal", "ar",
+        "--coeffs", "0.2", "--ns", "50", "--out", str(paths["snaps"]),
+    ) == 0
+    files = {
+        "sampler13": json.dumps({"n": 13, "selected": [0, 1, 2]}),
+        "sampler_empty": json.dumps({"n": 12, "selected": []}),
+        "header_separator": "node_0,node_1_0\n1,2\n",
+        "header_sign": "node_0,node_+2\n1,2\n",
+        "header_space": "node_0,node_3 \n1,2\n",
+        "config_list": "[1, 2]",
+        "config_null": "null",
+        "config_string": '"x"',
+        "config_shift": json.dumps(base_config(shift="lap")),
+        "config_selected_empty": json.dumps(base_config(samplers=[{"kind": "explicit", "selected": []}])),
+    }
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+_ESTIMATE = ["estimate", "--graph", "{graph}", "--snapshots", "{snaps}", "--out", "{out}"]
+_SIGNAL = ["signal", "gen", "--graph", "{graph}", "--coeffs", "1,0.5", "--ns", "5", "--out", "{out}"]
+MALFORMED_INVOCATIONS = {
+    "core-separator": [*_ESTIMATE, "--model", "ar", "--p", "1", "--core", "1_0"],
+    "coeffs-separator": ["signal", "gen", "--graph", "{graph}", "--coeffs", "1_0", "--ns", "5", "--out", "{out}"],
+    "marks-separator": ["sampler", "ruler", "--n", "12", "--marks", "0,1,1_0", "--out", "{out}"],
+    "header-separator": ["estimate", "--graph", "{graph}", "--snapshots", "{header_separator}", "--model", "ar",
+                         "--p", "1", "--core", "0", "--out", "{out}"],
+    "header-sign": ["estimate", "--graph", "{graph}", "--snapshots", "{header_sign}", "--model", "ar",
+                    "--p", "1", "--core", "0", "--out", "{out}"],
+    "header-space": ["estimate", "--graph", "{graph}", "--snapshots", "{header_space}", "--model", "ar",
+                     "--p", "1", "--core", "0", "--out", "{out}"],
+    "config-list": ["experiment", "nmse", "--config", "{config_list}", "--out", "{out}"],
+    "config-null": ["experiment", "nmse", "--config", "{config_null}", "--out", "{out}"],
+    "config-string": ["experiment", "nmse", "--config", "{config_string}", "--out", "{out}"],
+    "config-shift-lap": ["experiment", "nmse", "--config", "{config_shift}", "--out", "{out}"],
+    "ar-order-past-the-graph": [*_ESTIMATE, "--shift", "adjacency", "--model", "ar", "--p", "40"],
+    "estimate-sampler-of-13-nodes": [*_ESTIMATE, "--sampler", "{sampler13}"],
+    "signal-sampler-of-13-nodes": [*_SIGNAL, "--sampler", "{sampler13}"],
+    "estimate-empty-sampler": [*_ESTIMATE, "--sampler", "{sampler_empty}"],
+    "signal-empty-sampler": [*_SIGNAL, "--sampler", "{sampler_empty}"],
+    "config-empty-selected": ["experiment", "nmse", "--config", "{config_selected_empty}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INVOCATIONS))
+def test_malformed_invocation_exits_in_one_error_line(malformed_inputs, capsys, case):
+    """Each malformed invocation exits 2, 3 or 4 with one ``error:`` line on stderr and writes nothing."""
+    capsys.readouterr()
+    code = run_cli(*(arg.format(**malformed_inputs) for arg in MALFORMED_INVOCATIONS[case]))
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4)
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert not os.path.exists(malformed_inputs["out"])
 
 
 README_STUDY = {
@@ -1496,7 +1648,7 @@ class TestExperiment:
         from graphcov import InvalidInputError
 
         # refused when the config is read, before any set-up
-        with pytest.raises(InvalidInputError, match="use sampler kind 'ar-core', not 'greedy'"):
+        with pytest.raises(InvalidInputError, match=r"model kind 'ar' takes sampler kinds \['ar-core'\], not 'greedy'"):
             ExperimentConfig(
                 **base_config(
                     graph={"kind": "cycle", "n": 12},
@@ -1506,6 +1658,14 @@ class TestExperiment:
                     samplers=[{"kind": "greedy", "k": 4}],
                 )
             )
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'], ids=["list", "null", "string"])
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: experiment config must be a JSON object\n", err
 
     def test_rejects_wls_for_ar(self):
         from graphcov import InvalidInputError
@@ -1657,13 +1817,13 @@ class TestExperiment:
                 "sampler.core [0] and sampler.k0 1 both choose the core",
             ),
             ({"samplers": [{"kind": "ar-core", "k0": 1}]},
-             "model kind 'spectral' samples nodes; sampler kind 'ar-core' is for model kind 'ar'"),
+             "model kind 'spectral' takes sampler kinds ['full', 'explicit', 'greedy', 'ruler'], not 'ar-core'"),
             ({"model": {"kind": "ma", "q": 3}, "samplers": [{"kind": "ar-core"}]},
-             "model kind 'ma' samples nodes; sampler kind 'ar-core' is for model kind 'ar'"),
+             "model kind 'ma' takes sampler kinds ['full', 'explicit', 'greedy', 'ruler'], not 'ar-core'"),
             (
                 {"signal": {"kind": "ar", "a": [0.2]}, "model": {"kind": "ar", "p": 1},
                  "samplers": [{"kind": "greedy", "k": 4}]},
-                "the autoregressive model samples cores plus neighborhoods; use sampler kind 'ar-core', not 'greedy'",
+                "model kind 'ar' takes sampler kinds ['ar-core'], not 'greedy'",
             ),
         ],
         ids=["ma-q", "greedy-k", "explicit-selected", "sensor-n", "signal-h", "signal-a",

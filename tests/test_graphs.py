@@ -461,6 +461,17 @@ class TestGraphLayerKeepsItsBytes:
             tracemalloc.stop()
         assert peak <= 20e6
 
+    def test_degrees_hold_no_n_by_n_array(self):
+        # the whole W held 32 MB at N = 2000
+        graph = sensor_graph(2000, seed=7)
+        tracemalloc.start()
+        try:
+            graph.degrees()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
 
 NAN = float("nan")
 # 174 edges of a 60-node path, drawn with repeats, some reversed: a sort of

@@ -185,8 +185,8 @@ class TestCovarianceModel:
     def test_kind_follows_the_map(self):
         s = build_shift(sensor_graph(10, seed=6), "laplacian")
         assert build_psi_spectral(s.basis()).kind == "spectral"
-        assert build_psi_ma(s, 3).kind == "moving_average"
-        assert CovarianceModel(np.eye(3), np.ones((3, 2))).kind == "moving_average"
+        assert build_psi_ma(s, 3).kind == "ma"
+        assert CovarianceModel(np.eye(3), np.ones((3, 2))).kind == "ma"
 
     @pytest.mark.parametrize(
         "basis,param_map", [(np.ones((3, 4)), None), (np.eye(3), np.ones((4, 2)))], ids=["non-square-basis", "map-rows"]
@@ -271,7 +271,7 @@ class TestCompressModel:
         psi = build_psi_ma(s, b.size)
         sampler = Subsampler(9, (0, 4, 8))
         model = compress_model(psi, sampler)
-        assert model.param_kind == "moving_average"
+        assert model.param_kind == "ma"
         r = true_covariance(s, h).matrix
         r_y = r[np.ix_(sampler.selected, sampler.selected)]
         npt.assert_allclose(model.matrix @ b, vec(r_y), atol=1e-8)
@@ -295,7 +295,7 @@ class TestCompressModel:
     def test_ma_model_with_q_equal_n_is_moving_average(self):
         s = build_shift(path_graph(4), "laplacian")
         model = compress_model(build_psi_ma(s, 4), Subsampler.full(4))
-        assert model.param_kind == "moving_average"
+        assert model.param_kind == "ma"
 
     @pytest.mark.parametrize("kind", ["real", "complex-dft", "ma"])
     @pytest.mark.parametrize("selected", [tuple(range(12)), (0, 1, 3, 7), (5,), (2, 9, 4)])
@@ -465,7 +465,7 @@ class TestObservationModel:
         npt.assert_array_equal(ma.param_map, vandermonde(s.basis().eigvals, 3))
         assert model.param_map is None
         with pytest.raises(InvalidInputError, match="parameter map"):
-            ObservationModel(matrix=ma.matrix, param_kind="moving_average", param_map=np.ones((10, 2)))
+            ObservationModel(matrix=ma.matrix, param_kind="ma", param_map=np.ones((10, 2)))
         with pytest.raises(InvalidInputError, match="sampled basis"):
             ObservationModel(matrix=model.matrix, param_kind="spectral", sampled_basis=u_s[:4])
 
