@@ -34,6 +34,7 @@ from .experiment import (
     METHODS,
     ExperimentConfig,
     ar_core,
+    cell_system,
     estimate,
     fields,
     make_graph,
@@ -44,7 +45,7 @@ from .experiment import (
     run_experiment,
 )
 from .graphs import SHIFTS, Graph, GraphFilter, build_shift
-from .models import Subsampler, compress_model, vec
+from .models import Subsampler, compress_model
 from .stationary import (
     SnapshotMatrix,
     generate_signals,
@@ -179,8 +180,8 @@ def cmd_estimate(args) -> int:
         if args.sampler is not None:
             raise InvalidInputError("the autoregressive model takes --core, not --sampler")
         core = ar_core(graph, {} if args.core is None else {"core": _parse_ints(args.core)})
-        scheme = armod.build_ar_scheme(shift, core, args.p)
-        nodes = scheme.distinct_nodes
+        payload = armod.build_ar_scheme(shift, core, args.p)
+        nodes = payload.distinct_nodes
     else:
         if args.sampler is None:
             raise InvalidInputError("--sampler is required for the spectral and ma models")
@@ -188,13 +189,10 @@ def cmd_estimate(args) -> int:
             raise InvalidInputError(f"the {args.model} model takes --sampler, not --core")
         with open(args.sampler) as fh:
             sampler = Subsampler.from_json(fh.read())
-        model = compress_model(make_model(shift, spec), sampler)
+        payload = compress_model(make_model(shift, spec), sampler)
         nodes = sampler.selected
     cov = sample_covariance(snapshots.rows(nodes), demean=args.demean)
-    if args.model == "ar":
-        model, r_y = armod.build_ar_model(shift, scheme, cov)
-    else:
-        r_y = vec(cov.matrix)
+    model, r_y = cell_system(shift, payload, cov.matrix)
     result = estimate(model, args.method, r_y, cov)
     spectrum = model_spectrum(model, shift.basis().eigvals, result.theta)
 
@@ -221,8 +219,18 @@ def cmd_experiment_nmse(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose refusal is one ``error:`` line and exit code 2, as every other refusal.
+
+    ``add_subparsers`` builds each subcommand's parser of this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphcov",
         description="Second-order statistics of stationary graph signals from few nodes",
     )

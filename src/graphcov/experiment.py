@@ -6,7 +6,8 @@ Per-trial seeds are derived from the master seed by counter. Set-up
 resolves what every trial shares: the signal and its kind, the true
 covariance ``H_O H_O^T`` of the observed nodes O (the nodes some cell
 reads), and each cell's model, the positions of its nodes in that
-covariance, its CRB, and the estimator of each method. The shift keeps
+covariance and its CRB. Every estimate, here and in the CLI, is one call
+of :func:`estimate` on the system of :func:`cell_system`. The shift keeps
 the transfer rows ``H_O``. An exact-covariance study is estimated at
 set-up: each cell once, on its block of the true covariance, with WLS as
 LS, and every trial of every snapshot count repeats that estimate, so it
@@ -230,30 +231,34 @@ def ruler_sampler(n: int, marks=None) -> Subsampler:
     return Subsampler(n, tuple(marks))
 
 
-def estimate(
-    model: ObservationModel, method: str, r_y, cov: CovarianceMatrix | None
-) -> EstimationResult:
+def estimate(model: ObservationModel, method: str, r_y, cov: CovarianceMatrix | None) -> EstimationResult:
     """Parameters of ``model`` from the observed ``r_y`` by ``method`` (ls, nnls or wls).
 
-    ``cov`` is the sample covariance WLS weights with; without one (exact
-    covariances) WLS is plain LS. A method the model's kind refuses in
-    ``KINDS["model"]`` is refused: autoregressive models are fitted by
-    least squares only, and moving-average models refuse nnls.
+    The one place a method name turns into an estimator call, for the
+    study and the CLI alike. ``cov`` is the sample covariance WLS weights
+    with; without one (exact covariances) WLS is plain LS. A method the
+    model's kind refuses in ``KINDS["model"]`` is refused: autoregressive
+    models are fitted by least squares only, and moving-average models
+    refuse nnls.
     """
     _check_methods(KINDS["model"][model.param_kind], [method])
+    if model.param_kind == AUTOREGRESSIVE:
+        return armod.estimate_ar(model, r_y)
     if method == WLS and cov is not None:
         return wls_estimate(model, r_y, cov)
-    return _solver(model.param_kind, LS if method == WLS else method)(model, r_y)
+    return nnls_estimate(model, r_y) if method == NNLS else ls_estimate(model, r_y)
 
 
-def _solver(kind: str, method: str) -> Callable:
-    """The unweighted estimator ``f(model, r_y)`` of ``method`` (ls or nnls) for a model of ``kind``.
+def cell_system(shift: ShiftOperator, payload, cov: np.ndarray) -> tuple[ObservationModel, np.ndarray]:
+    """The linear system ``(model, r_y)`` of a cell from ``cov``, a covariance of the cell's nodes.
 
-    The method must be one the kind does not refuse (:func:`_check_methods`).
+    ``payload`` is the cell's compressed model, which observes ``vec`` of
+    ``cov``, or its AR scheme, whose stacked system is built from ``cov``
+    (:func:`graphcov.ar.build_ar_model`).
     """
-    if kind == AUTOREGRESSIVE:
-        return armod.estimate_ar
-    return ls_estimate if method == LS else nnls_estimate
+    if isinstance(payload, armod.ARSamplingScheme):
+        return armod.build_ar_model(shift, payload, cov)
+    return payload, vec(cov)
 
 
 def model_spectrum(model: ObservationModel, eigvals: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -444,11 +449,9 @@ class _Pipeline:
         true_cov = true_covariance if self.signal_kind == "ma" else armod.true_ar_covariance
         self.true_cov = true_cov(self.shift, self.signal, self.observed_nodes).matrix
 
-        # the estimator of each method that estimate_cell runs: sampled WLS runs per block, exact WLS is LS
-        self.solvers = [
-            (m_idx, method, _solver(self.model_kind, LS if method == WLS else method))
-            for m_idx, method in enumerate(config.methods)
-            if method != WLS or config.exact_covariance
+        # (index, method) of each method estimate_cell runs: sampled WLS runs per block, exact WLS is LS
+        self.methods = [
+            (m_idx, method) for m_idx, method in enumerate(config.methods) if method != WLS or config.exact_covariance
         ]
         self.wls_index = config.methods.index(WLS) if WLS in config.methods else None
         self.cells = []
@@ -540,32 +543,28 @@ class _Pipeline:
             self.estimate_cell(cell, data, sqerr[c_idx, :, trial])
 
     def estimate_cell(self, cell: _Cell, data: np.ndarray | SnapshotMatrix, out: np.ndarray) -> None:
-        """Squared spectrum error of one cell by each method in ``solvers`` into ``out``.
+        """Squared spectrum error of one cell by each method in ``methods`` into ``out``.
 
         ``data`` is a covariance of ``observed_nodes`` (a trial's, or the
-        true one at set-up of an exact study), or a sampled autoregressive
-        trial's :class:`SnapshotMatrix`. The cell's linear system
-        ``(model, r_y)`` is built once and shared by its methods: a node
-        cell's ``r_y`` is ``vec`` of its :meth:`block` of ``data``; an AR
-        cell builds its system from its block of a covariance, or from the
-        scheme's covariances of the snapshots. WLS of sampled data is left
-        to :meth:`weigh_trials`. An entry of ``out`` stays NaN where its
-        estimate failed.
+        true one at set-up of an exact study), whose :meth:`block` the cell
+        reads, or a sampled autoregressive trial's :class:`SnapshotMatrix`,
+        whose covariance of the scheme's nodes it forms. The cell's linear
+        system (:func:`cell_system`) is built once and shared by its
+        methods, each run by :func:`estimate` without a covariance: exact
+        WLS is LS, and WLS of sampled data is left to :meth:`weigh_trials`.
+        An entry of ``out`` stays NaN where its estimate failed.
         """
         try:
-            if self.model_kind == "ar":
-                if isinstance(data, SnapshotMatrix):
-                    cov = armod.sample_ar_covariances(cell.payload, data)
-                else:
-                    cov = self.block(cell.positions, data)
-                model, r_y = armod.build_ar_model(self.shift, cell.payload, cov)
+            if isinstance(data, SnapshotMatrix):
+                cov = armod.sample_ar_covariances(cell.payload, data).matrix
             else:
-                model, r_y = cell.payload, vec(self.block(cell.positions, data))
+                cov = self.block(cell.positions, data)
+            model, r_y = cell_system(self.shift, cell.payload, cov)
         except (GraphCovError, np.linalg.LinAlgError):
             return  # every method of the cell fails
-        for m_idx, method, solve in self.solvers:
+        for m_idx, method in self.methods:
             try:
-                out[m_idx] = self.squared_error(model, solve(model, r_y).theta)
+                out[m_idx] = self.squared_error(model, estimate(model, method, r_y, None).theta)
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
 
@@ -583,7 +582,7 @@ class _Pipeline:
             model = cell.payload
             weights = CovarianceMatrix.principal(covs, cell.positions)
             try:
-                thetas = wls_estimate(model, vec(weights.matrix), weights).theta
+                thetas = estimate(model, WLS, vec(weights.matrix), weights).theta
             except (GraphCovError, np.linalg.LinAlgError):
                 continue
             for trial, theta in zip(trials, thetas):
@@ -626,12 +625,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
     Set-up (:class:`_Pipeline`) forms the true covariance of the
     observed nodes, whose transfer rows the shift keeps, and resolves
-    each cell's model, its positions in that covariance, its CRB, and the
-    estimator of each method. An exact-covariance study runs no trials:
-    set-up estimated each cell once on its block of the true covariance,
-    and every trial of every snapshot count repeats that estimate, so a
-    method's ``failures`` is 0 or ``n_trials``. For a sampled study, each
-    snapshot count's trials run in the blocks of
+    each cell's model, its positions in that covariance and its CRB. An
+    exact-covariance study runs no trials: set-up estimated each cell once
+    on its block of the true covariance, and every trial of every snapshot
+    count repeats that estimate, so a method's ``failures`` is 0 or
+    ``n_trials``. For a sampled study, each snapshot count's trials run in the blocks of
     :func:`~graphcov.estimators.trial_blocks` (one block unless there
     are more than ``_BLOCK_ROWS // N``): each trial of a block realises
     its data and forms its covariance, and the block's covariances are

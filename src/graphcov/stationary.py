@@ -36,9 +36,10 @@ class CovarianceMatrix:
     ``matrix`` is one K x K matrix or a stack of them, ``(..., K, K)``,
     such as one sample covariance per trial; every check runs on each
     matrix of a stack, and one that fails refuses the stack. An empty or
-    non-finite matrix is refused. ``min_eigenvalue`` is the smallest
-    eigenvalue (one per matrix of a stack), computed once for the PSD
-    check and read by every consumer that needs it.
+    non-finite matrix, and one whose trace overflows, is refused.
+    ``min_eigenvalue`` is the smallest eigenvalue (one per matrix of a
+    stack), computed once for the PSD check and read by every consumer
+    that needs it.
     """
 
     matrix: np.ndarray
@@ -54,10 +55,14 @@ class CovarianceMatrix:
         if not np.isfinite(largest).all():
             raise InvalidInputError("non-finite values in covariance")
         m_h = m.conj().swapaxes(-2, -1)
-        if (np.abs(m - m_h).max(axis=(-2, -1)) > 1e-12 * np.maximum(largest, 1.0)).any():
-            raise InvalidInputError("covariance must be Hermitian")
-        m = 0.5 * (m + m_h)
-        trace = m.trace(axis1=-2, axis2=-1).real
+        with np.errstate(over="ignore"):  # an asymmetry or a trace that overflows to inf is refused
+            asymmetry = np.abs(m - m_h).max(axis=(-2, -1))
+            if (asymmetry > 1e-12 * np.maximum(largest, 1.0)).any():
+                raise InvalidInputError("covariance must be Hermitian")
+            m = 0.5 * m + 0.5 * m_h  # halved first: entries near the float maximum do not overflow
+            trace = m.trace(axis1=-2, axis2=-1).real
+        if not np.isfinite(trace).all():
+            raise InvalidInputError("covariance too large: its trace overflows")
         min_eig = np.linalg.eigvalsh(m)[..., 0]  # ascending
         bad = min_eig < -1e-10 * np.maximum(trace, 1e-300)
         if bad.any():

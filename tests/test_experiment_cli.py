@@ -829,9 +829,15 @@ class TestOneKindVocabulary:
 
 @pytest.fixture
 def malformed_inputs(tmp_path):
-    """The files of the malformed invocations: a 12-node graph, snapshots of it, and bad samplers, CSVs and configs."""
-    paths = {"graph": tmp_path / "g.json", "snaps": tmp_path / "snaps.csv", "out": tmp_path / "out"}
+    """The files of the malformed invocations: a 12-node graph, snapshots of it, and bad samplers, CSVs and configs.
+
+    A 4-cycle, its full sampler and one snapshot of entries near 1e154 make a
+    sample covariance whose entries reach 1e308 and whose trace overflows.
+    """
+    paths = {"graph": tmp_path / "g.json", "snaps": tmp_path / "snaps.csv", "out": tmp_path / "out",
+             "cycle4": tmp_path / "c4.json"}
     assert run_cli("graph", "gen", "--kind", "sensor", "--n", "12", "--seed", "3", "--out", str(paths["graph"])) == 0
+    assert run_cli("graph", "gen", "--kind", "cycle", "--n", "4", "--out", str(paths["cycle4"])) == 0
     assert run_cli(
         "signal", "gen", "--graph", str(paths["graph"]), "--shift", "adjacency", "--signal", "ar",
         "--coeffs", "0.2", "--ns", "50", "--out", str(paths["snaps"]),
@@ -847,6 +853,8 @@ def malformed_inputs(tmp_path):
         "config_string": '"x"',
         "config_shift": json.dumps(base_config(shift="lap")),
         "config_selected_empty": json.dumps(base_config(samplers=[{"kind": "explicit", "selected": []}])),
+        "sampler4": json.dumps({"n": 4, "selected": [0, 1, 2, 3]}),
+        "snaps_large": "node_0,node_1,node_2,node_3\n1.0e154,1.0e154,1.0,1.0\n",
     }
     for name, text in files.items():
         paths[name] = tmp_path / name
@@ -876,14 +884,27 @@ MALFORMED_INVOCATIONS = {
     "estimate-empty-sampler": [*_ESTIMATE, "--sampler", "{sampler_empty}"],
     "signal-empty-sampler": [*_SIGNAL, "--sampler", "{sampler_empty}"],
     "config-empty-selected": ["experiment", "nmse", "--config", "{config_selected_empty}", "--out", "{out}"],
+    "estimate-overflowing-covariance": ["estimate", "--graph", "{cycle4}", "--sampler", "{sampler4}",
+                                        "--snapshots", "{snaps_large}", "--out", "{out}"],
+    # refused by argparse, before any command runs
+    "argparse-integer-separator": ["graph", "gen", "--kind", "cycle", "--n", "1_0", "--out", "{out}"],
+    "argparse-unknown-choice": ["graph", "gen", "--kind", "foo", "--n", "4", "--out", "{out}"],
+    "argparse-missing-option": ["sampler", "design", "--graph", "{graph}", "--out", "{out}"],
+    "argparse-no-command": [],
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INVOCATIONS))
 def test_malformed_invocation_exits_in_one_error_line(malformed_inputs, capsys, case):
-    """Each malformed invocation exits 2, 3 or 4 with one ``error:`` line on stderr and writes nothing."""
+    """Each malformed invocation exits 2, 3 or 4 with one ``error:`` line on stderr and writes nothing.
+
+    argparse refuses by raising ``SystemExit``, whose code is the exit code.
+    """
     capsys.readouterr()
-    code = run_cli(*(arg.format(**malformed_inputs) for arg in MALFORMED_INVOCATIONS[case]))
+    try:
+        code = run_cli(*(arg.format(**malformed_inputs) for arg in MALFORMED_INVOCATIONS[case]))
+    except SystemExit as exit_:
+        code = exit_.code
     err = capsys.readouterr().err
     assert code in (2, 3, 4)
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
@@ -964,6 +985,60 @@ class TestFailedEstimates:
         for line in lines[1:]:
             *_, nmse, crb, failures = line.split(",")
             assert np.isfinite(float(nmse)) and crb == "" and failures == "0"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**README_STUDY, "exact_covariance": True},
+        README_STUDY,
+        {**README_STUDY, "model": {"kind": "ma", "q": 3}, "methods": ["ls", "wls"]},
+        base_config(**AR_STUDY),
+    ],
+    ids=["readme-exact", "readme-sampled", "ma", "ar"],
+)
+def test_every_estimate_of_a_study_is_one_estimate_call(monkeypatch, config):
+    # experiment.estimate is the one place a method turns into an estimator call: an exact
+    # study calls it once per cell and method at set-up, a sampled one once per cell, trial and
+    # per-trial method, and once per cell and block for WLS; no estimator is called outside it
+    from graphcov import ar, experiment
+    from graphcov.estimators import trial_blocks
+
+    calls, solved, inside = [], [], []  # inside holds one entry while an estimate call runs
+    original = experiment.estimate
+
+    def estimate(*args):
+        calls.append(args[1])
+        inside.append(None)
+        try:
+            return original(*args)
+        finally:
+            inside.pop()
+
+    def solver(solve):
+        def wrapper(*args):
+            solved.append(bool(inside))
+            return solve(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(experiment, "estimate", estimate)
+    for module, name in ((experiment, "ls_estimate"), (experiment, "nnls_estimate"),
+                         (experiment, "wls_estimate"), (ar, "estimate_ar")):
+        monkeypatch.setattr(module, name, solver(getattr(module, name)))
+    cfg = ExperimentConfig(**config)
+    rows = run_experiment(cfg)
+    assert all(row["failures"] == 0 for row in rows)
+
+    n_cells, per_trial = len(cfg.samplers), [m for m in cfg.methods if m != "wls"]
+    if cfg.exact_covariance:
+        expected = n_cells * len(cfg.methods)
+    else:
+        blocks = len(trial_blocks(cfg.n_trials, cfg.graph["n"]))
+        wls_calls = blocks if "wls" in cfg.methods else 0
+        expected = n_cells * len(cfg.n_snapshots) * (cfg.n_trials * len(per_trial) + wls_calls)
+    assert len(calls) == expected
+    assert len(solved) == expected and all(solved)
 
 
 REFERENCE_SENSOR = {
