@@ -202,7 +202,7 @@ def cmd_estimate(args) -> int:
             {
                 "method": result.method,
                 "theta": [float(v) for v in np.atleast_1d(result.theta)],
-                "residual": result.residual_norm,
+                "residual": result.residual_norm if np.isfinite(result.residual_norm) else None,
                 "cond": result.condition_number,
                 "power_spectrum": [float(v) for v in spectrum],
             }

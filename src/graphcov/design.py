@@ -10,22 +10,33 @@ model matrix is never formed. The objective is not submodular:
 a node joining a set of size |X| adds 2|X|+1 model rows, so marginal
 gains can grow with the set, and the (1 - 1/e) guarantee of greedy
 submodular maximization does not apply. Each greedy step still scores
-every candidate exactly. No candidate's rows are stored: row (j, s) of
-the model is ``conj(u_j) * u_s`` for basis rows u (times the map, for a
-mapped model), so every product of a candidate's rows with a matrix is a
-GEMM of the candidates' basis rows against a factor built from the
-picks' basis rows (:meth:`~graphcov.models.CovarianceModel.pair_products`).
-On a spectral model a candidate keeps the small Gram of its rows against
-the inverse loaded Gram, and a pick, a rank-r update of the loaded Gram,
-downdates every such Gram by the Woodbury identity with one such GEMM:
-the incremental update of fast greedy MAP inference for determinantal
-point processes (Chen, Zhang & Zhou, NeurIPS 2018), in blocks. A step
-costs about 2 N r^2 M flops for r rows per candidate. A moving-average
-model, with its few parameters, whitens the rows against a fresh
-Cholesky factor each step instead (see :func:`greedy_design`). For
-circulant shift operators the problem has a closed combinatorial answer:
-node sets whose pairwise differences cover 0..N-1 (sparse rulers) are
-valid, and minimal rulers give the best compression.
+every candidate exactly.
+
+For a spectral model on the DFT basis of a circulant shift operator,
+the selected rows' Gram is circulant, with eigenvalues ``w(m) / N``,
+where w(m) counts the selected node pairs at lag m: the difference
+coarray of the selection (Pal & Vaidyanathan, IEEE TSP 2010; Romero,
+Ariananda, Tian & Leus, IEEE SPM 2016). So the greedy scores a
+candidate there by the lags it adds, with no model row and no Gram, in
+about 6 N K^2 element operations in all. The same structure gives the
+closed combinatorial answer: node sets whose pairwise differences cover
+0..N-1 (sparse rulers) are valid, and minimal rulers give the best
+compression. Any other spectral model on a complex basis is refused.
+
+Every other model has real rows. No candidate's rows are stored: row
+(j, s) of the model is ``conj(u_j) * u_s`` for basis rows u (times the
+map, for a mapped model), so every product of a candidate's rows with a
+matrix is a GEMM of the candidates' basis rows against a factor built
+from the picks' basis rows
+(:meth:`~graphcov.models.CovarianceModel.pair_products`). On a spectral
+model a candidate keeps the small Gram of its rows against the inverse
+loaded Gram, and a pick, a rank-r update of the loaded Gram, downdates
+every such Gram by the Woodbury identity with one such GEMM: the
+incremental update of fast greedy MAP inference for determinantal point
+processes (Chen, Zhang & Zhou, NeurIPS 2018), in blocks. A step costs
+about 2 N r^2 M flops for r rows per candidate. A moving-average model,
+with its few parameters, whitens the rows against a fresh Cholesky
+factor each step instead (see :func:`greedy_design`).
 """
 
 from __future__ import annotations
@@ -143,17 +154,14 @@ def _lowest_tied(scores: np.ndarray, nodes: np.ndarray) -> int:
     return int(tied[np.argmin(nodes[tied])])
 
 
-def _fold(pairs: np.ndarray, parts: int) -> np.ndarray:
-    """Folded real rows from pair rows, or from their products: ``sqrt(2)``
-    times the real part, and with two parts the imaginary part after it,
-    pick by pick along the second to last axis."""
-    if parts == 1:
-        return np.sqrt(2.0) * np.real(pairs)
-    folded = np.stack([pairs.real, pairs.imag], axis=-2)
-    return np.sqrt(2.0) * folded.reshape(*pairs.shape[:-2], -1, pairs.shape[-1])
+def _fold(pairs: np.ndarray) -> np.ndarray:
+    """Folded rows from pair rows, or from their products: pair rows (j,s)
+    and (s,j) of a model with real rows are equal, and ``sqrt(2)`` times
+    one of them adds what both add to the Gram."""
+    return np.sqrt(2.0) * pairs
 
 
-def _products(psi: CovarianceModel, parts: int, picks, nodes, diagonal, w) -> np.ndarray:
+def _products(psi: CovarianceModel, picks, nodes, diagonal, w) -> np.ndarray:
     """``Z_s w`` for every node s, len(nodes) x r x c: the products of its
     folded rows, its self-pair row ``diagonal`` and its rows with
     ``picks``, with a real w, M x c or one per node. The picks go in
@@ -162,7 +170,65 @@ def _products(psi: CovarianceModel, parts: int, picks, nodes, diagonal, w) -> np
     head = (diagonal @ w)[:, None] if w.ndim == 2 else diagonal[:, None, :] @ w
     per_chunk = max(1, _BLOCK_ROWS // w.shape[-1])
     pairs = (psi.pair_products(picks[lo : lo + per_chunk], nodes, w) for lo in range(0, len(picks), per_chunk))
-    return np.concatenate([head, *(_fold(p, parts) for p in pairs)], axis=1)
+    return np.concatenate([head, *(_fold(p) for p in pairs)], axis=1)
+
+
+def _is_dft(basis: np.ndarray) -> bool:
+    """Whether a basis is the unitary DFT basis, up to the order and phases
+    of its columns: every row is the row before it times one fixed vector
+    of distinct N-th roots of unity, cyclically, and every entry has
+    modulus ``1/sqrt(N)``, each to 1e-12."""
+    n = len(basis)
+    step = basis[1 % n] * basis[0].conj() * n  # the fixed vector, if there is one
+    powers = np.rint(np.angle(step) * n / (2 * np.pi)).astype(int) % n
+    return bool(
+        np.abs(np.abs(basis[0]) ** 2 - 1.0 / n).max() <= 1e-12
+        and np.abs(step - np.exp(2j * np.pi * powers / n)).max() <= 1e-12
+        and np.unique(powers).size == n
+        and np.abs(np.roll(basis, -1, axis=0) - basis * step).max() <= 1e-12
+    )
+
+
+def _coarray_greedy(n: int, k: int, eps: float) -> tuple[np.ndarray, list[float]]:
+    """The greedy's picks and objective trace on the DFT basis, from the
+    difference coarray of the picks: no basis row and no Gram.
+
+    There the Gram of the selected rows is circulant with eigenvalues
+    ``w(m) / N``, where w(m) counts the ordered pairs of picks at lag
+    ``m = a - b mod N``, so the objective is ``sum_m log(1 + w(m) / (N eps))``.
+    A candidate s adds one pair at lag 0 and, per pick a, one at
+    ``s - a`` and one at ``a - s``, a lag that holds as many pairs, since
+    w is symmetric. Within each of these two groups the lags are
+    distinct, and lag ``a - s`` is also lag ``s - a'`` of the pick
+    ``a' = 2s - a`` when there is one, so a lag gains at most two pairs.
+    A lag holding c pairs gains ``log1p(1 / (N eps + c))`` from one more.
+    A step makes about a dozen passes over N x t arrays for t picks,
+    some 6 N K^2 element operations in all.
+    """
+    one_more = np.log1p(1.0 / (n * eps + np.arange(k + 1)))  # a lag holds at most the picks' count, plus 1
+    counts = np.zeros(n, dtype=int)  # w, lag by lag
+    picked = np.zeros(n, dtype=bool)
+    nodes = np.arange(n)
+    order = np.empty(k, dtype=int)  # the picks, in the order made
+    trace = []
+    total = 0.0
+    for step in range(k):
+        picks = order[:step]
+        ahead = (nodes[:, None] - picks) % n  # lags s - a
+        held = counts[ahead]
+        twice = picked[(nodes[:, None] + ahead) % n]  # lag a - s is also lag s - (2s - a)
+        gains = one_more[counts[0]] + (one_more[held] + one_more[held + twice]).sum(axis=1)
+        gains[picked] = -np.inf
+        pick = _lowest_tied(gains, nodes)
+        total += float(gains[pick])
+        trace.append(total)
+        lags = (pick - picks) % n  # distinct, as are their negatives
+        counts[0] += 1
+        counts[lags] += 1
+        counts[-lags % n] += 1
+        picked[pick] = True
+        order[step] = pick
+    return order, trace
 
 
 def greedy_design(problem: DesignProblem) -> DesignResult:
@@ -173,18 +239,22 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     the lowest node index. The running sums of the picked gains, one per
     step, are returned alongside the sampler.
 
-    The greedy runs on folded real rows. Pair rows (j,s) and (s,j) of the
-    model are conjugate, so together they add ``2(a^T a + b^T b)`` to the
-    Gram, with ``z = a + ib``. A candidate s therefore brings the real
-    rows ``Re z_ss`` and, per selected j, ``sqrt(2) Re z_js`` and (complex
-    rows only) ``sqrt(2) Im z_js``. With T the Gram of the selected rows,
-    the gain of s is ``logdet(I + Z_s C Z_s^T)``, with
+    A spectral model with complex rows is scored on the difference
+    coarray of the picks, which needs its basis to be the DFT basis
+    (:func:`_coarray_greedy`); any other complex basis is refused with
+    :class:`~graphcov.errors.CapabilityError`.
+
+    Every other model has real rows and runs on folded rows. Pair rows
+    (j,s) and (s,j) of the model are equal, so together they add
+    ``2 z^T z`` to the Gram. A candidate s therefore brings the rows
+    ``z_ss`` and, per selected j, ``sqrt(2) z_js``. With T the Gram of
+    the selected rows, the gain of s is ``logdet(I + Z_s C Z_s^T)``, with
     ``C = (eps I + T)^{-1}``. No row is stored. A product ``Z_s w`` with a
-    real w is ``Re z_ss w`` and the parts of ``z_js w``, which
+    real w is ``z_ss w`` and the ``z_js w``, which
     :meth:`~graphcov.models.CovarianceModel.pair_products` gives for every
     live candidate as one GEMM of their basis rows against
     ``[diag(conj(u_j)) w]_j``, an N x t c factor for t picks and a w of c
-    columns (one complex GEMM gives both parts on a complex basis).
+    columns.
 
     On a spectral model, candidate s keeps ``I + G_s``, with its small
     Gram ``G_s = Z_s C Z_s^T``, r x r for its r rows, and its gain comes
@@ -192,15 +262,14 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     ``L L^T = I + G_p`` adds ``Z_p^T Z_p`` to T, so by the Woodbury
     identity C loses ``bw bw^T`` with ``bw = C Z_p^T L^{-T}`` (M x r), and
     every ``G_s`` loses ``(Z_s bw)(Z_s bw)^T``: one product with a shared
-    w. The rows z the pick adds to each candidate get the Gram entries
+    w. The row z the pick adds to each candidate gets the Gram entries
     ``Z_s C z``: ``z C`` is one GEMM of the pick's rows with the
     candidates, ``rows(pick, s)``, against C, and ``Z_s (z C)^T`` one
     product with a per-node w. A step costs about ``2 N r^2 M`` flops for
-    the downdate (twice that on a complex basis, whose rows are formed
-    from two real parts each), ``N r^3`` for the small Grams and
-    ``2 N M^2`` per appended row. The spectral Gram is at most the full
-    one, the identity, so ``cond(eps I + T)`` stays below
-    ``(1 + eps) / eps``, which bounds the digits the downdates lose.
+    the downdate, ``N r^3`` for the small Grams and ``2 N M^2`` for the
+    appended row. The spectral Gram is at most the full one, the
+    identity, so ``cond(eps I + T)`` stays below ``(1 + eps) / eps``,
+    which bounds the digits the downdates lose.
 
     A mapped model's Gram has no such bound: its Vandermonde columns grow
     as powers of the eigenvalues, and downdated Grams lose digits in
@@ -219,16 +288,22 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     psi = problem.psi
     n, m, k = problem.n_nodes, psi.n_params, problem.k
     eps = default_epsilon(psi)
-    parts = 2 if psi.complex_rows else 1  # real rows per pair: Re, and Im for complex rows
+    if psi.complex_rows:
+        if not _is_dft(psi.basis):
+            raise CapabilityError(
+                "greedy design scores complex model rows on the DFT basis only; "
+                "this complex basis is not one"
+            )
+        order, trace = _coarray_greedy(n, k, eps)
+        return DesignResult(sampler=Subsampler(n, tuple(order.tolist())), objective_trace=tuple(trace))
     spectral = psi.param_map is None
     candidates = np.arange(n)
-    diagonals = np.empty((n, m))  # the self-pair rows Re z_ss, swap-removed with the candidates
+    diagonals = np.empty((n, m))  # the self-pair rows z_ss, swap-removed with the candidates
     for start in range(0, n, _BLOCK_ROWS):
         nodes = candidates[start : start + _BLOCK_ROWS]
-        diagonals[start : start + _BLOCK_ROWS] = np.real(psi.rows(nodes, nodes))
+        diagonals[start : start + _BLOCK_ROWS] = psi.rows(nodes, nodes)
     if spectral:
-        width = 1 + parts * (k - 1)
-        grams = np.empty((n, width, width))  # I + G_s, loaded with the identity once
+        grams = np.empty((n, k, k))  # I + G_s, loaded with the identity once
         grams[:, 0, 0] = 1.0 + np.einsum("sm,sm->s", diagonals, diagonals) / eps
         c = np.eye(m) / eps  # (eps I + T)^{-1}
     else:
@@ -238,7 +313,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
     total = 0.0
     for step in range(k):
         live = n - step
-        r = 1 + parts * step
+        r = 1 + step
         picks = order[:step]  # before this step's pick
         # candidates per pass: each pass's arrays hold at most _BLOCK_ROWS x N floats
         per_block = max(1, _BLOCK_ROWS * n // max(n, r * (r if spectral else m)))
@@ -251,7 +326,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
                 factors = np.linalg.cholesky(grams[start:stop, :r, :r])
             else:
                 nodes = candidates[start:stop]
-                y = _products(psi, parts, picks, nodes, diagonals[start:stop], white)
+                y = _products(psi, picks, nodes, diagonals[start:stop], white)
                 small = y.transpose(0, 2, 1) @ y if r > m else y @ y.transpose(0, 2, 1)
                 factors = np.linalg.cholesky(small + np.eye(small.shape[-1]))
             gains[start:stop] = 2.0 * np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
@@ -263,7 +338,7 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
         if step == k - 1:
             break
         # Z_p: the pick's r rows, its self-pair row and its rows with the earlier picks
-        rows = np.concatenate([diagonals[best][None], _fold(psi.rows(picks, pick), parts)])
+        rows = np.concatenate([diagonals[best][None], _fold(psi.rows(picks, pick))])
         live -= 1
         candidates[best] = candidates[live]
         diagonals[best] = diagonals[live]
@@ -276,19 +351,16 @@ def greedy_design(problem: DesignProblem) -> DesignResult:
         del factors, root  # freed before the pass over the candidates
         c -= bw @ bw.T
         grams[best, :r, :r] = grams[live, :r, :r]
-        grown = r + parts
         for start in range(0, live, per_block):
             stop = min(start + per_block, live)
             nodes, diagonal = candidates[start:stop], diagonals[start:stop]
-            zbw = _products(psi, parts, picks, nodes, diagonal, bw)  # Z_s bw
+            zbw = _products(psi, picks, nodes, diagonal, bw)  # Z_s bw
             grams[start:stop, :r, :r] -= zbw @ zbw.transpose(0, 2, 1)
-            zc = _fold(psi.rows(pick, nodes)[:, None], parts).reshape(-1, m) @ c  # z C, z the new rows
-            zc = zc.reshape(-1, parts, m).transpose(0, 2, 1)
-            entries = _products(psi, parts, order[: step + 1], nodes, diagonal, zc)  # Z_s C z
-            for q in range(parts):
-                entries[:, r + q, q] += 1.0  # the identity's entries on the new rows
-            grams[start:stop, :grown, r:grown] = entries
-            grams[start:stop, r:grown, :grown] = entries.transpose(0, 2, 1)
+            zc = _fold(psi.rows(pick, nodes)) @ c  # z C, z the new row
+            entries = _products(psi, order[: step + 1], nodes, diagonal, zc[:, :, None])[:, :, 0]  # Z_s C z
+            entries[:, r] += 1.0  # the identity's entry on the new row
+            grams[start:stop, : r + 1, r] = entries
+            grams[start:stop, r, : r + 1] = entries
     return DesignResult(
         sampler=Subsampler(n, tuple(order.tolist())), objective_trace=tuple(trace)
     )

@@ -71,12 +71,14 @@ NNLS_CAP = 10
 class EstimationResult:
     """Parameter estimate of one trial, or one row per trial for a stacked call.
 
-    ``residual_norm`` is ``||G theta - r||`` and ``condition_number`` the
-    condition number of the system solved: the model's for LS and NNLS,
-    the whitened system's for WLS (from ``normal``, its weighted normal
-    matrix). Neither is computed until it is read, since a study reads
-    neither; for a stack each is one value per trial, NaN for a trial
-    whose solve failed.
+    ``residual_norm`` is ``||G theta - r||``, taken of the residual
+    divided by its largest entry and scaled back, so that it overflows
+    only when the norm itself exceeds the float range.
+    ``condition_number`` is the condition number of the system solved:
+    the model's for LS and NNLS, the whitened system's for WLS (from
+    ``normal``, its weighted normal matrix). Neither is computed until it
+    is read, since a study reads neither; for a stack each is one value
+    per trial, NaN for a trial whose solve failed.
     """
 
     theta: np.ndarray
@@ -88,7 +90,11 @@ class EstimationResult:
     @cached_property
     def residual_norm(self) -> float | np.ndarray:
         def norm(theta, r):
-            return float(np.linalg.norm(self.model.matrix @ theta - r))
+            residual = self.model.matrix @ theta - r
+            scale = np.abs(residual).max(initial=0.0)
+            if not 0.0 < scale < np.inf:
+                return float(scale)
+            return float(scale * np.linalg.norm(residual / scale))
 
         if self.theta.ndim == 1:
             return norm(self.theta, self.r)

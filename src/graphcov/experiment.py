@@ -411,15 +411,18 @@ class _Pipeline:
         n = self.shift.n
 
         self.signal_kind, keys = config.signal["kind"], fields(config.signal, "signal")
-        if self.signal_kind == "ma":
-            self.signal = GraphFilter(keys["h"])
-            self.true_p = np.abs(frequency_response(self.basis.eigvals, self.signal)) ** 2
-        else:
-            self.signal = keys["a"]
-            self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.signal)
-        self.p_norm = float(np.linalg.norm(self.true_p))
-        if not (np.isfinite(self.p_norm) and self.p_norm > 0.0):
+        with np.errstate(over="ignore"):  # an overflow is refused below, with no warning
+            if self.signal_kind == "ma":
+                self.signal = GraphFilter(keys["h"])
+                self.true_p = np.abs(frequency_response(self.basis.eigvals, self.signal)) ** 2
+            else:
+                self.signal = keys["a"]
+                self.true_p = armod.ar_power_spectrum(self.basis.eigvals, self.signal)
+            self.p_norm = float(np.linalg.norm(self.true_p))
+        if not (np.all(np.isfinite(self.true_p)) and self.p_norm > 0.0):
             raise InvalidInputError(f"signal {config.signal!r} has a zero or non-finite power spectrum")
+        if not np.isfinite(self.p_norm):
+            raise InvalidInputError(f"signal {config.signal!r} has a finite power spectrum whose norm overflows")
 
         self.model_kind = config.model.get("kind")
         if self.model_kind == "ar":

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from graphcov import design
 from graphcov._blas import one_blas_thread
 from graphcov import (
     CapabilityError,
+    CovarianceModel,
     DesignProblem,
     InvalidInputError,
     RepeatedEigenvaluesWarning,
@@ -42,6 +44,13 @@ def random_psi(n, seed):
 
 def mobius_psi(n):
     s = build_shift(mobius_ladder(n), "adjacency")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+        return build_psi_spectral(s.basis())
+
+
+def cycle_psi(n):
+    s = build_shift(cycle_graph(n), "adjacency")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
         return build_psi_spectral(s.basis())
@@ -291,12 +300,27 @@ GREEDY_CASES = {
     # Woodbury-downdated Grams drift 7e-12 relative from the reference here
     "ma20-q6": (lambda: build_psi_ma(build_shift(sensor_graph(20, seed=3), "laplacian"), 6), 6),
     "sensor100-real": (lambda: sensor_psi(100), 15),
-    # complex DFT basis past n = 36: every product takes both parts of one complex GEMM
+    # a DFT basis past n = 36
     "mobius64-complex": (lambda: mobius_psi(64), 12),
     "ma100": (lambda: build_psi_ma(build_shift(sensor_graph(100, seed=7), "laplacian"), 5), 10),
-    # a candidate's r = 15 rows pass M = 12 at the last step of the complex path
+    # at the last step a candidate adds 2(K - 1) + 1 = 15 pairs at M = 12 lags,
+    # so some lag gains two
     "mobius12-rows-exceed-m": (lambda: mobius_psi(12), 8),
+    "cycle64-complex": (lambda: cycle_psi(64), 10),
+    "cycle128-complex": (lambda: cycle_psi(128), 14),
 }
+
+# the GREEDY_CASES on a DFT basis, which the greedy scores on the difference coarray
+DFT_CASES = sorted(case for case in GREEDY_CASES if case.startswith(("mobius", "cycle")))
+
+
+@functools.cache
+def greedy_reference(case):
+    """The per-candidate reference's order and trace for a case, computed once
+    for every block size, which the reference does not read."""
+    make_psi, k = GREEDY_CASES[case]
+    psi = make_psi()
+    return reference_greedy_logdet(dense(psi), k, default_epsilon(psi))
 
 
 class TestBlockedGreedy:
@@ -310,7 +334,7 @@ class TestBlockedGreedy:
             monkeypatch.setattr(design, "_BLOCK_ROWS", block_rows)
         make_psi, k = GREEDY_CASES[case]
         psi = make_psi()
-        expected_order, expected_trace = reference_greedy_logdet(dense(psi), k, default_epsilon(psi))
+        expected_order, expected_trace = greedy_reference(case)
         # the j-step design holds the first j picks, which recovers the order
         order, picked = [], set()
         for j in range(1, k + 1):
@@ -361,6 +385,53 @@ class TestBlockedGreedy:
             7, 23, 30, 56, 61, 62, 69, 70, 72, 79, 90, 95, 127,
             136, 149, 167, 170, 187, 189, 196, 203, 222, 227, 234, 249,
         )
+
+    def test_mc_circulant36_picks(self):
+        # the greedy12 sampler of the mc-circulant36 benchmark workload
+        result = greedy_design(DesignProblem(psi=mobius_psi(36), k=12))
+        assert result.sampler.selected == (0, 1, 3, 7, 12, 17, 24, 25, 26, 28, 30, 33)
+
+    def test_mc_sensor30_picks(self):
+        # the greedy15 sampler of the mc-sensor30 benchmark workload
+        with one_blas_thread():
+            result = greedy_design(DesignProblem(psi=sensor_psi(30), k=15))
+        assert result.sampler.selected == (3, 4, 5, 9, 11, 12, 14, 15, 17, 21, 22, 23, 24, 25, 29)
+
+    @pytest.mark.parametrize(
+        "n, k, picks",
+        [
+            (256, 28, (
+                0, 1, 3, 7, 8, 12, 20, 23, 30, 44, 47, 63, 65, 80, 88, 96, 102, 112, 122, 140,
+                141, 150, 171, 178, 196, 205, 209, 250,
+            )),
+            (512, 40, (
+                0, 1, 3, 7, 12, 20, 30, 44, 52, 65, 80, 96, 120, 122, 123, 147, 157, 177, 181, 186,
+                203, 231, 251, 289, 295, 304, 307, 318, 360, 367, 379, 380, 413, 419, 428, 444,
+                449, 465, 467, 509,
+            )),
+        ],
+    )
+    def test_large_cycle_picks(self, n, k, picks):
+        # the picks of the Woodbury greedy on the DFT rows, which the coarray
+        # greedy keeps; the dense reference is too large here
+        assert greedy_design(DesignProblem(psi=cycle_psi(n), k=k)).sampler.selected == picks
+
+    @pytest.mark.parametrize("case", DFT_CASES)
+    def test_rank_on_a_dft_basis_counts_the_lags_the_picks_cover(self, case):
+        # the compressed Gram is circulant with eigenvalues w(m) / N, w(m) the
+        # picks' ordered pairs at lag m, so its rank is the count of covered lags
+        make_psi, k = GREEDY_CASES[case]
+        psi = make_psi()
+        sampler = greedy_design(DesignProblem(psi=psi, k=k)).sampler
+        picks = np.asarray(sampler.selected)
+        counts = np.bincount(((picks[:, None] - picks) % psi.n_nodes).ravel(), minlength=psi.n_nodes)
+        assert compress_model(psi, sampler).rank == np.count_nonzero(counts)
+
+    def test_complex_basis_that_is_not_dft_refused(self):
+        # rows 1 and 2 swapped: still unitary, but row 2 is not row 1 times the step of row 1
+        basis = mobius_psi(12).basis[[0, 2, 1, *range(3, 12)]]
+        with pytest.raises(CapabilityError, match="DFT basis"):
+            greedy_design(DesignProblem(psi=CovarianceModel(basis), k=3))
 
     def test_model_and_design_stay_far_below_the_dense_model(self):
         n = 200

@@ -33,6 +33,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def strict_json(text):
+    """Parse JSON as the standard defines it: a NaN or Infinity token is refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def sensor_graph_file(tmp_path):
     path = tmp_path / "g.json"
@@ -708,6 +716,34 @@ class TestSignalAndEstimate:
         assert "moving-average" in capsys.readouterr().err
         assert not out.exists()
         assert run_cli(*common, "--method", "ls") == 0
+
+    @pytest.fixture
+    def huge_snapshots(self, tmp_path):
+        """A 4-cycle, its full sampler and two snapshots of entries near 1e100:
+        the covariance is finite, and the squares of the residual's entries are not."""
+        graph, sampler, snaps = (tmp_path / name for name in ("g.json", "s.json", "snaps.csv"))
+        assert run_cli("graph", "gen", "--kind", "cycle", "--n", "4", "--out", str(graph)) == 0
+        sampler.write_text('{"n": 4, "selected": [0, 1, 2, 3]}')
+        snaps.write_text("node_0,node_1,node_2,node_3\n1.0e100,-3.0e100,2.0e100,5.0e99\n"
+                         "-2.0e100,1.0e100,4.0e100,-1.0e100\n")
+        return ["estimate", "--graph", str(graph), "--shift", "adjacency", "--method", "nnls",
+                "--sampler", str(sampler), "--snapshots", str(snaps)]
+
+    def test_estimate_residual_near_the_float_range_is_finite(self, huge_snapshots, tmp_path):
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            assert run_cli(*huge_snapshots, "--out", str(out)) == 0
+        report = strict_json(out.read_text())
+        assert 1e200 < report["residual"] < 1e202
+
+    def test_estimate_writes_null_for_a_residual_that_is_not_finite(self, huge_snapshots, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphcov.estimators.EstimationResult, "residual_norm", float("inf"))
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RepeatedEigenvaluesWarning)
+            assert run_cli(*huge_snapshots, "--out", str(out)) == 0
+        assert strict_json(out.read_text())["residual"] is None
 
     def test_option_the_model_does_not_take_exit_code(self, sensor_graph_file, tmp_path, capsys):
         # an option of another model is refused and named, not ignored
@@ -1925,6 +1961,27 @@ class TestExperiment:
         code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [(1e150, "has a finite power spectrum whose norm overflows"),
+         (1e200, "has a zero or non-finite power spectrum")],
+    )
+    def test_overflowing_spectrum_exit_code(self, tmp_path, capsys, h, message):
+        # each spectrum value is h^2: 1e300 is finite and only its norm overflows,
+        # 1e400 overflows itself; either is refused in one error line, with no warning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(signal={"kind": "ma", "h": [h]})))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("experiment", "nmse", "--config", str(cfg_path), "--out", str(out))
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
